@@ -46,6 +46,7 @@ from .sets import (
     SecondOrderCone,
     SetOracle,
     SpectralBoxTrace,
+    SpectralSet,
     boundary_eval,
     dykstra_project,
 )

@@ -28,6 +28,7 @@ from .sets import (
     PsdCone,
     SecondOrderCone,
     SpectralBoxTrace,
+    SpectralSet,
     dykstra_project,
 )
 from .solvers import FeasibilityProblem, KnownConstants
@@ -270,9 +271,10 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
     """Semidefinite feasibility: A(Sigma) = b, Sigma >= 0, ||Sigma - hat||_F <= r.
 
     Operates on isometrically flattened symmetric matrices. X is the PSD
-    cone within L (Dykstra-backed), Y the Frobenius ball within L
-    (closed form). The default is the n = 3 single-trace-constraint
-    instance with a strictly feasible point.
+    cone within L: a closed-form spectral set when the one constraint is a
+    multiple of the trace, Dykstra-backed otherwise. Y is the Frobenius
+    ball within L (closed form). The default is the n = 3
+    single-trace-constraint instance with a strictly feasible point.
     """
     if A_ops is None:
         if n != 3:
@@ -295,8 +297,14 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
         b = np.zeros(0)
     else:
         rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
-    L = AffineSubspace(rows, np.atleast_1d(np.asarray(b, dtype=float)))
-    X = DykstraIntersection([PsdCone(n), L], hull=L)
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    L = AffineSubspace(rows, b)
+    c = float(np.asarray(A_ops[0])[0, 0]) if len(A_ops) == 1 else 0.0
+    if c != 0.0 and np.array_equal(A_ops[0], c * np.eye(n)):
+        # c tr(Sigma) = b alone: X = {lambda >= 0, tr = b / c}, projected in closed form.
+        X = SpectralSet(n, lo=0.0, trace=b[0] / c, hull=L)
+    else:
+        X = DykstraIntersection([PsdCone(n), L], hull=L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:

@@ -1,9 +1,9 @@
 """Minimal dense linear algebra used throughout the package.
 
-The eigensolver is a cyclic Jacobi iteration: at desk scale (n up to a
-few dozen) it is simple, accurate, and has no dependencies beyond numpy
-array arithmetic. Null spaces and minimal-norm least squares are backed
-by numpy's SVD-based routines behind the same tolerance conventions.
+The symmetric eigensolver is LAPACK's (``numpy.linalg.eigh``) behind the
+package's input checks and ascending-order convention. Null spaces and
+minimal-norm least squares are backed by numpy's SVD-based routines
+behind the same tolerance conventions.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 # Singular values / pivots below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-10
-# Jacobi sweep convergence: off-diagonal Frobenius norm relative to ||S||_F.
-JACOBI_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,12 @@ def _as_matrix(A):
     return A
 
 
-def symmetric_eigh(S, rtol=JACOBI_RTOL, max_sweeps=60) -> SymEig:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigh(S) -> SymEig:
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd`` via numpy).
 
     Args:
-        S: square symmetric matrix (symmetric to 1e-12 relative).
-        rtol: stop once the off-diagonal Frobenius norm falls below
-            ``rtol * ||S||_F``.
-        max_sweeps: safety cap on full sweeps.
+        S: square symmetric matrix (symmetric to 1e-12 relative); its
+            symmetric part is decomposed.
 
     Returns:
         SymEig with ascending eigenvalues and orthonormal eigenvector columns.
@@ -53,63 +47,10 @@ def symmetric_eigh(S, rtol=JACOBI_RTOL, max_sweeps=60) -> SymEig:
     n, m = S.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {S.shape}")
-    norm = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > 1e-12 * (1.0 + norm):
+    if np.linalg.norm(S - S.T) > 1e-12 * (1.0 + np.linalg.norm(S)):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
-
-    A = 0.5 * (S + S.T)
-    V = np.eye(n)
-    if n == 1:
-        return SymEig(np.array([A[0, 0]]), V)
-
-    tol = rtol * max(norm, np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 0.1 * tol / n:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # Rotate rows/columns p and q of A, and columns p and q of V.
-                ap, aq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * ap - s * aq
-                A[:, q] = s * ap + c * aq
-                ap, aq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * ap - s * aq
-                A[q, :] = s * ap + c * aq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps",
-            residual=float(np.linalg.norm(A - np.diag(np.diag(A)))),
-        )
-
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return SymEig(w[order], V[:, order])
-
-
-def matrix_rank(A, rtol=RANK_RTOL) -> int:
-    """Numerical rank with the package-wide relative tolerance."""
-    A = _as_matrix(A)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    return SymEig(w, V)
 
 
 def orthonormal_nullspace(A, rtol=RANK_RTOL) -> np.ndarray:

@@ -13,6 +13,8 @@ import json
 import numpy as np
 
 from .sets import (
+    DYKSTRA_MAX_ITER,
+    DYKSTRA_TOL,
     AffineSubspace,
     Ball,
     BallInAffine,
@@ -25,6 +27,7 @@ from .sets import (
     PsdCone,
     SecondOrderCone,
     SpectralBoxTrace,
+    SpectralSet,
 )
 from .solvers import FeasibilityProblem, KnownConstants, SolveTrace
 
@@ -63,10 +66,17 @@ def oracle_to_dict(oracle) -> dict:
         return {"kind": "second_order_cone", "dim": oracle.dim}
     if isinstance(oracle, PowerEpigraph):
         return {"kind": "power_epigraph", "alpha": oracle.alpha, "beta": oracle.beta}
-    if isinstance(oracle, PsdCone):
+    if type(oracle) is PsdCone:
         return {"kind": "psd_cone", "n": oracle.n}
-    if isinstance(oracle, SpectralBoxTrace):
+    if type(oracle) is SpectralBoxTrace:
         return {"kind": "spectral_box_trace", "n": oracle.n, "bound": oracle.bound}
+    if isinstance(oracle, SpectralSet):
+        # JSON has no infinities: an absent bound is written as null.
+        lo, hi = (b if np.isfinite(b) else None for b in (oracle.lo, oracle.hi))
+        out = {"kind": "spectral_set", "n": oracle.n, "lo": lo, "hi": hi, "trace": oracle.trace}
+        if oracle.affine_hull is not None:
+            out["hull"] = _subspace_to_dict(oracle.affine_hull)
+        return out
     if isinstance(oracle, BallInAffine):
         return {
             "kind": "frobenius_ball_in_L",
@@ -117,6 +127,11 @@ def oracle_from_dict(data) -> object:
             return PsdCone(data["n"])
         if kind == "spectral_box_trace":
             return SpectralBoxTrace(data["n"], data["bound"])
+        if kind == "spectral_set":
+            lo, hi = data.get("lo"), data.get("hi")
+            hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
+            lo, hi = -np.inf if lo is None else lo, np.inf if hi is None else hi
+            return SpectralSet(data["n"], lo, hi, data.get("trace"), hull=hull)
         if kind == "frobenius_ball_in_L":
             return BallInAffine(data["center"], data["radius"], _subspace_from_dict(data))
         if kind == "embedded":
@@ -125,8 +140,8 @@ def oracle_from_dict(data) -> object:
             hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
             return DykstraIntersection(
                 [oracle_from_dict(m) for m in data["members"]],
-                tol=data.get("tol", 1e-12),
-                max_iter=data.get("max_iter", 100_000),
+                tol=data.get("tol", DYKSTRA_TOL),
+                max_iter=data.get("max_iter", DYKSTRA_MAX_ITER),
                 hull=hull,
             )
     except KeyError as exc:

@@ -422,124 +422,133 @@ class PowerEpigraph(SetOracle):
         return np.array([[gxx, 0.0], [0.0, 0.0]])
 
 
-class PsdCone(SetOracle):
-    """Positive semidefinite n-by-n matrices on flattened coordinates.
+def _project_eigs(v, lo, hi, trace=None):
+    """Projection of v onto {lo <= x_i <= hi, sum x_i = trace}; a clip without a trace.
+
+    The projection is clip(v - mu, lo, hi) for the mu at which the clipped
+    sum, nonincreasing and piecewise linear in mu with breakpoints at the
+    finite v_i - lo and v_i - hi, equals ``trace``: the sums at the sorted
+    breakpoints bracket mu in one linear piece, solved exactly (cf. Condat
+    2016). Past the last breakpoint on an infinite bound's side every
+    entry is free, so the sum has slope -n there.
+    """
+    if trace is None:
+        return np.clip(v, lo, hi)
+    n = v.shape[0]
+    bps = np.sort(np.concatenate([v - lo, v - hi]))
+    bps = bps[np.isfinite(bps)]
+    sums = np.clip(v - bps[:, None], lo, hi).sum(axis=1)
+    k = int(np.searchsorted(-sums, -trace, side="right"))  # sums[:k] >= trace > sums[k:]
+    if k == 0:
+        mu = bps[0] - (trace - sums[0]) / n if hi == np.inf else bps[0]
+    elif k == bps.shape[0]:
+        mu = bps[-1] + (sums[-1] - trace) / n if lo == -np.inf else bps[-1]
+    else:
+        b0, b1, s0, s1 = bps[k - 1], bps[k], sums[k - 1], sums[k]
+        mu = b0 + (s0 - trace) * (b1 - b0) / (s0 - s1)
+    return np.clip(v - mu, lo, hi)
+
+
+class SpectralSet(SetOracle):
+    """{Sigma : lo <= lambda_i(Sigma) <= hi, and tr(Sigma) = trace if given}.
 
     Points are symmetric matrices flattened isometrically (off-diagonals
     scaled by sqrt(2)), so the ambient dimension is n(n+1)/2 and the
-    Euclidean norm equals the Frobenius norm. Projection clips negative
-    eigenvalues at zero. The descriptor g = -lambda_min is C^2 wherever
-    the smallest eigenvalue is simple.
+    Euclidean norm equals the Frobenius norm. The set is spectral, so one
+    eigendecomposition reduces its projection to the exact projection of
+    the eigenvalue vector (Lewis 1996); see :func:`_project_eigs`. One
+    bound may be infinite. With a trace the affine hull is the trace
+    hyperplane; ``hull`` lets a caller share an equal subspace object.
+
+    The boundary descriptor is lo - lambda_min or lambda_max - hi, for the
+    more violated finite bound (the active end); it is C^2 wherever that
+    extreme eigenvalue is simple.
     """
 
     smooth = True
 
-    def __init__(self, n, gap_tol=1e-8):
+    def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None, gap_tol=1e-8, hull=None):
         if n < 1:
             raise ValueError("matrix order must be at least 1")
+        lo, hi = float(lo), float(hi)
+        if not (lo <= hi and lo < np.inf and hi > -np.inf) or (lo, hi) == (-np.inf, np.inf):
+            raise ValueError("need lo <= hi with at least one finite bound")
+        if trace is not None and not n * lo <= trace <= n * hi:
+            raise ValueError("empty set: need n * lo <= trace <= n * hi")
         super().__init__(sym_dim(n))
         self.n = int(n)
+        self.lo, self.hi = lo, hi
+        self.trace = None if trace is None else float(trace)
         self.gap_tol = float(gap_tol)
-
-    def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        eig = symmetric_eigh(vec_to_sym(z))
-        w = np.maximum(eig.eigenvalues, 0.0)
-        V = eig.eigenvectors
-        return sym_to_vec((V * w) @ V.T)
-
-    def _eig_simple_min(self, z):
-        eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
-        w, V = eig.eigenvalues, eig.eigenvectors
-        if self.n > 1 and w[1] - w[0] <= self.gap_tol * (1.0 + abs(w[0])):
-            raise RegularityError("smallest eigenvalue is not simple; boundary is not C^2 here")
-        return w, V
-
-    def _g(self, z):
-        eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
-        return -float(eig.eigenvalues[0])
-
-    def _grad(self, z):
-        w, V = self._eig_simple_min(z)
-        q = V[:, 0]
-        return -sym_to_vec(np.outer(q, q))
-
-    def _hess(self, z):
-        w, V = self._eig_simple_min(z)
-        q = V[:, 0]
-        basis = np.eye(self.dim)
-        # M[i, l] = q^T smat(e_i) q_l for the non-minimal eigenvectors q_l.
-        M = np.stack([q @ vec_to_sym(basis[i]) @ V[:, 1:] for i in range(self.dim)])
-        return 2.0 * (M / (w[1:] - w[0])) @ M.T
-
-
-class SpectralBoxTrace(SetOracle):
-    """{Sigma : lambda_max(Sigma) <= bound, tr(Sigma) = 1} on flattened coordinates.
-
-    Projection eigendecomposes, projects the eigenvalue vector onto the
-    box-and-hyperplane set {v : v_i <= bound, sum v_i = 1} by a monotone
-    scalar dual search, and reassembles with the same eigenvectors.
-    """
-
-    smooth = True
-
-    def __init__(self, n, bound, gap_tol=1e-8):
-        if n < 1:
-            raise ValueError("matrix order must be at least 1")
-        if bound * n < 1.0:
-            raise ValueError("empty set: need bound * n >= 1")
-        super().__init__(sym_dim(n))
-        self.n = int(n)
-        self.bound = float(bound)
-        self.gap_tol = float(gap_tol)
-        self._hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [1.0])
+        e = sym_to_vec(np.eye(self.n))
+        if self.trace is not None and hull is None:
+            hull = AffineSubspace(e[None, :], [self.trace])
+        elif hull is not None and (
+            self.trace is None
+            or (hull.dim, hull.subspace_dim) != (self.dim, self.dim - 1)
+            or np.linalg.norm(hull.basis.T @ e) > 1e-10 * self.n
+            or not hull.contains(e * (self.trace / self.n))
+        ):
+            raise ValueError("hull must be the trace hyperplane {tr Sigma = trace}")
+        self._hull = hull
 
     @property
     def affine_hull(self):
         return self._hull
 
-    def _project_eigs(self, v):
-        a = self.bound
-        f = lambda mu: float(np.sum(np.minimum(v - mu, a))) - 1.0
-        lo = float(np.min(v)) - a - 1.0
-        hi = float(np.max(v))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return np.minimum(v - 0.5 * (lo + hi), a)
-
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
         eig = symmetric_eigh(vec_to_sym(z))
-        w = self._project_eigs(eig.eigenvalues)
+        w = _project_eigs(eig.eigenvalues, self.lo, self.hi, self.trace)
         V = eig.eigenvectors
         return sym_to_vec((V * w) @ V.T)
 
-    def _eig_simple_max(self, z):
+    def _eig_end(self, z):
+        """(w, V, k, s): eigenpairs at z and the active end, lambda_min (k = 0,
+        s = -1) against lo or lambda_max (k = -1, s = +1) against hi."""
         eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
         w, V = eig.eigenvalues, eig.eigenvectors
-        if self.n > 1 and w[-1] - w[-2] <= self.gap_tol * (1.0 + abs(w[-1])):
-            raise RegularityError("leading eigenvalue is not simple; boundary is not C^2 here")
-        return w, V
+        if self.hi == np.inf or (self.lo > -np.inf and self.lo - w[0] >= w[-1] - self.hi):
+            return w, V, 0, -1.0
+        return w, V, -1, 1.0
+
+    def _eig_simple(self, z):
+        w, V, k, s = self._eig_end(z)
+        if self.n > 1 and s * (w[k] - w[k - int(s)]) <= self.gap_tol * (1.0 + abs(w[k])):
+            raise RegularityError("extreme eigenvalue is not simple; boundary is not C^2 here")
+        return w, V, k, s
 
     def _g(self, z):
-        eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
-        return float(eig.eigenvalues[-1]) - self.bound
+        w, _, k, s = self._eig_end(z)
+        return float(s * (w[k] - (self.hi if s > 0 else self.lo)))
 
     def _grad(self, z):
-        w, V = self._eig_simple_max(z)
-        q = V[:, -1]
-        return sym_to_vec(np.outer(q, q))
+        w, V, k, s = self._eig_simple(z)
+        q = V[:, k]
+        return s * sym_to_vec(np.outer(q, q))
 
     def _hess(self, z):
-        w, V = self._eig_simple_max(z)
-        q = V[:, -1]
-        basis = np.eye(self.dim)
-        M = np.stack([q @ vec_to_sym(basis[i]) @ V[:, :-1] for i in range(self.dim)])
-        return 2.0 * (M / (w[-1] - w[:-1])) @ M.T
+        w, V, k, s = self._eig_simple(z)
+        q = V[:, k]
+        # M[i, l] = q^T smat(e_i) q_l over the other eigenvectors q_l.
+        others = np.delete(V, k, axis=1)
+        M = np.stack([q @ vec_to_sym(e) @ others for e in np.eye(self.dim)])
+        return 2.0 * (M / (s * (w[k] - np.delete(w, k)))) @ M.T
+
+
+class PsdCone(SpectralSet):
+    """Positive semidefinite n-by-n matrices: the spectral set {lambda_i >= 0}."""
+
+    def __init__(self, n, gap_tol=1e-8):
+        super().__init__(n, lo=0.0, gap_tol=gap_tol)
+
+
+class SpectralBoxTrace(SpectralSet):
+    """{Sigma : lambda_max(Sigma) <= bound, tr(Sigma) = 1}: the spectral set {lambda_i <= bound, tr = 1}."""
+
+    def __init__(self, n, bound, gap_tol=1e-8):
+        super().__init__(n, hi=bound, trace=1.0, gap_tol=gap_tol)
+        self.bound = self.hi
 
 
 class BallInAffine(SetOracle):

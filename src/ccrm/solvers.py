@@ -25,6 +25,9 @@ TERMINATION_STAGNATION = "stagnation"
 
 METHODS = ("ccrm", "map", "crm")
 
+# Status of a cCRM step that returned its already feasible centralized point.
+STATUS_CENTRALIZED_FEASIBLE = "centralized_feasible"
+
 
 @dataclass(frozen=True)
 class KnownConstants:
@@ -124,12 +127,24 @@ def ccrm_step(problem: FeasibilityProblem, z):
     return z_next, z_c
 
 
-def _ccrm_step_full(problem, z):
+def _ccrm_step_full(problem, z, tol_feas=0.0):
+    """cCRM step returning (z_next, z_C, status).
+
+    A z_C within ``tol_feas`` of both sets can have reflections so close
+    to it that the circumcenter system is inconsistent; z_C is then the
+    step. Any other GeometryError propagates.
+    """
     z = _as_point(z, problem.dim)
     w = problem.X.project(z)
     yw = problem.Y.project(w)
     z_c = 0.5 * (yw + problem.X.project(yw))
-    result = circumcenter([z_c, problem.X.reflect(z_c), problem.Y.reflect(z_c)])
+    px, py = problem.X.project(z_c), problem.Y.project(z_c)
+    try:
+        result = circumcenter([z_c, 2.0 * px - z_c, 2.0 * py - z_c])
+    except GeometryError:
+        if max(np.linalg.norm(z_c - px), np.linalg.norm(z_c - py)) > tol_feas:
+            raise
+        return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE
     return result.center, z_c, result.status
 
 
@@ -180,7 +195,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
                     if statuses is not None:
                         statuses.append(status)
                 else:
-                    z_next, z_c, status = _ccrm_step_full(problem, z)
+                    z_next, z_c, status = _ccrm_step_full(problem, z, config.tol_feas)
                     if centers is not None:
                         centers.append(z_c)
                         statuses.append(status)

@@ -14,6 +14,7 @@ from ccrm.sets import (
     PsdCone,
     SecondOrderCone,
     SpectralBoxTrace,
+    SpectralSet,
 )
 from ccrm.linalg import sym_to_vec
 
@@ -37,6 +38,7 @@ def oracle_zoo(rng):
         (PowerEpigraph(1.5, 0.0), 2),
         (PsdCone(3), 6),
         (SpectralBoxTrace(3, 0.6), 6),
+        (SpectralSet(3, lo=0.0, trace=1.0), 6),
         (BallInAffine([0.1, 0.2, 0.7], 1.0, plane), 3),
         (
             DykstraIntersection(
@@ -77,23 +79,30 @@ def projection_by_scan(points, z):
     return points[i]
 
 
-def spectral_box_enumeration(v, a):
-    """Projection of v onto {w <= a, sum w = 1} by active-set enumeration."""
+def spectral_box_enumeration(v, lo=-np.inf, hi=np.inf, trace=None):
+    """Projection of v onto {lo <= w <= hi, sum w = trace} by active-set enumeration.
+
+    Every entry is either held at lo, held at hi, or free; free entries
+    share one shift that meets the trace (no shift without a trace). The
+    nearest feasible candidate is the projection.
+    """
     n = v.shape[0]
     best = None
-    for mask in range(2**n):
-        clipped = [i for i in range(n) if mask >> i & 1]
-        free = [i for i in range(n) if not (mask >> i & 1)]
-        cand = np.empty(n)
-        for i in clipped:
-            cand[i] = a
-        if free:
-            shift = (1.0 - a * len(clipped) - v[free].sum()) / len(free)
-            for i in free:
-                cand[i] = v[i] + shift
-        elif abs(a * n - 1.0) > 1e-12:
+    for code in range(3**n):
+        states = [code // 3**i % 3 for i in range(n)]  # 0 free, 1 at lo, 2 at hi
+        cand = np.where(np.array(states) == 1, lo, hi).astype(float)
+        free = [i for i in range(n) if states[i] == 0]
+        if any(not np.isfinite(cand[i]) for i in range(n) if states[i]):
             continue
-        if cand.max() > a + 1e-12:
+        fixed_sum = sum(cand[i] for i in range(n) if states[i])
+        if free:
+            shift = 0.0
+            if trace is not None:
+                shift = (trace - fixed_sum - v[free].sum()) / len(free)
+            cand[free] = v[free] + shift
+        elif trace is not None and abs(fixed_sum - trace) > 1e-12:
+            continue
+        if cand.min() < lo - 1e-12 or cand.max() > hi + 1e-12:
             continue
         d = np.linalg.norm(cand - v)
         if best is None or d < best[0]:

@@ -16,6 +16,7 @@ from ccrm.catalog import (
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
 from ccrm.linalg import vec_to_sym
+from ccrm.sets import DykstraIntersection, SpectralSet
 from ccrm.solvers import SolverConfig, run
 
 
@@ -169,6 +170,21 @@ def test_sdp_limit_is_rank_deficient_psd():
     assert abs(np.trace(limit) - 1.0) <= 1e-9
     assert w[0] >= -1e-9
     assert w[0] <= 1e-6  # PSD constraint active: smallest eigenvalue at zero
+
+
+def test_sdp_trace_constraint_gives_spectral_set():
+    # a lone multiple of the trace: X is PSD cap {tr = b / c}, sharing Y's hull
+    entry = make_sdp_feasibility()
+    X, L = entry.problem.X, entry.problem.common_hull
+    assert isinstance(X, SpectralSet)
+    assert X.affine_hull is L and entry.problem.Y.affine_hull is L
+    scaled = make_sdp_feasibility(A_ops=[2.0 * np.eye(2)], b=[3.0], Sigma_hat=np.eye(2), r=1.5, n=2)
+    assert scaled.problem.X.trace == 1.5
+    # any other constraint keeps the Dykstra intersection with L
+    general = make_sdp_feasibility(
+        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=np.eye(2), r=1.5, n=2
+    )
+    assert isinstance(general.problem.X, DykstraIntersection)
 
 
 def test_fixed_trace_limit_feasible():

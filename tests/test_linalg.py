@@ -4,7 +4,6 @@ import pytest
 from ccrm.linalg import (
     SymEig,
     least_squares_min_norm,
-    matrix_rank,
     orthonormal_nullspace,
     sym_dim,
     sym_to_vec,
@@ -79,7 +78,6 @@ def test_nullspace_residual_oracle():
 
 def test_nullspace_rank_deficient_reports_wider_basis():
     A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    assert matrix_rank(A) == 1
     assert orthonormal_nullspace(A).shape == (3, 2)
 
 

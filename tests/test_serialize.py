@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ccrm.catalog import make_discs3d, make_fixed_trace, make_socp
+from ccrm.catalog import make_discs3d, make_fixed_trace, make_sdp_feasibility, make_socp
 from ccrm.serialize import (
     load_problem_file,
     oracle_from_dict,
@@ -44,7 +44,7 @@ def test_problem_round_trip_preserves_solutions():
 
 
 def test_problem_round_trip_matrix_kinds():
-    for entry in (make_fixed_trace(), make_socp()):
+    for entry in (make_fixed_trace(), make_socp(), make_sdp_feasibility()):
         data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
         problem, z0 = problem_from_dict(json.loads(json.dumps(data)))
         t1 = run(problem, SolverConfig(method="ccrm", tol_feas=1e-10), z0)

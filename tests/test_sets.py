@@ -17,6 +17,8 @@ from ccrm.sets import (
     PsdCone,
     SecondOrderCone,
     SpectralBoxTrace,
+    SpectralSet,
+    _project_eigs,
     boundary_eval,
     dykstra_project,
 )
@@ -24,6 +26,7 @@ from ccrm.sets import (
 from helpers import (
     cap_projection_kkt,
     oracle_zoo,
+    random_orthogonal,
     random_symmetric,
     spectral_box_enumeration,
 )
@@ -313,7 +316,7 @@ def test_spectral_box_matches_enumeration():
         X = SpectralBoxTrace(4, 0.5)
         p = vec_to_sym(X.project(sym_to_vec(S)))
         w, V = np.linalg.eigh(S)
-        expected = V @ np.diag(spectral_box_enumeration(w, 0.5)) @ V.T
+        expected = V @ np.diag(spectral_box_enumeration(w, hi=0.5, trace=1.0)) @ V.T
         assert np.linalg.norm(p - expected) <= 1e-8
         assert abs(np.trace(p) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(p).max() <= 0.5 + 1e-10
@@ -322,6 +325,83 @@ def test_spectral_box_matches_enumeration():
 def test_spectral_box_empty_set_rejected():
     with pytest.raises(ValueError):
         SpectralBoxTrace(3, 0.2)
+
+
+EIGENVALUE_SETS = [
+    (-np.inf, 0.4, 1.0),
+    (-np.inf, 0.3, None),
+    (0.0, np.inf, 1.0),
+    (0.0, np.inf, None),
+    (0.0, np.inf, 2.5),
+    (-0.2, 0.5, 1.0),
+    (-0.2, 0.5, None),
+]
+
+
+def test_eigenvalue_projection_matches_enumeration():
+    rng = np.random.default_rng(16)
+    for n in range(1, 7):
+        for lo, hi, trace in EIGENVALUE_SETS:
+            if trace is not None and not n * lo <= trace <= n * hi:
+                continue
+            for scale in (0.1, 0.1, 2.0, 2.0):  # small spreads leave every entry free
+                v = rng.normal(size=n) * scale
+                expected = spectral_box_enumeration(v, lo, hi, trace)
+                assert np.allclose(_project_eigs(v, lo, hi, trace), expected, atol=1e-12)
+            # the matrix projection keeps the eigenvectors
+            S = random_symmetric(rng, n)
+            w, V = np.linalg.eigh(S)
+            p = vec_to_sym(SpectralSet(n, lo, hi, trace).project(sym_to_vec(S)))
+            expected = (V * spectral_box_enumeration(w, lo, hi, trace)) @ V.T
+            assert np.linalg.norm(p - expected) <= 1e-10
+
+
+def test_eigenvalue_projection_edge_cases():
+    rng = np.random.default_rng(17)
+    # tied eigenvalues: the eigenvectors are not unique, the projection is
+    Q = random_orthogonal(rng, 4)
+    w = np.array([-0.1, 0.7, 0.7, 0.7])
+    p = vec_to_sym(SpectralBoxTrace(4, 0.3).project(sym_to_vec((Q * w) @ Q.T)))
+    expected = (Q * spectral_box_enumeration(w, hi=0.3, trace=1.0)) @ Q.T
+    assert np.linalg.norm(p - expected) <= 1e-12
+    assert np.allclose(_project_eigs(np.full(4, 0.2), -np.inf, 0.5, 1.0), 0.25, atol=1e-15)
+    # bound * n == 1 exactly: the set is the single point I / n
+    X = SpectralBoxTrace(4, 0.25)
+    for _ in range(5):
+        z = sym_to_vec(random_symmetric(rng, 4, scale=3.0))
+        assert np.allclose(X.project(z), sym_to_vec(np.eye(4) / 4.0), atol=1e-14)
+    # already feasible points are fixed
+    Q3 = random_orthogonal(rng, 3)
+    for oracle, S in (
+        (SpectralSet(3, lo=0.0, trace=1.0), np.diag([0.5, 0.3, 0.2])),
+        (PsdCone(3), np.diag([2.0, 0.0, 1.0])),
+        (SpectralSet(3, lo=-0.2, hi=0.5, trace=1.0), np.diag([0.5, 0.5, 0.0])),
+    ):
+        z = sym_to_vec((Q3 * np.diag(S)) @ Q3.T)
+        assert np.linalg.norm(oracle.project(z) - z) <= 1e-14 * (1.0 + np.linalg.norm(z))
+    # every entry clipped, with and without a trace
+    v = np.array([-2.0, 3.0, -1.0, 5.0])
+    assert np.array_equal(_project_eigs(v, 0.0, 1.0), [0.0, 1.0, 0.0, 1.0])
+    assert np.allclose(_project_eigs(v, 0.0, 0.5, 2.0), 0.5, atol=1e-15)
+    assert np.allclose(_project_eigs(v, 0.25, 1.0, 1.0), 0.25, atol=1e-15)
+
+
+def test_spectral_set_validation_and_shared_hull():
+    e = sym_to_vec(np.eye(3))
+    with pytest.raises(ValueError):
+        SpectralSet(3)  # no finite bound
+    with pytest.raises(ValueError):
+        SpectralSet(3, lo=1.0, hi=0.0)
+    with pytest.raises(ValueError):
+        SpectralSet(3, lo=0.0, trace=-1.0)
+    with pytest.raises(ValueError):
+        SpectralSet(3, lo=0.0, hull=AffineSubspace(e[None, :], [1.0]))
+    with pytest.raises(ValueError):
+        SpectralSet(3, lo=0.0, trace=1.0, hull=AffineSubspace(e[None, :], [2.0]))
+    # an equal hyperplane written with a scaled normal is accepted as is
+    L = AffineSubspace(2.0 * e[None, :], [2.0])
+    X = SpectralSet(3, lo=0.0, trace=1.0, hull=L)
+    assert X.affine_hull is L
 
 
 # --- ball within an affine subspace ----------------------------------------
@@ -518,6 +598,15 @@ def test_boundary_derivatives_match_finite_differences():
     w[:-1] += (1.0 - w.sum()) / 2.0
     T = (V * w) @ V.T
     finite_difference_check(box, sym_to_vec(T))
+    # PSD cap {tr = 1} at a simple lambda_min = 0, in trace-hyperplane coordinates
+    Q = random_orthogonal(rng, 3)
+    finite_difference_check(
+        SpectralSet(3, lo=0.0, trace=1.0), sym_to_vec((Q * [0.0, 0.35, 0.65]) @ Q.T)
+    )
+    # with both bounds finite, the descriptor follows the active one
+    finite_difference_check(
+        SpectralSet(3, lo=0.0, hi=0.6, trace=1.0), sym_to_vec((Q * [0.1, 0.3, 0.6]) @ Q.T)
+    )
 
 
 def test_psd_gradient_needs_simple_eigenvalue():

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from ccrm.catalog import make_discs3d, make_epigraph, make_fixed_trace
-from ccrm.errors import UnsupportedOperation
+from ccrm.catalog import (
+    make_discs3d,
+    make_epigraph,
+    make_eq_constrained_ellipsoids,
+    make_fixed_trace,
+)
+from ccrm.errors import GeometryError, UnsupportedOperation
 from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph
 from ccrm.solvers import (
+    STATUS_CENTRALIZED_FEASIBLE,
     TERMINATION_FEASIBLE,
     TERMINATION_MAX_ITER,
     TERMINATION_STAGNATION,
@@ -136,6 +142,27 @@ def test_run_stagnation_at_precision_floor():
     # the iterates stay on the axis and decrease geometrically until frozen
     assert np.all(np.abs(trace.iterates[:, 1]) <= 1e-15)
     assert trace.iterates[-1][0] <= 1e-7
+
+
+def test_ccrm_feasible_centralized_point_is_taken():
+    # From these starts the first centralized point already lies in both
+    # sets; its reflections sit within ~1e-13 of it and the circumcenter
+    # system is inconsistent. The step returns z_C instead of stagnating.
+    entry = make_eq_constrained_ellipsoids()
+    noise = np.random.default_rng(0).normal(size=(400, entry.problem.dim))
+    for i in (234, 261, 312, 343, 348):
+        z0 = entry.suggested_z0 + 0.3 * noise[i]
+        with pytest.raises(GeometryError):
+            ccrm_step(entry.problem, z0)
+        trace = run(entry.problem, SolverConfig(method="ccrm", record_internals=True), z0)
+        assert trace.termination == TERMINATION_FEASIBLE, i
+        assert trace.n_steps == 1
+        assert trace.circum_statuses == [STATUS_CENTRALIZED_FEASIBLE]
+        assert np.array_equal(trace.final, trace.centralized_points[0])
+        # at a feasibility tolerance the point cannot meet, it still stagnates
+        floor = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
+        assert floor.termination == TERMINATION_STAGNATION
+        assert floor.n_steps == 0
 
 
 def test_run_records_internals():
