@@ -291,19 +291,19 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
         z0 = sym_to_vec(np.diag([2.0, 0.4, -1.4]) + 0.3 * off)
     else:
         z0 = None
-    dim = sym_to_vec(np.eye(n)).shape[0]
-    if len(A_ops) == 0:
-        rows = np.zeros((0, dim))
-        b = np.zeros(0)
-    else:
-        rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    L = AffineSubspace(rows, b)
     c = float(np.asarray(A_ops[0])[0, 0]) if len(A_ops) == 1 else 0.0
     if c != 0.0 and np.array_equal(A_ops[0], c * np.eye(n)):
-        # c tr(Sigma) = b alone: X = {lambda >= 0, tr = b / c}, projected in closed form.
-        X = SpectralSet(n, lo=0.0, trace=b[0] / c, hull=L)
+        # c tr(Sigma) = b alone: X = {lambda >= 0, tr = b / c}, projected in
+        # closed form; its trace hyperplane is the common hull.
+        X = SpectralSet(n, lo=0.0, trace=np.atleast_1d(np.asarray(b, dtype=float))[0] / c)
+        L = X.affine_hull
     else:
+        if len(A_ops) == 0:
+            rows = np.zeros((0, sym_to_vec(np.eye(n)).shape[0]))
+            b = np.zeros(0)
+        else:
+            rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
+        L = AffineSubspace(rows, np.atleast_1d(np.asarray(b, dtype=float)))
         X = DykstraIntersection([PsdCone(n), L], hull=L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)

@@ -73,10 +73,7 @@ def oracle_to_dict(oracle) -> dict:
     if isinstance(oracle, SpectralSet):
         # JSON has no infinities: an absent bound is written as null.
         lo, hi = (b if np.isfinite(b) else None for b in (oracle.lo, oracle.hi))
-        out = {"kind": "spectral_set", "n": oracle.n, "lo": lo, "hi": hi, "trace": oracle.trace}
-        if oracle.affine_hull is not None:
-            out["hull"] = _subspace_to_dict(oracle.affine_hull)
-        return out
+        return {"kind": "spectral_set", "n": oracle.n, "lo": lo, "hi": hi, "trace": oracle.trace}
     if isinstance(oracle, BallInAffine):
         return {
             "kind": "frobenius_ball_in_L",
@@ -129,9 +126,8 @@ def oracle_from_dict(data) -> object:
             return SpectralBoxTrace(data["n"], data["bound"])
         if kind == "spectral_set":
             lo, hi = data.get("lo"), data.get("hi")
-            hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
             lo, hi = -np.inf if lo is None else lo, np.inf if hi is None else hi
-            return SpectralSet(data["n"], lo, hi, data.get("trace"), hull=hull)
+            return SpectralSet(data["n"], lo, hi, data.get("trace"))
         if kind == "frobenius_ball_in_L":
             return BallInAffine(data["center"], data["radius"], _subspace_from_dict(data))
         if kind == "embedded":

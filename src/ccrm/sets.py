@@ -458,7 +458,7 @@ class SpectralSet(SetOracle):
     eigendecomposition reduces its projection to the exact projection of
     the eigenvalue vector (Lewis 1996); see :func:`_project_eigs`. One
     bound may be infinite. With a trace the affine hull is the trace
-    hyperplane; ``hull`` lets a caller share an equal subspace object.
+    hyperplane.
 
     The boundary descriptor is lo - lambda_min or lambda_max - hi, for the
     more violated finite bound (the active end); it is C^2 wherever that
@@ -467,7 +467,7 @@ class SpectralSet(SetOracle):
 
     smooth = True
 
-    def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None, gap_tol=1e-8, hull=None):
+    def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None, gap_tol=1e-8):
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         lo, hi = float(lo), float(hi)
@@ -480,17 +480,9 @@ class SpectralSet(SetOracle):
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
         self.gap_tol = float(gap_tol)
-        e = sym_to_vec(np.eye(self.n))
-        if self.trace is not None and hull is None:
-            hull = AffineSubspace(e[None, :], [self.trace])
-        elif hull is not None and (
-            self.trace is None
-            or (hull.dim, hull.subspace_dim) != (self.dim, self.dim - 1)
-            or np.linalg.norm(hull.basis.T @ e) > 1e-10 * self.n
-            or not hull.contains(e * (self.trace / self.n))
-        ):
-            raise ValueError("hull must be the trace hyperplane {tr Sigma = trace}")
-        self._hull = hull
+        self._hull = None
+        if self.trace is not None:
+            self._hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
 
     @property
     def affine_hull(self):

@@ -386,22 +386,16 @@ def test_eigenvalue_projection_edge_cases():
     assert np.allclose(_project_eigs(v, 0.25, 1.0, 1.0), 0.25, atol=1e-15)
 
 
-def test_spectral_set_validation_and_shared_hull():
-    e = sym_to_vec(np.eye(3))
+def test_spectral_set_validation():
     with pytest.raises(ValueError):
         SpectralSet(3)  # no finite bound
     with pytest.raises(ValueError):
         SpectralSet(3, lo=1.0, hi=0.0)
     with pytest.raises(ValueError):
         SpectralSet(3, lo=0.0, trace=-1.0)
-    with pytest.raises(ValueError):
-        SpectralSet(3, lo=0.0, hull=AffineSubspace(e[None, :], [1.0]))
-    with pytest.raises(ValueError):
-        SpectralSet(3, lo=0.0, trace=1.0, hull=AffineSubspace(e[None, :], [2.0]))
-    # an equal hyperplane written with a scaled normal is accepted as is
-    L = AffineSubspace(2.0 * e[None, :], [2.0])
-    X = SpectralSet(3, lo=0.0, trace=1.0, hull=L)
-    assert X.affine_hull is L
+    assert SpectralSet(3, lo=0.0).affine_hull is None
+    hull = SpectralSet(3, lo=0.0, trace=2.0).affine_hull
+    assert hull.subspace_dim == 5 and hull.contains(sym_to_vec(np.eye(3) * (2.0 / 3.0)))
 
 
 # --- ball within an affine subspace ----------------------------------------
