@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import sym_to_vec
+from .linalg import sym_dim, sym_to_vec
 from .sets import (
     AffineSubspace,
     BallInAffine,
@@ -271,10 +271,11 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
     """Semidefinite feasibility: A(Sigma) = b, Sigma >= 0, ||Sigma - hat||_F <= r.
 
     Operates on isometrically flattened symmetric matrices. X is the PSD
-    cone within L: a closed-form spectral set when the one constraint is a
-    multiple of the trace, Dykstra-backed otherwise. Y is the Frobenius
-    ball within L (closed form). The default is the n = 3
-    single-trace-constraint instance with a strictly feasible point.
+    cone within L: a closed-form spectral set when there is no constraint
+    or the one constraint is a multiple of the trace, Dykstra-backed
+    otherwise. Y is the Frobenius ball within L (closed form). The default
+    is the n = 3 single-trace-constraint instance with a strictly feasible
+    point.
     """
     if A_ops is None:
         if n != 3:
@@ -292,17 +293,17 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
     else:
         z0 = None
     c = float(np.asarray(A_ops[0])[0, 0]) if len(A_ops) == 1 else 0.0
-    if c != 0.0 and np.array_equal(A_ops[0], c * np.eye(n)):
+    if len(A_ops) == 0:
+        # No constraint: X is the PSD cone and L the whole space.
+        X = SpectralSet(n, lo=0.0)
+        L = AffineSubspace(np.zeros((0, sym_dim(n))), np.zeros(0))
+    elif c != 0.0 and np.array_equal(A_ops[0], c * np.eye(n)):
         # c tr(Sigma) = b alone: X = {lambda >= 0, tr = b / c}, projected in
         # closed form; its trace hyperplane is the common hull.
         X = SpectralSet(n, lo=0.0, trace=np.atleast_1d(np.asarray(b, dtype=float))[0] / c)
         L = X.affine_hull
     else:
-        if len(A_ops) == 0:
-            rows = np.zeros((0, sym_to_vec(np.eye(n)).shape[0]))
-            b = np.zeros(0)
-        else:
-            rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
+        rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
         L = AffineSubspace(rows, np.atleast_1d(np.asarray(b, dtype=float)))
         X = DykstraIntersection([PsdCone(n), L], hull=L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
+from .linalg import RANK_RTOL
 
 NONDEGENERATE = "nondegenerate"
 REDUCED_RANK = "reduced_rank"
@@ -33,10 +34,10 @@ class CircumResult:
     status: str
 
 
-def circumcenter(points, dedupe_rtol=DEDUPE_RTOL, rank_rtol=1e-10) -> CircumResult:
+def circumcenter(points) -> CircumResult:
     """Circumcenter of one or more points.
 
-    Coincident points (within ``dedupe_rtol`` of the diameter) are merged
+    Coincident points (within ``DEDUPE_RTOL`` of the diameter) are merged
     before solving; the solve then runs on the independent directions only,
     returning the minimal-norm equidistant point of the affine hull.
 
@@ -62,7 +63,7 @@ def circumcenter(points, dedupe_rtol=DEDUPE_RTOL, rank_rtol=1e-10) -> CircumResu
     # Greedy dedupe: keep the first representative of each cluster.
     keep = []
     for i in range(pts.shape[0]):
-        if all(dists[i, j] > dedupe_rtol * diameter for j in keep):
+        if all(dists[i, j] > DEDUPE_RTOL * diameter for j in keep):
             keep.append(i)
     merged = len(keep) < pts.shape[0]
     survivors = pts[keep]
@@ -72,7 +73,7 @@ def circumcenter(points, dedupe_rtol=DEDUPE_RTOL, rank_rtol=1e-10) -> CircumResu
     rhs = np.einsum("ij,ij->i", survivors[1:] - p0, survivors[1:] - p0)
 
     U, sig, Wt = np.linalg.svd(V, full_matrices=False)
-    rank = int(np.sum(sig > rank_rtol * sig[0])) if sig[0] > 0 else 0
+    rank = int(np.sum(sig > RANK_RTOL * sig[0])) if sig[0] > 0 else 0
     if rank == 0:
         return CircumResult(p0.copy(), REDUCED_RANK)
 

@@ -1,10 +1,10 @@
 """Command-line interface: solve, table1, table2, diagnose.
 
-Exit codes: 0 for feasible termination (and for reports), 2 when the
-solver stopped at its iteration cap or stagnated short of tolerance,
-1 for input errors. No command writes partial output files on input
-error: problems and points are fully validated before any file is
-opened.
+Exit codes: 0 for feasible termination (and for reports); 2 for any
+other termination (the trace and report are still written) and for a
+``ConvergenceError`` outside a run; 1 for input errors. No command
+writes partial output files on input error: problems and points are
+fully validated before any file is opened.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .diagnostics import (
     rate_report,
     trace_reference_distances,
 )
-from .errors import RegularityError, UnsupportedOperation
+from .errors import ConvergenceError, RegularityError, UnsupportedOperation
 from .serialize import (
     load_problem_file,
     trace_to_csv,
@@ -33,8 +33,8 @@ from .serialize import (
     write_json_report,
 )
 from .solvers import (
+    METHODS,
     TERMINATION_FEASIBLE,
-    FeasibilityProblem,
     SolverConfig,
     run,
 )
@@ -91,6 +91,7 @@ def cmd_solve(args):
     if args.report:
         report_data = {
             "termination": trace.termination,
+            "termination_detail": trace.termination_detail,
             "iterations": trace.n_steps,
             "pass_flags": {"feasible": trace.termination == TERMINATION_FEASIBLE},
         }
@@ -107,6 +108,8 @@ def cmd_solve(args):
         f"{args.method} on {args.problem}: {trace.termination} after "
         f"{trace.n_steps} steps, final residual {_fmt(float(trace.residuals[-1]))}"
     )
+    if trace.termination_detail:
+        print(f"  {trace.termination_detail}")
     return 0 if trace.termination == TERMINATION_FEASIBLE else 2
 
 
@@ -233,10 +236,10 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run a solver on a catalog or JSON problem")
     p_solve.add_argument("--problem", required=True, help="catalog name (name:key=val,...) or JSON file")
-    p_solve.add_argument("--method", default="ccrm", choices=["ccrm", "map", "crm"])
+    p_solve.add_argument("--method", default="ccrm", choices=METHODS)
     p_solve.add_argument("--z0", default="default", help="comma-separated start, or 'default'")
-    p_solve.add_argument("--tol", type=float, default=1e-12, help="feasibility tolerance")
-    p_solve.add_argument("--max-iter", type=int, default=10000)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol_feas, help="feasibility tolerance")
+    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_solve.add_argument("--out", help="trace output (.csv or .json)")
     p_solve.add_argument("--report", help="rate report output (.json)")
     p_solve.set_defaults(func=cmd_solve)
@@ -263,9 +266,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConvergenceError) else 1
 
 
 if __name__ == "__main__":

@@ -291,6 +291,8 @@ def trace_to_json(trace: SolveTrace, path):
         data["centralized_points"] = _floats(trace.centralized_points)
     if trace.circum_statuses is not None:
         data["circum_statuses"] = list(trace.circum_statuses)
+    if trace.termination_detail is not None:
+        data["termination_detail"] = trace.termination_detail
     with open(path, "w") as fh:
         json.dump(data, fh)
         fh.write("\n")

@@ -16,14 +16,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .circumcenter import circumcenter
-from .errors import GeometryError, UnsupportedOperation
+from .errors import ConvergenceError, GeometryError, UnsupportedOperation
 from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _power_normal_root
 
 TERMINATION_FEASIBLE = "feasible"
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_STAGNATION = "stagnation"
-
-METHODS = ("ccrm", "map", "crm")
+TERMINATION_INNER_FAILURE = "inner_failure"
 
 # Status of a cCRM step that returned its already feasible centralized point.
 STATUS_CENTRALIZED_FEASIBLE = "centralized_feasible"
@@ -73,7 +72,6 @@ class SolverConfig:
     max_iter: int = 10000
     tol_feas: float = 1e-12
     tol_step: float = 1e-15
-    record_internals: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -89,9 +87,12 @@ class SolveTrace:
     """Per-iteration record of a solver run.
 
     ``iterates[k]`` is z^k (row 0 is the start), with the residuals to
-    each set evaluated at every iterate. Centralized points and
-    circumcenter statuses are recorded for cCRM/CRM runs when requested;
-    entry k belongs to the step producing iterate k+1.
+    each set evaluated at every iterate. Circumcenter statuses (cCRM and
+    CRM) and centralized points (cCRM) are always recorded; entry k
+    belongs to the step producing iterate k+1. ``termination`` is
+    ``feasible``, ``max_iter``, ``stagnation`` or ``inner_failure`` (see
+    :func:`run`); ``termination_detail`` is the message of the error that
+    ended the run, if one did.
     """
 
     method: str
@@ -102,6 +103,7 @@ class SolveTrace:
     distances_to_reference: Optional[np.ndarray] = None
     centralized_points: Optional[np.ndarray] = None
     circum_statuses: Optional[list] = None
+    termination_detail: Optional[str] = None
 
     @property
     def residuals(self) -> np.ndarray:
@@ -116,95 +118,104 @@ class SolveTrace:
         return self.iterates[-1]
 
 
-def ccrm_step(problem: FeasibilityProblem, z):
-    """One centralized circumcentered-reflection step.
-
-    Computes w = P_X(z), the centralized point
-    z_C = (P_Y(w) + P_X(P_Y(w))) / 2, and returns the circumcenter of
-    {z_C, R_X(z_C), R_Y(z_C)} together with z_C.
-    """
-    z_next, z_c, _ = _ccrm_step_full(problem, z)
-    return z_next, z_c
-
-
-def _ccrm_step_full(problem, z, tol_feas=0.0):
-    """cCRM step returning (z_next, z_C, status).
+# Each step maps (problem, z, px = P_X(z), tol_feas) to
+# (z_next, z_C or None, circumcenter status or None).
+def _ccrm(problem, z, px, tol_feas):
+    """cCRM: the circumcenter of {z_C, R_X(z_C), R_Y(z_C)}.
 
     A z_C within ``tol_feas`` of both sets can have reflections so close
     to it that the circumcenter system is inconsistent; z_C is then the
     step. Any other GeometryError propagates.
     """
-    z = _as_point(z, problem.dim)
-    w = problem.X.project(z)
-    yw = problem.Y.project(w)
+    yw = problem.Y.project(px)
     z_c = 0.5 * (yw + problem.X.project(yw))
-    px, py = problem.X.project(z_c), problem.Y.project(z_c)
+    pxc, pyc = problem.X.project(z_c), problem.Y.project(z_c)
     try:
-        result = circumcenter([z_c, 2.0 * px - z_c, 2.0 * py - z_c])
+        result = circumcenter([z_c, 2.0 * pxc - z_c, 2.0 * pyc - z_c])
     except GeometryError:
-        if max(np.linalg.norm(z_c - px), np.linalg.norm(z_c - py)) > tol_feas:
+        if max(np.linalg.norm(z_c - pxc), np.linalg.norm(z_c - pyc)) > tol_feas:
             raise
         return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE
     return result.center, z_c, result.status
 
 
-def map_step(problem: FeasibilityProblem, z) -> np.ndarray:
-    """One step of alternating projections: P_Y(P_X(z))."""
+def _crm(problem, z, px, tol_feas):
+    """CRM: the circumcenter of {z, R_X(z), R_Y(R_X(z))}."""
+    rx = 2.0 * px - z
+    result = circumcenter([z, rx, problem.Y.reflect(rx)])
+    return result.center, None, result.status
+
+
+def _map(problem, z, px, tol_feas):
+    """MAP: P_Y(P_X(z))."""
+    return problem.Y.project(px), None, None
+
+
+STEPS = {"ccrm": _ccrm, "map": _map, "crm": _crm}
+METHODS = tuple(STEPS)
+
+
+def _step(method, problem, z):
     z = _as_point(z, problem.dim)
-    return problem.Y.project(problem.X.project(z))
+    return STEPS[method](problem, z, problem.X.project(z), 0.0)
+
+
+def ccrm_step(problem: FeasibilityProblem, z):
+    """One cCRM step: (z_next, z_C) with z_C = (P_Y(w) + P_X(P_Y(w))) / 2, w = P_X(z)."""
+    return _step("ccrm", problem, z)[:2]
 
 
 def crm_step(problem: FeasibilityProblem, z) -> np.ndarray:
     """One circumcentered-reflection step: circum{z, R_X(z), R_Y(R_X(z))}."""
-    z_next, _ = _crm_step_full(problem, z)
-    return z_next
+    return _step("crm", problem, z)[0]
 
 
-def _crm_step_full(problem, z):
-    z = _as_point(z, problem.dim)
-    rx = problem.X.reflect(z)
-    result = circumcenter([z, rx, problem.Y.reflect(rx)])
-    return result.center, result.status
+def map_step(problem: FeasibilityProblem, z) -> np.ndarray:
+    """One step of alternating projections: P_Y(P_X(z))."""
+    return _step("map", problem, z)[0]
 
 
 def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     """Iterate the configured method from z0 and record the trace.
 
-    Stops at feasibility (max residual below ``tol_feas``), at the
-    iteration cap, or on stagnation. A circumcenter degeneracy at the
-    double-precision floor (the step geometry collapses once projection
-    corrections underflow) is treated as stagnation rather than an error.
+    Each iterate is projected onto X once: that projection gives its X
+    residual and is the next step's P_X(z). Stops at feasibility (max
+    residual below ``tol_feas``), at the iteration cap, on stagnation, or
+    on an inner-solver ``ConvergenceError`` (``inner_failure``). A
+    circumcenter degeneracy at the double-precision floor (the step
+    geometry collapses once projection corrections underflow) is
+    stagnation rather than an error. Either error keeps the iterates so
+    far and its message as ``termination_detail``; one at z0 propagates.
     """
+    step = STEPS[config.method]
     z = _as_point(z0, problem.dim).copy()
+    px = problem.X.project(z)
     iterates = [z.copy()]
-    res_x = [problem.X.distance(z)]
+    res_x = [float(np.linalg.norm(z - px))]
     res_y = [problem.Y.distance(z)]
-    centers = [] if config.record_internals else None
-    statuses = [] if config.record_internals else None
+    centers, statuses = [], []
 
-    termination = TERMINATION_MAX_ITER
+    termination, detail = TERMINATION_MAX_ITER, None
     if max(res_x[0], res_y[0]) <= config.tol_feas:
         termination = TERMINATION_FEASIBLE
     else:
         for _ in range(config.max_iter):
             try:
-                if config.method == "map":
-                    z_next = map_step(problem, z)
-                elif config.method == "crm":
-                    z_next, status = _crm_step_full(problem, z)
-                    if statuses is not None:
-                        statuses.append(status)
-                else:
-                    z_next, z_c, status = _ccrm_step_full(problem, z, config.tol_feas)
-                    if centers is not None:
-                        centers.append(z_c)
-                        statuses.append(status)
-            except GeometryError:
-                termination = TERMINATION_STAGNATION
+                z_next, z_c, status = step(problem, z, px, config.tol_feas)
+                px = problem.X.project(z_next)
+                dist_y = problem.Y.distance(z_next)
+            except (GeometryError, ConvergenceError) as exc:
+                inner = isinstance(exc, ConvergenceError)
+                termination = TERMINATION_INNER_FAILURE if inner else TERMINATION_STAGNATION
+                detail = str(exc)
                 break
             iterates.append(z_next.copy())
-            res_x.append(problem.X.distance(z_next))
-            res_y.append(problem.Y.distance(z_next))
+            res_x.append(float(np.linalg.norm(z_next - px)))
+            res_y.append(dist_y)
+            if z_c is not None:
+                centers.append(z_c)
+            if status is not None:
+                statuses.append(status)
             if max(res_x[-1], res_y[-1]) <= config.tol_feas:
                 termination = TERMINATION_FEASIBLE
                 break
@@ -226,6 +237,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
         distances_to_reference=dist_ref,
         centralized_points=np.asarray(centers) if centers else None,
         circum_statuses=statuses if statuses else None,
+        termination_detail=detail,
     )
 
 

@@ -253,17 +253,33 @@ def test_concentric_balls_in_hyperplane_limit():
     assert np.linalg.norm(trace.final - expected) <= 1e-9
 
 
-def test_sdp_without_linear_constraints():
+def test_sdp_without_linear_constraints(monkeypatch):
     # cone-versus-ball problem in the full flattened space
     entry = make_sdp_feasibility(A_ops=[], b=[], Sigma_hat=np.diag([1.0, 1.0, -1.0]), r=1.2, n=3)
+    from ccrm import sets
     from ccrm.linalg import sym_to_vec, vec_to_sym
 
+    eighs, projections = [0], [0]
+
+    def counting_eigh(S, _eigh=sets.symmetric_eigh):
+        eighs[0] += 1
+        return _eigh(S)
+
+    def counting_project(z, _project=entry.problem.X.project):
+        projections[0] += 1
+        return _project(z)
+
+    monkeypatch.setattr(sets, "symmetric_eigh", counting_eigh)
+    entry.problem.X.project = counting_project
     trace = run(
         entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10),
         sym_to_vec(np.diag([2.0, 1.0, -2.0])),
     )
     assert trace.termination == "feasible"
     assert np.linalg.eigvalsh(vec_to_sym(trace.final)).min() >= -1e-9
+    # X is the PSD cone itself: one eigensolve per projection, no Dykstra
+    assert projections[0] > 0
+    assert eighs[0] == projections[0]
 
 
 def test_sdp_small_custom_instance_trace_one():

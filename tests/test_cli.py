@@ -69,7 +69,11 @@ def test_solve_problem_file(tmp_path):
     code = main(["solve", "--problem", str(problem_path), "--out", str(out)])
     assert code == 0
     with open(out) as fh:
-        assert json.load(fh)["termination"] == "feasible"
+        data = json.load(fh)
+    assert data["termination"] == "feasible"
+    # the JSON trace carries the solver internals, one entry per step
+    n_steps = len(data["iterates"]) - 1
+    assert len(data["centralized_points"]) == len(data["circum_statuses"]) == n_steps
 
 
 def test_solve_unknown_problem_no_partial_files(tmp_path, capsys):
@@ -99,6 +103,57 @@ def test_solve_missing_z0_in_file(tmp_path):
     save_problem_file(path, entry.problem)
     assert main(["solve", "--problem", str(path)]) == 1
     assert main(["solve", "--problem", str(path), "--z0", "1.9,4.0,0.5"]) == 0
+
+
+def _lens_problem_file(tmp_path):
+    # X is a thin lens whose Dykstra budget (2 cycles) suffices at the start
+    # but not at CRM's first circumcenter, which lies outside both balls.
+    problem = {
+        "version": "1",
+        "X": {
+            "kind": "dykstra_intersection", "max_iter": 2,
+            "members": [
+                {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                {"kind": "ball", "center": [1.9, 0.0], "radius": 1.0},
+            ],
+        },
+        "Y": {"kind": "ball", "center": [1.3, 0.3], "radius": 0.5},
+        "z0": [-0.3, 0.0],
+    }
+    path = tmp_path / "lens.json"
+    path.write_text(json.dumps(problem))
+    return path
+
+
+def test_solve_inner_failure_writes_partial_trace(tmp_path, capsys):
+    path = _lens_problem_file(tmp_path)
+    out = tmp_path / "trace.csv"
+    report = tmp_path / "report.json"
+    code = main(
+        [
+            "solve", "--problem", str(path), "--method", "crm",
+            "--out", str(out), "--report", str(report),
+        ]
+    )
+    assert code == 2
+    trace = trace_from_csv(out)
+    assert trace.termination == "inner_failure"
+    assert np.array_equal(trace.iterates, [[-0.3, 0.0]])
+    with open(report) as fh:
+        data = json.load(fh)
+    assert data["termination"] == "inner_failure"
+    assert "Dykstra did not converge" in data["termination_detail"]
+    assert "Dykstra did not converge" in capsys.readouterr().out
+
+
+def test_convergence_error_outside_run_exits_2(tmp_path, capsys):
+    path = _lens_problem_file(tmp_path)
+    out = tmp_path / "trace.csv"
+    # the start itself needs more Dykstra cycles than the budget allows
+    assert main(["solve", "--problem", str(path), "--z0", "3,3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["diagnose", "--problem", str(path), "--point", "0.95,0.5"]) == 2
+    assert capsys.readouterr().err.count("error: Dykstra did not converge") == 2
 
 
 def test_table1_output(tmp_path, capsys):

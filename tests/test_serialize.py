@@ -120,7 +120,7 @@ def test_trace_csv_without_reference(tmp_path):
 def test_trace_json_includes_internals(tmp_path):
     entry = make_discs3d()
     trace = run(
-        entry.problem, SolverConfig(method="ccrm", record_internals=True), entry.suggested_z0
+        entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0
     )
     path = tmp_path / "trace.json"
     trace_to_json(trace, path)

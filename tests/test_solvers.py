@@ -6,12 +6,16 @@ from ccrm.catalog import (
     make_epigraph,
     make_eq_constrained_ellipsoids,
     make_fixed_trace,
+    make_sdp_feasibility,
+    make_socp,
 )
-from ccrm.errors import GeometryError, UnsupportedOperation
-from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph
+from ccrm.errors import ConvergenceError, GeometryError, UnsupportedOperation
+from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph, SetOracle
 from ccrm.solvers import (
+    METHODS,
     STATUS_CENTRALIZED_FEASIBLE,
     TERMINATION_FEASIBLE,
+    TERMINATION_INNER_FAILURE,
     TERMINATION_MAX_ITER,
     TERMINATION_STAGNATION,
     FeasibilityProblem,
@@ -154,7 +158,7 @@ def test_ccrm_feasible_centralized_point_is_taken():
         z0 = entry.suggested_z0 + 0.3 * noise[i]
         with pytest.raises(GeometryError):
             ccrm_step(entry.problem, z0)
-        trace = run(entry.problem, SolverConfig(method="ccrm", record_internals=True), z0)
+        trace = run(entry.problem, SolverConfig(method="ccrm"), z0)
         assert trace.termination == TERMINATION_FEASIBLE, i
         assert trace.n_steps == 1
         assert trace.circum_statuses == [STATUS_CENTRALIZED_FEASIBLE]
@@ -163,18 +167,114 @@ def test_ccrm_feasible_centralized_point_is_taken():
         floor = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
         assert floor.termination == TERMINATION_STAGNATION
         assert floor.n_steps == 0
+        assert "inconsistent" in floor.termination_detail
 
 
 def test_run_records_internals():
     entry = make_discs3d()
-    trace = run(
-        entry.problem,
-        SolverConfig(method="ccrm", record_internals=True),
-        entry.suggested_z0,
-    )
+    trace = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
     assert trace.centralized_points is not None
     assert trace.centralized_points.shape[0] == trace.n_steps
     assert len(trace.circum_statuses) == trace.n_steps
+
+    crm = run(entry.problem, SolverConfig(method="crm"), entry.suggested_z0)
+    assert crm.n_steps > 0
+    assert len(crm.circum_statuses) == crm.n_steps
+    assert crm.centralized_points is None
+
+    map_ = run(entry.problem, SolverConfig(method="map"), entry.suggested_z0)
+    assert map_.n_steps > 0
+    assert map_.circum_statuses is None
+    assert map_.centralized_points is None
+
+
+def _count_projections(problem):
+    """Wrap X.project and Y.project on the instances; returns the call counter."""
+    calls = [0]
+    for oracle in (problem.X, problem.Y):
+        def project(z, _project=oracle.project):
+            calls[0] += 1
+            return _project(z)
+
+        oracle.project = project
+    return calls
+
+
+# X/Y projections per step: the two residuals of the new iterate plus the
+# step's own projections once P_X(z) is reused.
+PROJECTIONS_PER_STEP = {"ccrm": 6, "crm": 3, "map": 3}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "build",
+    [make_discs3d, lambda: make_epigraph(3.0, 1.0), make_socp, make_sdp_feasibility],
+    ids=["discs3d", "epigraph", "socp", "sdp"],
+)
+def test_run_projects_each_iterate_once(build, method):
+    entry = build()
+    calls = _count_projections(entry.problem)
+    trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+    assert trace.termination == TERMINATION_FEASIBLE
+    assert trace.n_steps > 0
+    assert calls[0] == 2 + PROJECTIONS_PER_STEP[method] * trace.n_steps
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("build", [make_discs3d, make_fixed_trace], ids=["discs3d", "fixed_trace"])
+def test_run_matches_repeated_steps(build, method):
+    entry = build()
+    trace = run(entry.problem, SolverConfig(method=method, max_iter=200), entry.suggested_z0)
+    step = {"ccrm": lambda p, z: ccrm_step(p, z)[0], "crm": crm_step, "map": map_step}[method]
+    z = entry.suggested_z0
+    for k in range(1, trace.n_steps + 1):
+        z = step(entry.problem, z)
+        assert np.array_equal(z, trace.iterates[k]), k
+
+
+class FailingOracle(SetOracle):
+    """Delegates to ``inner`` but raises ConvergenceError on the N-th project."""
+
+    def __init__(self, inner, fail_at):
+        super().__init__(inner.dim)
+        self.inner = inner
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def project(self, z):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ConvergenceError("inner solver gave up", residual=1.0)
+        return self.inner.project(z)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_inner_failure_keeps_partial_trace(method):
+    entry = make_discs3d()
+    full = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+    # X is projected once at the start and three (cCRM) or one (CRM, MAP)
+    # times per step, so this call falls inside the second step.
+    fail_at = 2 + {"ccrm": 3, "crm": 1, "map": 1}[method]
+    failing = FeasibilityProblem(
+        FailingOracle(entry.problem.X, fail_at), entry.problem.Y,
+        reference_solution=entry.problem.reference_solution,
+    )
+    trace = run(failing, SolverConfig(method=method), entry.suggested_z0)
+    assert trace.termination == TERMINATION_INNER_FAILURE
+    assert trace.termination_detail == "inner solver gave up"
+    assert trace.n_steps == 1 < full.n_steps
+    assert np.array_equal(trace.iterates, full.iterates[: trace.n_steps + 1])
+    assert np.array_equal(trace.residuals_x, full.residuals_x[: trace.n_steps + 1])
+    assert trace.distances_to_reference.shape[0] == trace.n_steps + 1
+    if method != "map":
+        assert len(trace.circum_statuses) == trace.n_steps
+
+
+def test_inner_failure_at_start_propagates():
+    entry = make_discs3d()
+    failing = FeasibilityProblem(FailingOracle(entry.problem.X, fail_at=1), entry.problem.Y)
+    with pytest.raises(ConvergenceError):
+        run(failing, SolverConfig(), entry.suggested_z0)
 
 
 def test_run_trace_residuals_consistent():
