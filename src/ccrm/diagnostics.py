@@ -31,6 +31,13 @@ PRECISION_FLOOR_FACTOR = 1e3 * np.finfo(float).eps
 # Ratio geometric means at or above this value are reported as sublinear.
 SUBLINEAR_THRESHOLD = 0.98
 
+# Dykstra stop for intersection distances. It is tighter than
+# sets.DYKSTRA_TOL (1e-12, sized for solver tolerances of 1e-10 and up)
+# because estimate_omega divides by these distances and rate_report
+# classifies them down to PRECISION_FLOOR_FACTOR (about 2.2e-13) times
+# the problem scale.
+INTERSECTION_TOL = 1e-13
+
 
 @dataclass
 class RateReport:
@@ -238,13 +245,18 @@ def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport
     )
 
 
-def intersection_distance(problem: FeasibilityProblem, z, tol=1e-13, projector=None) -> float:
+def intersection_distance(problem: FeasibilityProblem, z, projector=None) -> float:
     """dist(z, X intersect Y), through a closed-form projector when given,
-    otherwise through Dykstra at the stated tolerance."""
+    otherwise through Dykstra at ``INTERSECTION_TOL``.
+
+    Dykstra cycles once over the leaf sets of X and Y: the members of a
+    Dykstra-backed X or Y are projected directly, with no inner Dykstra
+    run, and a set both share (the hull L of ``eq_ellipsoids``) once.
+    """
     z = np.asarray(z, dtype=float)
     if projector is not None:
         return float(np.linalg.norm(z - projector(z)))
-    p = dykstra_project([problem.X, problem.Y], z, tol=tol)
+    p = dykstra_project([problem.X, problem.Y], z, tol=INTERSECTION_TOL)
     return float(np.linalg.norm(z - p))
 
 

@@ -11,6 +11,8 @@ All oracles are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, RegularityError, UnsupportedOperation
@@ -41,6 +43,16 @@ def _as_point(z, dim=None):
     if not np.all(np.isfinite(z)):
         raise ValueError("point has non-finite entries")
     return z
+
+
+def _norm(d) -> float:
+    """Euclidean norm of a finite vector, rescaled by max|d_i| when the
+    plain sum of squares overflows (entries past ~1e154)."""
+    nd = float(np.linalg.norm(d))
+    if not math.isfinite(nd):
+        s = float(np.max(np.abs(d)))
+        nd = s * float(np.linalg.norm(d / s))
+    return nd
 
 
 class SetOracle:
@@ -200,7 +212,7 @@ class Ball(SetOracle):
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
         d = z - self.center
-        nd = np.linalg.norm(d)
+        nd = _norm(d)
         if nd <= self.radius:
             return z.copy()
         return self.center + d * (self.radius / nd)
@@ -294,7 +306,7 @@ class SecondOrderCone(SetOracle):
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
         t, u = z[0], z[1:]
-        nu = float(np.linalg.norm(u))
+        nu = _norm(u)
         if nu <= t:
             return z.copy()
         if nu <= -t:
@@ -577,7 +589,7 @@ class BallInAffine(SetOracle):
     def project(self, z) -> np.ndarray:
         p = self.subspace.project(z)
         d = p - self.in_plane_center
-        nd = float(np.linalg.norm(d))
+        nd = _norm(d)
         if nd <= self.in_plane_radius:
             return p
         return self.in_plane_center + d * (self.in_plane_radius / nd)
@@ -667,6 +679,17 @@ class IsometricImage(SetOracle):
 def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> np.ndarray:
     """Projection onto an intersection by Dykstra's cyclic scheme.
 
+    The cycle runs over leaf sets only: every :class:`DykstraIntersection`
+    in ``oracles`` is replaced by its members, recursively, and a set that
+    is the same instance as an earlier one is dropped, so [X, Y] with
+    X = [e1, L] and Y = [e2, L] cycles over [e1, L, e2]. Dykstra's scheme
+    converges to the projection onto the intersection of any finite family
+    of closed convex sets (Boyle & Dykstra 1986), so the flat cycle
+    computes the same projection as nesting, without an inner Dykstra run
+    per outer step. ``tol`` and ``max_iter`` govern the flat cycle; a
+    nested intersection's own ``tol`` and ``max_iter`` apply only to its
+    standalone ``project``.
+
     Stops when the iterate moves less than ``tol`` between successive
     cycles. The intersection must be nonempty; that is the caller's
     responsibility.
@@ -677,14 +700,21 @@ def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> n
     """
     if not oracles:
         raise ValueError("need at least one oracle")
-    x = _as_point(z, oracles[0].dim).copy()
-    if len(oracles) == 1:
-        return oracles[0].project(x)
-    corrections = [np.zeros_like(x) for _ in oracles]
+    leaves, pending = [], list(oracles)[::-1]
+    while pending:
+        oracle = pending.pop()
+        if isinstance(oracle, DykstraIntersection):
+            pending.extend(oracle.members[::-1])
+        elif not any(oracle is leaf for leaf in leaves):
+            leaves.append(oracle)
+    x = _as_point(z, leaves[0].dim).copy()
+    if len(leaves) == 1:
+        return leaves[0].project(x)
+    corrections = [np.zeros_like(x) for _ in leaves]
     prev = None
     change = np.inf
     for _ in range(max_iter):
-        for i, oracle in enumerate(oracles):
+        for i, oracle in enumerate(leaves):
             shifted = x + corrections[i]
             x = oracle.project(shifted)
             corrections[i] = shifted - x
@@ -699,7 +729,13 @@ def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> n
 
 
 class DykstraIntersection(SetOracle):
-    """Intersection of oracles without a closed-form joint projection."""
+    """Intersection of oracles without a closed-form joint projection.
+
+    ``project`` is :func:`dykstra_project` over the members at this
+    intersection's ``tol`` and ``max_iter``. Nested intersections are
+    flattened there into one cycle over their leaf sets, under the outer
+    call's tolerance and budget.
+    """
 
     def __init__(self, members, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, hull=None):
         members = list(members)

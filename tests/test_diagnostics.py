@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ccrm.catalog import make_discs3d, make_epigraph
+from ccrm.catalog import (
+    make_discs3d,
+    make_epigraph,
+    make_eq_constrained_ellipsoids,
+    make_sdp_feasibility,
+    make_socp,
+)
 from ccrm.diagnostics import (
     RATE_LINEAR,
     RATE_QUADRATIC,
@@ -21,6 +27,7 @@ from ccrm.sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    DykstraIntersection,
     Ellipsoid,
     Halfspace,
     SecondOrderCone,
@@ -263,6 +270,52 @@ def test_intersection_distance_prefers_projector():
     proj = lambda w: np.minimum(w, 0.0)
     assert intersection_distance(prob, z, projector=proj) == pytest.approx(np.sqrt(2.0))
     assert intersection_distance(prob, z) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
+def _socp():
+    entry = make_socp()
+    return entry.problem, entry.suggested_z0
+
+
+def _eq_ellipsoids():
+    entry = make_eq_constrained_ellipsoids()
+    return entry.problem, entry.suggested_z0
+
+
+def _general_sdp():
+    # X = [PSD, L] is Dykstra-backed; a start at Y's center, beyond the
+    # PSD boundary, puts the limit on that boundary.
+    problem = make_sdp_feasibility(
+        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=[[1.5, 0.1], [0.1, -0.5]], r=0.73, n=2
+    ).problem
+    return problem, problem.Y.in_plane_center
+
+
+def test_intersection_distance_makes_no_call_into_nested_x():
+    problem, _ = _socp()
+    X = problem.X
+    calls = []
+    X.project = lambda z: calls.append(z) or DykstraIntersection.project(X, z)
+    assert intersection_distance(problem, [0.6, 1.0, 0.2, 0.9]) > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [_socp, _eq_ellipsoids, _general_sdp])
+def test_intersection_distance_matches_flat_reference_near_limit(make):
+    problem, z0 = make()
+    limit = run(problem, SolverConfig(method="ccrm"), z0).final
+    leaves = []
+    for oracle in (problem.X, problem.Y):
+        for leaf in getattr(oracle, "members", [oracle]):
+            if not any(leaf is seen for seen in leaves):
+                leaves.append(leaf)
+    rng = np.random.default_rng(61)
+    for rho in (1e-1, 1e-2, 1e-3, 1e-4):
+        for _ in range(4):
+            s = rng.normal(size=problem.dim)
+            z = limit + rho * s / np.linalg.norm(s)
+            reference = np.linalg.norm(z - dykstra_project(leaves, z, tol=1e-15))
+            assert abs(intersection_distance(problem, z) - reference) <= 1e-11
 
 
 def test_quad_constant_check_disc_problem():

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ccrm.catalog import make_eq_constrained_ellipsoids
 from ccrm.errors import ConvergenceError, RegularityError, UnsupportedOperation
 from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
@@ -22,6 +25,7 @@ from ccrm.sets import (
     boundary_eval,
     dykstra_project,
 )
+from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
 from helpers import (
     cap_projection_kkt,
@@ -493,6 +497,52 @@ def test_dykstra_dimension_mismatch():
         DykstraIntersection([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
 
 
+def _count_projections(oracle, calls, key):
+    """Count calls into ``oracle.project`` under ``key`` (an instance wrapper)."""
+    cls_project = type(oracle).project
+
+    def project(z):
+        calls[key] = calls.get(key, 0) + 1
+        return cls_project(oracle, z)
+
+    oracle.project = project
+
+
+def test_dykstra_projects_a_shared_member_once_per_cycle():
+    # eq_ellipsoids: X = [e1, L], Y = [e2, L] cycles over [e1, L, e2]
+    problem = make_eq_constrained_ellipsoids().problem
+    (e1, L), (e2, L2) = problem.X.members, problem.Y.members
+    assert L2 is L
+    calls = {}
+    for key, oracle in (("X", problem.X), ("Y", problem.Y), ("e1", e1), ("L", L), ("e2", e2)):
+        _count_projections(oracle, calls, key)
+    dykstra_project([problem.X, problem.Y], [3.0, -1.0, 0.5, 2.0])
+    assert "X" not in calls and "Y" not in calls
+    assert calls["e1"] == calls["L"] == calls["e2"] > 1
+
+
+def test_nested_dykstra_intersection_projects_through_leaves():
+    ball, cut = Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)
+    outer_cut = Halfspace([1.0, 1.0], -0.4)
+    direct = DykstraIntersection([DykstraIntersection([ball, cut]), outer_cut])
+    rebuilt = oracle_from_dict(json.loads(json.dumps(oracle_to_dict(direct))))
+    rng = np.random.default_rng(37)
+    for nested in (direct, rebuilt):
+        inner = nested.members[0]
+        assert isinstance(inner, DykstraIntersection)
+        calls = {}
+        for key, oracle in [("inner", inner), ("outer_cut", nested.members[1])] + [
+            (f"leaf{i}", leaf) for i, leaf in enumerate(inner.members)
+        ]:
+            _count_projections(oracle, calls, key)
+        for _ in range(10):
+            z = rng.normal(size=2) * 2.0
+            flat = dykstra_project(inner.members + [nested.members[1]], z)
+            assert np.linalg.norm(nested.project(z) - flat) <= 1e-12
+        assert "inner" not in calls
+        assert calls["leaf0"] == calls["leaf1"] == calls["outer_cut"] > 0
+
+
 # --- boundary calculus ------------------------------------------------------
 
 def test_boundary_eval_ball():
@@ -610,6 +660,45 @@ def test_psd_gradient_needs_simple_eigenvalue():
 
 
 # --- shared projection properties -------------------------------------------
+
+# The plain sum of squares overflows past ~1e154; these oracles rescale.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_norm_based_projections_past_overflow_match_closed_form():
+    s = 1.0 / np.sqrt(2.0)
+    ball = Ball([0.0, 0.0], 1.0).project([1e160, 1e160])
+    assert np.allclose(ball, [s, s], rtol=1e-15, atol=0.0)
+    # the socp Y: L = {z_1 + z_2 + z_3 = 1.5} holds the center, so the
+    # far point's direction within L is (3, -1, -1, 2) / sqrt(15)
+    center = np.array([0.3, 0.7, 0.5, 0.3])
+    disc = BallInAffine(center, 0.7, AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5]))
+    expected = center + 0.7 * np.array([3.0, -1.0, -1.0, 2.0]) / np.sqrt(15.0)
+    assert np.allclose(disc.project([1e160, 0.0, 0.0, 1e160]), expected, rtol=0.0, atol=1e-12)
+    cone = SecondOrderCone(3).project([0.0, 1e200, 1e200])
+    assert np.allclose(cone, [s * 1e200, 5e199, 5e199], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_norm_based_projections_variational_inequality_at_scale(scale):
+    rng = np.random.default_rng(59)
+    plane = AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5])
+    oracles = [
+        Ball([0.5, -0.5, 1.0], 1.5),
+        BallInAffine([0.3, 0.7, 0.5, 0.3], 0.7, plane),
+        SecondOrderCone(4),
+    ]
+    for oracle in oracles:
+        members = [oracle.project(rng.normal(size=oracle.dim) * k) for k in (1.0, scale) * 5]
+        for _ in range(10):
+            z = rng.normal(size=oracle.dim) * scale
+            p = oracle.project(z)
+            assert np.all(np.isfinite(p))
+            r = z - p
+            u = r / np.max(np.abs(r))
+            u /= np.linalg.norm(u)
+            for y in members:
+                d = y - p
+                assert u @ d <= 1e-12 * max(np.max(np.abs(d)), 1.0)
 
 def test_projection_properties_sampled():
     rng = np.random.default_rng(53)
