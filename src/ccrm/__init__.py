@@ -42,10 +42,8 @@ from .sets import (
     Hyperplane,
     IsometricImage,
     PowerEpigraph,
-    PsdCone,
     SecondOrderCone,
     SetOracle,
-    SpectralBoxTrace,
     SpectralSet,
     boundary_eval,
     dykstra_project,

@@ -25,9 +25,7 @@ from .sets import (
     Halfspace,
     Hyperplane,
     PowerEpigraph,
-    PsdCone,
     SecondOrderCone,
-    SpectralBoxTrace,
     SpectralSet,
     dykstra_project,
 )
@@ -36,12 +34,12 @@ from .solvers import FeasibilityProblem, KnownConstants
 
 @dataclass(frozen=True)
 class ReferenceData:
-    """Analytic expectations for a catalog problem, where available."""
+    """Analytic expectations for a catalog problem, where available.
 
-    zbar: Optional[np.ndarray] = None
-    kappa_x: Optional[float] = None
-    kappa_y: Optional[float] = None
-    omega: Optional[float] = None
+    The reference solution and known curvatures live on the problem
+    (``reference_solution``, ``known_constants``).
+    """
+
     expected_rate: Optional[str] = None
     expected_constant: Optional[float] = None
     isolated: bool = False
@@ -80,9 +78,7 @@ def make_discs3d() -> CatalogEntry:
         reference_solution=zbar,
         known_constants=KnownConstants(kappa_x=0.5, kappa_y=0.5),
     )
-    reference = ReferenceData(
-        zbar=zbar, kappa_x=0.5, kappa_y=0.5, expected_rate="quadratic"
-    )
+    reference = ReferenceData(expected_rate="quadratic")
     return CatalogEntry("discs3d", problem, np.array([s15 / 2.0, 4.0, 0.5]), reference)
 
 
@@ -136,8 +132,6 @@ def make_epigraph(alpha, beta=0.0, y_variant="halfplane") -> CatalogEntry:
         zbar = np.zeros(2)
         z0 = np.array([0.5, 0.0])
         reference = ReferenceData(
-            zbar=zbar,
-            kappa_y=0.0,
             expected_rate="linear",
             expected_constant=1.0 - 1.0 / alpha,
             isolated=True,
@@ -155,9 +149,7 @@ def make_epigraph(alpha, beta=0.0, y_variant="halfplane") -> CatalogEntry:
         # and cannot be a non-finite limit; observed rates at the corner are
         # quadratic for every alpha > 1, superlinear being the guarantee.
         expected = "quadratic" if alpha >= 2.0 else "superlinear"
-        reference = ReferenceData(
-            zbar=zbar, kappa_x=kappa_x, kappa_y=0.0, expected_rate=expected
-        )
+        reference = ReferenceData(expected_rate=expected)
         constants = KnownConstants(kappa_x=kappa_x, kappa_y=0.0)
 
     problem = FeasibilityProblem(
@@ -216,55 +208,18 @@ def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
     return CatalogEntry("eq_ellipsoids", problem, z0, ReferenceData(expected_rate="quadratic"))
 
 
-def make_socp(A=None, b=None, C=None, d=None) -> CatalogEntry:
-    """Second-order-cone feasibility within an affine subspace.
+def make_socp() -> CatalogEntry:
+    """Second-order-cone feasibility within an affine subspace of R^4.
 
-    The cone constraint C z + d in K is split as X = preimage(K) cap L
-    and Y = a ball within L. The preimage projection is closed-form for
-    orthogonal C (and C = I, the default); other C are not supported.
+    X is the cone {||(z_2, z_3, z_4)|| <= z_1} within L = {z_2 + z_3 + z_4
+    = 1.5}, Dykstra-backed; Y is a ball within L (closed form).
     """
-    n = 4
-    if A is None:
-        A = np.array([[0.0, 1.0, 1.0, 1.0]])
-        b = np.array([1.5])
-    if C is None:
-        C = np.eye(n)
-        d = np.zeros(n)
-    C = np.asarray(C, dtype=float)
-    if C.shape[0] != C.shape[1] or np.linalg.norm(C.T @ C - np.eye(C.shape[0])) > 1e-10:
-        raise ValueError("only orthogonal C (closed-form cone preimage) is supported")
-
-    L = AffineSubspace(A, b)
-    cone = SecondOrderCone(C.shape[0])
-    inner = cone if np.allclose(C, np.eye(C.shape[0])) and not np.any(d) else _ConePreimage(C, d)
-    X = DykstraIntersection([inner, L], hull=L)
+    L = AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5])
+    X = DykstraIntersection([SecondOrderCone(4), L], hull=L)
     Y = BallInAffine([0.3, 0.7, 0.5, 0.3], 0.7, L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     z0 = np.array([0.2, 1.5, 0.4, 0.5])
     return CatalogEntry("socp", problem, z0, ReferenceData(expected_rate="quadratic"))
-
-
-class _ConePreimage(SecondOrderCone):
-    """{z : C z + d in K} for orthogonal C; projection conjugates by the map."""
-
-    def __init__(self, C, d):
-        super().__init__(C.shape[0])
-        self.C = np.asarray(C, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-
-    def project(self, z):
-        w = super().project(self.C @ np.asarray(z, dtype=float) + self.d)
-        return self.C.T @ (w - self.d)
-
-    def _g(self, z):
-        return super()._g(self.C @ np.asarray(z, dtype=float) + self.d)
-
-    def _grad(self, z):
-        return self.C.T @ super()._grad(self.C @ np.asarray(z, dtype=float) + self.d)
-
-    def _hess(self, z):
-        H = super()._hess(self.C @ np.asarray(z, dtype=float) + self.d)
-        return self.C.T @ H @ self.C
 
 
 def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> CatalogEntry:
@@ -305,7 +260,7 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
     else:
         rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
         L = AffineSubspace(rows, np.atleast_1d(np.asarray(b, dtype=float)))
-        X = DykstraIntersection([PsdCone(n), L], hull=L)
+        X = DykstraIntersection([SpectralSet(n, lo=0.0), L], hull=L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:
@@ -336,7 +291,7 @@ def make_fixed_trace(a=0.5, Sigma_hat=None, r=None, n=4) -> CatalogEntry:
             ]
         )
         r = 1.17
-    X = SpectralBoxTrace(n, a)
+    X = SpectralSet(n, hi=a, trace=1.0)
     L = X.affine_hull
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)

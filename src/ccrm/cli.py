@@ -162,7 +162,7 @@ def table2_cell(alpha, beta, method, variant):
         config = SolverConfig(method=method, max_iter=500, tol_feas=1e-13)
     trace = run(entry.problem, config, entry.suggested_z0)
     distances = trace_reference_distances(trace, entry.problem)
-    scale = 1.0 + float(np.linalg.norm(entry.reference.zbar))
+    scale = 1.0 + float(np.linalg.norm(entry.problem.reference_solution))
     return rate_report(distances, scale=scale, floor=_table2_floor(alpha, beta))
 
 

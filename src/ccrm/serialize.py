@@ -24,9 +24,7 @@ from .sets import (
     Halfspace,
     Hyperplane,
     PowerEpigraph,
-    PsdCone,
     SecondOrderCone,
-    SpectralBoxTrace,
     SpectralSet,
 )
 from .solvers import FeasibilityProblem, KnownConstants, SolveTrace
@@ -62,14 +60,10 @@ def oracle_to_dict(oracle) -> dict:
         return {"kind": "ball", "center": _floats(oracle.center), "radius": oracle.radius}
     if isinstance(oracle, Ellipsoid):
         return {"kind": "ellipsoid", "shape": _floats(oracle.Q), "center": _floats(oracle.center)}
-    if isinstance(oracle, SecondOrderCone) and type(oracle) is SecondOrderCone:
+    if isinstance(oracle, SecondOrderCone):
         return {"kind": "second_order_cone", "dim": oracle.dim}
     if isinstance(oracle, PowerEpigraph):
         return {"kind": "power_epigraph", "alpha": oracle.alpha, "beta": oracle.beta}
-    if type(oracle) is PsdCone:
-        return {"kind": "psd_cone", "n": oracle.n}
-    if type(oracle) is SpectralBoxTrace:
-        return {"kind": "spectral_box_trace", "n": oracle.n, "bound": oracle.bound}
     if isinstance(oracle, SpectralSet):
         # JSON has no infinities: an absent bound is written as null.
         lo, hi = (b if np.isfinite(b) else None for b in (oracle.lo, oracle.hi))
@@ -120,10 +114,11 @@ def oracle_from_dict(data) -> object:
             return SecondOrderCone(data["dim"])
         if kind == "power_epigraph":
             return PowerEpigraph(data["alpha"], data.get("beta", 0.0))
+        # Older files name two spectral sets by their own kinds.
         if kind == "psd_cone":
-            return PsdCone(data["n"])
+            return SpectralSet(data["n"], lo=0.0)
         if kind == "spectral_box_trace":
-            return SpectralBoxTrace(data["n"], data["bound"])
+            return SpectralSet(data["n"], hi=data["bound"], trace=1.0)
         if kind == "spectral_set":
             lo, hi = data.get("lo"), data.get("hi")
             lo, hi = -np.inf if lo is None else lo, np.inf if hi is None else hi

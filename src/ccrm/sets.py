@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConvergenceError, RegularityError, UnsupportedOperation
 from .linalg import (
-    RANK_RTOL,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_dim,
@@ -27,6 +26,13 @@ from .linalg import (
 )
 
 MEMBERSHIP_TOL = 1e-10
+
+# Bound on the duality residual |f(lam)| of the ellipsoid projection's Newton.
+ELLIPSOID_TOL = 1e-12
+
+# Relative gap under which an extreme eigenvalue counts as repeated, so a
+# spectral set's boundary descriptor is not C^2 there.
+EIG_GAP_TOL = 1e-8
 
 # Dykstra defaults; the inner tolerance is kept two orders tighter than
 # any outer solver tolerance that consumes these projections.
@@ -58,8 +64,6 @@ def _norm(d) -> float:
 class SetOracle:
     """Base class: a closed convex set with an exact projection."""
 
-    smooth = False
-
     def __init__(self, dim):
         self.dim = int(dim)
 
@@ -82,7 +86,7 @@ class SetOracle:
         return None
 
     # Smooth-boundary descriptor, in ambient coordinates. Subclasses with
-    # smooth relative boundaries implement _g/_grad/_hess and set smooth=True.
+    # smooth relative boundaries implement _g/_grad/_hess.
     def _g(self, z) -> float:
         raise UnsupportedOperation(f"{type(self).__name__} has no smooth boundary descriptor")
 
@@ -100,7 +104,7 @@ class AffineSubspace(SetOracle):
     A z = b. A zero-row A describes the whole space.
     """
 
-    def __init__(self, A, b, rtol=RANK_RTOL, basis=None):
+    def __init__(self, A, b, basis=None):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.shape[0] != b.shape[0]:
@@ -111,17 +115,17 @@ class AffineSubspace(SetOracle):
         if A.shape[0] == 0:
             self.anchor = np.zeros(self.dim)
         else:
-            self.anchor = least_squares_min_norm(A, b, rtol=rtol)
+            self.anchor = least_squares_min_norm(A, b)
             residual = np.linalg.norm(A @ self.anchor - b)
             if residual > 1e-9 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"system A z = b is inconsistent (residual {residual:.3e})")
         if basis is None:
-            basis = orthonormal_nullspace(A, rtol=rtol)
+            basis = orthonormal_nullspace(A)
         else:
             # A caller-chosen frame pins local coordinates (the SVD basis is
             # deterministic but not canonical); it must still span null(A).
             basis = np.atleast_2d(np.asarray(basis, dtype=float))
-            expected = orthonormal_nullspace(A, rtol=rtol).shape[1]
+            expected = orthonormal_nullspace(A).shape[1]
             if basis.shape != (self.dim, expected):
                 raise ValueError(f"basis must be {self.dim} x {expected}, got {basis.shape}")
             if np.linalg.norm(basis.T @ basis - np.eye(expected)) > 1e-10:
@@ -167,8 +171,6 @@ class Hyperplane(AffineSubspace):
 class Halfspace(SetOracle):
     """{z : <normal, z> <= offset}."""
 
-    smooth = True
-
     def __init__(self, normal, offset):
         normal = _as_point(normal)
         nn = np.linalg.norm(normal)
@@ -198,8 +200,6 @@ class Halfspace(SetOracle):
 
 class Ball(SetOracle):
     """{z : ||z - center|| <= radius}, described by g = ||z-c||^2 - r^2."""
-
-    smooth = True
 
     def __init__(self, center, radius):
         center = _as_point(center)
@@ -233,12 +233,11 @@ class Ellipsoid(SetOracle):
 
     Projection solves the scalar dual equation sum_i d_i w_i^2 / (1 + lam
     d_i)^2 = 1 (eigenbasis of Q) by Newton with a bisection safeguard;
-    no closed form exists. ``tol`` bounds the duality residual |f(lam)|.
+    no closed form exists. Newton stops once the duality residual |f(lam)|
+    is at most ``ELLIPSOID_TOL``.
     """
 
-    smooth = True
-
-    def __init__(self, Q, center=None, tol=1e-12):
+    def __init__(self, Q, center=None):
         Q = np.asarray(Q, dtype=float)
         eig = symmetric_eigh(Q)
         if eig.eigenvalues[0] <= 0.0:
@@ -247,7 +246,6 @@ class Ellipsoid(SetOracle):
         super().__init__(n)
         self.Q = 0.5 * (Q + Q.T)
         self.center = np.zeros(n) if center is None else _as_point(center, n)
-        self.tol = float(tol)
         self._d = eig.eigenvalues
         self._U = eig.eigenvectors
 
@@ -261,7 +259,7 @@ class Ellipsoid(SetOracle):
         for _ in range(200):
             den = 1.0 + lam * self._d
             f = float(np.sum(dw2 / den**2)) - 1.0
-            if abs(f) <= self.tol:
+            if abs(f) <= ELLIPSOID_TOL:
                 break
             if f > 0.0:
                 lo = lam
@@ -295,8 +293,6 @@ class SecondOrderCone(SetOracle):
     boundary calculus refuses at the apex, where the boundary is not a
     manifold.
     """
-
-    smooth = True
 
     def __init__(self, dim):
         if dim < 2:
@@ -387,10 +383,9 @@ class PowerEpigraph(SetOracle):
     For beta > 0 the projection reuses the beta = 0 solver on shifted
     coordinates. The boundary is C^1 everywhere; its second derivative
     alpha (alpha-1) |x|^(alpha-2) blows up at x = 0 when alpha < 2, so the
-    Hessian refuses there.
+    Hessian refuses there. A point whose powers overflow a float raises
+    ``ConvergenceError``.
     """
-
-    smooth = True
 
     def __init__(self, alpha, beta=0.0):
         if alpha <= 1.0:
@@ -405,12 +400,15 @@ class PowerEpigraph(SetOracle):
         z = _as_point(z, 2)
         x0, y0 = float(z[0]), float(z[1]) + self.beta
         ax = abs(x0)
-        if y0 >= ax**self.alpha:
-            return z.copy()
-        if ax == 0.0:
-            return np.array([0.0, -self.beta])
-        u = _power_normal_root(self.alpha, ax, y0)
-        return np.array([np.copysign(u, x0), u**self.alpha - self.beta])
+        try:
+            if y0 >= ax**self.alpha:
+                return z.copy()
+            if ax == 0.0:
+                return np.array([0.0, -self.beta])
+            u = _power_normal_root(self.alpha, ax, y0)
+            return np.array([np.copysign(u, x0), u**self.alpha - self.beta])
+        except OverflowError as exc:
+            raise ConvergenceError(f"power-epigraph projection overflows at {z.tolist()}") from exc
 
     def _g(self, z):
         z = _as_point(z, 2)
@@ -472,14 +470,16 @@ class SpectralSet(SetOracle):
     bound may be infinite. With a trace the affine hull is the trace
     hyperplane.
 
+    The PSD cone is ``SpectralSet(n, lo=0)`` and the fixed-trace box
+    ``SpectralSet(n, hi=a, trace=1)``.
+
     The boundary descriptor is lo - lambda_min or lambda_max - hi, for the
     more violated finite bound (the active end); it is C^2 wherever that
-    extreme eigenvalue is simple.
+    extreme eigenvalue is simple, i.e. set apart from its neighbour by
+    more than ``EIG_GAP_TOL`` relative.
     """
 
-    smooth = True
-
-    def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None, gap_tol=1e-8):
+    def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None):
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         lo, hi = float(lo), float(hi)
@@ -491,7 +491,6 @@ class SpectralSet(SetOracle):
         self.n = int(n)
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
-        self.gap_tol = float(gap_tol)
         self._hull = None
         if self.trace is not None:
             self._hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
@@ -518,7 +517,7 @@ class SpectralSet(SetOracle):
 
     def _eig_simple(self, z):
         w, V, k, s = self._eig_end(z)
-        if self.n > 1 and s * (w[k] - w[k - int(s)]) <= self.gap_tol * (1.0 + abs(w[k])):
+        if self.n > 1 and s * (w[k] - w[k - int(s)]) <= EIG_GAP_TOL * (1.0 + abs(w[k])):
             raise RegularityError("extreme eigenvalue is not simple; boundary is not C^2 here")
         return w, V, k, s
 
@@ -540,21 +539,6 @@ class SpectralSet(SetOracle):
         return 2.0 * (M / (s * (w[k] - np.delete(w, k)))) @ M.T
 
 
-class PsdCone(SpectralSet):
-    """Positive semidefinite n-by-n matrices: the spectral set {lambda_i >= 0}."""
-
-    def __init__(self, n, gap_tol=1e-8):
-        super().__init__(n, lo=0.0, gap_tol=gap_tol)
-
-
-class SpectralBoxTrace(SpectralSet):
-    """{Sigma : lambda_max(Sigma) <= bound, tr(Sigma) = 1}: the spectral set {lambda_i <= bound, tr = 1}."""
-
-    def __init__(self, n, bound, gap_tol=1e-8):
-        super().__init__(n, hi=bound, trace=1.0, gap_tol=gap_tol)
-        self.bound = self.hi
-
-
 class BallInAffine(SetOracle):
     """A norm ball intersected with an affine subspace, in closed form.
 
@@ -564,8 +548,6 @@ class BallInAffine(SetOracle):
     symmetric-matrix coordinates this realizes Frobenius-norm balls
     within linear matrix constraints.
     """
-
-    smooth = True
 
     def __init__(self, center, radius, subspace: AffineSubspace):
         center = _as_point(center, subspace.dim)
@@ -622,7 +604,6 @@ class EmbeddedOracle(SetOracle):
         super().__init__(subspace.dim)
         self.inner = inner
         self.subspace = subspace
-        self.smooth = inner.smooth
 
     @property
     def affine_hull(self):
@@ -658,7 +639,6 @@ class IsometricImage(SetOracle):
         super().__init__(subspace.subspace_dim)
         self.inner = inner
         self.subspace = subspace
-        self.smooth = inner.smooth
 
     def project(self, v) -> np.ndarray:
         z = self.subspace.from_local(_as_point(v, self.dim))
@@ -769,8 +749,6 @@ def boundary_eval(oracle: SetOracle, z):
         UnsupportedOperation: the oracle has no smooth descriptor.
         RegularityError: z is outside the descriptor's chart domain.
     """
-    if not oracle.smooth:
-        raise UnsupportedOperation(f"{type(oracle).__name__} has no smooth boundary descriptor")
     g = oracle._g(z)
     grad = oracle._grad(z)
     hess = oracle._hess(z)

@@ -11,9 +11,7 @@ from ccrm.sets import (
     Halfspace,
     Hyperplane,
     PowerEpigraph,
-    PsdCone,
     SecondOrderCone,
-    SpectralBoxTrace,
     SpectralSet,
 )
 from ccrm.linalg import sym_to_vec
@@ -36,8 +34,8 @@ def oracle_zoo(rng):
         (SecondOrderCone(4), 4),
         (PowerEpigraph(2.0, 0.5), 2),
         (PowerEpigraph(1.5, 0.0), 2),
-        (PsdCone(3), 6),
-        (SpectralBoxTrace(3, 0.6), 6),
+        (SpectralSet(3, lo=0.0), 6),
+        (SpectralSet(3, hi=0.6, trace=1.0), 6),
         (SpectralSet(3, lo=0.0, trace=1.0), 6),
         (BallInAffine([0.1, 0.2, 0.7], 1.0, plane), 3),
         (

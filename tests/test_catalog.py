@@ -120,11 +120,11 @@ def test_epigraph_reference_data():
     assert entry.reference.expected_constant == pytest.approx(0.5)
     entry = make_epigraph(2.0, 1.0)
     assert entry.reference.expected_rate == "quadratic"
-    assert np.allclose(entry.reference.zbar, [1.0, 0.0])
-    k = entry.reference.kappa_x
+    assert np.allclose(entry.problem.reference_solution, [1.0, 0.0])
+    k = entry.problem.known_constants.kappa_x
     assert k == pytest.approx(2.0 / 5.0**1.5)
     # the curvature operator agrees at the corner
-    assert curvature(entry.problem.X, entry.reference.zbar).kappa == pytest.approx(k)
+    assert curvature(entry.problem.X, entry.problem.reference_solution).kappa == pytest.approx(k)
 
 
 def test_eq_ellipsoids_construction_and_run():
@@ -330,7 +330,7 @@ def test_resolver_names_and_params():
     entry = resolve("epigraph:alpha=2.5,beta=1,variant=line")
     assert entry.problem.X.alpha == 2.5
     entry = resolve("fixed_trace:a=0.6")
-    assert entry.problem.X.bound == 0.6
+    assert entry.problem.X.hi == 0.6
 
 
 def test_resolver_errors():

@@ -156,6 +156,21 @@ def test_convergence_error_outside_run_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: Dykstra did not converge") == 2
 
 
+def test_solve_power_epigraph_overflow_exits_2(tmp_path, capsys):
+    problem = {
+        "version": "1",
+        "X": {"kind": "power_epigraph", "alpha": 2.0, "beta": 0.5},
+        "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+        "z0": [1e160, 0.0],
+    }
+    path = tmp_path / "epigraph.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: power-epigraph projection overflows")
+    assert "Traceback" not in err
+
+
 def test_table1_output(tmp_path, capsys):
     out = tmp_path / "t1.csv"
     code = main(["table1", "--out", str(out)])

@@ -15,6 +15,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
+from ccrm.sets import SpectralSet
 from ccrm.solvers import SolverConfig, run
 
 from helpers import oracle_zoo
@@ -51,6 +52,29 @@ def test_problem_round_trip_matrix_kinds():
         t2 = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), entry.suggested_z0)
         assert t1.termination == t2.termination == "feasible"
         assert np.allclose(t1.final, t2.final, atol=1e-12)
+
+
+def test_legacy_spectral_kinds_load_as_spectral_sets():
+    rng = np.random.default_rng(93)
+    for data, expected in (
+        ({"kind": "psd_cone", "n": 3}, SpectralSet(3, lo=0.0)),
+        ({"kind": "spectral_box_trace", "n": 4, "bound": 0.5}, SpectralSet(4, hi=0.5, trace=1.0)),
+    ):
+        oracle = oracle_from_dict(data)
+        assert type(oracle) is SpectralSet
+        for _ in range(10):
+            z = rng.normal(size=expected.dim) * 2.0
+            assert np.array_equal(oracle.project(z), expected.project(z))
+        assert oracle_to_dict(oracle) == oracle_to_dict(expected)
+        assert oracle_to_dict(oracle)["kind"] == "spectral_set"
+    # a fixed_trace file naming X by its old kind solves to the same trace
+    entry = make_fixed_trace()
+    data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
+    data["X"] = {"kind": "spectral_box_trace", "n": 4, "bound": 0.5}
+    problem, z0 = problem_from_dict(json.loads(json.dumps(data)))
+    t1 = run(problem, SolverConfig(method="ccrm"), z0)
+    t2 = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
+    assert np.array_equal(t1.iterates, t2.iterates)
 
 
 def test_problem_file_io(tmp_path):

@@ -17,9 +17,7 @@ from ccrm.sets import (
     Hyperplane,
     IsometricImage,
     PowerEpigraph,
-    PsdCone,
     SecondOrderCone,
-    SpectralBoxTrace,
     SpectralSet,
     _project_eigs,
     boundary_eval,
@@ -279,18 +277,27 @@ def test_epigraph_optimality_against_curve_scan():
     assert np.linalg.norm(p - cloud[i]) <= 1e-4
 
 
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.5), (3.0, 1.0)])
+@pytest.mark.parametrize("z", [[1e160, 0.0], [-1e160, 1e10]], ids=["right", "left"])
+def test_epigraph_projection_overflow_is_typed(alpha, beta, z):
+    # |x|^alpha overflows a float; the failure must be the package's own
+    # ConvergenceError, which run() and the CLI handle, not OverflowError.
+    with pytest.raises(ConvergenceError, match="overflows"):
+        PowerEpigraph(alpha, beta).project(z)
+
+
 # --- psd cone and spectral box --------------------------------------------
 
 def test_psd_clips_negative_eigenvalue():
     z = sym_to_vec(np.diag([1.0, -1.0]))
-    p = PsdCone(2).project(z)
+    p = SpectralSet(2, lo=0.0).project(z)
     assert np.allclose(vec_to_sym(p), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_psd_projection_nearest_oracle():
     rng = np.random.default_rng(12)
     S = random_symmetric(rng, 3)
-    p = vec_to_sym(PsdCone(3).project(sym_to_vec(S)))
+    p = vec_to_sym(SpectralSet(3, lo=0.0).project(sym_to_vec(S)))
     w = np.linalg.eigvalsh(p)
     assert w.min() >= -1e-12
     # optimality: against many random PSD candidates
@@ -302,13 +309,13 @@ def test_psd_projection_nearest_oracle():
 
 def test_spectral_box_feasible_identity():
     S = np.diag([0.5, 0.3, 0.2])
-    X = SpectralBoxTrace(3, 0.6)
+    X = SpectralSet(3, hi=0.6, trace=1.0)
     v = sym_to_vec(S)
     assert np.allclose(X.project(v), v, atol=1e-12)
 
 
 def test_spectral_box_simple_clip():
-    X = SpectralBoxTrace(2, 1.0)
+    X = SpectralSet(2, hi=1.0, trace=1.0)
     p = vec_to_sym(X.project(sym_to_vec(np.diag([2.0, 0.0]))))
     assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -317,7 +324,7 @@ def test_spectral_box_matches_enumeration():
     rng = np.random.default_rng(15)
     for _ in range(20):
         S = random_symmetric(rng, 4)
-        X = SpectralBoxTrace(4, 0.5)
+        X = SpectralSet(4, hi=0.5, trace=1.0)
         p = vec_to_sym(X.project(sym_to_vec(S)))
         w, V = np.linalg.eigh(S)
         expected = V @ np.diag(spectral_box_enumeration(w, hi=0.5, trace=1.0)) @ V.T
@@ -328,7 +335,7 @@ def test_spectral_box_matches_enumeration():
 
 def test_spectral_box_empty_set_rejected():
     with pytest.raises(ValueError):
-        SpectralBoxTrace(3, 0.2)
+        SpectralSet(3, hi=0.2, trace=1.0)
 
 
 EIGENVALUE_SETS = [
@@ -365,12 +372,12 @@ def test_eigenvalue_projection_edge_cases():
     # tied eigenvalues: the eigenvectors are not unique, the projection is
     Q = random_orthogonal(rng, 4)
     w = np.array([-0.1, 0.7, 0.7, 0.7])
-    p = vec_to_sym(SpectralBoxTrace(4, 0.3).project(sym_to_vec((Q * w) @ Q.T)))
+    p = vec_to_sym(SpectralSet(4, hi=0.3, trace=1.0).project(sym_to_vec((Q * w) @ Q.T)))
     expected = (Q * spectral_box_enumeration(w, hi=0.3, trace=1.0)) @ Q.T
     assert np.linalg.norm(p - expected) <= 1e-12
     assert np.allclose(_project_eigs(np.full(4, 0.2), -np.inf, 0.5, 1.0), 0.25, atol=1e-15)
     # bound * n == 1 exactly: the set is the single point I / n
-    X = SpectralBoxTrace(4, 0.25)
+    X = SpectralSet(4, hi=0.25, trace=1.0)
     for _ in range(5):
         z = sym_to_vec(random_symmetric(rng, 4, scale=3.0))
         assert np.allclose(X.project(z), sym_to_vec(np.eye(4) / 4.0), atol=1e-14)
@@ -378,7 +385,7 @@ def test_eigenvalue_projection_edge_cases():
     Q3 = random_orthogonal(rng, 3)
     for oracle, S in (
         (SpectralSet(3, lo=0.0, trace=1.0), np.diag([0.5, 0.3, 0.2])),
-        (PsdCone(3), np.diag([2.0, 0.0, 1.0])),
+        (SpectralSet(3, lo=0.0), np.diag([2.0, 0.0, 1.0])),
         (SpectralSet(3, lo=-0.2, hi=0.5, trace=1.0), np.diag([0.5, 0.5, 0.0])),
     ):
         z = sym_to_vec((Q3 * np.diag(S)) @ Q3.T)
@@ -573,6 +580,18 @@ def test_boundary_eval_requires_descriptor():
     L = AffineSubspace([[1.0, 0.0]], [0.0])
     with pytest.raises(UnsupportedOperation):
         boundary_eval(L, [0.0, 1.0])
+    # intersections and wrappers of descriptor-less sets refuse as well
+    lens = DykstraIntersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)])
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
+    line_in_plane = EmbeddedOracle(L, plane)
+    lens_image = IsometricImage(DykstraIntersection([Ball([0.0, 0.0, 0.0], 1.0), plane]), plane)
+    for oracle, z in (
+        (lens, [0.0, 1.0]),
+        (line_in_plane, [0.0, 1.0, 0.0]),
+        (lens_image, [0.0, 1.0]),
+    ):
+        with pytest.raises(UnsupportedOperation):
+            boundary_eval(oracle, z)
 
 
 def test_boundary_eval_soc_apex_refuses():
@@ -630,11 +649,11 @@ def test_boundary_derivatives_match_finite_differences():
     for oracle, z in cases:
         finite_difference_check(oracle, z)
     # spectral sets at simple-eigenvalue boundary points
-    psd = PsdCone(3)
+    psd = SpectralSet(3, lo=0.0)
     S = np.diag([0.0, 0.4, 1.0]) + 0.05 * random_symmetric(rng, 3)
     S -= np.linalg.eigvalsh(S)[0] * np.eye(3)  # shift lambda_min to zero
     finite_difference_check(psd, sym_to_vec(S))
-    box = SpectralBoxTrace(3, 0.6)
+    box = SpectralSet(3, hi=0.6, trace=1.0)
     T = np.diag([0.6, 0.3, 0.1]) + 0.02 * random_symmetric(rng, 3)
     # place the top eigenvalue on the bound and restore unit trace
     w, V = np.linalg.eigh(T)
@@ -654,7 +673,7 @@ def test_boundary_derivatives_match_finite_differences():
 
 
 def test_psd_gradient_needs_simple_eigenvalue():
-    psd = PsdCone(2)
+    psd = SpectralSet(2, lo=0.0)
     with pytest.raises(RegularityError):
         boundary_eval(psd, sym_to_vec(np.zeros((2, 2))))
 
