@@ -35,6 +35,7 @@ from .sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,

@@ -19,6 +19,7 @@ from .linalg import sym_dim, sym_to_vec
 from .sets import (
     AffineSubspace,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
@@ -169,8 +170,19 @@ def _ellipsoid_from_ball(B, c, r):
     return Ellipsoid(B.T @ B / slack, center)
 
 
+def _within(sets, A, b):
+    """The sets within L = {A z = b}, and L: exact caps for one row, the
+    sets themselves for none, Dykstra intersections for more."""
+    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    if A.shape[0] == 1:
+        L = Hyperplane(A[0], b[0])
+        return [Cap(C, L) for C in sets], L
+    L = AffineSubspace(A, b)
+    return [DykstraIntersection([C, L], hull=L) if A.shape[0] else C for C in sets], L
+
+
 def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
-    """Two ellipsoids intersected with {A z = b}, Dykstra-backed.
+    """Two ellipsoids intersected with {A z = b}: exact caps for one row.
 
     The default instance lives in R^4 with one equality constraint and two
     overlapping anisotropic balls whose common relative interior is
@@ -189,11 +201,9 @@ def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
     if len(balls) != 2:
         raise ValueError("need exactly two ball constraints")
 
-    L = AffineSubspace(A, b)
     e1 = _ellipsoid_from_ball(*balls[0])
     e2 = _ellipsoid_from_ball(*balls[1])
-    X = DykstraIntersection([e1, L], hull=L)
-    Y = DykstraIntersection([e2, L], hull=L)
+    (X, Y), L = _within([e1, e2], A, b)
 
     probe_start = L.project(0.5 * (e1.center + e2.center))
     probe = dykstra_project([e1, e2, L], probe_start, tol=1e-10)
@@ -211,11 +221,12 @@ def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
 def make_socp() -> CatalogEntry:
     """Second-order-cone feasibility within an affine subspace of R^4.
 
-    X is the cone {||(z_2, z_3, z_4)|| <= z_1} within L = {z_2 + z_3 + z_4
-    = 1.5}, Dykstra-backed; Y is a ball within L (closed form).
+    X is the cone {||(z_2, z_3, z_4)|| <= z_1} cut by the hyperplane L =
+    {z_2 + z_3 + z_4 = 1.5}, an exact :class:`~ccrm.sets.Cap`; Y is a ball
+    within L (closed form).
     """
-    L = AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5])
-    X = DykstraIntersection([SecondOrderCone(4), L], hull=L)
+    L = Hyperplane([0.0, 1.0, 1.0, 1.0], 1.5)
+    X = Cap(SecondOrderCone(4), L)
     Y = BallInAffine([0.3, 0.7, 0.5, 0.3], 0.7, L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     z0 = np.array([0.2, 1.5, 0.4, 0.5])
@@ -227,10 +238,10 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
 
     Operates on isometrically flattened symmetric matrices. X is the PSD
     cone within L: a closed-form spectral set when there is no constraint
-    or the one constraint is a multiple of the trace, Dykstra-backed
-    otherwise. Y is the Frobenius ball within L (closed form). The default
-    is the n = 3 single-trace-constraint instance with a strictly feasible
-    point.
+    or the one constraint is a multiple of the trace, an exact cap of the
+    cone by any other single constraint, Dykstra-backed for several. Y is
+    the Frobenius ball within L (closed form). The default is the n = 3
+    single-trace-constraint instance with a strictly feasible point.
     """
     if A_ops is None:
         if n != 3:
@@ -259,8 +270,7 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
         L = X.affine_hull
     else:
         rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
-        L = AffineSubspace(rows, np.atleast_1d(np.asarray(b, dtype=float)))
-        X = DykstraIntersection([SpectralSet(n, lo=0.0), L], hull=L)
+        (X,), L = _within([SpectralSet(n, lo=0.0)], rows, b)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:

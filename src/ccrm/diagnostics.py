@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RegularityError
 from .linalg import orthonormal_nullspace, symmetric_eigh
-from .sets import boundary_eval, dykstra_project
+from .sets import Ball, BallInAffine, Cap, DykstraIntersection, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -245,19 +245,29 @@ def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport
     )
 
 
+def intersection_oracle(problem: FeasibilityProblem):
+    """X intersect Y as one oracle.
+
+    When Y is a ball within X's affine hull, X & Y = X & B(in-plane
+    center, in-plane radius), an exact :class:`~ccrm.sets.Cap` of X
+    (discs3d, socp, sdp, fixed_trace). Otherwise it is Dykstra at
+    ``INTERSECTION_TOL``, cycling once over the leaf sets of X and Y.
+    """
+    X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
+    if isinstance(Y, BallInAffine) and hull is not None and (hull is Y.subspace or (
+        np.array_equal(hull.A, Y.subspace.A) and np.array_equal(hull.b, Y.subspace.b)
+    )):
+        return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
+    return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
+
+
 def intersection_distance(problem: FeasibilityProblem, z, projector=None) -> float:
     """dist(z, X intersect Y), through a closed-form projector when given,
-    otherwise through Dykstra at ``INTERSECTION_TOL``.
-
-    Dykstra cycles once over the leaf sets of X and Y: the members of a
-    Dykstra-backed X or Y are projected directly, with no inner Dykstra
-    run, and a set both share (the hull L of ``eq_ellipsoids``) once.
-    """
+    otherwise through :func:`intersection_oracle`."""
     z = np.asarray(z, dtype=float)
     if projector is not None:
         return float(np.linalg.norm(z - projector(z)))
-    p = dykstra_project([problem.X, problem.Y], z, tol=INTERSECTION_TOL)
-    return float(np.linalg.norm(z - p))
+    return intersection_oracle(problem).distance(z)
 
 
 def estimate_omega(

@@ -18,6 +18,7 @@ from .sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
@@ -81,6 +82,8 @@ def oracle_to_dict(oracle) -> dict:
             "inner": oracle_to_dict(oracle.inner),
             **_subspace_to_dict(oracle.subspace),
         }
+    if isinstance(oracle, Cap):
+        return {"kind": "cap", "inner": oracle_to_dict(oracle.inner), "cut": oracle_to_dict(oracle.cut)}
     if isinstance(oracle, DykstraIntersection):
         out = {
             "kind": "dykstra_intersection",
@@ -127,6 +130,8 @@ def oracle_from_dict(data) -> object:
             return BallInAffine(data["center"], data["radius"], _subspace_from_dict(data))
         if kind == "embedded":
             return EmbeddedOracle(oracle_from_dict(data["inner"]), _subspace_from_dict(data))
+        if kind == "cap":
+            return Cap(oracle_from_dict(data["inner"]), oracle_from_dict(data["cut"]))
         if kind == "dykstra_intersection":
             hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
             return DykstraIntersection(

@@ -39,6 +39,11 @@ EIG_GAP_TOL = 1e-8
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_ITER = 100_000
 
+# A cap's dual solve: the budget of each phase, and the multiple of the
+# displacement past which a hyperplane multiplier means a tangent or
+# missing cut (an intersection angle under about 1e-6).
+CAP_MAX_ITER, CAP_TANGENT_RATIO = 200, 1e6
+
 
 def _as_point(z, dim=None):
     z = np.asarray(z, dtype=float)
@@ -656,6 +661,87 @@ class IsometricImage(SetOracle):
         return B.T @ self.inner._hess(self.subspace.from_local(_as_point(v, self.dim))) @ B
 
 
+class Cap(SetOracle):
+    """``inner`` cut by a :class:`Hyperplane` {<a, x> = b} or a :class:`Ball` B(c, r).
+
+    The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - mu a),
+    or P_inner((1 - t) z + t c) with t in [0, 1], at the root of <a, x> - b,
+    or ||x - c|| - r, nonincreasing in the dual value s = mu or t. A
+    bracketed regula falsi (Illinois type, Anderson-Bjorck weights) finds
+    it to double precision. The cut must meet the relative interior of
+    ``inner``: an empty or tangent cut, or an exhausted ``CAP_MAX_ITER``
+    budget, raises ``ConvergenceError``. The boundary descriptor is the
+    inner set's; the affine hull is the hyperplane, or the inner set's hull.
+    """
+
+    def __init__(self, inner: SetOracle, cut):
+        if not isinstance(cut, (Hyperplane, Ball)) or cut.dim != inner.dim:
+            raise ValueError("a cap's cut is a Hyperplane or a Ball of the inner set's dimension")
+        super().__init__(inner.dim)
+        self.inner, self.cut = inner, cut
+
+    @property
+    def affine_hull(self):
+        return self.cut if isinstance(self.cut, Hyperplane) else self.inner.affine_hull
+
+    _g = property(lambda self: self.inner._g)
+    _grad = property(lambda self: self.inner._grad)
+    _hess = property(lambda self: self.inner._hess)
+
+    def _residual(self, z, s):
+        cut = self.cut
+        if isinstance(cut, Ball):
+            x = self.inner.project((1.0 - s) * z + s * cut.center)
+            return _norm(x - cut.center) - cut.radius, x
+        x = self.inner.project(z - s * cut.normal)
+        if abs(s) * _norm(cut.normal) > CAP_TANGENT_RATIO * _norm(z - x):
+            raise ConvergenceError("hyperplane cut is tangent to the set or misses it")
+        return float(cut.normal @ x) - cut.offset, x
+
+    def project(self, z) -> np.ndarray:
+        return self.project_dual(z)[0]
+
+    def project_dual(self, z):
+        """(P(z), s): the projection and its dual value."""
+        z = _as_point(z, self.dim)
+        cut, ball = self.cut, isinstance(self.cut, Ball)
+        nz = _norm(z)
+        scale = cut.radius + _norm(cut.center) + nz if ball else abs(cut.offset) + _norm(cut.normal) * nz
+        tol = 4.0 * np.finfo(float).eps * scale
+        fa, xb = self._residual(z, 0.0)
+        if (fa if ball else abs(fa)) <= tol:
+            return xb, 0.0
+        # P_inner is nonexpansive, so the root lies past the uncut case's
+        # root. The search starts there and, until the root is bracketed,
+        # steps to the secant's extrapolation, kept 2 to 16 times as far.
+        a, b = 0.0, fa / (_norm(z - cut.center) if ball else float(cut.normal @ cut.normal))
+        for _ in range(CAP_MAX_ITER):
+            b = min(b, 1.0) if ball else b
+            fb, xb = self._residual(z, b)
+            if ball and b == 1.0 and fb >= -tol:
+                raise ConvergenceError("ball cut is tangent to the set or misses it")
+            if (fb > 0.0) != (fa > 0.0) or abs(fb) <= tol:
+                break
+            grow = fb / (fa - fb) * (1.0 - a / b) if fa != fb else np.inf
+            a, fa, b = b, fb, b * (1.0 + min(max(grow, 1.0), 15.0))
+        for _ in range(CAP_MAX_ITER):
+            if abs(fb) <= tol:
+                return xb, b
+            if (fa > 0.0) == (fb > 0.0):
+                break
+            s = b - fb * (b - a) / (fb - fa)
+            if not min(a, b) < s < max(a, b):  # the bracket is down to rounding
+                return xb, b
+            fs, xs = self._residual(z, s)
+            if (fs > 0.0) != (fb > 0.0):
+                a, fa = b, fb
+            else:
+                m = 1.0 - fs / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, xb = s, fs, xs
+        raise ConvergenceError("cap dual root not bracketed or not converged", residual=abs(fb))
+
+
 def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> np.ndarray:
     """Projection onto an intersection by Dykstra's cyclic scheme.
 
@@ -747,11 +833,13 @@ def boundary_eval(oracle: SetOracle, z):
 
     Raises:
         UnsupportedOperation: the oracle has no smooth descriptor.
-        RegularityError: z is outside the descriptor's chart domain.
+        RegularityError: z is outside the descriptor's chart domain, or
+            g, grad or hess is not finite there.
     """
-    g = oracle._g(z)
-    grad = oracle._grad(z)
-    hess = oracle._hess(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, grad, hess = oracle._g(z), oracle._grad(z), oracle._hess(z)
+    if not (np.isfinite(g) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        raise RegularityError("boundary descriptor is not finite at this point")
     hull = oracle.affine_hull
     if hull is None:
         return g, grad, hess

@@ -6,6 +6,7 @@ from ccrm.sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     Halfspace,
@@ -14,7 +15,9 @@ from ccrm.sets import (
     SecondOrderCone,
     SpectralSet,
 )
+from ccrm.catalog import make_eq_constrained_ellipsoids, make_sdp_feasibility
 from ccrm.linalg import sym_to_vec
+from ccrm.solvers import FeasibilityProblem
 
 
 def random_orthogonal(rng, n):
@@ -44,8 +47,34 @@ def oracle_zoo(rng):
             ),
             2,
         ),
+        (Cap(SecondOrderCone(3), Hyperplane([1.0, 0.3, 0.0], 1.0)), 3),
+        (Cap(SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 0.5, -0.3])), 1.0)), 6),
     ]
     return zoo
+
+
+def dykstra_eq_ellipsoids():
+    """The catalog's eq_ellipsoids problem with X = [e1, L] and Y = [e2, L]
+    Dykstra-backed, sharing the hull instance L, and its suggested start."""
+    entry = make_eq_constrained_ellipsoids()
+    X, Y = entry.problem.X, entry.problem.Y
+    L = X.cut
+    problem = FeasibilityProblem(
+        DykstraIntersection([X.inner, L], hull=L),
+        DykstraIntersection([Y.inner, L], hull=L),
+        common_hull=L,
+    )
+    return problem, entry.suggested_z0
+
+
+def general_sdp():
+    """A 2x2 sdp whose X is the PSD cone cut by <diag(1, 2), Sigma> = 1,
+    and a start at Y's center: beyond the PSD boundary, it puts the
+    limit on that boundary."""
+    problem = make_sdp_feasibility(
+        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=[[1.5, 0.1], [0.1, -0.5]], r=0.73, n=2
+    ).problem
+    return problem, problem.Y.in_plane_center
 
 
 def sample_lens_point(rng, centers, radius):

@@ -16,7 +16,7 @@ from ccrm.catalog import (
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
 from ccrm.linalg import vec_to_sym
-from ccrm.sets import DykstraIntersection, SpectralSet
+from ccrm.sets import Cap, DykstraIntersection, Ellipsoid, SpectralSet
 from ccrm.solvers import SolverConfig, run
 
 
@@ -148,14 +148,14 @@ def test_socp_runs_and_respects_hull():
 
 def test_socp_apex_curvature_refused():
     entry = make_socp()
-    cone = entry.problem.X.members[0]
+    cone = entry.problem.X.inner
     with pytest.raises(RegularityError):
         curvature(cone, np.zeros(cone.dim))
 
 
 def test_socp_smooth_boundary_away_from_apex():
     entry = make_socp()
-    cone = entry.problem.X.members[0]
+    cone = entry.problem.X.inner
     z = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
     val = curvature(cone, z)
     assert val.kappa == pytest.approx(1.0 / (np.sqrt(2.0) * 1.0), rel=1e-8)
@@ -180,11 +180,19 @@ def test_sdp_trace_constraint_gives_spectral_set():
     assert X.affine_hull is L and entry.problem.Y.affine_hull is L
     scaled = make_sdp_feasibility(A_ops=[2.0 * np.eye(2)], b=[3.0], Sigma_hat=np.eye(2), r=1.5, n=2)
     assert scaled.problem.X.trace == 1.5
-    # any other constraint keeps the Dykstra intersection with L
+    # any other single constraint cuts the PSD cone exactly; two rows keep
+    # the Dykstra intersection with L
     general = make_sdp_feasibility(
         A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=np.eye(2), r=1.5, n=2
     )
-    assert isinstance(general.problem.X, DykstraIntersection)
+    X, L = general.problem.X, general.problem.common_hull
+    assert isinstance(X, Cap) and isinstance(X.inner, SpectralSet)
+    assert X.cut is L and X.affine_hull is L and general.problem.Y.affine_hull is L
+    two_rows = make_sdp_feasibility(
+        A_ops=[np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        b=[1.0, 0.0], Sigma_hat=np.eye(2), r=1.5, n=2,
+    )
+    assert isinstance(two_rows.problem.X, DykstraIntersection)
 
 
 def test_fixed_trace_limit_feasible():
@@ -228,6 +236,7 @@ def test_eq_ellipsoids_without_constraints():
     ]
     entry = make_eq_constrained_ellipsoids(A, b, balls)
     assert entry.problem.common_hull.subspace_dim == 3
+    assert type(entry.problem.X) is Ellipsoid and type(entry.problem.Y) is Ellipsoid
     trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), np.array([3.0, 2.0, 1.0]))
     assert trace.termination == "feasible"
 

@@ -5,7 +5,6 @@ from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
     make_eq_constrained_ellipsoids,
-    make_sdp_feasibility,
     make_socp,
 )
 from ccrm.diagnostics import (
@@ -27,6 +26,7 @@ from ccrm.sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     Halfspace,
@@ -34,6 +34,8 @@ from ccrm.sets import (
     dykstra_project,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
+
+from helpers import dykstra_eq_ellipsoids, general_sdp
 
 BENCH_DISTANCES = np.array([3.54, 9.24e-2, 3.70e-3, 7.51e-6, 3.13e-11])
 
@@ -283,19 +285,14 @@ def _eq_ellipsoids():
 
 
 def _general_sdp():
-    # X = [PSD, L] is Dykstra-backed; a start at Y's center, beyond the
-    # PSD boundary, puts the limit on that boundary.
-    problem = make_sdp_feasibility(
-        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=[[1.5, 0.1], [0.1, -0.5]], r=0.73, n=2
-    ).problem
-    return problem, problem.Y.in_plane_center
+    return general_sdp()
 
 
 def test_intersection_distance_makes_no_call_into_nested_x():
-    problem, _ = _socp()
-    X = problem.X
+    problem, _ = dykstra_eq_ellipsoids()
     calls = []
-    X.project = lambda z: calls.append(z) or DykstraIntersection.project(X, z)
+    for oracle in (problem.X, problem.Y):
+        oracle.project = lambda z, o=oracle: calls.append(z) or DykstraIntersection.project(o, z)
     assert intersection_distance(problem, [0.6, 1.0, 0.2, 0.9]) > 0.0
     assert calls == []
 
@@ -306,7 +303,8 @@ def test_intersection_distance_matches_flat_reference_near_limit(make):
     limit = run(problem, SolverConfig(method="ccrm"), z0).final
     leaves = []
     for oracle in (problem.X, problem.Y):
-        for leaf in getattr(oracle, "members", [oracle]):
+        members = [oracle.inner, oracle.cut] if isinstance(oracle, Cap) else [oracle]
+        for leaf in members:
             if not any(leaf is seen for seen in leaves):
                 leaves.append(leaf)
     rng = np.random.default_rng(61)

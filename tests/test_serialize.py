@@ -15,7 +15,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
-from ccrm.sets import SpectralSet
+from ccrm.sets import Cap, DykstraIntersection, SpectralSet
 from ccrm.solvers import SolverConfig, run
 
 from helpers import oracle_zoo
@@ -52,6 +52,39 @@ def test_problem_round_trip_matrix_kinds():
         t2 = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), entry.suggested_z0)
         assert t1.termination == t2.termination == "feasible"
         assert np.allclose(t1.final, t2.final, atol=1e-12)
+
+
+def test_cap_round_trip_and_dykstra_files_still_load():
+    entry = make_socp()
+    X = entry.problem.X
+    data = oracle_to_dict(X)
+    assert data["kind"] == "cap"
+    assert data["inner"] == {"kind": "second_order_cone", "dim": 4}
+    assert data["cut"]["kind"] == "hyperplane"
+    rebuilt = oracle_from_dict(json.loads(json.dumps(data)))
+    assert isinstance(rebuilt, Cap)
+    rng = np.random.default_rng(94)
+    for _ in range(10):
+        z = entry.suggested_z0 + rng.normal(size=4)
+        assert np.array_equal(rebuilt.project(z), X.project(z))
+    # a socp file written with X as a Dykstra intersection of the cone and
+    # L still loads as one, and solves to the same point
+    problem_data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
+    L = {"kind": "affine_subspace", "A": [[0.0, 1.0, 1.0, 1.0]], "b": [1.5]}
+    problem_data["X"] = {
+        "kind": "dykstra_intersection",
+        "members": [{"kind": "second_order_cone", "dim": 4}, L],
+        "tol": 1e-12,
+        "max_iter": 100000,
+        "hull": {"A": L["A"], "b": L["b"]},
+    }
+    problem, z0 = problem_from_dict(json.loads(json.dumps(problem_data)))
+    assert isinstance(problem.X, DykstraIntersection)
+    t1 = run(problem, SolverConfig(method="ccrm"), z0)
+    t2 = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
+    assert t1.termination == t2.termination == "feasible"
+    assert t1.n_steps == t2.n_steps
+    assert np.linalg.norm(t1.final - t2.final) <= 1e-10
 
 
 def test_legacy_spectral_kinds_load_as_spectral_sets():

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from ccrm.catalog import make_eq_constrained_ellipsoids
 from ccrm.errors import ConvergenceError, RegularityError, UnsupportedOperation
 from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
     AffineSubspace,
     Ball,
     BallInAffine,
+    Cap,
     DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
@@ -27,6 +27,7 @@ from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
 from helpers import (
     cap_projection_kkt,
+    dykstra_eq_ellipsoids,
     oracle_zoo,
     random_orthogonal,
     random_symmetric,
@@ -516,8 +517,8 @@ def _count_projections(oracle, calls, key):
 
 
 def test_dykstra_projects_a_shared_member_once_per_cycle():
-    # eq_ellipsoids: X = [e1, L], Y = [e2, L] cycles over [e1, L, e2]
-    problem = make_eq_constrained_ellipsoids().problem
+    # eq_ellipsoids built with X = [e1, L], Y = [e2, L] cycles over [e1, L, e2]
+    problem, _ = dykstra_eq_ellipsoids()
     (e1, L), (e2, L2) = problem.X.members, problem.Y.members
     assert L2 is L
     calls = {}
@@ -592,6 +593,21 @@ def test_boundary_eval_requires_descriptor():
     ):
         with pytest.raises(UnsupportedOperation):
             boundary_eval(oracle, z)
+
+
+@pytest.mark.parametrize(
+    "oracle,z",
+    [
+        (PowerEpigraph(2.0, 0.5), [1e160, 0.0]),
+        (PowerEpigraph(3.0, 1.0), [1e120, 0.0]),
+        (Cap(PowerEpigraph(2.0, 0.5), Hyperplane([0.0, 1.0], 0.0)), [1e160, 0.0]),
+    ],
+    ids=["epigraph-2-0.5", "epigraph-3-1", "cap"],
+)
+def test_boundary_eval_rejects_a_non_finite_descriptor(oracle, z):
+    # the powers overflow to inf; the descriptor must not hand that on
+    with pytest.raises(RegularityError):
+        boundary_eval(oracle, z)
 
 
 def test_boundary_eval_soc_apex_refuses():

@@ -28,7 +28,7 @@ from ccrm.solvers import (
     run,
 )
 
-from helpers import sample_lens_point
+from helpers import dykstra_eq_ellipsoids, sample_lens_point
 
 
 def complementary_halfplanes():
@@ -149,22 +149,23 @@ def test_run_stagnation_at_precision_floor():
 
 
 def test_ccrm_feasible_centralized_point_is_taken():
-    # From these starts the first centralized point already lies in both
-    # sets; its reflections sit within ~1e-13 of it and the circumcenter
-    # system is inconsistent. The step returns z_C instead of stagnating.
-    entry = make_eq_constrained_ellipsoids()
-    noise = np.random.default_rng(0).normal(size=(400, entry.problem.dim))
+    # With X and Y Dykstra-backed, from these starts the first centralized
+    # point already lies in both sets; its reflections sit within ~1e-13 of
+    # it and the circumcenter system is inconsistent. The step returns z_C
+    # instead of stagnating.
+    problem, suggested_z0 = dykstra_eq_ellipsoids()
+    noise = np.random.default_rng(0).normal(size=(400, problem.dim))
     for i in (234, 261, 312, 343, 348):
-        z0 = entry.suggested_z0 + 0.3 * noise[i]
+        z0 = suggested_z0 + 0.3 * noise[i]
         with pytest.raises(GeometryError):
-            ccrm_step(entry.problem, z0)
-        trace = run(entry.problem, SolverConfig(method="ccrm"), z0)
+            ccrm_step(problem, z0)
+        trace = run(problem, SolverConfig(method="ccrm"), z0)
         assert trace.termination == TERMINATION_FEASIBLE, i
         assert trace.n_steps == 1
         assert trace.circum_statuses == [STATUS_CENTRALIZED_FEASIBLE]
         assert np.array_equal(trace.final, trace.centralized_points[0])
         # at a feasibility tolerance the point cannot meet, it still stagnates
-        floor = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
+        floor = run(problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
         assert floor.termination == TERMINATION_STAGNATION
         assert floor.n_steps == 0
         assert "inconsistent" in floor.termination_detail
