@@ -10,6 +10,7 @@ convergence of circumcenter iterations) stay well conditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ DEDUPE_RTOL = 1e-12
 # Relative residual (against diameter^2) above which the reduced
 # equidistance system is declared inconsistent.
 CONSISTENCY_RTOL = 1e-7
+# Coordinates past this size can overflow the squared distances.
+OVERFLOW_SCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,16 @@ def circumcenter(points) -> CircumResult:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if not np.all(np.isfinite(pts)):
+    top = float(np.abs(pts).max(initial=0.0))
+    if not math.isfinite(top):
         raise ValueError("points have non-finite entries")
+    if top > OVERFLOW_SCALE:  # solve at unit scale and scale back
+        unit = circumcenter(pts / top)
+        with np.errstate(over="ignore"):
+            center = unit.center * top
+        if not np.isfinite(center).all():
+            raise GeometryError("the circumcenter lies beyond the float range")
+        return CircumResult(center, unit.status)
 
     if pts.shape[0] == 1:
         return CircumResult(pts[0].copy(), NONDEGENERATE)

@@ -26,6 +26,7 @@ from .diagnostics import (
     trace_reference_distances,
 )
 from .errors import ConvergenceError, RegularityError, UnsupportedOperation
+from .linalg import EPS
 from .serialize import (
     load_problem_file,
     trace_to_csv,
@@ -148,8 +149,7 @@ def _table2_floor(alpha, beta):
     # a factor ~30 of that abscissa are quantization noise, not rate.
     if beta > 0.0:
         return None
-    eps = np.finfo(float).eps
-    return 30.0 * (eps / (2.0 * alpha)) ** (1.0 / (2.0 * alpha - 2.0))
+    return 30.0 * (EPS / (2.0 * alpha)) ** (1.0 / (2.0 * alpha - 2.0))
 
 
 def table2_cell(alpha, beta, method, variant):

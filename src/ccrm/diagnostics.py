@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RegularityError
-from .linalg import orthonormal_nullspace, symmetric_eigh
+from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
 from .sets import Ball, BallInAffine, Cap, DykstraIntersection, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
@@ -26,7 +26,7 @@ RATE_QUADRATIC = "quadratic"
 
 # Distances below 1e3 * machine epsilon (times the problem scale) carry no
 # rate information in double precision and are excluded from ratios.
-PRECISION_FLOOR_FACTOR = 1e3 * np.finfo(float).eps
+PRECISION_FLOOR_FACTOR = 1e3 * EPS
 
 # Ratio geometric means at or above this value are reported as sublinear.
 SUBLINEAR_THRESHOLD = 0.98

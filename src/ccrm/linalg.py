@@ -15,6 +15,9 @@ import numpy as np
 # Singular values / pivots below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-10
 
+# Machine epsilon of float64.
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SymEig:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RegularityError, UnsupportedOperation
 from .linalg import (
+    EPS,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_dim,
@@ -46,23 +47,26 @@ CAP_MAX_ITER, CAP_TANGENT_RATIO = 200, 1e6
 
 
 def _as_point(z, dim=None):
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)  # no copy for a float64 array
     if z.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {z.shape}")
     if dim is not None and z.shape[0] != dim:
         raise ValueError(f"dimension mismatch: point has {z.shape[0]}, set has {dim}")
-    if not np.all(np.isfinite(z)):
+    # A Python float sum carries inf and nan through without a warning; a
+    # finite point whose sum overflows falls through to the exact test.
+    if not math.isfinite(sum(z.tolist())) and not np.isfinite(z).all():
         raise ValueError("point has non-finite entries")
     return z
 
 
 def _norm(d) -> float:
-    """Euclidean norm of a finite vector, rescaled by max|d_i| when the
-    plain sum of squares overflows (entries past ~1e154)."""
-    nd = float(np.linalg.norm(d))
+    """Euclidean norm of a finite vector: numpy's own sqrt(d . d), with
+    ``vdot`` (which does not warn on overflow), rescaled by max|d_i| when
+    the sum of squares overflows (entries past ~1e154)."""
+    nd = math.sqrt(np.vdot(d, d))
     if not math.isfinite(nd):
         s = float(np.max(np.abs(d)))
-        nd = s * float(np.linalg.norm(d / s))
+        nd = s * math.sqrt(np.vdot(d / s, d / s))
     return nd
 
 
@@ -75,13 +79,12 @@ class SetOracle:
     def project(self, z) -> np.ndarray:
         raise NotImplementedError
 
+    # ``project`` validates z, so these two do not validate it again.
     def reflect(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
         return 2.0 * self.project(z) - z
 
     def distance(self, z) -> float:
-        z = _as_point(z, self.dim)
-        return float(np.linalg.norm(z - self.project(z)))
+        return _norm(self.project(z) - z)
 
     def contains(self, z, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(z) <= tol
@@ -376,7 +379,7 @@ def _power_normal_root(alpha, x0, y0, max_iter=200):
         nxt = u - f / df if df > 0.0 else 0.5 * (lo + hi)
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 2.0 * np.finfo(float).eps * (1.0 + abs(u)):
+        if abs(nxt - u) <= 2.0 * EPS * (1.0 + abs(u)):
             return nxt
         u = nxt
     raise ConvergenceError("power-epigraph normal equation did not converge", residual=abs(f))
@@ -707,7 +710,7 @@ class Cap(SetOracle):
         cut, ball = self.cut, isinstance(self.cut, Ball)
         nz = _norm(z)
         scale = cut.radius + _norm(cut.center) + nz if ball else abs(cut.offset) + _norm(cut.normal) * nz
-        tol = 4.0 * np.finfo(float).eps * scale
+        tol = 4.0 * EPS * scale
         fa, xb = self._residual(z, 0.0)
         if (fa if ball else abs(fa)) <= tol:
             return xb, 0.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, UnsupportedOperation
-from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _power_normal_root
+from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _norm, _power_normal_root
 
 TERMINATION_FEASIBLE = "feasible"
 TERMINATION_MAX_ITER = "max_iter"
@@ -133,7 +133,7 @@ def _ccrm(problem, z, px, tol_feas):
     try:
         result = circumcenter([z_c, 2.0 * pxc - z_c, 2.0 * pyc - z_c])
     except GeometryError:
-        if max(np.linalg.norm(z_c - pxc), np.linalg.norm(z_c - pyc)) > tol_feas:
+        if max(_norm(z_c - pxc), _norm(z_c - pyc)) > tol_feas:
             raise
         return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE
     return result.center, z_c, result.status
@@ -191,7 +191,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     z = _as_point(z0, problem.dim).copy()
     px = problem.X.project(z)
     iterates = [z.copy()]
-    res_x = [float(np.linalg.norm(z - px))]
+    res_x = [_norm(z - px)]
     res_y = [problem.Y.distance(z)]
     centers, statuses = [], []
 
@@ -210,7 +210,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
                 detail = str(exc)
                 break
             iterates.append(z_next.copy())
-            res_x.append(float(np.linalg.norm(z_next - px)))
+            res_x.append(_norm(z_next - px))
             res_y.append(dist_y)
             if z_c is not None:
                 centers.append(z_c)
@@ -219,7 +219,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
             if max(res_x[-1], res_y[-1]) <= config.tol_feas:
                 termination = TERMINATION_FEASIBLE
                 break
-            if np.linalg.norm(z_next - z) <= config.tol_step * (1.0 + np.linalg.norm(z)):
+            if _norm(z_next - z) <= config.tol_step * (1.0 + _norm(z)):
                 termination = TERMINATION_STAGNATION
                 break
             z = z_next

@@ -98,3 +98,29 @@ def test_near_coincident_triple_is_stable():
     pts = [base, base + np.array([1e-13, 2e-13]), base + np.array([-2e-13, 1e-13])]
     r = circumcenter(pts)
     assert np.linalg.norm(r.center - base) <= 1e-11
+
+
+# Pairwise distances overflow past ~1e154; such points are solved at unit scale.
+@pytest.mark.filterwarnings("error")
+def test_circumcenter_past_distance_overflow():
+    r = circumcenter([[1e155, 0.0], [-1e155, 0.0], [0.0, 1e155]])
+    assert r.status == NONDEGENERATE
+    assert np.all(np.abs(r.center) <= 1e-15 * 1e155)
+    rng = np.random.default_rng(23)
+    for scale in (1e151, 1e160, 1e200, 1e300):
+        pts = rng.normal(size=(3, 4))
+        unit = circumcenter(pts)
+        big = circumcenter(pts * scale)
+        assert big.status == unit.status
+        assert np.allclose(big.center / scale, unit.center, rtol=1e-12, atol=1e-12)
+        assert equidistance_spread(big.center / scale, pts) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_circumcenter_past_overflow_stays_typed():
+    with pytest.raises(GeometryError):  # collinear at any scale
+        circumcenter([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e-300]])
+    with pytest.raises(GeometryError):  # the center itself, ~5e308, is not a float
+        circumcenter([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e291]])
+    with pytest.raises(ValueError):
+        circumcenter([[1e300, 0.0], [np.inf, 0.0]])

@@ -171,6 +171,19 @@ def test_solve_power_epigraph_overflow_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# The reference distances of run() overflow at such a start; only the
+# circumcenter must not crash.
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize(
+    "problem, z0",
+    [("discs3d", "-3e160,1e160,1e160"), ("socp", "-3e160,1e160,1e160,1e160")],
+)
+def test_solve_crm_from_past_distance_overflow_exits_cleanly(problem, z0, capsys):
+    code = main(["solve", "--problem", problem, "--method", "crm", f"--z0={z0}"])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_table1_output(tmp_path, capsys):
     out = tmp_path / "t1.csv"
     code = main(["table1", "--out", str(out)])

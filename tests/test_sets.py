@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ccrm.sets import (
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
+    _as_point,
     _project_eigs,
     boundary_eval,
     dykstra_project,
@@ -696,8 +698,9 @@ def test_psd_gradient_needs_simple_eigenvalue():
 
 # --- shared projection properties -------------------------------------------
 
-# The plain sum of squares overflows past ~1e154; these oracles rescale.
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+# The plain sum of squares overflows past ~1e154; these oracles rescale,
+# without an overflow warning.
+@pytest.mark.filterwarnings("error")
 def test_norm_based_projections_past_overflow_match_closed_form():
     s = 1.0 / np.sqrt(2.0)
     ball = Ball([0.0, 0.0], 1.0).project([1e160, 1e160])
@@ -712,7 +715,7 @@ def test_norm_based_projections_past_overflow_match_closed_form():
     assert np.allclose(cone, [s * 1e200, 5e199, 5e199], rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
 def test_norm_based_projections_variational_inequality_at_scale(scale):
     rng = np.random.default_rng(59)
@@ -746,3 +749,105 @@ def test_projection_properties_sampled():
             assert np.linalg.norm(oracle.project(p1) - p1) <= 1e-10
             s = oracle.project(rng.normal(size=dim) * 2.0)
             assert (z1 - p1) @ (s - p1) <= 1e-10
+
+
+# --- point validation -------------------------------------------------------
+
+
+def _as_point_reference(z, dim=None):
+    """The point validation as first written, kept as the contract."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"expected a 1-d point, got shape {z.shape}")
+    if dim is not None and z.shape[0] != dim:
+        raise ValueError(f"dimension mismatch: point has {z.shape[0]}, set has {dim}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("point has non-finite entries")
+    return z
+
+
+VALIDATION_INPUTS = {
+    "list": [1.0, -2.0, 3.5],
+    "int-tuple": (1, 2, 3),
+    "int-array": np.arange(3),
+    "float32": np.array([1.0, 2.0, 3.0], dtype=np.float32),
+    "big-endian": np.array([1.0, 2.0, 3.0], dtype=">f8"),
+    "bool": np.array([True, False, True]),
+    "strided": np.arange(6.0)[::2],
+    "sum-overflows": [1e308, 1e308, 1e308],
+    "huge": [1e200, -3e200, 2e200],
+    "nan": [1.0, np.nan, 3.0],
+    "inf": [np.inf, 0.0, 0.0],
+    "-inf": [0.0, 0.0, -np.inf],
+    "inf-minus-inf": [np.inf, -np.inf, 0.0],
+    "huge-and-inf": [1e308, 1e308, -np.inf],
+    "huge-and-nan": [1e308, 1e308, np.nan],
+    "wrong-length": [1.0, 2.0],
+    "empty": [],
+    "2-d": [[1.0, 2.0, 3.0]],
+    "column": np.zeros((3, 1)),
+    "0-d": 5.0,
+    "text": ["1", "x", "2"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [None, 3])
+@pytest.mark.parametrize("name", list(VALIDATION_INPUTS))
+def test_as_point_accepts_and_rejects_as_the_reference(name, dim):
+    z = VALIDATION_INPUTS[name]
+    try:
+        expected = _as_point_reference(z, dim)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _as_point(z, dim)
+    else:
+        got = _as_point(z, dim)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+ZOO_IDS = [type(oracle).__name__ for oracle, _ in oracle_zoo(np.random.default_rng(0))]
+
+
+@pytest.mark.parametrize("index", range(len(ZOO_IDS)), ids=ZOO_IDS)
+def test_project_distance_reflect_validate_every_point(index):
+    rng = np.random.default_rng(67)
+    oracle, dim = oracle_zoo(rng)[index]
+    ops = (oracle.project, oracle.distance, oracle.reflect)
+    z = rng.normal(size=dim)
+    bad = [np.where(np.arange(dim) == 1, np.nan, z), np.where(np.arange(dim) == 0, np.inf, z),
+           np.ones(dim + 1), np.ones((1, dim))]
+    for op in ops:
+        for point in bad:
+            with pytest.raises(ValueError):
+                op(point)
+    # a list or an int array means its float64 value
+    zi = rng.integers(-2, 3, size=dim)
+    for op in ops:
+        assert np.array_equal(op(zi.tolist()), op(zi.astype(float)))
+        assert np.array_equal(op(zi), op(zi.astype(float)))
+    # distance and reflect are the norm and the mirror of one projection, bit for bit
+    for _ in range(10):
+        z = rng.normal(size=dim) * 3.0
+        p = oracle.project(z)
+        assert oracle.distance(z) == float(np.linalg.norm(z - p))
+        assert np.array_equal(oracle.reflect(z), 2.0 * p - z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_points_validate_without_warnings():
+    for z in ([1e200, -3e200, 2e200], [1e308, 1e308, 1e308]):
+        assert np.array_equal(_as_point(z, 3), z)
+    rng = np.random.default_rng(71)
+    for oracle, dim in oracle_zoo(rng):
+        # Ellipsoid's dual Newton, the power epigraph's powers and the
+        # eigensolver's input check overflow on their own at this scale.
+        inner = getattr(oracle, "inner", oracle)
+        if isinstance(oracle, (Ellipsoid, PowerEpigraph)) or isinstance(inner, SpectralSet):
+            continue
+        z = rng.normal(size=dim) * 1e200
+        p = oracle.project(z)
+        r = z - p
+        s = np.max(np.abs(r))
+        assert oracle.distance(z) == pytest.approx(s * np.linalg.norm(r / s), rel=1e-15)
+        assert np.array_equal(oracle.reflect(z), 2.0 * p - z)
