@@ -170,40 +170,72 @@ def _ellipsoid_from_ball(B, c, r):
     return Ellipsoid(B.T @ B / slack, center)
 
 
-def _within(sets, A, b):
-    """The sets within L = {A z = b}, and L: exact caps for one row, the
-    sets themselves for none, Dykstra intersections for more."""
+def _subspace(A, b):
+    """L = {A z = b}: a :class:`Hyperplane` for one row, so a cap can cut by it."""
     A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    if A.shape[0] == 1:
-        L = Hyperplane(A[0], b[0])
-        return [Cap(C, L) for C in sets], L
-    L = AffineSubspace(A, b)
-    return [DykstraIntersection([C, L], hull=L) if A.shape[0] else C for C in sets], L
+    return Hyperplane(A[0], b[0]) if A.shape[0] == 1 else AffineSubspace(A, b)
+
+
+def _within(C, L):
+    """C within L: an exact cap for one row, C itself for none, a Dykstra
+    intersection for more."""
+    if isinstance(L, Hyperplane):
+        return Cap(C, L)
+    return DykstraIntersection([C, L], hull=L) if L.A.shape[0] else C
+
+
+def _ellipsoid_within(e, L):
+    """E & L as an ellipsoid in L's orthonormal coordinates v, z = anchor + B v.
+
+    Substituting z into (z - c)^T Q (z - c) <= 1 and completing the square
+    gives (v - c')^T Q' (v - c') <= slack with Q' = B^T Q B and
+    c' = -Q'^-1 B^T Q (anchor - c). The descriptor is scaled by 1 / slack,
+    which leaves the boundary and its curvature as they are.
+    """
+    B, d = L.basis, L.anchor - e.center
+    Qp = B.T @ e.Q @ B
+    cp = -np.linalg.solve(Qp, B.T @ (e.Q @ d))
+    slack = 1.0 - float(d @ e.Q @ d) + float(cp @ Qp @ cp)
+    if slack <= 0.0:
+        raise ValueError("ellipsoid has no interior within the constraints")
+    return EmbeddedOracle(Ellipsoid(Qp / slack, cp), L)
+
+
+def _default_eq_ellipsoids():
+    """(A, b, balls) of the default eq_ellipsoids instance."""
+    A = np.array([[1.0, 1.0, 1.0, 1.0]])
+    b = np.array([2.0])
+    B1 = np.diag([1.0, 1.2, 0.9, 1.1])
+    B2 = np.diag([1.1, 0.95, 1.05, 1.0])
+    balls = [
+        (B1, B1 @ np.array([1.0, 0.5, 0.25, 0.25]), 1.2),
+        (B2, B2 @ np.array([0.0, 0.75, 0.75, 0.5]), 1.3),
+    ]
+    return A, b, balls
 
 
 def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
-    """Two ellipsoids intersected with {A z = b}: exact caps for one row.
+    """Two ellipsoids intersected with L = {A z = b}, each reduced into L.
 
-    The default instance lives in R^4 with one equality constraint and two
+    With at least one row, E & L is itself an ellipsoid in L's orthonormal
+    coordinates (see :func:`_ellipsoid_within`), so X and Y are
+    :class:`~ccrm.sets.EmbeddedOracle` ellipsoids sharing L, each projected
+    by one scalar Newton solve; with none they are the plain ellipsoids.
+    An ellipsoid without interior points in L raises ``ValueError``. The
+    default instance lives in R^4 with one equality constraint and two
     overlapping anisotropic balls whose common relative interior is
     verified by a Dykstra probe at construction; an infeasible probe
     degrades to a warning since the problem may still be usable.
     """
     if A is None:
-        A = np.array([[1.0, 1.0, 1.0, 1.0]])
-        b = np.array([2.0])
-        B1 = np.diag([1.0, 1.2, 0.9, 1.1])
-        B2 = np.diag([1.1, 0.95, 1.05, 1.0])
-        balls = [
-            (B1, B1 @ np.array([1.0, 0.5, 0.25, 0.25]), 1.2),
-            (B2, B2 @ np.array([0.0, 0.75, 0.75, 0.5]), 1.3),
-        ]
+        A, b, balls = _default_eq_ellipsoids()
     if len(balls) != 2:
         raise ValueError("need exactly two ball constraints")
 
     e1 = _ellipsoid_from_ball(*balls[0])
     e2 = _ellipsoid_from_ball(*balls[1])
-    (X, Y), L = _within([e1, e2], A, b)
+    L = _subspace(A, b)
+    X, Y = (_ellipsoid_within(e, L) for e in (e1, e2)) if L.A.shape[0] else (e1, e2)
 
     probe_start = L.project(0.5 * (e1.center + e2.center))
     probe = dykstra_project([e1, e2, L], probe_start, tol=1e-10)
@@ -270,7 +302,8 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
         L = X.affine_hull
     else:
         rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
-        (X,), L = _within([SpectralSet(n, lo=0.0)], rows, b)
+        L = _subspace(rows, b)
+        X = _within(SpectralSet(n, lo=0.0), L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:

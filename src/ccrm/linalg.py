@@ -8,6 +8,8 @@ behind the same tolerance conventions.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ def _as_matrix(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -50,9 +52,12 @@ def symmetric_eigh(S) -> SymEig:
     n, m = S.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {S.shape}")
-    if np.linalg.norm(S - S.T) > 1e-12 * (1.0 + np.linalg.norm(S)):
-        raise ValueError("matrix is not symmetric to 1e-12 relative")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    # An exactly symmetric S is its own symmetric part, bit for bit.
+    if not (S == S.T).all():
+        if np.linalg.norm(S - S.T) > 1e-12 * (1.0 + np.linalg.norm(S)):
+            raise ValueError("matrix is not symmetric to 1e-12 relative")
+        S = 0.5 * (S + S.T)
+    w, V = np.linalg.eigh(S)
     return SymEig(w, V)
 
 
@@ -82,6 +87,18 @@ def least_squares_min_norm(A, b, rtol=RANK_RTOL) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_layout(n: int):
+    """(rows, cols, scale) of the flattened layout of order n: the upper
+    triangle in row-major order, scaled by 1 on the diagonal and sqrt(2)
+    off it. Read-only, as the arrays are shared between calls."""
+    rows, cols = np.triu_indices(n)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for a in (rows, cols, scale):
+        a.setflags(write=False)
+    return rows, cols, scale
+
+
 def sym_to_vec(S) -> np.ndarray:
     """Isometric flattening of a symmetric matrix.
 
@@ -93,10 +110,8 @@ def sym_to_vec(S) -> np.ndarray:
     n, m = S.shape
     if n != m:
         raise ValueError("matrix must be square")
-    iu = np.triu_indices(n)
-    v = S[iu].copy()
-    v[iu[0] != iu[1]] *= np.sqrt(2.0)
-    return v
+    rows, cols, scale = _sym_layout(n)
+    return S[rows, cols] * scale
 
 
 def vec_to_sym(v) -> np.ndarray:
@@ -105,15 +120,12 @@ def vec_to_sym(v) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("expected a 1-d array")
     m = v.shape[0]
-    n = int((np.sqrt(8.0 * m + 1.0) - 1.0) / 2.0 + 0.5)
+    n = (math.isqrt(8 * m + 1) - 1) // 2
     if n * (n + 1) // 2 != m:
         raise ValueError(f"length {m} is not a triangular number")
-    S = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    vals = v.copy()
-    vals[iu[0] != iu[1]] /= np.sqrt(2.0)
-    S[iu] = vals
-    S = S + S.T - np.diag(np.diag(S))
+    rows, cols, scale = _sym_layout(n)
+    S = np.empty((n, n))
+    S[rows, cols] = S[cols, rows] = v / scale
     return S
 
 

@@ -453,8 +453,7 @@ def _project_eigs(v, lo, hi, trace=None):
     if trace is None:
         return np.clip(v, lo, hi)
     n = v.shape[0]
-    bps = np.sort(np.concatenate([v - lo, v - hi]))
-    bps = bps[np.isfinite(bps)]
+    bps = np.sort(np.concatenate([v - b for b in (lo, hi) if math.isfinite(b)]))
     sums = np.clip(v - bps[:, None], lo, hi).sum(axis=1)
     k = int(np.searchsorted(-sums, -trace, side="right"))  # sums[:k] >= trace > sums[k:]
     if k == 0:

@@ -15,6 +15,7 @@ from ccrm.sets import (
     SecondOrderCone,
     SpectralSet,
 )
+from ccrm import catalog
 from ccrm.catalog import make_eq_constrained_ellipsoids, make_sdp_feasibility
 from ccrm.linalg import sym_to_vec
 from ccrm.solvers import FeasibilityProblem
@@ -53,17 +54,33 @@ def oracle_zoo(rng):
     return zoo
 
 
+def eq_ellipsoid_leaves():
+    """(entry, e1, e2, L): the catalog's eq_ellipsoids entry, its two ambient
+    ellipsoids and its hull instance L; the entry's X is e1 & L and its Y
+    is e2 & L."""
+    entry = make_eq_constrained_ellipsoids()
+    _, _, balls = catalog._default_eq_ellipsoids()
+    e1, e2 = (catalog._ellipsoid_from_ball(*ball) for ball in balls)
+    return entry, e1, e2, entry.problem.common_hull
+
+
 def dykstra_eq_ellipsoids():
     """The catalog's eq_ellipsoids problem with X = [e1, L] and Y = [e2, L]
     Dykstra-backed, sharing the hull instance L, and its suggested start."""
-    entry = make_eq_constrained_ellipsoids()
-    X, Y = entry.problem.X, entry.problem.Y
-    L = X.cut
+    entry, e1, e2, L = eq_ellipsoid_leaves()
     problem = FeasibilityProblem(
-        DykstraIntersection([X.inner, L], hull=L),
-        DykstraIntersection([Y.inner, L], hull=L),
+        DykstraIntersection([e1, L], hull=L),
+        DykstraIntersection([e2, L], hull=L),
         common_hull=L,
     )
+    return problem, entry.suggested_z0
+
+
+def cap_eq_ellipsoids():
+    """The catalog's eq_ellipsoids problem with X = Cap(e1, L) and
+    Y = Cap(e2, L), sharing the hull instance L, and its suggested start."""
+    entry, e1, e2, L = eq_ellipsoid_leaves()
+    problem = FeasibilityProblem(Cap(e1, L), Cap(e2, L), common_hull=L)
     return problem, entry.suggested_z0
 
 

@@ -25,7 +25,7 @@ from ccrm.sets import (
 )
 from ccrm.solvers import SolverConfig, run
 
-from helpers import general_sdp
+from helpers import cap_eq_ellipsoids, general_sdp
 
 
 def _catalog(make):
@@ -37,10 +37,11 @@ def _catalog(make):
 
 
 # (name, problem builder, the cap under test); hyperplane caps are the
-# problem's X, ball caps the exact X & Y of intersection_oracle.
+# problem's X, ball caps the exact X & Y of intersection_oracle. The
+# eq_ellipsoids caps are its ambient ellipsoids cut by its hull.
 HYPERPLANE_CAPS = [
     ("socp", _catalog(make_socp)),
-    ("eq_ellipsoids", _catalog(make_eq_constrained_ellipsoids)),
+    ("eq_ellipsoids", cap_eq_ellipsoids),
     ("general_sdp", general_sdp),
 ]
 BALL_CAPS = [
@@ -104,6 +105,21 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
             if s == 0.0:
                 on_cut = max(0.0, np.linalg.norm(x - cut.center) - cut.radius)
         assert on_cut <= 1e-12 * scale, name
+
+
+def test_eq_ellipsoids_embedded_sets_agree_with_their_caps():
+    # The catalog's X and Y are e1 & L and e2 & L reduced into L's
+    # coordinates; the caps of e1 and e2 by L are the same sets.
+    entry = make_eq_constrained_ellipsoids()
+    caps, z0 = cap_eq_ellipsoids()
+    limit = run(entry.problem, SolverConfig(method="ccrm"), z0).final
+    rng = np.random.default_rng(73)
+    near = list(_around(limit, rng, (1e-1, 1e-2, 1e-3, 1e-4), 8))
+    far = [z0 + 1e3 * rng.normal(size=z0.shape[0]) for _ in range(16)]
+    for z in near + far:
+        for cap, embedded in ((caps.X, entry.problem.X), (caps.Y, entry.problem.Y)):
+            gap = np.linalg.norm(cap.project(z) - embedded.project(z))
+            assert gap <= 1e-12 * max(1.0, np.linalg.norm(z))
 
 
 def test_socp_far_start_projects_into_the_cone():
@@ -177,5 +193,5 @@ def test_intersection_oracle_is_exact_where_y_is_a_ball_in_the_hull(monkeypatch)
         entry = make()
         assert isinstance(intersection_oracle(entry.problem), Cap)
         assert intersection_distance(entry.problem, entry.suggested_z0) > 0.0
-    # Y is itself a cap, so X & Y stays with Dykstra
+    # Y is an ellipsoid within the hull, not a ball, so X & Y stays with Dykstra
     assert isinstance(intersection_oracle(make_eq_constrained_ellipsoids().problem), DykstraIntersection)

@@ -119,6 +119,59 @@ def test_sym_vec_round_trip_and_isometry():
         assert np.isclose(v @ sym_to_vec(T), np.sum(S * T))
 
 
+def _sym_to_vec_reference(S):
+    iu = np.triu_indices(S.shape[0])
+    v = S[iu].copy()
+    v[iu[0] != iu[1]] *= np.sqrt(2.0)
+    return v
+
+
+def _vec_to_sym_reference(v):
+    n = int((np.sqrt(8.0 * v.shape[0] + 1.0) - 1.0) / 2.0 + 0.5)
+    S = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    vals = v.copy()
+    vals[iu[0] != iu[1]] /= np.sqrt(2.0)
+    S[iu] = vals
+    return S + S.T - np.diag(np.diag(S))
+
+
+def test_sym_vec_round_trip_is_bitwise_the_triu_reference():
+    # the cached-layout gather and scatter do the reference's arithmetic
+    rng = np.random.default_rng(19)
+    for n in range(1, 7):
+        S = random_symmetric(rng, n)
+        v = sym_to_vec(S)
+        assert np.array_equal(v, _sym_to_vec_reference(S))
+        back = vec_to_sym(v)
+        assert np.array_equal(back, _vec_to_sym_reference(v))
+        assert np.array_equal(back, back.T)
+        assert np.array_equal(sym_to_vec(back), _sym_to_vec_reference(back))
+        assert np.allclose(back, S, rtol=1e-15, atol=0.0)
+
+
+def test_eigh_exact_symmetry_decomposes_s_unchanged():
+    S = random_symmetric(np.random.default_rng(23), 5)
+    eig = symmetric_eigh(S)
+    w, V = np.linalg.eigh(S)
+    assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, V)
+
+
+def test_eigh_symmetrizes_a_1e13_asymmetry():
+    S = random_symmetric(np.random.default_rng(29), 5)
+    S[0, 1] += 1e-13
+    eig = symmetric_eigh(S)
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, V)
+
+
+def test_eigh_rejects_a_1e10_asymmetry():
+    S = random_symmetric(np.random.default_rng(31), 5)
+    S[0, 1] += 1e-10
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigh(S)
+
+
 def test_vec_to_sym_rejects_bad_length():
     with pytest.raises(ValueError):
         vec_to_sym(np.ones(4))
