@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import Ball, BallInAffine, Cap, DykstraIntersection, boundary_eval
+from .sets import Ball, BallInAffine, Cap, DykstraIntersection, _row_norms, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -143,11 +143,11 @@ def trace_reference_distances(trace: SolveTrace, problem: Optional[FeasibilityPr
     if trace.distances_to_reference is not None:
         return trace.distances_to_reference
     if problem is not None and problem.reference_solution is not None:
-        return np.linalg.norm(trace.iterates - problem.reference_solution, axis=1)
+        return _row_norms(trace.iterates - problem.reference_solution)
     if trace.iterates.shape[0] < 5:
         raise ValueError("trace is too short to self-reference")
     ref = trace.final
-    return np.linalg.norm(trace.iterates[:-2] - ref, axis=1)
+    return _row_norms(trace.iterates[:-2] - ref)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,17 @@ def _norm(d) -> float:
     return nd
 
 
+def _row_norms(D) -> np.ndarray:
+    """Euclidean norms of the rows of a finite 2-d array: numpy's, with each
+    row whose sum of squares overflows taken by :func:`_norm`."""
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(D, axis=1)
+    far = ~np.isfinite(out)
+    if far.any():
+        out[far] = [_norm(d) for d in D[far]]
+    return out
+
+
 class SetOracle:
     """Base class: a closed convex set with an exact projection."""
 
@@ -241,8 +252,11 @@ class Ellipsoid(SetOracle):
 
     Projection solves the scalar dual equation sum_i d_i w_i^2 / (1 + lam
     d_i)^2 = 1 (eigenbasis of Q) by Newton with a bisection safeguard;
-    no closed form exists. Newton stops once the duality residual |f(lam)|
-    is at most ``ELLIPSOID_TOL``.
+    no closed form exists. Newton starts at the root's lower bound
+    (sqrt(sum_i d_i w_i^2) - 1) / max_i d_i, from which a far point's root
+    is a few steps away, and stops once the duality residual |f(lam)| is
+    at most ``ELLIPSOID_TOL``. Points far past 1e154 project without
+    overflow.
     """
 
     def __init__(self, Q, center=None):
@@ -255,25 +269,32 @@ class Ellipsoid(SetOracle):
         self.Q = 0.5 * (Q + Q.T)
         self.center = np.zeros(n) if center is None else _as_point(center, n)
         self._d = eig.eigenvalues
+        self._sqrt_d = np.sqrt(self._d)
         self._U = eig.eigenvectors
 
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
         w = self._U.T @ (z - self.center)
-        dw2 = self._d * w * w
-        if float(np.sum(dw2)) <= 1.0:
+        # sqrt(sum_i d_i w_i^2), past the square's overflow too.
+        r = _norm(self._sqrt_d * w)
+        if r <= 1.0:
             return z.copy()
-        lam, lo, hi = 0.0, 0.0, None
+        # 1 + lam d_i <= r there, so f(lam) >= 0. The iterate's point t
+        # and f, f' are formed from w / (1 + lam d), which cannot overflow.
+        lam = lo = (r - 1.0) / float(self._d[-1])
+        hi = None
         for _ in range(200):
             den = 1.0 + lam * self._d
-            f = float(np.sum(dw2 / den**2)) - 1.0
+            t = w / den
+            dt2 = self._d * t * t
+            f = float(np.sum(dt2)) - 1.0
             if abs(f) <= ELLIPSOID_TOL:
                 break
             if f > 0.0:
                 lo = lam
             else:
                 hi = lam
-            fp = -2.0 * float(np.sum(self._d * dw2 / den**3))
+            fp = -2.0 * float(np.sum(self._d * dt2 / den))
             step = lam - f / fp
             if hi is None:
                 lam = step if step > lo else 2.0 * lo + 1.0
@@ -281,7 +302,7 @@ class Ellipsoid(SetOracle):
                 lam = step if lo < step < hi else 0.5 * (lo + hi)
         else:
             raise ConvergenceError("ellipsoid dual Newton did not converge", residual=abs(f))
-        return self.center + self._U @ (w / (1.0 + lam * self._d))
+        return self.center + self._U @ t
 
     def _g(self, z):
         d = _as_point(z, self.dim) - self.center
@@ -441,29 +462,45 @@ class PowerEpigraph(SetOracle):
 
 
 def _project_eigs(v, lo, hi, trace=None):
-    """Projection of v onto {lo <= x_i <= hi, sum x_i = trace}; a clip without a trace.
+    """Projection of ascending v onto {lo <= x_i <= hi, sum x_i = trace}; a clip without a trace.
 
     The projection is clip(v - mu, lo, hi) for the mu at which the clipped
     sum, nonincreasing and piecewise linear in mu with breakpoints at the
     finite v_i - lo and v_i - hi, equals ``trace``: the sums at the sorted
-    breakpoints bracket mu in one linear piece, solved exactly (cf. Condat
-    2016). Past the last breakpoint on an infinite bound's side every
-    entry is free, so the sum has slope -n there.
+    breakpoints bracket mu in one linear piece (cf. Condat 2016), whose
+    slope is minus the count m of entries free on it. Past the last
+    breakpoint on an infinite bound's side every entry is free.
+
+    At any scale of v the result is formed without cancellation. The
+    work is relative to the entry that ends free, or next to the free
+    ones: the top entry with only lo, the bottom one with only hi, and
+    else the one whose descending rank is the count of entries at hi,
+    floor((trace - n lo) / (hi - lo)). Entries far from it end clipped.
+    mu is then solved from the bracket end b nearer to it, mu - b =
+    (sum at b - trace) / m, and clip(v - mu) is formed as clip((v - b) -
+    (mu - b)), so no large mu is ever rounded.
     """
     if trace is None:
         return np.clip(v, lo, hi)
     n = v.shape[0]
-    bps = np.sort(np.concatenate([v - b for b in (lo, hi) if math.isfinite(b)]))
-    sums = np.clip(v - bps[:, None], lo, hi).sum(axis=1)
-    k = int(np.searchsorted(-sums, -trace, side="right"))  # sums[:k] >= trace > sums[k:]
-    if k == 0:
-        mu = bps[0] - (trace - sums[0]) / n if hi == np.inf else bps[0]
-    elif k == bps.shape[0]:
-        mu = bps[-1] + (sums[-1] - trace) / n if lo == -np.inf else bps[-1]
+    if hi == np.inf:
+        rank = 0
+    elif lo == -np.inf or hi == lo:
+        rank = n - 1
     else:
-        b0, b1, s0, s1 = bps[k - 1], bps[k], sums[k - 1], sums[k]
-        mu = b0 + (s0 - trace) * (b1 - b0) / (s0 - s1)
-    return np.clip(v - mu, lo, hi)
+        rank = min(max(int((trace - n * lo) / (hi - lo)), 0), n - 1)
+    u = v - v[n - 1 - rank]
+    bps = np.sort(np.concatenate([u - b for b in (lo, hi) if math.isfinite(b)]))
+    sums = (u - bps[:, None]).clip(lo, hi).sum(axis=1)
+    k = int(np.count_nonzero(sums >= trace))  # sums[:k] >= trace > sums[k:]
+    b0 = bps[k - 1] if k else -np.inf
+    b1 = bps[k] if k < bps.shape[0] else np.inf
+    m = int(np.count_nonzero((u - hi <= b0) & (u - lo >= b1)))
+    if k and (k == bps.shape[0] or sums[k - 1] - trace <= trace - sums[k]):
+        b, s = b0, sums[k - 1]
+    else:
+        b, s = b1, sums[k]
+    return ((u - b) - ((s - trace) / m if m else 0.0)).clip(lo, hi)
 
 
 class SpectralSet(SetOracle):

@@ -18,6 +18,7 @@ import numpy as np
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, UnsupportedOperation
 from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _norm, _power_normal_root
+from .sets import _row_norms
 
 TERMINATION_FEASIBLE = "feasible"
 TERMINATION_MAX_ITER = "max_iter"
@@ -227,7 +228,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     iterates = np.asarray(iterates)
     dist_ref = None
     if problem.reference_solution is not None:
-        dist_ref = np.linalg.norm(iterates - problem.reference_solution, axis=1)
+        dist_ref = _row_norms(iterates - problem.reference_solution)
     return SolveTrace(
         method=config.method,
         iterates=iterates,

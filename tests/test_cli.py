@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,7 +175,7 @@ def test_solve_power_epigraph_overflow_exits_2(tmp_path, capsys):
 
 # The reference distances of run() overflow at such a start; only the
 # circumcenter must not crash.
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "problem, z0",
     [("discs3d", "-3e160,1e160,1e160"), ("socp", "-3e160,1e160,1e160,1e160")],
@@ -182,6 +184,27 @@ def test_solve_crm_from_past_distance_overflow_exits_cleanly(problem, z0, capsys
     code = main(["solve", "--problem", problem, "--method", "crm", f"--z0={z0}"])
     assert code in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_records_finite_reference_distances_past_overflow(tmp_path):
+    # The start's distance to discs3d's reference is about 3.3e160; its
+    # sum of squares overflows. Run as a process under -W error, so any
+    # numpy overflow warning fails it.
+    out = tmp_path / "far.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ccrm.cli", "solve", "--problem", "discs3d",
+         "--method", "crm", "--z0=-3e160,1e160,1e160", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    trace = trace_from_csv(out)
+    z0 = np.array([-3e160, 1e160, 1e160])
+    expected = 1e160 * np.linalg.norm(z0 / 1e160 - make_discs3d().problem.reference_solution / 1e160)
+    assert trace.distances_to_reference[0] == pytest.approx(expected, rel=1e-15)
+    assert np.all(np.isfinite(trace.distances_to_reference))
 
 
 def test_table1_output(tmp_path, capsys):

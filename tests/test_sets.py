@@ -176,6 +176,20 @@ def test_ellipsoid_kkt_alignment():
     assert cosang >= 1.0 - 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", range(0, 151, 10))
+def test_ellipsoid_projects_far_points(k):
+    # Newton from lam = 0 grew lam about 1.5x per step, so this raised
+    # ConvergenceError from k = 40 on.
+    E = Ellipsoid([[1.0, 0.2], [0.2, 0.5]], center=[0.3, -0.2])
+    z = np.array([1.0, -2.0]) * 10.0**k
+    p = E.project(z)
+    assert abs(E._g(p)) <= 1e-12
+    g, r = E.Q @ (p - E.center), (z - p) / 10.0**k
+    assert r @ g >= (1.0 - 1e-12) * np.linalg.norm(r) * np.linalg.norm(g)
+    assert np.linalg.norm(E.project(p) - p) <= 1e-12
+
+
 def test_ellipsoid_requires_spd():
     with pytest.raises(ValueError):
         Ellipsoid(np.diag([1.0, 0.0]))
@@ -398,6 +412,33 @@ def test_eigenvalue_projection_edge_cases():
     assert np.array_equal(_project_eigs(v, 0.0, 1.0), [0.0, 1.0, 0.0, 1.0])
     assert np.allclose(_project_eigs(v, 0.0, 0.5, 2.0), 0.5, atol=1e-15)
     assert np.allclose(_project_eigs(v, 0.25, 1.0, 1.0), 0.25, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        SpectralSet(3, lo=0.0, trace=1.0),
+        SpectralSet(4, hi=0.5, trace=1.0),
+        SpectralSet(4, lo=-0.2, hi=0.6, trace=1.0),
+    ],
+    ids=["lo", "hi", "lo-hi"],
+)
+def test_traced_spectral_set_at_every_scale(X):
+    # The trace solve used to cancel: SpectralSet(3, lo=0, trace=1) mapped
+    # normal(size=6) * 1e17 to the zero matrix, and the hi-only set failed
+    # from 1e16 on, where its free eigenvalues sit at the bottom.
+    tol = 1e-12 * (1.0 + abs(X.trace))
+    for k in range(0, 151, 5):
+        for seed in range(3):
+            z = np.random.default_rng(seed).normal(size=X.dim) * 10.0**k
+            try:
+                p = X.project(z)
+            except (ConvergenceError, RegularityError):
+                continue
+            w = np.linalg.eigvalsh(vec_to_sym(p))
+            assert w[0] >= X.lo - tol and w[-1] <= X.hi + tol, (k, seed)
+            assert abs(w.sum() - X.trace) <= tol, (k, seed)
+            assert np.linalg.norm(X.project(p) - p) <= 1e-12, (k, seed)
 
 
 def test_spectral_set_validation():

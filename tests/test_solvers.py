@@ -28,7 +28,7 @@ from ccrm.solvers import (
     run,
 )
 
-from helpers import dykstra_eq_ellipsoids, sample_lens_point
+from helpers import sample_lens_point
 
 
 def complementary_halfplanes():
@@ -149,13 +149,15 @@ def test_run_stagnation_at_precision_floor():
 
 
 def test_ccrm_feasible_centralized_point_is_taken():
-    # With X and Y Dykstra-backed, from these starts the first centralized
-    # point already lies in both sets; its reflections sit within ~1e-13 of
-    # it and the circumcenter system is inconsistent. The step returns z_C
-    # instead of stagnating.
-    problem, suggested_z0 = dykstra_eq_ellipsoids()
-    noise = np.random.default_rng(0).normal(size=(400, problem.dim))
-    for i in (234, 261, 312, 343, 348):
+    # On eq_ellipsoids, from these starts the first centralized point
+    # already lies in both sets; its reflections sit within ~1e-12 of it
+    # and the circumcenter system is inconsistent. The step returns z_C
+    # instead of stagnating. (The starts depend on rounding: a search over
+    # the 4000 rows finds them.)
+    entry = make_eq_constrained_ellipsoids()
+    problem, suggested_z0 = entry.problem, entry.suggested_z0
+    noise = np.random.default_rng(0).normal(size=(4000, problem.dim))
+    for i in (292, 2092, 3467, 3555, 3652):
         z0 = suggested_z0 + 0.3 * noise[i]
         with pytest.raises(GeometryError):
             ccrm_step(problem, z0)
