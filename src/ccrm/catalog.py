@@ -176,14 +176,6 @@ def _subspace(A, b):
     return Hyperplane(A[0], b[0]) if A.shape[0] == 1 else AffineSubspace(A, b)
 
 
-def _within(C, L):
-    """C within L: an exact cap for one row, C itself for none, a Dykstra
-    intersection for more."""
-    if isinstance(L, Hyperplane):
-        return Cap(C, L)
-    return DykstraIntersection([C, L], hull=L) if L.A.shape[0] else C
-
-
 def _ellipsoid_within(e, L):
     """E & L as an ellipsoid in L's orthonormal coordinates v, z = anchor + B v.
 
@@ -303,7 +295,8 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
     else:
         rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
         L = _subspace(rows, b)
-        X = _within(SpectralSet(n, lo=0.0), L)
+        cone = SpectralSet(n, lo=0.0)
+        X = Cap(cone, L) if isinstance(L, Hyperplane) else DykstraIntersection([cone, L], hull=L)
     Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:

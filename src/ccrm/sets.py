@@ -262,8 +262,8 @@ class Ellipsoid(SetOracle):
     def __init__(self, Q, center=None):
         Q = np.asarray(Q, dtype=float)
         eig = symmetric_eigh(Q)
-        if eig.eigenvalues[0] <= 0.0:
-            raise ValueError("shape matrix must be positive definite")
+        if not eig.eigenvalues.size or eig.eigenvalues[0] <= 0.0:
+            raise ValueError("shape matrix must be nonempty and positive definite")
         n = Q.shape[0]
         super().__init__(n)
         self.Q = 0.5 * (Q + Q.T)

@@ -226,6 +226,16 @@ def test_fixed_trace_feasible_target_one_step():
     assert trace.iterates.shape[0] == 1
 
 
+def test_eq_ellipsoids_reduction_rejects_degenerate_sets():
+    balls = [(np.eye(2), np.zeros(2), 1.0), (np.eye(2), np.array([0.5, 0.0]), 1.0)]
+    # a constraint line that misses the first disc's interior
+    with pytest.raises(ValueError):
+        make_eq_constrained_ellipsoids(np.array([[1.0, 0.0]]), np.array([1.0]), balls)
+    # two rows leave a single point, with no room for an ellipsoid
+    with pytest.raises(ValueError):
+        make_eq_constrained_ellipsoids(np.eye(2), np.array([0.1, 0.0]), balls)
+
+
 def test_eq_ellipsoids_without_constraints():
     # zero-row equality block: the problem lives in the full space
     A = np.zeros((0, 3))

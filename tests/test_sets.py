@@ -193,6 +193,8 @@ def test_ellipsoid_projects_far_points(k):
 def test_ellipsoid_requires_spd():
     with pytest.raises(ValueError):
         Ellipsoid(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        Ellipsoid(np.zeros((0, 0)))
 
 
 # --- second-order cone ----------------------------------------------------
