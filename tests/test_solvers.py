@@ -150,7 +150,7 @@ def test_run_stagnation_at_precision_floor():
 
 def test_ccrm_feasible_centralized_point_is_taken():
     # On eq_ellipsoids, from these starts the first centralized point
-    # already lies in both sets; its reflections sit within ~1e-12 of it
+    # already lies in both sets; its projections sit within ~1e-16 of it
     # and the circumcenter system is inconsistent. The step returns z_C
     # instead of stagnating. (The starts depend on rounding: a search over
     # the 4000 rows finds them.)
