@@ -16,7 +16,17 @@ import numpy as np
 
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import Ball, BallInAffine, Cap, DykstraIntersection, _row_norms, boundary_eval
+from .sets import (
+    Ball,
+    BallInAffine,
+    Cap,
+    DykstraIntersection,
+    Halfspace,
+    Hyperplane,
+    _norm,
+    _row_norms,
+    boundary_eval,
+)
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -248,12 +258,15 @@ def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport
 def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
-    When Y is a ball within X's affine hull, X & Y = X & B(in-plane
-    center, in-plane radius), an exact :class:`~ccrm.sets.Cap` of X
-    (discs3d, socp, sdp, fixed_trace). Otherwise it is Dykstra at
-    ``INTERSECTION_TOL``, cycling once over the leaf sets of X and Y.
+    It is an exact :class:`~ccrm.sets.Cap` of X wherever one applies: by Y
+    itself when Y is a ``Hyperplane``, ``Halfspace`` or ``Ball`` (epigraph),
+    and by B(in-plane center, in-plane radius) when Y is a ball within X's
+    affine hull (discs3d, socp, sdp, fixed_trace). Otherwise it is Dykstra
+    at ``INTERSECTION_TOL``, cycling once over the leaf sets of X and Y.
     """
     X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
+    if type(Y) in (Hyperplane, Halfspace, Ball):
+        return Cap(X, Y)
     if isinstance(Y, BallInAffine) and hull is not None and (hull is Y.subspace or (
         np.array_equal(hull.A, Y.subspace.A) and np.array_equal(hull.b, Y.subspace.b)
     )):
@@ -284,9 +297,14 @@ def estimate_omega(
     Samples points uniformly on spheres of the given radii around z_bar
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
     over samples whose intersection distance exceeds ``exclude_tol``.
-    Deterministic under the seed.
+    Deterministic under the seed. The intersection oracle is built once;
+    each sample projects onto X once, and a cap of X reuses that
+    projection as its s = 0 residual.
     """
     z_bar = np.asarray(z_bar, dtype=float)
+    X, Y = problem.X, problem.Y
+    oracle = intersection_oracle(problem) if projector is None else None
+    cap = oracle if isinstance(oracle, Cap) else None
     rng = np.random.default_rng(seed)
     best = np.inf
     for rho in radii:
@@ -294,10 +312,16 @@ def estimate_omega(
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         for s in directions:
             z = z_bar + rho * s
-            di = intersection_distance(problem, z, projector=projector)
+            px = X.project(z)
+            if projector is not None:
+                di = float(np.linalg.norm(z - projector(z)))
+            elif cap is not None:
+                di = _norm(cap.project_dual(z, inner_z=px)[0] - z)
+            else:
+                di = oracle.distance(z)
             if di <= exclude_tol:
                 continue
-            ratio = problem.max_distance(z) / di
+            ratio = max(_norm(px - z), Y.distance(z)) / di
             best = min(best, ratio)
     if not np.isfinite(best):
         raise ValueError("all samples were inside the intersection; cannot estimate")
@@ -346,9 +370,8 @@ def quad_constant_check(
     if kappa_x is None or kappa_y is None or omega is None:
         raise ValueError("kappa_x, kappa_y, and omega must be provided or known")
 
-    dists = np.array(
-        [intersection_distance(problem, z, projector=projector) for z in trace.iterates]
-    )
+    project = intersection_oracle(problem).project if projector is None else projector
+    dists = np.array([_norm(project(z) - z) for z in trace.iterates])
     limit = trace.iterates[-1]
     report = rate_report(dists, scale=1.0 + float(np.linalg.norm(limit)))
     if report.classification != RATE_QUADRATIC:

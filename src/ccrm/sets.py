@@ -701,23 +701,37 @@ class IsometricImage(SetOracle):
 
 
 class Cap(SetOracle):
-    """``inner`` cut by a :class:`Hyperplane` {<a, x> = b} or a :class:`Ball` B(c, r).
+    """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
+    {<a, x> <= b} or a :class:`Ball` B(c, r).
 
     The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - mu a),
     or P_inner((1 - t) z + t c) with t in [0, 1], at the root of <a, x> - b,
     or ||x - c|| - r, nonincreasing in the dual value s = mu or t. A
-    bracketed regula falsi (Illinois type, Anderson-Bjorck weights) finds
-    it to double precision. The cut must meet the relative interior of
-    ``inner``: an empty or tangent cut, or an exhausted ``CAP_MAX_ITER``
-    budget, raises ``ConvergenceError``. The boundary descriptor is the
-    inner set's; the affine hull is the hyperplane, or the inner set's hull.
+    halfspace cut keeps P_inner(z) when that satisfies it; otherwise the
+    cut is active at P(z) by convexity, so P(z) is the hyperplane cap of
+    its boundary. A bracketed regula falsi (Illinois type, Anderson-Bjorck
+    weights) finds the root. It stops once the residual is at the rounding
+    level of its own evaluation, or the next step moves the shifted point
+    by less than its rounding. Where P_inner is constant over a range of s
+    (a cone's apex, say) the residual repeats exactly; while an end of the
+    bracket lies there, the step is the secant through the other side's
+    last two points, or else a bisection. The cut must meet the relative
+    interior of ``inner``: an empty or tangent cut, or an exhausted
+    ``CAP_MAX_ITER`` budget, raises ``ConvergenceError``. The boundary
+    descriptor is the inner set's; the affine hull is the hyperplane, or
+    the inner set's hull.
     """
 
     def __init__(self, inner: SetOracle, cut):
-        if not isinstance(cut, (Hyperplane, Ball)) or cut.dim != inner.dim:
-            raise ValueError("a cap's cut is a Hyperplane or a Ball of the inner set's dimension")
+        if not isinstance(cut, (Hyperplane, Halfspace, Ball)) or cut.dim != inner.dim:
+            raise ValueError("a cap's cut is a Hyperplane, Halfspace or Ball of the inner set's dimension")
         super().__init__(inner.dim)
         self.inner, self.cut = inner, cut
+        self._ball = isinstance(cut, Ball)
+        if self._ball:
+            self._c_norm = _norm(cut.center)
+        else:
+            self._a_norm, self._a_sq = _norm(cut.normal), float(cut.normal @ cut.normal)
 
     @property
     def affine_hull(self):
@@ -727,58 +741,106 @@ class Cap(SetOracle):
     _grad = property(lambda self: self.inner._grad)
     _hess = property(lambda self: self.inner._hess)
 
-    def _residual(self, z, s):
+    def _residual(self, z, s, x=None):
+        """(f, x) at the dual value s; ``x``, when given, is P_inner there."""
         cut = self.cut
-        if isinstance(cut, Ball):
-            x = self.inner.project((1.0 - s) * z + s * cut.center)
+        if self._ball:
+            if x is None:
+                x = self.inner.project((1.0 - s) * z + s * cut.center)
             return _norm(x - cut.center) - cut.radius, x
-        x = self.inner.project(z - s * cut.normal)
-        if abs(s) * _norm(cut.normal) > CAP_TANGENT_RATIO * _norm(z - x):
-            raise ConvergenceError("hyperplane cut is tangent to the set or misses it")
+        if x is None:
+            x = self.inner.project(z - s * cut.normal)
         return float(cut.normal @ x) - cut.offset, x
+
+    def _settled(self, f, x, tol):
+        """|f| is within ``tol``, the rounding level of the shifted point,
+        and within the rounding of its own evaluation at x, which can be
+        far smaller (a far point's projection onto a bounded set)."""
+        if abs(f) > tol:
+            return False
+        cut = self.cut
+        if self._ball:  # ||x|| <= ||x - c|| + ||c|| = f + r + ||c||
+            return abs(f) <= 4.0 * EPS * (2.0 * (cut.radius + self._c_norm) + f)
+        return abs(f) <= 4.0 * EPS * (abs(cut.offset) + self._a_norm * _norm(x))
+
+    def _check_tangent(self, z, s, x):
+        # The cut's multiplier (mu, or t / (1 - t)) times its gradient norm,
+        # against the displacement it causes.
+        limit = CAP_TANGENT_RATIO * _norm(z - x)
+        if self._ball and s * self.cut.radius > (1.0 - s) * limit:
+            raise ConvergenceError("ball cut is tangent to the set or misses it")
+        if not self._ball and abs(s) * self._a_norm > limit:
+            raise ConvergenceError("hyperplane cut is tangent to the set or misses it")
 
     def project(self, z) -> np.ndarray:
         return self.project_dual(z)[0]
 
-    def project_dual(self, z):
-        """(P(z), s): the projection and its dual value."""
+    def project_dual(self, z, inner_z=None):
+        """(P(z), s): the projection and its dual value. ``inner_z``, when
+        given, must be P_inner(z); it serves as the s = 0 residual's point."""
         z = _as_point(z, self.dim)
-        cut, ball = self.cut, isinstance(self.cut, Ball)
+        cut, ball = self.cut, self._ball
         nz = _norm(z)
-        scale = cut.radius + _norm(cut.center) + nz if ball else abs(cut.offset) + _norm(cut.normal) * nz
+        scale = cut.radius + self._c_norm + nz if ball else abs(cut.offset) + self._a_norm * nz
         tol = 4.0 * EPS * scale
-        fa, xb = self._residual(z, 0.0)
-        if (fa if ball else abs(fa)) <= tol:
+        fa, xb = self._residual(z, 0.0, inner_z)
+        if (fa <= 0.0 and not isinstance(cut, Hyperplane)) or self._settled(fa, xb, tol):
             return xb, 0.0
         # P_inner is nonexpansive, so the root lies past the uncut case's
         # root. The search starts there and, until the root is bracketed,
-        # steps to the secant's extrapolation, kept 2 to 16 times as far.
-        a, b = 0.0, fa / (_norm(z - cut.center) if ball else float(cut.normal @ cut.normal))
+        # steps 5% past the secant's root, at most 16 times as far. A step
+        # under ``ulp`` moves the shifted point by less than its rounding.
+        if ball:
+            dz = _norm(z - cut.center)
+            b, ulp = fa / dz, 4.0 * EPS * (nz + self._c_norm) / dz
+        else:
+            # |<a, z - x>| <= ||a|| ||z - x|| screens the tangent test.
+            gz = float(cut.normal @ z) - cut.offset
+            b, ulp = fa / self._a_sq, 4.0 * EPS * nz / self._a_norm
+        a, flat = 0.0, None
+        seen = ([], [])  # the points (s, f) on each side, by f > 0
+        seen[fa > 0.0].append((0.0, fa))
         for _ in range(CAP_MAX_ITER):
             b = min(b, 1.0) if ball else b
             fb, xb = self._residual(z, b)
-            if ball and b == 1.0 and fb >= -tol:
+            seen[fb > 0.0].append((b, fb))
+            if not ball and abs(b) * self._a_sq > CAP_TANGENT_RATIO * abs(gz - fb):
+                self._check_tangent(z, b, xb)  # mu grows without bound toward a tangent cut
+            if ball and b == 1.0 and (fb >= 0.0 or self._settled(fb, xb, tol)):
                 raise ConvergenceError("ball cut is tangent to the set or misses it")
-            if (fb > 0.0) != (fa > 0.0) or abs(fb) <= tol:
+            if (fb > 0.0) != (fa > 0.0) or self._settled(fb, xb, tol):
                 break
-            grow = fb / (fa - fb) * (1.0 - a / b) if fa != fb else np.inf
-            a, fa, b = b, fb, b * (1.0 + min(max(grow, 1.0), 15.0))
+            flat = fb if fb == fa else flat
+            grow = fb / (fa - fb) * (1.0 - a / b) if abs(fb) < abs(fa) else np.inf
+            a, fa, b = b, fb, b * (1.0 + min(1.05 * grow, 15.0))
         for _ in range(CAP_MAX_ITER):
-            if abs(fb) <= tol:
-                return xb, b
-            if (fa > 0.0) == (fb > 0.0):
+            if self._settled(fb, xb, tol):
                 break
-            s = b - fb * (b - a) / (fb - fa)
-            if not min(a, b) < s < max(a, b):  # the bracket is down to rounding
-                return xb, b
+            if (fa > 0.0) == (fb > 0.0):
+                raise ConvergenceError("cap dual root not bracketed", residual=abs(fb))
+            s, close = b - fb * (b - a) / (fb - fa), ulp + 4.0 * EPS * abs(b)
+            if flat is not None and flat in (fb, seen[fa > 0.0][-1][1]):
+                # The secant through a flat end creeps; a's side's last point is a.
+                other, s = seen[flat < 0.0][-2:], 0.5 * (a + b)
+                if len(other) == 2 and other[0][1] != other[1][1]:
+                    (s1, f1), (s2, f2) = other
+                    t = s2 - f2 * (s2 - s1) / (f2 - f1)
+                    s = t if min(a, b) < t < max(a, b) or abs(t - b) <= close else s
+            if abs(s - b) <= close or not min(a, b) < s < max(a, b):
+                break
             fs, xs = self._residual(z, s)
+            seen[fs > 0.0].append((s, fs))
+            flat = fs if fs == fb else flat
             if (fs > 0.0) != (fb > 0.0):
                 a, fa = b, fb
             else:
                 m = 1.0 - fs / fb
                 fa *= m if m > 0.0 else 0.5
             b, fb, xb = s, fs, xs
-        raise ConvergenceError("cap dual root not bracketed or not converged", residual=abs(fb))
+        else:
+            raise ConvergenceError("cap dual root not converged", residual=abs(fb))
+        self._check_tangent(z, b, xb)
+        return xb, b
 
 
 def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> np.ndarray:
