@@ -255,8 +255,10 @@ class Ellipsoid(SetOracle):
     no closed form exists. Newton starts at the root's lower bound
     (sqrt(sum_i d_i w_i^2) - 1) / max_i d_i, from which a far point's root
     is a few steps away, and stops once the duality residual |f(lam)| is
-    at most ``ELLIPSOID_TOL``. Points far past 1e154 project without
-    overflow.
+    at most ``ELLIPSOID_TOL``. A last step then aims about n * EPS inside
+    in f, deeper until the point passes the membership test that opens
+    ``project``, so every output projects to itself. Points far past
+    1e154 project without overflow.
     """
 
     def __init__(self, Q, center=None):
@@ -272,11 +274,14 @@ class Ellipsoid(SetOracle):
         self._sqrt_d = np.sqrt(self._d)
         self._U = eig.eigenvectors
 
+    def _radius(self, z):
+        # sqrt(sum_i d_i w_i^2) with w = U^T (z - c), past the square's overflow too.
+        w = self._U.T @ (z - self.center)
+        return _norm(self._sqrt_d * w), w
+
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
-        w = self._U.T @ (z - self.center)
-        # sqrt(sum_i d_i w_i^2), past the square's overflow too.
-        r = _norm(self._sqrt_d * w)
+        r, w = self._radius(z)
         if r <= 1.0:
             return z.copy()
         # 1 + lam d_i <= r there, so f(lam) >= 0. The iterate's point t
@@ -286,23 +291,29 @@ class Ellipsoid(SetOracle):
         for _ in range(200):
             den = 1.0 + lam * self._d
             t = w / den
-            dt2 = self._d * t * t
-            f = float(np.sum(dt2)) - 1.0
+            dt = self._d * t
+            f = float(dt @ t) - 1.0
+            slope = 2.0 * float(dt @ (dt / den))  # -f'(lam)
             if abs(f) <= ELLIPSOID_TOL:
+                # Newton nears the root from f > 0, just outside the set. The
+                # last step aims inside, twice as deep on each retry, until the
+                # point passes the membership test that opens this method.
+                for k in range(60):
+                    t = w / (1.0 + (lam + (f + self.dim * EPS * 2.0**k) / slope) * self._d)
+                    x = self.center + self._U @ t
+                    if self._radius(x)[0] <= 1.0:
+                        return x
                 break
             if f > 0.0:
                 lo = lam
             else:
                 hi = lam
-            fp = -2.0 * float(np.sum(self._d * dt2 / den))
-            step = lam - f / fp
+            step = lam + f / slope
             if hi is None:
                 lam = step if step > lo else 2.0 * lo + 1.0
             else:
                 lam = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            raise ConvergenceError("ellipsoid dual Newton did not converge", residual=abs(f))
-        return self.center + self._U @ t
+        raise ConvergenceError("ellipsoid dual Newton did not converge", residual=abs(f))
 
     def _g(self, z):
         d = _as_point(z, self.dim) - self.center

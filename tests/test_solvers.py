@@ -4,7 +4,6 @@ import pytest
 from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
-    make_eq_constrained_ellipsoids,
     make_fixed_trace,
     make_sdp_feasibility,
     make_socp,
@@ -148,29 +147,43 @@ def test_run_stagnation_at_precision_floor():
     assert trace.iterates[-1][0] <= 1e-7
 
 
+class ShiftedOracle(SetOracle):
+    """``inner``'s projection moved by a fixed offset: a stand-in for an
+    oracle whose output lies within rounding of the set."""
+
+    def __init__(self, inner, offset):
+        super().__init__(inner.dim)
+        self.inner, self.offset = inner, np.asarray(offset, dtype=float)
+
+    def project(self, z):
+        return self.inner.project(z) + self.offset
+
+
 def test_ccrm_feasible_centralized_point_is_taken():
-    # On eq_ellipsoids, from these starts the first centralized point
-    # already lies in both sets; its projections sit within ~1e-16 of it
-    # and the circumcenter system is inconsistent. The step returns z_C
-    # instead of stagnating. (The starts depend on rounding: a search over
-    # the 4000 rows finds them.)
-    entry = make_eq_constrained_ellipsoids()
-    problem, suggested_z0 = entry.problem, entry.suggested_z0
-    noise = np.random.default_rng(0).normal(size=(4000, problem.dim))
-    for i in (292, 2092, 3467, 3555, 3652):
-        z0 = suggested_z0 + 0.3 * noise[i]
-        with pytest.raises(GeometryError):
-            ccrm_step(problem, z0)
-        trace = run(problem, SolverConfig(method="ccrm"), z0)
-        assert trace.termination == TERMINATION_FEASIBLE, i
-        assert trace.n_steps == 1
-        assert trace.circum_statuses == [STATUS_CENTRALIZED_FEASIBLE]
-        assert np.array_equal(trace.final, trace.centralized_points[0])
-        # at a feasibility tolerance the point cannot meet, it still stagnates
-        floor = run(problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
-        assert floor.termination == TERMINATION_STAGNATION
-        assert floor.n_steps == 0
-        assert "inconsistent" in floor.termination_detail
+    # The first centralized point z_C = (-eps/2, 0) lies within eps of both
+    # sets, and its reflections (3 eps/2, 0) and (-5 eps/2, 0) are collinear
+    # with it, so the circumcenter system is inconsistent. The step returns
+    # z_C instead of stagnating. (Exact projections no longer reach this
+    # from the eq_ellipsoids starts that found it by rounding.)
+    eps = 1e-14
+    problem = FeasibilityProblem(
+        ShiftedOracle(Halfspace([0.0, 1.0], 0.0), [eps, 0.0]),
+        ShiftedOracle(Halfspace([1.0, 0.0], 0.0), [-eps, 0.0]),
+    )
+    z0 = np.array([2.0, 3.0])
+    with pytest.raises(GeometryError):
+        ccrm_step(problem, z0)
+    trace = run(problem, SolverConfig(method="ccrm"), z0)
+    assert trace.termination == TERMINATION_FEASIBLE
+    assert trace.n_steps == 1
+    assert trace.circum_statuses == [STATUS_CENTRALIZED_FEASIBLE]
+    assert np.array_equal(trace.final, trace.centralized_points[0])
+    assert np.array_equal(trace.final, [-0.5 * eps, 0.0])
+    # at a feasibility tolerance the point cannot meet, it still stagnates
+    floor = run(problem, SolverConfig(method="ccrm", tol_feas=1e-300), z0)
+    assert floor.termination == TERMINATION_STAGNATION
+    assert floor.n_steps == 0
+    assert "inconsistent" in floor.termination_detail
 
 
 def test_run_records_internals():
