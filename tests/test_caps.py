@@ -1,5 +1,7 @@
 """The exact cap oracle: a set cut by one hyperplane or one ball."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import ccrm.sets
 
 from ccrm.catalog import (
     make_discs3d,
+    make_epigraph,
     make_eq_constrained_ellipsoids,
     make_fixed_trace,
     make_sdp_feasibility,
@@ -19,11 +22,12 @@ from ccrm.sets import (
     Cap,
     DykstraIntersection,
     Ellipsoid,
+    Halfspace,
     Hyperplane,
     SecondOrderCone,
     dykstra_project,
 )
-from ccrm.solvers import SolverConfig, run
+from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
 from helpers import cap_eq_ellipsoids, general_sdp
 
@@ -195,3 +199,97 @@ def test_intersection_oracle_is_exact_where_y_is_a_ball_in_the_hull(monkeypatch)
         assert intersection_distance(entry.problem, entry.suggested_z0) > 0.0
     # Y is an ellipsoid within the hull, not a ball, so X & Y stays with Dykstra
     assert isinstance(intersection_oracle(make_eq_constrained_ellipsoids().problem), DykstraIntersection)
+
+
+def test_intersection_oracle_cuts_x_by_a_hyperplane_halfspace_or_ball_y(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dykstra ran")
+
+    monkeypatch.setattr(ccrm.sets, "dykstra_project", refuse)
+    for variant in ("halfplane", "line"):
+        entry = make_epigraph(2.0, 1.0, variant)
+        oracle = intersection_oracle(entry.problem)
+        assert isinstance(oracle, Cap)
+        assert oracle.inner is entry.problem.X and oracle.cut is entry.problem.Y
+        assert intersection_distance(entry.problem, entry.suggested_z0) > 0.0
+    for Y in (Ball([2.5, 0.0], 1.0), Halfspace([1.0, 0.0], 1.5), Hyperplane([1.0, 0.0], 1.5)):
+        problem = FeasibilityProblem(Ball([0.0, 0.0], 2.0), Y)
+        oracle = intersection_oracle(problem)
+        assert isinstance(oracle, Cap) and oracle.cut is Y
+        assert intersection_distance(problem, [3.0, 1.0]) > 0.0
+
+
+def _lens_projection(z):
+    """Closed-form projection onto {||x|| <= 1, x_1 <= -0.2}: the first
+    of z, the disc's and the line's projection that lies in both sets,
+    else the corner on z's side."""
+    corner = math.sqrt(1.0 - 0.2**2)
+    if np.linalg.norm(z) <= 1.0 and z[0] <= -0.2:
+        return z
+    on_disc = z / max(1.0, np.linalg.norm(z))
+    if on_disc[0] <= -0.2:
+        return on_disc
+    if abs(z[1]) <= corner:
+        return np.array([-0.2, z[1]])
+    return np.array([-0.2, math.copysign(corner, z[1])])
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_halfspace_cap_is_the_lens_projection_at_every_scale(k):
+    # Dykstra over the disc and the halfplane, at tol 1e-13, returns
+    # (-0.2, 0.9578) for [3e15, 1e16]; the projection is the corner
+    # (-0.2, 0.9798). The residual's own rounding at x, not the far
+    # point's, decides where the cap stops.
+    cap = Cap(Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2))
+    assert cap.affine_hull is None
+    points = 10.0**k * np.random.default_rng(74 + k).normal(size=(50, 2))
+    for z in np.vstack([points, [[3e15, 1e16]]]):
+        assert np.linalg.norm(cap.project(z) - _lens_projection(z)) <= 1e-13
+
+
+def test_halfspace_cap_keeps_an_inner_projection_that_meets_the_cut():
+    cap = Cap(Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2))
+    x, s = cap.project_dual(np.array([-3.0, 0.5]))
+    assert s == 0.0 and np.array_equal(x, Ball([0.0, 0.0], 1.0).project([-3.0, 0.5]))
+
+
+def test_cap_takes_the_inner_projection_it_is_given():
+    # project_dual(z, inner_z=P_inner(z)) is project_dual(z), bitwise, and
+    # makes one inner projection fewer.
+    entry = make_socp()
+    cap = intersection_oracle(entry.problem)
+    limit = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    calls = []
+    inner_project = cap.inner.project
+    cap.inner.project = lambda z: calls.append(1) or inner_project(z)
+    for z in _around(limit, np.random.default_rng(75), (1e-1, 1e-3), 8):
+        del calls[:]
+        x, s = cap.project_dual(z)
+        plain = len(calls)
+        px = inner_project(z)
+        del calls[:]
+        x_given, s_given = cap.project_dual(z, inner_z=px)
+        assert np.array_equal(x, x_given) and s == s_given
+        assert len(calls) == plain - 1
+
+
+def test_socp_far_points_take_a_bounded_number_of_cone_projections():
+    # Far from the apex P_SOC returns 0 over a range of the dual value, so
+    # the residual repeats exactly (-1.5) there. The regula falsi crept in
+    # from that flat side: up to 39 cone projections for one X projection.
+    entry = make_socp()
+    X = entry.problem.X
+    cone_project, counts = X.inner.project, []
+    X.inner.project = lambda z: counts.append(1) or cone_project(z)
+    rng = np.random.default_rng(2)
+    per_call = []
+    for _ in range(200):
+        z = entry.suggested_z0 + 1e3 * rng.normal(size=4)
+        del counts[:]
+        x = X.project(z)
+        per_call.append(len(counts))
+        scale = np.linalg.norm(z)
+        assert np.linalg.norm(x[1:]) - x[0] <= 1e-12 * scale
+        assert abs(x[1:].sum() - 1.5) <= 1e-12 * scale
+    assert max(per_call) <= 20
+    assert np.median(per_call) <= 7

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
     make_eq_constrained_ellipsoids,
+    make_fixed_trace,
+    make_sdp_feasibility,
     make_socp,
 )
 from ccrm.diagnostics import (
@@ -21,7 +25,7 @@ from ccrm.diagnostics import (
     tangent_bound_check,
     trace_reference_distances,
 )
-from ccrm.errors import RegularityError
+from ccrm.errors import ConvergenceError, RegularityError
 from ccrm.sets import (
     AffineSubspace,
     Ball,
@@ -255,6 +259,46 @@ def test_estimate_omega_disc_problem_in_unit_interval():
     # the geometric constant at the lens corner is cos(phi/2) = 1/4, so the
     # sampled minimum lands well below one
     assert omega <= 0.9
+
+
+@pytest.mark.parametrize(
+    "make", [make_discs3d, make_socp, make_sdp_feasibility, make_fixed_trace],
+    ids=["discs3d", "socp", "sdp", "fixed_trace"],
+)
+def test_estimate_omega_reuses_each_samples_x_projection(make):
+    # One X projection per sample serves dist(z, X) and the cap's s = 0
+    # residual; omega equals max_distance / intersection_distance bitwise.
+    entry = make()
+    problem = entry.problem
+    z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    radii, per_radius = (1e-1, 1e-2, 1e-3, 1e-4), 5
+    x_project, calls = problem.X.project, []
+    problem.X.project = lambda z: calls.append(1) or x_project(z)
+    omega = estimate_omega(problem, z_bar, radii=radii, samples_per_radius=per_radius, seed=3)
+    reused = len(calls)
+    del calls[:]
+    rng, best, kept = np.random.default_rng(3), np.inf, 0
+    for rho in radii:
+        directions = rng.normal(size=(per_radius, problem.dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        for s in directions:
+            z = z_bar + rho * s
+            di = intersection_distance(problem, z)
+            if di > 1e-12:
+                best, kept = min(best, problem.max_distance(z) / di), kept + 1
+    assert omega == best
+    assert reused == len(calls) - kept
+
+
+def test_estimate_omega_raises_fast_on_a_tangent_intersection():
+    # The epigraph of x^2 touches {y <= 0} at the origin only. Dykstra
+    # spent its 100 000 cycles (2.7 s) on the first sample; the cap's
+    # hyperplane tangent test stops it within a few dual steps.
+    entry = make_epigraph(2.0, 0.0)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="tangent"):
+        estimate_omega(entry.problem, entry.problem.reference_solution, samples_per_radius=4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_estimate_omega_all_samples_excluded():

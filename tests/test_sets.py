@@ -190,6 +190,18 @@ def test_ellipsoid_projects_far_points(k):
     assert np.linalg.norm(E.project(p) - p) <= 1e-12
 
 
+def test_ellipsoid_outputs_project_to_themselves():
+    # Newton stopped at |f| <= 1e-12 from the outside, so 1045 of these
+    # 2000 outputs moved on a second projection (by up to ~1e-12).
+    rng = np.random.default_rng(1)
+    W, c = rng.normal(size=(4, 4)), rng.normal(size=4)
+    E = Ellipsoid(W @ W.T / 4.0 + np.eye(4) / 2.0, c)
+    for z in c + 3.0 * rng.normal(size=(2000, 4)):
+        p = E.project(z)
+        assert np.array_equal(E.project(p), p)
+        assert E._g(p) <= 1e-15
+
+
 def test_ellipsoid_requires_spd():
     with pytest.raises(ValueError):
         Ellipsoid(np.diag([1.0, 0.0]))
