@@ -16,17 +16,8 @@ import numpy as np
 
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import (
-    Ball,
-    BallInAffine,
-    Cap,
-    DykstraIntersection,
-    Halfspace,
-    Hyperplane,
-    _norm,
-    _row_norms,
-    boundary_eval,
-)
+from .sets import Ball, BallInAffine, Cap, DykstraIntersection, Halfspace, Hyperplane
+from .sets import _norm, _row_norms, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -258,11 +249,10 @@ def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport
 def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
-    It is an exact :class:`~ccrm.sets.Cap` of X wherever one applies: by Y
-    itself when Y is a ``Hyperplane``, ``Halfspace`` or ``Ball`` (epigraph),
-    and by B(in-plane center, in-plane radius) when Y is a ball within X's
-    affine hull (discs3d, socp, sdp, fixed_trace). Otherwise it is Dykstra
-    at ``INTERSECTION_TOL``, cycling once over the leaf sets of X and Y.
+    An exact :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane``,
+    ``Halfspace`` or ``Ball`` (epigraph), or by B(in-plane center, in-plane
+    radius) when Y is a ball within X's hull (discs3d, socp, sdp, fixed_trace);
+    otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
     X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
     if type(Y) in (Hyperplane, Halfspace, Ball):
@@ -278,9 +268,7 @@ def intersection_distance(problem: FeasibilityProblem, z, projector=None) -> flo
     """dist(z, X intersect Y), through a closed-form projector when given,
     otherwise through :func:`intersection_oracle`."""
     z = np.asarray(z, dtype=float)
-    if projector is not None:
-        return float(np.linalg.norm(z - projector(z)))
-    return intersection_oracle(problem).distance(z)
+    return _norm((projector or intersection_oracle(problem).project)(z) - z)
 
 
 def estimate_omega(
@@ -297,14 +285,12 @@ def estimate_omega(
     Samples points uniformly on spheres of the given radii around z_bar
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
     over samples whose intersection distance exceeds ``exclude_tol``.
-    Deterministic under the seed. The intersection oracle is built once;
-    each sample projects onto X once, and a cap of X reuses that
-    projection as its s = 0 residual.
+    Deterministic under the seed. Each sample projects onto X once; a cap
+    of X takes that projection as its s = 0 residual.
     """
     z_bar = np.asarray(z_bar, dtype=float)
-    X, Y = problem.X, problem.Y
     oracle = intersection_oracle(problem) if projector is None else None
-    cap = oracle if isinstance(oracle, Cap) else None
+    cap, project = (oracle if isinstance(oracle, Cap) else None), projector or oracle.project
     rng = np.random.default_rng(seed)
     best = np.inf
     for rho in radii:
@@ -312,16 +298,11 @@ def estimate_omega(
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         for s in directions:
             z = z_bar + rho * s
-            px = X.project(z)
-            if projector is not None:
-                di = float(np.linalg.norm(z - projector(z)))
-            elif cap is not None:
-                di = _norm(cap.project_dual(z, inner_z=px)[0] - z)
-            else:
-                di = oracle.distance(z)
+            px = problem.X.project(z)
+            di = _norm((cap.project_dual(z, inner_z=px)[0] if cap else project(z)) - z)
             if di <= exclude_tol:
                 continue
-            ratio = max(_norm(px - z), Y.distance(z)) / di
+            ratio = max(_norm(px - z), problem.Y.distance(z)) / di
             best = min(best, ratio)
     if not np.isfinite(best):
         raise ValueError("all samples were inside the intersection; cannot estimate")

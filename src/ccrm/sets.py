@@ -255,10 +255,9 @@ class Ellipsoid(SetOracle):
     no closed form exists. Newton starts at the root's lower bound
     (sqrt(sum_i d_i w_i^2) - 1) / max_i d_i, from which a far point's root
     is a few steps away, and stops once the duality residual |f(lam)| is
-    at most ``ELLIPSOID_TOL``. A last step then aims about n * EPS inside
-    in f, deeper until the point passes the membership test that opens
-    ``project``, so every output projects to itself. Points far past
-    1e154 project without overflow.
+    at most ``ELLIPSOID_TOL``; a last step aims n * EPS inside, deeper until
+    the output projects to itself. Points far past 1e154 project without
+    overflow.
     """
 
     def __init__(self, Q, center=None):
@@ -274,14 +273,11 @@ class Ellipsoid(SetOracle):
         self._sqrt_d = np.sqrt(self._d)
         self._U = eig.eigenvectors
 
-    def _radius(self, z):
-        # sqrt(sum_i d_i w_i^2) with w = U^T (z - c), past the square's overflow too.
-        w = self._U.T @ (z - self.center)
-        return _norm(self._sqrt_d * w), w
-
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
-        r, w = self._radius(z)
+        w = self._U.T @ (z - self.center)
+        # sqrt(sum_i d_i w_i^2), past the square's overflow too.
+        r = _norm(self._sqrt_d * w)
         if r <= 1.0:
             return z.copy()
         # 1 + lam d_i <= r there, so f(lam) >= 0. The iterate's point t
@@ -295,13 +291,12 @@ class Ellipsoid(SetOracle):
             f = float(dt @ t) - 1.0
             slope = 2.0 * float(dt @ (dt / den))  # -f'(lam)
             if abs(f) <= ELLIPSOID_TOL:
-                # Newton nears the root from f > 0, just outside the set. The
-                # last step aims inside, twice as deep on each retry, until the
-                # point passes the membership test that opens this method.
+                # Newton nears the root from f > 0, outside the set: aim inside,
+                # twice as deep on each retry, until the test above passes.
                 for k in range(60):
                     t = w / (1.0 + (lam + (f + self.dim * EPS * 2.0**k) / slope) * self._d)
                     x = self.center + self._U @ t
-                    if self._radius(x)[0] <= 1.0:
+                    if _norm(self._sqrt_d * (self._U.T @ (x - self.center))) <= 1.0:
                         return x
                 break
             if f > 0.0:
@@ -717,32 +712,25 @@ class Cap(SetOracle):
 
     The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - mu a),
     or P_inner((1 - t) z + t c) with t in [0, 1], at the root of <a, x> - b,
-    or ||x - c|| - r, nonincreasing in the dual value s = mu or t. A
-    halfspace cut keeps P_inner(z) when that satisfies it; otherwise the
-    cut is active at P(z) by convexity, so P(z) is the hyperplane cap of
-    its boundary. A bracketed regula falsi (Illinois type, Anderson-Bjorck
-    weights) finds the root. It stops once the residual is at the rounding
-    level of its own evaluation, or the next step moves the shifted point
-    by less than its rounding. Where P_inner is constant over a range of s
-    (a cone's apex, say) the residual repeats exactly; while an end of the
-    bracket lies there, the step is the secant through the other side's
-    last two points, or else a bisection. The cut must meet the relative
-    interior of ``inner``: an empty or tangent cut, or an exhausted
-    ``CAP_MAX_ITER`` budget, raises ``ConvergenceError``. The boundary
-    descriptor is the inner set's; the affine hull is the hyperplane, or
-    the inner set's hull.
+    or ||x - c|| - r, nonincreasing in the dual value s = mu or t; a
+    halfspace is active unless P_inner(z) meets it. A bracketed regula
+    falsi (Illinois type, Anderson-Bjorck weights) finds the root to the
+    rounding level of the residual or of the shifted point; while an end
+    lies where P_inner is constant (a cone's apex), it steps by the secant
+    through the other side's last two points, or bisects. An empty or
+    tangent cut, or an exhausted ``CAP_MAX_ITER`` budget, raises
+    ``ConvergenceError``. The boundary descriptor is the inner set's; the
+    affine hull is the hyperplane, or the inner set's hull.
     """
 
     def __init__(self, inner: SetOracle, cut):
         if not isinstance(cut, (Hyperplane, Halfspace, Ball)) or cut.dim != inner.dim:
-            raise ValueError("a cap's cut is a Hyperplane, Halfspace or Ball of the inner set's dimension")
+            raise ValueError("a cap's cut is a Hyperplane, Halfspace or Ball of the inner dimension")
         super().__init__(inner.dim)
         self.inner, self.cut = inner, cut
         self._ball = isinstance(cut, Ball)
-        if self._ball:
-            self._c_norm = _norm(cut.center)
-        else:
-            self._a_norm, self._a_sq = _norm(cut.normal), float(cut.normal @ cut.normal)
+        v = cut.center if self._ball else cut.normal
+        self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
 
     @property
     def affine_hull(self):
@@ -753,47 +741,35 @@ class Cap(SetOracle):
     _hess = property(lambda self: self.inner._hess)
 
     def _residual(self, z, s, x=None):
-        """(f, x) at the dual value s; ``x``, when given, is P_inner there."""
-        cut = self.cut
-        if self._ball:
-            if x is None:
-                x = self.inner.project((1.0 - s) * z + s * cut.center)
-            return _norm(x - cut.center) - cut.radius, x
+        # (f, x) at the dual value s; x, when given, is P_inner there.
+        cut, ball = self.cut, self._ball
         if x is None:
-            x = self.inner.project(z - s * cut.normal)
-        return float(cut.normal @ x) - cut.offset, x
+            x = self.inner.project((1.0 - s) * z + s * cut.center if ball else z - s * cut.normal)
+        return _norm(x - cut.center) - cut.radius if ball else float(cut.normal @ x) - cut.offset, x
 
     def _settled(self, f, x, tol):
-        """|f| is within ``tol``, the rounding level of the shifted point,
-        and within the rounding of its own evaluation at x, which can be
-        far smaller (a far point's projection onto a bounded set)."""
+        # |f| within tol, the shifted point's rounding level, and within the
+        # rounding of its own evaluation at x, which can be far smaller.
         if abs(f) > tol:
             return False
-        cut = self.cut
-        if self._ball:  # ||x|| <= ||x - c|| + ||c|| = f + r + ||c||
-            return abs(f) <= 4.0 * EPS * (2.0 * (cut.radius + self._c_norm) + f)
-        return abs(f) <= 4.0 * EPS * (abs(cut.offset) + self._a_norm * _norm(x))
+        cut, size = self.cut, self._size  # a ball's ||x|| <= ||x - c|| + ||c|| = f + r + ||c||
+        own = 2.0 * (cut.radius + size) + f if self._ball else abs(cut.offset) + size * _norm(x)
+        return abs(f) <= 4.0 * EPS * own
 
     def _check_tangent(self, z, s, x):
-        # The cut's multiplier (mu, or t / (1 - t)) times its gradient norm,
-        # against the displacement it causes.
-        limit = CAP_TANGENT_RATIO * _norm(z - x)
-        if self._ball and s * self.cut.radius > (1.0 - s) * limit:
-            raise ConvergenceError("ball cut is tangent to the set or misses it")
-        if not self._ball and abs(s) * self._a_norm > limit:
-            raise ConvergenceError("hyperplane cut is tangent to the set or misses it")
+        # The multiplier (mu, or t / (1 - t)) times ||grad||, against ||z - x||.
+        pull, room = (s * self.cut.radius, 1.0 - s) if self._ball else (abs(s) * self._size, 1.0)
+        if pull > room * CAP_TANGENT_RATIO * _norm(z - x):
+            raise ConvergenceError("the cut is tangent to the set or misses it")
 
     def project(self, z) -> np.ndarray:
         return self.project_dual(z)[0]
 
     def project_dual(self, z, inner_z=None):
-        """(P(z), s): the projection and its dual value. ``inner_z``, when
-        given, must be P_inner(z); it serves as the s = 0 residual's point."""
+        """(P(z), s): the projection and its dual value; ``inner_z`` is P_inner(z), if known."""
         z = _as_point(z, self.dim)
-        cut, ball = self.cut, self._ball
-        nz = _norm(z)
-        scale = cut.radius + self._c_norm + nz if ball else abs(cut.offset) + self._a_norm * nz
-        tol = 4.0 * EPS * scale
+        cut, ball, size, nz = self.cut, self._ball, self._size, _norm(z)
+        tol = 4.0 * EPS * (cut.radius + size + nz if ball else abs(cut.offset) + size * nz)
         fa, xb = self._residual(z, 0.0, inner_z)
         if (fa <= 0.0 and not isinstance(cut, Hyperplane)) or self._settled(fa, xb, tol):
             return xb, 0.0
@@ -801,24 +777,20 @@ class Cap(SetOracle):
         # root. The search starts there and, until the root is bracketed,
         # steps 5% past the secant's root, at most 16 times as far. A step
         # under ``ulp`` moves the shifted point by less than its rounding.
-        if ball:
-            dz = _norm(z - cut.center)
-            b, ulp = fa / dz, 4.0 * EPS * (nz + self._c_norm) / dz
-        else:
-            # |<a, z - x>| <= ||a|| ||z - x|| screens the tangent test.
-            gz = float(cut.normal @ z) - cut.offset
-            b, ulp = fa / self._a_sq, 4.0 * EPS * nz / self._a_norm
+        span = _norm(z - cut.center) if ball else size
+        b = fa / (span if ball else self._a_sq)
+        ulp = 4.0 * EPS * (nz + size if ball else nz) / span
+        gz = None if ball else float(cut.normal @ z) - cut.offset  # <a, z - x> = gz - f
         a, flat = 0.0, None
-        seen = ([], [])  # the points (s, f) on each side, by f > 0
-        seen[fa > 0.0].append((0.0, fa))
+        seen = ([], [(0.0, fa)]) if fa > 0.0 else ([(0.0, fa)], [])  # (s, f) by f > 0
         for _ in range(CAP_MAX_ITER):
             b = min(b, 1.0) if ball else b
             fb, xb = self._residual(z, b)
             seen[fb > 0.0].append((b, fb))
             if not ball and abs(b) * self._a_sq > CAP_TANGENT_RATIO * abs(gz - fb):
-                self._check_tangent(z, b, xb)  # mu grows without bound toward a tangent cut
+                self._check_tangent(z, b, xb)  # |<a, z - x>| <= ||a|| ||z - x|| screens it
             if ball and b == 1.0 and (fb >= 0.0 or self._settled(fb, xb, tol)):
-                raise ConvergenceError("ball cut is tangent to the set or misses it")
+                raise ConvergenceError("the cut is tangent to the set or misses it")
             if (fb > 0.0) != (fa > 0.0) or self._settled(fb, xb, tol):
                 break
             flat = fb if fb == fa else flat
@@ -831,12 +803,11 @@ class Cap(SetOracle):
                 raise ConvergenceError("cap dual root not bracketed", residual=abs(fb))
             s, close = b - fb * (b - a) / (fb - fa), ulp + 4.0 * EPS * abs(b)
             if flat is not None and flat in (fb, seen[fa > 0.0][-1][1]):
-                # The secant through a flat end creeps; a's side's last point is a.
-                other, s = seen[flat < 0.0][-2:], 0.5 * (a + b)
-                if len(other) == 2 and other[0][1] != other[1][1]:
-                    (s1, f1), (s2, f2) = other
-                    t = s2 - f2 * (s2 - s1) / (f2 - f1)
-                    s = t if min(a, b) < t < max(a, b) or abs(t - b) <= close else s
+                # The secant through a flat end creeps; a's side's last point
+                # is a. A lone point on the other side pairs with itself.
+                (s1, f1), (s2, f2) = (seen[flat < 0.0] * 2)[-2:]
+                t = s2 - f2 * (s2 - s1) / (f2 - f1) if f1 != f2 else np.nan
+                s = t if min(a, b) < t < max(a, b) or abs(t - b) <= close else 0.5 * (a + b)
             if abs(s - b) <= close or not min(a, b) < s < max(a, b):
                 break
             fs, xs = self._residual(z, s)
