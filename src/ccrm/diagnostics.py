@@ -351,7 +351,7 @@ def quad_constant_check(
     if kappa_x is None or kappa_y is None or omega is None:
         raise ValueError("kappa_x, kappa_y, and omega must be provided or known")
 
-    project = intersection_oracle(problem).project if projector is None else projector
+    project = projector or intersection_oracle(problem).project
     dists = np.array([_norm(project(z) - z) for z in trace.iterates])
     limit = trace.iterates[-1]
     report = rate_report(dists, scale=1.0 + float(np.linalg.norm(limit)))
