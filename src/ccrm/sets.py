@@ -777,7 +777,7 @@ class Cap(SetOracle):
         # root. The search starts there and, until the root is bracketed,
         # steps 5% past the secant's root, at most 16 times as far. A step
         # under ``ulp`` moves the shifted point by less than its rounding.
-        span = _norm(z - cut.center) if ball else size
+        span = max(_norm(z - cut.center), EPS) if ball else size  # z = c: the cut misses
         b = fa / (span if ball else self._a_sq)
         ulp = 4.0 * EPS * (nz + size if ball else nz) / span
         gz = None if ball else float(cut.normal @ z) - cut.offset  # <a, z - x> = gz - f

@@ -155,6 +155,13 @@ def test_empty_or_tangent_cut_raises(inner, cut):
         Cap(inner, cut).project(z)
 
 
+def test_ball_cut_centered_at_the_point_raises_a_typed_error():
+    # z is the cut's center and P_inner(z) lies outside the cut ball, so
+    # every shifted point is z: the first dual step divided by ||z - c|| = 0.
+    with pytest.raises(ConvergenceError):
+        Cap(Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)).project([3.0, 0.0])
+
+
 def test_cap_rejects_other_cuts():
     with pytest.raises(ValueError):
         Cap(Ball([0.0, 0.0], 1.0), Ellipsoid(np.eye(2)))
