@@ -231,7 +231,7 @@ def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
 
     probe_start = L.project(0.5 * (e1.center + e2.center))
     probe = dykstra_project([e1, e2, L], probe_start, tol=1e-10)
-    if max(e1._g(probe), e2._g(probe)) > -1e-8:
+    if max(e1._boundary(probe)[0], e2._boundary(probe)[0]) > -1e-8:
         warnings.warn(
             "Slater probe found no strictly interior common point; "
             "the problem may lack a relative interior intersection"

@@ -57,10 +57,9 @@ def _resolve_problem(selector):
     if selector.endswith(".json") or os.path.sep in selector or os.path.exists(selector):
         if not os.path.exists(selector):
             raise ValueError(f"problem file {selector!r} does not exist")
-        problem, z0 = load_problem_file(selector)
-        return problem, z0, None
+        return load_problem_file(selector)
     entry = catalog.resolve(selector)
-    return entry.problem, entry.suggested_z0, entry
+    return entry.problem, entry.suggested_z0
 
 
 def _fmt(value):
@@ -76,7 +75,7 @@ def _classification_label(report):
 
 
 def cmd_solve(args):
-    problem, z0, _ = _resolve_problem(args.problem)
+    problem, z0 = _resolve_problem(args.problem)
     if args.z0 != "default":
         z0 = _parse_z0(args.z0, problem.dim)
     if z0 is None:
@@ -193,7 +192,7 @@ def cmd_table2(args):
 
 
 def cmd_diagnose(args):
-    problem, _, entry = _resolve_problem(args.problem)
+    problem, _ = _resolve_problem(args.problem)
     if args.point != "reference":
         point = _parse_z0(args.point, problem.dim)
     elif problem.reference_solution is not None:

@@ -29,6 +29,9 @@ RATE_QUADRATIC = "quadratic"
 # rate information in double precision and are excluded from ratios.
 PRECISION_FLOOR_FACTOR = 1e3 * EPS
 
+# estimate_omega skips samples this close to X & Y: their ratio is noise.
+OMEGA_EXCLUDE_TOL = 1e-12
+
 # Ratio geometric means at or above this value are reported as sublinear.
 SUBLINEAR_THRESHOLD = 0.98
 
@@ -277,14 +280,13 @@ def estimate_omega(
     radii=(1e-1, 1e-2, 1e-3, 1e-4),
     samples_per_radius=200,
     seed=0,
-    exclude_tol=1e-12,
     projector=None,
 ) -> float:
     """Empirical local error-bound constant near z_bar.
 
     Samples points uniformly on spheres of the given radii around z_bar
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
-    over samples whose intersection distance exceeds ``exclude_tol``.
+    over samples whose intersection distance exceeds ``OMEGA_EXCLUDE_TOL``.
     Deterministic under the seed. Each sample projects onto X once; a cap
     of X takes that projection as its s = 0 residual.
     """
@@ -300,7 +302,7 @@ def estimate_omega(
             z = z_bar + rho * s
             px = problem.X.project(z)
             di = _norm((cap.project_dual(z, inner_z=px)[0] if cap else project(z)) - z)
-            if di <= exclude_tol:
+            if di <= OMEGA_EXCLUDE_TOL:
                 continue
             ratio = max(_norm(px - z), problem.Y.distance(z)) / di
             best = min(best, ratio)

@@ -142,6 +142,8 @@ def oracle_from_dict(data) -> object:
             )
     except KeyError as exc:
         raise ValueError(f"descriptor of kind {kind!r} is missing field {exc}") from exc
+    except TypeError as exc:  # a field of the wrong type, e.g. a string radius
+        raise ValueError(f"descriptor of kind {kind!r} is malformed: {exc}") from exc
     raise ValueError(f"unknown set kind {kind!r}")
 
 

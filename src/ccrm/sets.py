@@ -2,9 +2,10 @@
 
 Every oracle exposes ``project`` (exact, or within a stated tolerance for
 the iterative kinds), ``reflect``, membership helpers, and optionally a
-smooth boundary descriptor (g, grad g, Hess g) restricted to the set's
-affine hull. The descriptor feeds the curvature and tangent-bound
-diagnostics; oracles without one simply refuse those operations.
+smooth boundary descriptor: ``_boundary(z)`` gives (g, grad g, Hess g)
+together, which :func:`boundary_eval` restricts to the set's affine hull.
+The descriptor feeds the curvature and tangent-bound diagnostics; oracles
+without one simply refuse those operations.
 
 All oracles are immutable after construction and all operations are pure.
 """
@@ -39,6 +40,9 @@ EIG_GAP_TOL = 1e-8
 # any outer solver tolerance that consumes these projections.
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_ITER = 100_000
+
+# Budget of the scalar Newton solves (ellipsoid dual, power-epigraph normal).
+NEWTON_MAX_ITER = 200
 
 # A cap's dual solve: the budget of each phase, and the multiple of the
 # displacement past which a hyperplane multiplier means a tangent or
@@ -104,15 +108,9 @@ class SetOracle:
     def affine_hull(self):
         return None
 
-    # Smooth-boundary descriptor, in ambient coordinates. Subclasses with
-    # smooth relative boundaries implement _g/_grad/_hess.
-    def _g(self, z) -> float:
-        raise UnsupportedOperation(f"{type(self).__name__} has no smooth boundary descriptor")
-
-    def _grad(self, z) -> np.ndarray:
-        raise UnsupportedOperation(f"{type(self).__name__} has no smooth boundary descriptor")
-
-    def _hess(self, z) -> np.ndarray:
+    # Smooth-boundary descriptor (g, grad g, Hess g) at z, in ambient
+    # coordinates. Subclasses with smooth relative boundaries override it.
+    def _boundary(self, z):
         raise UnsupportedOperation(f"{type(self).__name__} has no smooth boundary descriptor")
 
 
@@ -207,14 +205,9 @@ class Halfspace(SetOracle):
             return z.copy()
         return z - (excess / self._nn2) * self.normal
 
-    def _g(self, z):
-        return float(self.normal @ _as_point(z, self.dim)) - self.offset
-
-    def _grad(self, z):
-        return self.normal.copy()
-
-    def _hess(self, z):
-        return np.zeros((self.dim, self.dim))
+    def _boundary(self, z):
+        g = float(self.normal @ _as_point(z, self.dim)) - self.offset
+        return g, self.normal.copy(), np.zeros((self.dim, self.dim))
 
 
 class Ball(SetOracle):
@@ -236,15 +229,9 @@ class Ball(SetOracle):
             return z.copy()
         return self.center + d * (self.radius / nd)
 
-    def _g(self, z):
+    def _boundary(self, z):
         d = _as_point(z, self.dim) - self.center
-        return float(d @ d) - self.radius**2
-
-    def _grad(self, z):
-        return 2.0 * (_as_point(z, self.dim) - self.center)
-
-    def _hess(self, z):
-        return 2.0 * np.eye(self.dim)
+        return float(d @ d) - self.radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
 
 
 class Ellipsoid(SetOracle):
@@ -284,7 +271,7 @@ class Ellipsoid(SetOracle):
         # and f, f' are formed from w / (1 + lam d), which cannot overflow.
         lam = lo = (r - 1.0) / float(self._d[-1])
         hi = None
-        for _ in range(200):
+        for _ in range(NEWTON_MAX_ITER):
             den = 1.0 + lam * self._d
             t = w / den
             dt = self._d * t
@@ -310,15 +297,9 @@ class Ellipsoid(SetOracle):
                 lam = step if lo < step < hi else 0.5 * (lo + hi)
         raise ConvergenceError("ellipsoid dual Newton did not converge", residual=abs(f))
 
-    def _g(self, z):
+    def _boundary(self, z):
         d = _as_point(z, self.dim) - self.center
-        return float(d @ (self.Q @ d)) - 1.0
-
-    def _grad(self, z):
-        return 2.0 * self.Q @ (_as_point(z, self.dim) - self.center)
-
-    def _hess(self, z):
-        return 2.0 * self.Q.copy()
+        return float(d @ (self.Q @ d)) - 1.0, 2.0 * self.Q @ d, 2.0 * self.Q
 
 
 class SecondOrderCone(SetOracle):
@@ -348,33 +329,19 @@ class SecondOrderCone(SetOracle):
         out[1:] = u * (s / nu)
         return out
 
-    def _check_chart(self, z):
+    def _boundary(self, z):
         z = _as_point(z, self.dim)
         nu = float(np.linalg.norm(z[1:]))
         if nu <= 1e-12 * (1.0 + abs(z[0])):
             raise RegularityError("second-order cone boundary is not a manifold at the apex")
-        return z, nu
-
-    def _g(self, z):
-        z = _as_point(z, self.dim)
-        return float(np.linalg.norm(z[1:])) - z[0]
-
-    def _grad(self, z):
-        z, nu = self._check_chart(z)
-        g = np.empty(self.dim)
-        g[0] = -1.0
-        g[1:] = z[1:] / nu
-        return g
-
-    def _hess(self, z):
-        z, nu = self._check_chart(z)
         uhat = z[1:] / nu
+        grad = np.concatenate(([-1.0], uhat))
         H = np.zeros((self.dim, self.dim))
         H[1:, 1:] = (np.eye(self.dim - 1) - np.outer(uhat, uhat)) / nu
-        return H
+        return nu - z[0], grad, H
 
 
-def _power_normal_root(alpha, x0, y0, max_iter=200):
+def _power_normal_root(alpha, x0, y0):
     """Root of (u - x0) + alpha u^(alpha-1) (u^alpha - y0) = 0 on u >= 0.
 
     This is the normal equation for projecting (x0, y0) with x0 > 0 onto
@@ -397,7 +364,7 @@ def _power_normal_root(alpha, x0, y0, max_iter=200):
         return f, df
 
     u = min(max(min(x0, 1.0), lo), hi)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, df = f_df(u)
         if f > 0.0:
             hi = u
@@ -445,17 +412,7 @@ class PowerEpigraph(SetOracle):
         except OverflowError as exc:
             raise ConvergenceError(f"power-epigraph projection overflows at {z.tolist()}") from exc
 
-    def _g(self, z):
-        z = _as_point(z, 2)
-        return abs(z[0]) ** self.alpha - self.beta - z[1]
-
-    def _grad(self, z):
-        z = _as_point(z, 2)
-        ax = abs(z[0])
-        gx = self.alpha * ax ** (self.alpha - 1.0)
-        return np.array([np.copysign(gx, z[0]), -1.0])
-
-    def _hess(self, z):
+    def _boundary(self, z):
         z = _as_point(z, 2)
         ax = abs(z[0])
         if ax == 0.0:
@@ -464,7 +421,9 @@ class PowerEpigraph(SetOracle):
             gxx = 2.0 if self.alpha == 2.0 else 0.0
         else:
             gxx = self.alpha * (self.alpha - 1.0) * ax ** (self.alpha - 2.0)
-        return np.array([[gxx, 0.0], [0.0, 0.0]])
+        gx = np.copysign(self.alpha * ax ** (self.alpha - 1.0), z[0])
+        hess = np.array([[gxx, 0.0], [0.0, 0.0]])
+        return ax**self.alpha - self.beta - z[1], np.array([gx, -1.0]), hess
 
 
 def _project_eigs(v, lo, hi, trace=None):
@@ -556,37 +515,21 @@ class SpectralSet(SetOracle):
         V = eig.eigenvectors
         return sym_to_vec((V * w) @ V.T)
 
-    def _eig_end(self, z):
-        """(w, V, k, s): eigenpairs at z and the active end, lambda_min (k = 0,
-        s = -1) against lo or lambda_max (k = -1, s = +1) against hi."""
+    def _boundary(self, z):
+        # One eigendecomposition gives all three. The active end is lambda_min
+        # (k = 0, s = -1) against lo or lambda_max (k = -1, s = +1) against hi.
         eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
         w, V = eig.eigenvalues, eig.eigenvectors
-        if self.hi == np.inf or (self.lo > -np.inf and self.lo - w[0] >= w[-1] - self.hi):
-            return w, V, 0, -1.0
-        return w, V, -1, 1.0
-
-    def _eig_simple(self, z):
-        w, V, k, s = self._eig_end(z)
+        low = self.hi == np.inf or (self.lo > -np.inf and self.lo - w[0] >= w[-1] - self.hi)
+        k, s = (0, -1.0) if low else (-1, 1.0)
         if self.n > 1 and s * (w[k] - w[k - int(s)]) <= EIG_GAP_TOL * (1.0 + abs(w[k])):
             raise RegularityError("extreme eigenvalue is not simple; boundary is not C^2 here")
-        return w, V, k, s
-
-    def _g(self, z):
-        w, _, k, s = self._eig_end(z)
-        return float(s * (w[k] - (self.hi if s > 0 else self.lo)))
-
-    def _grad(self, z):
-        w, V, k, s = self._eig_simple(z)
-        q = V[:, k]
-        return s * sym_to_vec(np.outer(q, q))
-
-    def _hess(self, z):
-        w, V, k, s = self._eig_simple(z)
+        g = float(s * (w[k] - (self.hi if s > 0 else self.lo)))
         q = V[:, k]
         # M[i, l] = q^T smat(e_i) q_l over the other eigenvectors q_l.
         others = np.delete(V, k, axis=1)
         M = np.stack([q @ vec_to_sym(e) @ others for e in np.eye(self.dim)])
-        return 2.0 * (M / (s * (w[k] - np.delete(w, k)))) @ M.T
+        return g, s * sym_to_vec(np.outer(q, q)), 2.0 * (M / (s * (w[k] - np.delete(w, k)))) @ M.T
 
 
 class BallInAffine(SetOracle):
@@ -626,15 +569,9 @@ class BallInAffine(SetOracle):
             return p
         return self.in_plane_center + d * (self.in_plane_radius / nd)
 
-    def _g(self, z):
+    def _boundary(self, z):
         d = _as_point(z, self.dim) - self.in_plane_center
-        return float(d @ d) - self.in_plane_radius**2
-
-    def _grad(self, z):
-        return 2.0 * (_as_point(z, self.dim) - self.in_plane_center)
-
-    def _hess(self, z):
-        return 2.0 * np.eye(self.dim)
+        return float(d @ d) - self.in_plane_radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
 
 
 class EmbeddedOracle(SetOracle):
@@ -660,19 +597,13 @@ class EmbeddedOracle(SetOracle):
         return self.subspace
 
     def project(self, z) -> np.ndarray:
-        v = self.subspace.to_local(_as_point(z, self.dim))
-        return self.subspace.from_local(self.inner.project(v))
+        a, B = self.subspace.anchor, self.subspace.basis
+        return a + B @ self.inner.project(B.T @ (_as_point(z, self.dim) - a))
 
-    def _g(self, z):
-        return self.inner._g(self.subspace.to_local(_as_point(z, self.dim)))
-
-    def _grad(self, z):
-        B = self.subspace.basis
-        return B @ self.inner._grad(self.subspace.to_local(_as_point(z, self.dim)))
-
-    def _hess(self, z):
-        B = self.subspace.basis
-        return B @ self.inner._hess(self.subspace.to_local(_as_point(z, self.dim))) @ B.T
+    def _boundary(self, z):
+        a, B = self.subspace.anchor, self.subspace.basis
+        g, grad, hess = self.inner._boundary(B.T @ (_as_point(z, self.dim) - a))
+        return g, B @ grad, B @ hess @ B.T
 
 
 class IsometricImage(SetOracle):
@@ -691,19 +622,13 @@ class IsometricImage(SetOracle):
         self.subspace = subspace
 
     def project(self, v) -> np.ndarray:
-        z = self.subspace.from_local(_as_point(v, self.dim))
-        return self.subspace.to_local(self.inner.project(z))
+        a, B = self.subspace.anchor, self.subspace.basis
+        return B.T @ (self.inner.project(a + B @ _as_point(v, self.dim)) - a)
 
-    def _g(self, v):
-        return self.inner._g(self.subspace.from_local(_as_point(v, self.dim)))
-
-    def _grad(self, v):
-        B = self.subspace.basis
-        return B.T @ self.inner._grad(self.subspace.from_local(_as_point(v, self.dim)))
-
-    def _hess(self, v):
-        B = self.subspace.basis
-        return B.T @ self.inner._hess(self.subspace.from_local(_as_point(v, self.dim))) @ B
+    def _boundary(self, v):
+        a, B = self.subspace.anchor, self.subspace.basis
+        g, grad, hess = self.inner._boundary(a + B @ _as_point(v, self.dim))
+        return g, B.T @ grad, B.T @ hess @ B
 
 
 class Cap(SetOracle):
@@ -736,9 +661,8 @@ class Cap(SetOracle):
     def affine_hull(self):
         return self.cut if isinstance(self.cut, Hyperplane) else self.inner.affine_hull
 
-    _g = property(lambda self: self.inner._g)
-    _grad = property(lambda self: self.inner._grad)
-    _hess = property(lambda self: self.inner._hess)
+    def _boundary(self, z):
+        return self.inner._boundary(z)
 
     def _residual(self, z, s, x=None):
         # (f, x) at the dual value s; x, when given, is P_inner there.
@@ -920,7 +844,7 @@ def boundary_eval(oracle: SetOracle, z):
             g, grad or hess is not finite there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g, grad, hess = oracle._g(z), oracle._grad(z), oracle._hess(z)
+        g, grad, hess = oracle._boundary(z)
     if not (np.isfinite(g) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise RegularityError("boundary descriptor is not finite at this point")
     hull = oracle.affine_hull

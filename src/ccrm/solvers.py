@@ -25,6 +25,9 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_STAGNATION = "stagnation"
 TERMINATION_INNER_FAILURE = "inner_failure"
 
+# A step shorter than this, relative to 1 + ||z||, ends the run as stagnation.
+STEP_TOL = 1e-15
+
 # Status of a cCRM step that returned its already feasible centralized point.
 STATUS_CENTRALIZED_FEASIBLE = "centralized_feasible"
 
@@ -72,7 +75,6 @@ class SolverConfig:
     method: str = "ccrm"
     max_iter: int = 10000
     tol_feas: float = 1e-12
-    tol_step: float = 1e-15
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -220,7 +222,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
             if max(res_x[-1], res_y[-1]) <= config.tol_feas:
                 termination = TERMINATION_FEASIBLE
                 break
-            if _norm(z_next - z) <= config.tol_step * (1.0 + _norm(z)):
+            if _norm(z_next - z) <= STEP_TOL * (1.0 + _norm(z)):
                 termination = TERMINATION_STAGNATION
                 break
             z = z_next

@@ -148,14 +148,8 @@ def test_criterion_4_curvature_suite():
             super().__init__(np.diag([0.25, 1.0]))
             self._c = c
 
-        def _g(self, z):
-            return self._c * super()._g(z)
-
-        def _grad(self, z):
-            return self._c * super()._grad(z)
-
-        def _hess(self, z):
-            return self._c * super()._hess(z)
+        def _boundary(self, z):
+            return tuple(self._c * part for part in super()._boundary(z))
 
     rng = np.random.default_rng(101)
     z = np.array([2.0 * np.cos(0.8), np.sin(0.8)])

@@ -75,8 +75,8 @@ def test_ellipses_interior_point():
     entry = make_ellipses()
     p = np.array([0.5, 0.0, 0.0])
     # strict interior of both: margins 1/16 and 1/4 under the level one
-    gx = entry.problem.X._g(p)
-    gy = entry.problem.Y._g(p)
+    gx = entry.problem.X._boundary(p)[0]
+    gy = entry.problem.Y._boundary(p)[0]
     assert gx < -0.5 and gy < -0.5
     assert entry.problem.max_distance(p) == 0.0
 

@@ -99,6 +99,29 @@ def test_solve_malformed_problem_file(tmp_path):
     assert main(["solve", "--problem", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": "1"},
+        {"kind": "second_order_cone", "dim": "2"},
+        {"kind": "dykstra_intersection", "members": 5},
+    ],
+    ids=["string-radius", "string-dim", "members-not-a-list"],
+)
+def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x):
+    # Each of these raised a TypeError out of the set constructors.
+    problem = {
+        "version": "1",
+        "X": x,
+        "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+        "z0": [1.0, 1.0],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: descriptor of kind")
+
+
 def test_solve_missing_z0_in_file(tmp_path):
     entry = make_discs3d()
     path = tmp_path / "p.json"

@@ -142,14 +142,8 @@ def test_curvature_scale_invariance():
             super().__init__(np.diag([0.25, 1.0]))
             self._c = c
 
-        def _g(self, z):
-            return self._c * super()._g(z)
-
-        def _grad(self, z):
-            return self._c * super()._grad(z)
-
-        def _hess(self, z):
-            return self._c * super()._hess(z)
+        def _boundary(self, z):
+            return tuple(self._c * part for part in super()._boundary(z))
 
     t = 0.9
     z = np.array([2.0 * np.cos(t), np.sin(t)])

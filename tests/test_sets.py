@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import ccrm.sets
 from ccrm.errors import ConvergenceError, RegularityError, UnsupportedOperation
 from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
@@ -184,7 +185,7 @@ def test_ellipsoid_projects_far_points(k):
     E = Ellipsoid([[1.0, 0.2], [0.2, 0.5]], center=[0.3, -0.2])
     z = np.array([1.0, -2.0]) * 10.0**k
     p = E.project(z)
-    assert abs(E._g(p)) <= 1e-12
+    assert abs(E._boundary(p)[0]) <= 1e-12
     g, r = E.Q @ (p - E.center), (z - p) / 10.0**k
     assert r @ g >= (1.0 - 1e-12) * np.linalg.norm(r) * np.linalg.norm(g)
     assert np.linalg.norm(E.project(p) - p) <= 1e-12
@@ -199,7 +200,7 @@ def test_ellipsoid_outputs_project_to_themselves():
     for z in c + 3.0 * rng.normal(size=(2000, 4)):
         p = E.project(z)
         assert np.array_equal(E.project(p), p)
-        assert E._g(p) <= 1e-15
+        assert E._boundary(p)[0] <= 1e-15
 
 
 def test_ellipsoid_requires_spd():
@@ -503,6 +504,27 @@ def test_embedded_matches_direct_construction():
         assert np.allclose(emb.project(z), disc.project(z), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["embedded", "image"])
+def test_wrapper_projection_validates_each_point_once_per_layer(monkeypatch, kind):
+    # The wrapper and its inner set each validate once; the coordinate maps
+    # add none (to_local and from_local validated twice more).
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [1.0], basis=np.eye(3)[:, :2])
+    if kind == "embedded":
+        oracle, z = EmbeddedOracle(Ball([0.0, 0.0], 2.0), plane), np.array([3.0, 1.0, 4.0])
+    else:
+        oracle, z = IsometricImage(Ball([0.0, 0.0, 1.0], 2.0), plane), np.array([3.0, 1.0])
+    want = oracle.project(z)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _as_point(*args, **kwargs)
+
+    monkeypatch.setattr(ccrm.sets, "_as_point", counting)
+    assert np.array_equal(oracle.project(z), want)
+    assert len(calls) <= 2
+
+
 def test_isometric_image_round_trip():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [1.0], basis=np.eye(3)[:, :2])
     disc = BallInAffine([0.0, 0.0, 1.0], 1.5, plane)
@@ -691,15 +713,19 @@ def finite_difference_check(oracle, z, hg=1e-6, hh=1e-4):
     z = np.asarray(z, dtype=float)
     fd_grad = np.empty(d)
     fd_hess = np.empty((d, d))
+
+    def g(x):
+        return oracle._boundary(x)[0]
+
     for i in range(d):
-        fd_grad[i] = (oracle._g(z + hg * B[:, i]) - oracle._g(z - hg * B[:, i])) / (2.0 * hg)
+        fd_grad[i] = (g(z + hg * B[:, i]) - g(z - hg * B[:, i])) / (2.0 * hg)
         for j in range(d):
             zpp = z + hh * B[:, i] + hh * B[:, j]
             zpm = z + hh * B[:, i] - hh * B[:, j]
             zmp = z - hh * B[:, i] + hh * B[:, j]
             zmm = z - hh * B[:, i] - hh * B[:, j]
             fd_hess[i, j] = (
-                oracle._g(zpp) - oracle._g(zpm) - oracle._g(zmp) + oracle._g(zmm)
+                g(zpp) - g(zpm) - g(zmp) + g(zmm)
             ) / (4.0 * hh * hh)
     scale_g = 1.0 + np.linalg.norm(grad)
     scale_h = 1.0 + np.linalg.norm(hess)
@@ -743,6 +769,34 @@ def test_boundary_derivatives_match_finite_differences():
     finite_difference_check(
         SpectralSet(3, lo=0.0, hi=0.6, trace=1.0), sym_to_vec((Q * [0.1, 0.3, 0.6]) @ Q.T)
     )
+    # the wrappers forward the inner descriptor: a cap as is, the embedded
+    # and image oracles through the hull's coordinates
+    cone_cap = Cap(SecondOrderCone(3), Hyperplane([1.0, 0.3, 0.0], 1.0))
+    finite_difference_check(cone_cap, np.array([1.0, 1.0, 0.0]) / 1.3)
+    tilted = AffineSubspace([[1.0, 1.0, 1.0]], [1.0])
+    finite_difference_check(
+        EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0])), tilted),
+        tilted.from_local([2.0 * np.cos(0.7), np.sin(0.7)]),
+    )
+    finite_difference_check(
+        IsometricImage(BallInAffine(tilted.anchor, 2.0, tilted), tilted),
+        np.array([np.sqrt(2.0), np.sqrt(2.0)]),
+    )
+
+
+def test_spectral_boundary_eval_takes_one_eigendecomposition(monkeypatch):
+    # g, grad g and Hess g each took their own (three per call).
+    calls = []
+    eigh = ccrm.sets.symmetric_eigh
+
+    def counting(S):
+        calls.append(S)
+        return eigh(S)
+
+    monkeypatch.setattr(ccrm.sets, "symmetric_eigh", counting)
+    z = sym_to_vec(np.diag([0.0, 0.4, 1.0]))
+    boundary_eval(SpectralSet(3, lo=0.0), z)
+    assert len(calls) == 1
 
 
 def test_psd_gradient_needs_simple_eigenvalue():
