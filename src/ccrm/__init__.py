@@ -34,7 +34,6 @@ from .linalg import (
 from .sets import (
     AffineSubspace,
     Ball,
-    BallInAffine,
     Cap,
     DykstraIntersection,
     Ellipsoid,

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import sym_dim, sym_to_vec
 from .sets import (
     AffineSubspace,
-    BallInAffine,
+    Ball,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -69,8 +69,8 @@ def make_discs3d() -> CatalogEntry:
     """
     plane = _plane_z3()
     s15 = np.sqrt(15.0)
-    X = BallInAffine([0.0, 0.0, 0.0], 2.0, plane)
-    Y = BallInAffine([s15, 0.0, 0.0], 2.0, plane)
+    X = Ball([0.0, 0.0, 0.0], 2.0, plane)
+    Y = Ball([s15, 0.0, 0.0], 2.0, plane)
     zbar = np.array([s15 / 2.0, 0.5, 0.0])
     problem = FeasibilityProblem(
         X,
@@ -251,7 +251,7 @@ def make_socp() -> CatalogEntry:
     """
     L = Hyperplane([0.0, 1.0, 1.0, 1.0], 1.5)
     X = Cap(SecondOrderCone(4), L)
-    Y = BallInAffine([0.3, 0.7, 0.5, 0.3], 0.7, L)
+    Y = Ball([0.3, 0.7, 0.5, 0.3], 0.7, L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     z0 = np.array([0.2, 1.5, 0.4, 0.5])
     return CatalogEntry("socp", problem, z0, ReferenceData(expected_rate="quadratic"))
@@ -297,7 +297,7 @@ def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> Cat
         L = _subspace(rows, b)
         cone = SpectralSet(n, lo=0.0)
         X = Cap(cone, L) if isinstance(L, Hyperplane) else DykstraIntersection([cone, L], hull=L)
-    Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
+    Y = Ball(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if z0 is None:
         z0 = L.anchor.copy()
@@ -329,7 +329,7 @@ def make_fixed_trace(a=0.5, Sigma_hat=None, r=None, n=4) -> CatalogEntry:
         r = 1.17
     X = SpectralSet(n, hi=a, trace=1.0)
     L = X.affine_hull
-    Y = BallInAffine(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
+    Y = Ball(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
     if n == 4:
         z0 = sym_to_vec(np.diag([2.2, -0.4, -0.4, -0.4]))

@@ -9,14 +9,14 @@ quadratically convergent runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import Ball, BallInAffine, Cap, DykstraIntersection, Halfspace, Hyperplane
+from .sets import Ball, Cap, DykstraIntersection, Halfspace, Hyperplane
 from .sets import _norm, _row_norms, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
@@ -41,6 +41,12 @@ SUBLINEAR_THRESHOLD = 0.98
 # classifies them down to PRECISION_FLOOR_FACTOR (about 2.2e-13) times
 # the problem scale.
 INTERSECTION_TOL = 1e-13
+
+# Relative margin over the bound of the tangent-bound and 4 kappa / omega checks.
+CHECK_MARGIN = 0.10
+
+# Absolute slack of the Fejer-type bound ||z - z_bar|| <= 2 dist(z, X&Y).
+FEJER_SLACK = 1e-9
 
 
 @dataclass
@@ -203,12 +209,9 @@ class TangentBoundReport:
     n_samples: int
     passed: bool
 
-    def to_dict(self):
-        return asdict(self)
 
-
-def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport:
-    """Check dist(w, C) <= (1 + margin) * kappa * ||w - p||^2 on tangent samples.
+def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
+    """Check dist(w, C) <= (1 + CHECK_MARGIN) * kappa * ||w - p||^2 on tangent samples.
 
     Samples must lie on the tangent hyperplane at the boundary point p
     (and in the affine hull); the guarantee covers offsets up to about
@@ -242,7 +245,7 @@ def tangent_bound_check(oracle, p, w_samples, margin=0.10) -> TangentBoundReport
             worst = np.inf
         count += 1
 
-    bound = (1.0 + margin) * kappa
+    bound = (1.0 + CHECK_MARGIN) * kappa
     passed = worst <= bound + 1e-12
     return TangentBoundReport(
         kappa=kappa, worst_ratio=worst, bound=bound, n_samples=count, passed=passed
@@ -253,17 +256,21 @@ def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
     An exact :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane``,
-    ``Halfspace`` or ``Ball`` (epigraph), or by B(in-plane center, in-plane
-    radius) when Y is a ball within X's hull (discs3d, socp, sdp, fixed_trace);
+    ``Halfspace`` or whole-space ``Ball`` (epigraph), or by B(in-plane center,
+    in-plane radius) when Y is a ``Ball`` within X's hull (discs3d, socp, sdp,
+    fixed_trace);
     otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
     X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
-    if type(Y) in (Hyperplane, Halfspace, Ball):
+    if type(Y) in (Hyperplane, Halfspace):
         return Cap(X, Y)
-    if isinstance(Y, BallInAffine) and hull is not None and (hull is Y.subspace or (
-        np.array_equal(hull.A, Y.subspace.A) and np.array_equal(hull.b, Y.subspace.b)
-    )):
-        return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
+    if type(Y) is Ball:
+        L = Y.subspace
+        if L is None:
+            return Cap(X, Y)
+        same = hull is not None and np.array_equal(hull.A, L.A) and np.array_equal(hull.b, L.b)
+        if hull is L or same:
+            return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
     return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
 
 
@@ -321,9 +328,6 @@ class QuadConstantReport:
     passed: bool
     passed_sharper: Optional[bool]
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def quad_constant_check(
     trace: SolveTrace,
@@ -333,7 +337,6 @@ def quad_constant_check(
     omega=None,
     isolated=False,
     projector=None,
-    margin=0.10,
 ) -> QuadConstantReport:
     """Compare observed quadratic ratios with 4 max(kappa) / omega.
 
@@ -367,8 +370,8 @@ def quad_constant_check(
     kappa = max(kappa_x, kappa_y)
     bound = 4.0 * kappa / omega
     sharper = kappa / omega if isolated else None
-    passed = observed <= bound * (1.0 + margin)
-    passed_sharper = observed <= sharper * (1.0 + margin) if isolated else None
+    passed = observed <= bound * (1.0 + CHECK_MARGIN)
+    passed_sharper = observed <= sharper * (1.0 + CHECK_MARGIN) if isolated else None
     return QuadConstantReport(
         observed=observed,
         bound=bound,
@@ -387,17 +390,13 @@ class FejerBoundReport:
     passed: bool
     n_checked: int
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def fejer_bound_check(
     trace: SolveTrace,
     solution_set_projector: Callable,
     reference=None,
-    slack=1e-9,
 ) -> FejerBoundReport:
-    """Check ||z^k - z_bar|| <= 2 dist(z^k, X&Y) + slack along a trace.
+    """Check ||z^k - z_bar|| <= 2 dist(z^k, X&Y) + FEJER_SLACK along a trace.
 
     ``solution_set_projector`` maps a point to its projection onto the
     intersection; the reference limit defaults to the final iterate.
@@ -410,12 +409,12 @@ def fejer_bound_check(
         gap = float(np.linalg.norm(z - z_bar))
         dist = float(np.linalg.norm(z - solution_set_projector(z)))
         worst_violation = max(worst_violation, gap - 2.0 * dist)
-        if dist > slack:
+        if dist > FEJER_SLACK:
             worst_factor = max(worst_factor, gap / dist)
         checked += 1
     return FejerBoundReport(
         worst_violation=worst_violation,
         worst_factor=worst_factor,
-        passed=worst_violation <= slack,
+        passed=worst_violation <= FEJER_SLACK,
         n_checked=checked,
     )

@@ -61,7 +61,7 @@ def symmetric_eigh(S) -> SymEig:
     return SymEig(w, V)
 
 
-def orthonormal_nullspace(A, rtol=RANK_RTOL) -> np.ndarray:
+def orthonormal_nullspace(A) -> np.ndarray:
     """Orthonormal basis of null(A), as columns of an (n, n - rank) array.
 
     For an empty constraint set (zero rows) the basis is the identity.
@@ -73,17 +73,17 @@ def orthonormal_nullspace(A, rtol=RANK_RTOL) -> np.ndarray:
     if m == 0 or A.size == 0:
         return np.eye(n)
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
     return Vt[rank:].T.copy()
 
 
-def least_squares_min_norm(A, b, rtol=RANK_RTOL) -> np.ndarray:
+def least_squares_min_norm(A, b) -> np.ndarray:
     """Minimal-norm x with ||A x - b|| minimal."""
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    x, *_ = np.linalg.lstsq(A, b, rcond=rtol)
+    x, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL)
     return x
 
 

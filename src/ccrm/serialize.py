@@ -17,7 +17,6 @@ from .sets import (
     DYKSTRA_TOL,
     AffineSubspace,
     Ball,
-    BallInAffine,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -58,7 +57,10 @@ def oracle_to_dict(oracle) -> dict:
     if isinstance(oracle, Halfspace):
         return {"kind": "halfspace", "normal": _floats(oracle.normal), "offset": oracle.offset}
     if isinstance(oracle, Ball):
-        return {"kind": "ball", "center": _floats(oracle.center), "radius": oracle.radius}
+        out = {"kind": "ball", "center": _floats(oracle.center), "radius": oracle.radius}
+        if oracle.subspace is not None:
+            out.update(kind="frobenius_ball_in_L", **_subspace_to_dict(oracle.subspace))
+        return out
     if isinstance(oracle, Ellipsoid):
         return {"kind": "ellipsoid", "shape": _floats(oracle.Q), "center": _floats(oracle.center)}
     if isinstance(oracle, SecondOrderCone):
@@ -69,13 +71,6 @@ def oracle_to_dict(oracle) -> dict:
         # JSON has no infinities: an absent bound is written as null.
         lo, hi = (b if np.isfinite(b) else None for b in (oracle.lo, oracle.hi))
         return {"kind": "spectral_set", "n": oracle.n, "lo": lo, "hi": hi, "trace": oracle.trace}
-    if isinstance(oracle, BallInAffine):
-        return {
-            "kind": "frobenius_ball_in_L",
-            "center": _floats(oracle.center),
-            "radius": oracle.radius,
-            **_subspace_to_dict(oracle.subspace),
-        }
     if isinstance(oracle, EmbeddedOracle):
         return {
             "kind": "embedded",
@@ -127,7 +122,7 @@ def oracle_from_dict(data) -> object:
             lo, hi = -np.inf if lo is None else lo, np.inf if hi is None else hi
             return SpectralSet(data["n"], lo, hi, data.get("trace"))
         if kind == "frobenius_ball_in_L":
-            return BallInAffine(data["center"], data["radius"], _subspace_from_dict(data))
+            return Ball(data["center"], data["radius"], _subspace_from_dict(data))
         if kind == "embedded":
             return EmbeddedOracle(oracle_from_dict(data["inner"]), _subspace_from_dict(data))
         if kind == "cap":
@@ -169,6 +164,24 @@ def problem_to_dict(problem: FeasibilityProblem, z0=None) -> dict:
     return out
 
 
+def _field(data, name, parse):
+    """parse(data[name]), or None when the field is absent or null; a field
+    of the wrong type is a ValueError that names it."""
+    if data.get(name) is None:
+        return None
+    try:
+        return parse(data[name])
+    except (AttributeError, KeyError, TypeError) as exc:
+        msg = f"problem field {name!r} is malformed: {type(exc).__name__}: {exc}"
+        raise ValueError(msg) from exc
+
+
+def _point(value, dim, label):
+    if len(value) != dim:
+        raise ValueError(f"{label} dimension does not match the sets")
+    return np.asarray(value, dtype=float)
+
+
 def problem_from_dict(data):
     """Parse a version-1 problem description.
 
@@ -186,27 +199,16 @@ def problem_from_dict(data):
     Y = oracle_from_dict(data["Y"])
     if X.dim != Y.dim:
         raise ValueError(f"set dimensions differ: X has {X.dim}, Y has {Y.dim}")
-    hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
+    hull = _field(data, "hull", _subspace_from_dict)
     if hull is not None and hull.dim != X.dim:
         raise ValueError(f"hull dimension {hull.dim} does not match sets ({X.dim})")
-    reference = data.get("reference")
-    if reference is not None and len(reference) != X.dim:
-        raise ValueError("reference point dimension does not match the sets")
-    constants = None
-    if "known_constants" in data:
-        kc = data["known_constants"]
-        constants = KnownConstants(
-            kappa_x=kc.get("kappa_x"), kappa_y=kc.get("kappa_y"), omega=kc.get("omega")
-        )
-    z0 = data.get("z0")
-    if z0 is not None:
-        if len(z0) != X.dim:
-            raise ValueError("z0 dimension does not match the sets")
-        z0 = np.asarray(z0, dtype=float)
+    reference = _field(data, "reference", lambda v: _point(v, X.dim, "reference point"))
+    constants = _field(data, "known_constants", lambda kc: KnownConstants(
+        kappa_x=kc.get("kappa_x"), kappa_y=kc.get("kappa_y"), omega=kc.get("omega")
+    ))
+    z0 = _field(data, "z0", lambda v: _point(v, X.dim, "z0"))
     problem = FeasibilityProblem(
-        X, Y, common_hull=hull,
-        reference_solution=np.asarray(reference, dtype=float) if reference is not None else None,
-        known_constants=constants,
+        X, Y, common_hull=hull, reference_solution=reference, known_constants=constants
     )
     return problem, z0
 

@@ -211,27 +211,47 @@ class Halfspace(SetOracle):
 
 
 class Ball(SetOracle):
-    """{z : ||z - center|| <= radius}, described by g = ||z-c||^2 - r^2."""
+    """{z in L : ||z - center|| <= radius}, L the ``subspace`` or the whole space.
 
-    def __init__(self, center, radius):
-        center = _as_point(center)
+    Within a subspace the set is a ball of L, centered at the projected
+    center with the chordal radius (``in_plane_center``, ``in_plane_radius``;
+    without one these are ``center`` and ``radius``); projection goes to L
+    first, then clamps radially inside it. The descriptor is
+    g = ||z - c||^2 - r^2 in those in-plane terms. On flattened
+    symmetric-matrix coordinates this realizes Frobenius-norm balls within
+    linear matrix constraints.
+    """
+
+    def __init__(self, center, radius, subspace: AffineSubspace | None = None):
+        center = _as_point(center, None if subspace is None else subspace.dim)
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         super().__init__(center.shape[0])
-        self.center = center
-        self.radius = float(radius)
+        self.center, self.radius, self.subspace = center, float(radius), subspace
+        self.in_plane_center, self.in_plane_radius = center, self.radius
+        if subspace is not None:
+            q = subspace.project(center)
+            chord2 = radius**2 - float(np.sum((center - q) ** 2))
+            if chord2 <= 0.0:
+                raise ValueError("empty set: the ball does not reach the subspace")
+            self.in_plane_center, self.in_plane_radius = q, float(np.sqrt(chord2))
+
+    @property
+    def affine_hull(self):
+        return self.subspace
 
     def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        d = z - self.center
+        L = self.subspace
+        p = _as_point(z, self.dim) if L is None else L.project(z)
+        d = p - self.in_plane_center
         nd = _norm(d)
-        if nd <= self.radius:
-            return z.copy()
-        return self.center + d * (self.radius / nd)
+        if nd <= self.in_plane_radius:
+            return p.copy() if L is None else p
+        return self.in_plane_center + d * (self.in_plane_radius / nd)
 
     def _boundary(self, z):
-        d = _as_point(z, self.dim) - self.center
-        return float(d @ d) - self.radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
+        d = _as_point(z, self.dim) - self.in_plane_center
+        return float(d @ d) - self.in_plane_radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
 
 
 class Ellipsoid(SetOracle):
@@ -532,48 +552,6 @@ class SpectralSet(SetOracle):
         return g, s * sym_to_vec(np.outer(q, q)), 2.0 * (M / (s * (w[k] - np.delete(w, k)))) @ M.T
 
 
-class BallInAffine(SetOracle):
-    """A norm ball intersected with an affine subspace, in closed form.
-
-    The intersection is a ball within the subspace, centered at the
-    projected center with the chordal radius; projection goes to the
-    subspace first, then clamps radially inside it. On flattened
-    symmetric-matrix coordinates this realizes Frobenius-norm balls
-    within linear matrix constraints.
-    """
-
-    def __init__(self, center, radius, subspace: AffineSubspace):
-        center = _as_point(center, subspace.dim)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        super().__init__(subspace.dim)
-        self.center = center
-        self.radius = float(radius)
-        self.subspace = subspace
-        q = subspace.project(center)
-        chord2 = radius**2 - float(np.sum((center - q) ** 2))
-        if chord2 <= 0.0:
-            raise ValueError("empty set: the ball does not reach the subspace")
-        self.in_plane_center = q
-        self.in_plane_radius = float(np.sqrt(chord2))
-
-    @property
-    def affine_hull(self):
-        return self.subspace
-
-    def project(self, z) -> np.ndarray:
-        p = self.subspace.project(z)
-        d = p - self.in_plane_center
-        nd = _norm(d)
-        if nd <= self.in_plane_radius:
-            return p
-        return self.in_plane_center + d * (self.in_plane_radius / nd)
-
-    def _boundary(self, z):
-        d = _as_point(z, self.dim) - self.in_plane_center
-        return float(d @ d) - self.in_plane_radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
-
-
 class EmbeddedOracle(SetOracle):
     """A lower-dimensional oracle placed inside an affine subspace.
 
@@ -633,7 +611,7 @@ class IsometricImage(SetOracle):
 
 class Cap(SetOracle):
     """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
-    {<a, x> <= b} or a :class:`Ball` B(c, r).
+    {<a, x> <= b} or a whole-space :class:`Ball` B(c, r).
 
     The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - mu a),
     or P_inner((1 - t) z + t c) with t in [0, 1], at the root of <a, x> - b,
@@ -649,11 +627,13 @@ class Cap(SetOracle):
     """
 
     def __init__(self, inner: SetOracle, cut):
-        if not isinstance(cut, (Hyperplane, Halfspace, Ball)) or cut.dim != inner.dim:
-            raise ValueError("a cap's cut is a Hyperplane, Halfspace or Ball of the inner dimension")
+        ball = isinstance(cut, Ball) and cut.subspace is None
+        if not (ball or isinstance(cut, (Hyperplane, Halfspace))) or cut.dim != inner.dim:
+            raise ValueError(
+                "a cap's cut is a Hyperplane, Halfspace or whole-space Ball of the inner dimension"
+            )
         super().__init__(inner.dim)
-        self.inner, self.cut = inner, cut
-        self._ball = isinstance(cut, Ball)
+        self.inner, self.cut, self._ball = inner, cut, ball
         v = cut.center if self._ball else cut.normal
         self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
 

@@ -5,12 +5,13 @@ import numpy as np
 from ccrm.sets import (
     AffineSubspace,
     Ball,
-    BallInAffine,
     Cap,
     DykstraIntersection,
     Ellipsoid,
+    EmbeddedOracle,
     Halfspace,
     Hyperplane,
+    IsometricImage,
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
@@ -27,8 +28,9 @@ def random_orthogonal(rng, n):
 
 
 def oracle_zoo(rng):
-    """A representative oracle of every kind, with a sampler for query points."""
+    """A representative oracle of every kind, with its dimension."""
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.25])
+    tilted = AffineSubspace([[1.0, 1.0, 1.0]], [1.0])
     zoo = [
         (Halfspace(rng.normal(size=3), 0.4), 3),
         (Hyperplane([1.0, -2.0, 0.5], 1.0), 3),
@@ -41,7 +43,7 @@ def oracle_zoo(rng):
         (SpectralSet(3, lo=0.0), 6),
         (SpectralSet(3, hi=0.6, trace=1.0), 6),
         (SpectralSet(3, lo=0.0, trace=1.0), 6),
-        (BallInAffine([0.1, 0.2, 0.7], 1.0, plane), 3),
+        (Ball([0.1, 0.2, 0.7], 1.0, plane), 3),
         (
             DykstraIntersection(
                 [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)], tol=1e-13
@@ -50,6 +52,8 @@ def oracle_zoo(rng):
         ),
         (Cap(SecondOrderCone(3), Hyperplane([1.0, 0.3, 0.0], 1.0)), 3),
         (Cap(SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 0.5, -0.3])), 1.0)), 6),
+        (EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0]), center=[0.2, -0.1]), tilted), 3),
+        (IsometricImage(Ball([0.6, 0.3, 0.4], 1.2, tilted), tilted), 2),
     ]
     return zoo
 

@@ -167,6 +167,9 @@ def test_cap_rejects_other_cuts():
         Cap(Ball([0.0, 0.0], 1.0), Ellipsoid(np.eye(2)))
     with pytest.raises(ValueError):
         Cap(Ball([0.0, 0.0], 1.0), Hyperplane([1.0, 0.0, 0.0], 0.0))
+    disc = Ball([1.0, 0.0, 0.0], 1.0, Hyperplane([0.0, 0.0, 1.0], 0.0))
+    with pytest.raises(ValueError):
+        Cap(Ball([0.0, 0.0, 0.0], 2.0), disc)
 
 
 def test_cap_point_inside_is_fixed():

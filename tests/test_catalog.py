@@ -262,13 +262,13 @@ def test_concentric_balls_in_hyperplane_limit():
         (np.eye(3), center, 2.0),
     ]
     entry = make_eq_constrained_ellipsoids(A, b, balls)
-    from ccrm.sets import AffineSubspace, BallInAffine
+    from ccrm.sets import AffineSubspace, Ball
 
     L = AffineSubspace(A, b)
     z0 = np.array([3.0, 1.5, 2.0])
     trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), z0)
     assert trace.termination == "feasible"
-    expected = BallInAffine(center, 1.0, L).project(z0)
+    expected = Ball(center, 1.0, L).project(z0)
     assert np.linalg.norm(trace.final - expected) <= 1e-9
 
 

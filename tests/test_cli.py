@@ -122,6 +122,21 @@ def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x):
     assert capsys.readouterr().err.startswith("error: descriptor of kind")
 
 
+@pytest.mark.parametrize("field", ["z0", "reference", "hull", "known_constants"])
+def test_solve_mistyped_problem_field_is_an_input_error(tmp_path, capsys, field):
+    # Each of these raised a TypeError or AttributeError out of the parser.
+    problem = {
+        "version": "1",
+        "X": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+        field: 5,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path), "--z0", "1,1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: problem field {field!r} is malformed")
+
+
 def test_solve_missing_z0_in_file(tmp_path):
     entry = make_discs3d()
     path = tmp_path / "p.json"

@@ -29,7 +29,6 @@ from ccrm.errors import ConvergenceError, RegularityError
 from ccrm.sets import (
     AffineSubspace,
     Ball,
-    BallInAffine,
     Cap,
     DykstraIntersection,
     Ellipsoid,

@@ -15,7 +15,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
-from ccrm.sets import Cap, DykstraIntersection, SpectralSet
+from ccrm.sets import Cap, DykstraIntersection, IsometricImage, SpectralSet
 from ccrm.solvers import SolverConfig, run
 
 from helpers import oracle_zoo
@@ -24,6 +24,10 @@ from helpers import oracle_zoo
 def test_oracle_descriptor_round_trips():
     rng = np.random.default_rng(91)
     for oracle, dim in oracle_zoo(rng):
+        if isinstance(oracle, IsometricImage):  # hull coordinates have no file kind
+            with pytest.raises(ValueError, match="cannot serialize"):
+                oracle_to_dict(oracle)
+            continue
         data = oracle_to_dict(oracle)
         rebuilt = oracle_from_dict(json.loads(json.dumps(data)))
         assert rebuilt.dim == oracle.dim

@@ -10,7 +10,6 @@ from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
     AffineSubspace,
     Ball,
-    BallInAffine,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -472,7 +471,7 @@ def test_spectral_set_validation():
 
 def test_ball_in_affine_plane_projection():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
-    disc = BallInAffine([0.0, 0.0, 0.0], 2.0, plane)
+    disc = Ball([0.0, 0.0, 0.0], 2.0, plane)
     p = disc.project([0.0, 3.0, 4.0])
     assert np.allclose(p, [0.0, 2.0, 0.0], atol=1e-12)
 
@@ -480,16 +479,25 @@ def test_ball_in_affine_plane_projection():
 def test_ball_in_affine_off_hull_center_chord():
     # center one unit off the plane: in-plane radius sqrt(r^2 - 1)
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
-    cap = BallInAffine([0.0, 0.0, 1.0], 2.0, plane)
+    cap = Ball([0.0, 0.0, 1.0], 2.0, plane)
     assert np.isclose(cap.in_plane_radius, np.sqrt(3.0))
     p = cap.project([5.0, 0.0, 0.0])
     assert np.allclose(p, [np.sqrt(3.0), 0.0, 0.0], atol=1e-12)
 
 
+def test_ball_without_subspace_is_its_own_in_plane_ball():
+    ball = Ball([0.5, -0.5, 1.0], 1.5)
+    assert ball.affine_hull is None
+    assert ball.in_plane_center is ball.center and ball.in_plane_radius == ball.radius
+    z = np.array([0.6, -0.4, 1.1])
+    p = ball.project(z)
+    assert np.array_equal(p, z) and p is not z
+
+
 def test_ball_in_affine_empty_rejected():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
     with pytest.raises(ValueError):
-        BallInAffine([0.0, 0.0, 3.0], 2.0, plane)
+        Ball([0.0, 0.0, 3.0], 2.0, plane)
 
 
 # --- embedded / image wrappers ---------------------------------------------
@@ -497,7 +505,7 @@ def test_ball_in_affine_empty_rejected():
 def test_embedded_matches_direct_construction():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0], basis=np.eye(3)[:, :2])
     emb = EmbeddedOracle(Ball([0.0, 0.0], 2.0), plane)
-    disc = BallInAffine([0.0, 0.0, 0.0], 2.0, plane)
+    disc = Ball([0.0, 0.0, 0.0], 2.0, plane)
     rng = np.random.default_rng(19)
     for _ in range(50):
         z = rng.normal(size=3) * 3.0
@@ -527,7 +535,7 @@ def test_wrapper_projection_validates_each_point_once_per_layer(monkeypatch, kin
 
 def test_isometric_image_round_trip():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [1.0], basis=np.eye(3)[:, :2])
-    disc = BallInAffine([0.0, 0.0, 1.0], 1.5, plane)
+    disc = Ball([0.0, 0.0, 1.0], 1.5, plane)
     image = IsometricImage(disc, plane)
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -697,7 +705,7 @@ def test_boundary_eval_soc_apex_refuses():
 
 def test_boundary_eval_hull_coordinates():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0], basis=np.eye(3)[:, :2])
-    disc = BallInAffine([0.0, 0.0, 0.0], 2.0, plane)
+    disc = Ball([0.0, 0.0, 0.0], 2.0, plane)
     g, grad, hess = boundary_eval(disc, [2.0, 0.0, 0.0])
     assert grad.shape == (2,)
     assert np.allclose(grad, [4.0, 0.0])
@@ -743,7 +751,7 @@ def test_boundary_derivatives_match_finite_differences():
         (PowerEpigraph(2.0, 0.0), np.array([0.6, 0.36])),
         (PowerEpigraph(3.0, 1.0), np.array([0.8, 0.8**3 - 1.0])),
         (SecondOrderCone(3), np.array([np.sqrt(0.5), 0.5, 0.5])),
-        (BallInAffine([0.0, 0.0, 0.0], 2.0, plane), np.array([np.sqrt(2.0), np.sqrt(2.0), 0.0])),
+        (Ball([0.0, 0.0, 0.0], 2.0, plane), np.array([np.sqrt(2.0), np.sqrt(2.0), 0.0])),
     ]
     for oracle, z in cases:
         finite_difference_check(oracle, z)
@@ -779,7 +787,7 @@ def test_boundary_derivatives_match_finite_differences():
         tilted.from_local([2.0 * np.cos(0.7), np.sin(0.7)]),
     )
     finite_difference_check(
-        IsometricImage(BallInAffine(tilted.anchor, 2.0, tilted), tilted),
+        IsometricImage(Ball(tilted.anchor, 2.0, tilted), tilted),
         np.array([np.sqrt(2.0), np.sqrt(2.0)]),
     )
 
@@ -817,7 +825,7 @@ def test_norm_based_projections_past_overflow_match_closed_form():
     # the socp Y: L = {z_1 + z_2 + z_3 = 1.5} holds the center, so the
     # far point's direction within L is (3, -1, -1, 2) / sqrt(15)
     center = np.array([0.3, 0.7, 0.5, 0.3])
-    disc = BallInAffine(center, 0.7, AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5]))
+    disc = Ball(center, 0.7, AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5]))
     expected = center + 0.7 * np.array([3.0, -1.0, -1.0, 2.0]) / np.sqrt(15.0)
     assert np.allclose(disc.project([1e160, 0.0, 0.0, 1e160]), expected, rtol=0.0, atol=1e-12)
     cone = SecondOrderCone(3).project([0.0, 1e200, 1e200])
@@ -831,7 +839,7 @@ def test_norm_based_projections_variational_inequality_at_scale(scale):
     plane = AffineSubspace([[0.0, 1.0, 1.0, 1.0]], [1.5])
     oracles = [
         Ball([0.5, -0.5, 1.0], 1.5),
-        BallInAffine([0.3, 0.7, 0.5, 0.3], 0.7, plane),
+        Ball([0.3, 0.7, 0.5, 0.3], 0.7, plane),
         SecondOrderCone(4),
     ]
     for oracle in oracles:
@@ -916,6 +924,18 @@ def test_as_point_accepts_and_rejects_as_the_reference(name, dim):
 
 
 ZOO_IDS = [type(oracle).__name__ for oracle, _ in oracle_zoo(np.random.default_rng(0))]
+
+
+def test_oracle_zoo_covers_every_set_class():
+    classes = {
+        cls for cls in vars(ccrm.sets).values()
+        if isinstance(cls, type) and issubclass(cls, ccrm.sets.SetOracle)
+        and cls is not ccrm.sets.SetOracle
+    }
+    zoo = [oracle for oracle, _ in oracle_zoo(np.random.default_rng(0))]
+    assert sorted(cls.__name__ for cls in classes - {type(o) for o in zoo}) == []
+    # a ball in the whole space and one within a subspace
+    assert {o.subspace is None for o in zoo if type(o) is Ball} == {True, False}
 
 
 @pytest.mark.parametrize("index", range(len(ZOO_IDS)), ids=ZOO_IDS)
