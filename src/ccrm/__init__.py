@@ -16,7 +16,6 @@ from .diagnostics import (
     curvature,
     estimate_omega,
     fejer_bound_check,
-    intersection_distance,
     quad_constant_check,
     rate_report,
     tangent_bound_check,

@@ -3,24 +3,24 @@
 Each entry packages the problem, a suggested starting point, and whatever
 is known analytically about the limit: the reference solution, boundary
 curvatures there, and the expected convergence rate of the centralized
-method. Constructors are pure and deterministic; the parametric ones fix
-default numeric data so downstream runs are reproducible.
+method. Constructors are pure and deterministic, and each builds one fixed
+instance; only the epigraph's shape and the fixed-trace bound are
+parameters. Custom problems are built from :mod:`ccrm.sets` or loaded
+from a problem file.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import sym_dim, sym_to_vec
+from .linalg import sym_to_vec
 from .sets import (
     AffineSubspace,
     Ball,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
@@ -28,7 +28,6 @@ from .sets import (
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
-    dykstra_project,
 )
 from .solvers import FeasibilityProblem, KnownConstants
 
@@ -93,14 +92,16 @@ def make_ellipses() -> CatalogEntry:
 
     X has semi-axes (2, 1) at the origin, Y has semi-axes (1, 2) at
     (1, 0). The boundary curvature of X varies eightfold between the
-    major-axis tips (2) and the minor-axis tips (1/4), so the quadratic
-    constant depends on where the iteration lands.
+    major-axis tips (2) and the minor-axis tips (1/4). No rate is expected:
+    the lens wedge is wide, and from the suggested start cCRM lands at once
+    on a point strictly inside Y (g_Y about -0.56), so there is no tail to
+    classify.
     """
     plane = _plane_z3()
     X = EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0])), plane)
     Y = EmbeddedOracle(Ellipsoid(np.diag([1.0, 0.25]), center=[1.0, 0.0]), plane)
     problem = FeasibilityProblem(X, Y, common_hull=plane)
-    reference = ReferenceData(expected_rate="quadratic")
+    reference = ReferenceData(expected_rate=None)
     return CatalogEntry("ellipses", problem, np.array([2.5, 2.0, 1.0]), reference)
 
 
@@ -170,12 +171,6 @@ def _ellipsoid_from_ball(B, c, r):
     return Ellipsoid(B.T @ B / slack, center)
 
 
-def _subspace(A, b):
-    """L = {A z = b}: a :class:`Hyperplane` for one row, so a cap can cut by it."""
-    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return Hyperplane(A[0], b[0]) if A.shape[0] == 1 else AffineSubspace(A, b)
-
-
 def _ellipsoid_within(e, L):
     """E & L as an ellipsoid in L's orthonormal coordinates v, z = anchor + B v.
 
@@ -193,53 +188,30 @@ def _ellipsoid_within(e, L):
     return EmbeddedOracle(Ellipsoid(Qp / slack, cp), L)
 
 
-def _default_eq_ellipsoids():
-    """(A, b, balls) of the default eq_ellipsoids instance."""
-    A = np.array([[1.0, 1.0, 1.0, 1.0]])
-    b = np.array([2.0])
+def _eq_ellipsoids_leaves():
+    """(e1, e2, L) of the eq_ellipsoids instance: the ambient ellipsoids
+    {||B_i (z - c_i)|| <= r_i} in R^4 and L = {z_1 + z_2 + z_3 + z_4 = 2}."""
     B1 = np.diag([1.0, 1.2, 0.9, 1.1])
     B2 = np.diag([1.1, 0.95, 1.05, 1.0])
-    balls = [
-        (B1, B1 @ np.array([1.0, 0.5, 0.25, 0.25]), 1.2),
-        (B2, B2 @ np.array([0.0, 0.75, 0.75, 0.5]), 1.3),
-    ]
-    return A, b, balls
+    e1 = _ellipsoid_from_ball(B1, B1 @ np.array([1.0, 0.5, 0.25, 0.25]), 1.2)
+    e2 = _ellipsoid_from_ball(B2, B2 @ np.array([0.0, 0.75, 0.75, 0.5]), 1.3)
+    return e1, e2, Hyperplane([1.0, 1.0, 1.0, 1.0], 2.0)
 
 
-def make_eq_constrained_ellipsoids(A=None, b=None, balls=None) -> CatalogEntry:
-    """Two ellipsoids intersected with L = {A z = b}, each reduced into L.
+def make_eq_constrained_ellipsoids() -> CatalogEntry:
+    """Two anisotropic balls of R^4 intersected with a hyperplane L, each reduced into L.
 
-    With at least one row, E & L is itself an ellipsoid in L's orthonormal
-    coordinates (see :func:`_ellipsoid_within`), so X and Y are
+    E & L is itself an ellipsoid in L's orthonormal coordinates (see
+    :func:`_ellipsoid_within`), so X and Y are
     :class:`~ccrm.sets.EmbeddedOracle` ellipsoids sharing L, each projected
-    by one scalar Newton solve; with none they are the plain ellipsoids.
-    An ellipsoid without interior points in L raises ``ValueError``. The
-    default instance lives in R^4 with one equality constraint and two
-    overlapping anisotropic balls whose common relative interior is
-    verified by a Dykstra probe at construction; an infeasible probe
-    degrades to a warning since the problem may still be usable.
+    by one scalar Newton solve. No rate is expected: from the suggested
+    start cCRM lands at once on a point strictly inside X (g_X about
+    -0.97), so there is no tail to classify.
     """
-    if A is None:
-        A, b, balls = _default_eq_ellipsoids()
-    if len(balls) != 2:
-        raise ValueError("need exactly two ball constraints")
-
-    e1 = _ellipsoid_from_ball(*balls[0])
-    e2 = _ellipsoid_from_ball(*balls[1])
-    L = _subspace(A, b)
-    X, Y = (_ellipsoid_within(e, L) for e in (e1, e2)) if L.A.shape[0] else (e1, e2)
-
-    probe_start = L.project(0.5 * (e1.center + e2.center))
-    probe = dykstra_project([e1, e2, L], probe_start, tol=1e-10)
-    if max(e1._boundary(probe)[0], e2._boundary(probe)[0]) > -1e-8:
-        warnings.warn(
-            "Slater probe found no strictly interior common point; "
-            "the problem may lack a relative interior intersection"
-        )
-
-    problem = FeasibilityProblem(X, Y, common_hull=L)
+    e1, e2, L = _eq_ellipsoids_leaves()
+    problem = FeasibilityProblem(_ellipsoid_within(e1, L), _ellipsoid_within(e2, L), common_hull=L)
     z0 = L.anchor + 2.0 * (np.arange(L.dim) == 0)
-    return CatalogEntry("eq_ellipsoids", problem, z0, ReferenceData(expected_rate="quadratic"))
+    return CatalogEntry("eq_ellipsoids", problem, z0, ReferenceData(expected_rate=None))
 
 
 def make_socp() -> CatalogEntry:
@@ -257,84 +229,48 @@ def make_socp() -> CatalogEntry:
     return CatalogEntry("socp", problem, z0, ReferenceData(expected_rate="quadratic"))
 
 
-def make_sdp_feasibility(A_ops=None, b=None, Sigma_hat=None, r=None, n=3) -> CatalogEntry:
-    """Semidefinite feasibility: A(Sigma) = b, Sigma >= 0, ||Sigma - hat||_F <= r.
+def make_sdp_feasibility() -> CatalogEntry:
+    """Semidefinite feasibility: tr(Sigma) = 1, Sigma >= 0, ||Sigma - hat||_F <= r.
 
-    Operates on isometrically flattened symmetric matrices. X is the PSD
-    cone within L: a closed-form spectral set when there is no constraint
-    or the one constraint is a multiple of the trace, an exact cap of the
-    cone by any other single constraint, Dykstra-backed for several. Y is
-    the Frobenius ball within L (closed form). The default is the n = 3
-    single-trace-constraint instance with a strictly feasible point.
+    Operates on isometrically flattened symmetric 3 x 3 matrices. X =
+    {lambda >= 0, tr = 1} is a closed-form spectral set whose trace
+    hyperplane L is the common hull; Y is the Frobenius ball within L
+    (closed form). A negative direction in the target pulls the limit onto
+    the cone boundary (rank 2); the radius barely clears the distance to
+    PSD within L, keeping the intersection thin enough that the quadratic
+    tail is observable.
     """
-    if A_ops is None:
-        if n != 3:
-            raise ValueError("default data is defined for n = 3")
-        A_ops = [np.eye(n)]
-        b = np.array([1.0])
-        # A negative direction in the target pulls the limit onto the cone
-        # boundary (rank n-1); the radius barely clears the distance to
-        # PSD within L, keeping the intersection thin enough that the
-        # quadratic tail is observable.
-        off = np.array([[0.0, 0.05, 0.02], [0.05, 0.0, 0.04], [0.02, 0.04, 0.0]])
-        Sigma_hat = np.diag([1.0, 0.8, -0.8]) + off
-        r = 1.02
-        z0 = sym_to_vec(np.diag([2.0, 0.4, -1.4]) + 0.3 * off)
-    else:
-        z0 = None
-    c = float(np.asarray(A_ops[0])[0, 0]) if len(A_ops) == 1 else 0.0
-    if len(A_ops) == 0:
-        # No constraint: X is the PSD cone and L the whole space.
-        X = SpectralSet(n, lo=0.0)
-        L = AffineSubspace(np.zeros((0, sym_dim(n))), np.zeros(0))
-    elif c != 0.0 and np.array_equal(A_ops[0], c * np.eye(n)):
-        # c tr(Sigma) = b alone: X = {lambda >= 0, tr = b / c}, projected in
-        # closed form; its trace hyperplane is the common hull.
-        X = SpectralSet(n, lo=0.0, trace=np.atleast_1d(np.asarray(b, dtype=float))[0] / c)
-        L = X.affine_hull
-    else:
-        rows = np.stack([sym_to_vec(np.asarray(Ai, dtype=float)) for Ai in A_ops])
-        L = _subspace(rows, b)
-        cone = SpectralSet(n, lo=0.0)
-        X = Cap(cone, L) if isinstance(L, Hyperplane) else DykstraIntersection([cone, L], hull=L)
-    Y = Ball(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
+    off = np.array([[0.0, 0.05, 0.02], [0.05, 0.0, 0.04], [0.02, 0.04, 0.0]])
+    X = SpectralSet(3, lo=0.0, trace=1.0)
+    L = X.affine_hull
+    Y = Ball(sym_to_vec(np.diag([1.0, 0.8, -0.8]) + off), 1.02, L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
-    if z0 is None:
-        z0 = L.anchor.copy()
+    z0 = sym_to_vec(np.diag([2.0, 0.4, -1.4]) + 0.3 * off)
     return CatalogEntry("sdp", problem, z0, ReferenceData(expected_rate="quadratic"))
 
 
-def make_fixed_trace(a=0.5, Sigma_hat=None, r=None, n=4) -> CatalogEntry:
-    """Fixed-trace spectral feasibility: tr = 1, lambda_max <= a, Frobenius ball.
+def make_fixed_trace(a=0.5) -> CatalogEntry:
+    """Fixed-trace spectral feasibility on 4 x 4 matrices: tr = 1, lambda_max <= a, Frobenius ball.
 
     The trace constraint is the common hull; the spectral constraint has a
-    C^2 relative boundary wherever the leading eigenvalue is simple. The
-    default target matrix pulls toward lambda_max > a so the limit lands
-    on the spectral boundary.
+    C^2 relative boundary wherever the leading eigenvalue is simple.
+    lambda_max of the target exceeds the bound, and the radius barely
+    clears the distance to the spectral set, so the limit sits on the
+    spectral boundary with a visible quadratic tail.
     """
-    if Sigma_hat is None:
-        if n != 4:
-            raise ValueError("default target matrix is defined for n = 4")
-        # lambda_max of the target exceeds the bound, and the radius barely
-        # clears the distance to the spectral set, so the limit sits on the
-        # spectral boundary with a visible quadratic tail.
-        Sigma_hat = np.array(
-            [
-                [1.5, 0.1, 0.0, 0.05],
-                [0.1, 0.0, 0.08, 0.0],
-                [0.0, 0.08, -0.2, 0.06],
-                [0.05, 0.0, 0.06, -0.3],
-            ]
-        )
-        r = 1.17
-    X = SpectralSet(n, hi=a, trace=1.0)
+    Sigma_hat = np.array(
+        [
+            [1.5, 0.1, 0.0, 0.05],
+            [0.1, 0.0, 0.08, 0.0],
+            [0.0, 0.08, -0.2, 0.06],
+            [0.05, 0.0, 0.06, -0.3],
+        ]
+    )
+    X = SpectralSet(4, hi=a, trace=1.0)
     L = X.affine_hull
-    Y = Ball(sym_to_vec(np.asarray(Sigma_hat, dtype=float)), float(r), L)
+    Y = Ball(sym_to_vec(Sigma_hat), 1.17, L)
     problem = FeasibilityProblem(X, Y, common_hull=L)
-    if n == 4:
-        z0 = sym_to_vec(np.diag([2.2, -0.4, -0.4, -0.4]))
-    else:
-        z0 = L.anchor.copy()
+    z0 = sym_to_vec(np.diag([2.2, -0.4, -0.4, -0.4]))
     return CatalogEntry("fixed_trace", problem, z0, ReferenceData(expected_rate="quadratic"))
 
 
@@ -357,12 +293,9 @@ def _parse_epigraph_params(params):
 def _parse_fixed_trace_params(params):
     kwargs = {}
     for key, value in params.items():
-        if key == "a":
-            kwargs["a"] = float(value)
-        elif key == "n":
-            kwargs["n"] = int(value)
-        else:
+        if key != "a":
             raise ValueError(f"unknown fixed_trace parameter {key!r}")
+        kwargs["a"] = float(value)
     return make_fixed_trace(**kwargs)
 
 

@@ -217,11 +217,9 @@ def cmd_diagnose(args):
         report["quad_constant_bound"] = 4.0 * kappa / omega
         report["quad_constant_sharper"] = kappa / omega
 
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json_report(args.out, report)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -255,10 +255,10 @@ def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
 def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
-    An exact :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane``,
-    ``Halfspace`` or whole-space ``Ball`` (epigraph), or by B(in-plane center,
-    in-plane radius) when Y is a ``Ball`` within X's hull (discs3d, socp, sdp,
-    fixed_trace);
+    An exact :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane`` or
+    ``Halfspace`` (epigraph) or a whole-space ``Ball``, or by B(in-plane
+    center, in-plane radius) when Y is a ``Ball`` within X's hull (discs3d,
+    socp, sdp, fixed_trace);
     otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
     X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
@@ -272,13 +272,6 @@ def intersection_oracle(problem: FeasibilityProblem):
         if hull is L or same:
             return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
     return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
-
-
-def intersection_distance(problem: FeasibilityProblem, z, projector=None) -> float:
-    """dist(z, X intersect Y), through a closed-form projector when given,
-    otherwise through :func:`intersection_oracle`."""
-    z = np.asarray(z, dtype=float)
-    return _norm((projector or intersection_oracle(problem).project)(z) - z)
 
 
 def estimate_omega(

@@ -17,7 +17,7 @@ from ccrm.sets import (
     SpectralSet,
 )
 from ccrm import catalog
-from ccrm.catalog import make_eq_constrained_ellipsoids, make_sdp_feasibility
+from ccrm.catalog import make_eq_constrained_ellipsoids
 from ccrm.linalg import sym_to_vec
 from ccrm.solvers import FeasibilityProblem
 
@@ -63,8 +63,7 @@ def eq_ellipsoid_leaves():
     ellipsoids and its hull instance L; the entry's X is e1 & L and its Y
     is e2 & L."""
     entry = make_eq_constrained_ellipsoids()
-    _, _, balls = catalog._default_eq_ellipsoids()
-    e1, e2 = (catalog._ellipsoid_from_ball(*ball) for ball in balls)
+    e1, e2, _ = catalog._eq_ellipsoids_leaves()
     return entry, e1, e2, entry.problem.common_hull
 
 
@@ -92,9 +91,9 @@ def general_sdp():
     """A 2x2 sdp whose X is the PSD cone cut by <diag(1, 2), Sigma> = 1,
     and a start at Y's center: beyond the PSD boundary, it puts the
     limit on that boundary."""
-    problem = make_sdp_feasibility(
-        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=[[1.5, 0.1], [0.1, -0.5]], r=0.73, n=2
-    ).problem
+    H = Hyperplane(sym_to_vec(np.diag([1.0, 2.0])), 1.0)
+    Y = Ball(sym_to_vec(np.array([[1.5, 0.1], [0.1, -0.5]])), 0.73, H)
+    problem = FeasibilityProblem(Cap(SpectralSet(2, lo=0.0), H), Y, common_hull=H)
     return problem, problem.Y.in_plane_center
 
 

@@ -15,7 +15,7 @@ from ccrm.catalog import (
     make_sdp_feasibility,
     make_socp,
 )
-from ccrm.diagnostics import curvature, intersection_distance, intersection_oracle, tangent_bound_check
+from ccrm.diagnostics import curvature, intersection_oracle, tangent_bound_check
 from ccrm.errors import ConvergenceError
 from ccrm.sets import (
     Ball,
@@ -205,8 +205,9 @@ def test_intersection_oracle_is_exact_where_y_is_a_ball_in_the_hull(monkeypatch)
     monkeypatch.setattr(ccrm.sets, "dykstra_project", refuse)
     for make in (make_discs3d, make_socp, make_sdp_feasibility, make_fixed_trace):
         entry = make()
-        assert isinstance(intersection_oracle(entry.problem), Cap)
-        assert intersection_distance(entry.problem, entry.suggested_z0) > 0.0
+        oracle = intersection_oracle(entry.problem)
+        assert isinstance(oracle, Cap)
+        assert oracle.distance(entry.suggested_z0) > 0.0
     # Y is an ellipsoid within the hull, not a ball, so X & Y stays with Dykstra
     assert isinstance(intersection_oracle(make_eq_constrained_ellipsoids().problem), DykstraIntersection)
 
@@ -221,12 +222,12 @@ def test_intersection_oracle_cuts_x_by_a_hyperplane_halfspace_or_ball_y(monkeypa
         oracle = intersection_oracle(entry.problem)
         assert isinstance(oracle, Cap)
         assert oracle.inner is entry.problem.X and oracle.cut is entry.problem.Y
-        assert intersection_distance(entry.problem, entry.suggested_z0) > 0.0
+        assert oracle.distance(entry.suggested_z0) > 0.0
     for Y in (Ball([2.5, 0.0], 1.0), Halfspace([1.0, 0.0], 1.5), Hyperplane([1.0, 0.0], 1.5)):
         problem = FeasibilityProblem(Ball([0.0, 0.0], 2.0), Y)
         oracle = intersection_oracle(problem)
         assert isinstance(oracle, Cap) and oracle.cut is Y
-        assert intersection_distance(problem, [3.0, 1.0]) > 0.0
+        assert oracle.distance([3.0, 1.0]) > 0.0
 
 
 def _lens_projection(z):

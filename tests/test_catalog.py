@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ccrm.catalog import (
+    _ellipsoid_from_ball,
+    _ellipsoid_within,
+    _eq_ellipsoids_leaves,
     ellipse_boundary_curvature,
     make_discs3d,
     make_ellipses,
@@ -15,9 +18,9 @@ from ccrm.catalog import (
 )
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
-from ccrm.linalg import vec_to_sym
-from ccrm.sets import Cap, DykstraIntersection, Ellipsoid, SpectralSet
-from ccrm.solvers import SolverConfig, run
+from ccrm.linalg import sym_to_vec, vec_to_sym
+from ccrm.sets import AffineSubspace, Ball, Ellipsoid, Hyperplane, SpectralSet, dykstra_project
+from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
 
 def all_entries():
@@ -56,7 +59,7 @@ def test_projections_land_in_common_hull():
 
 def test_fixed_trace_empty_spectral_set_rejected():
     with pytest.raises(ValueError):
-        make_fixed_trace(a=0.2, n=4)
+        make_fixed_trace(a=0.2)
 
 
 def test_discs_reference_on_both_circles():
@@ -87,6 +90,31 @@ def test_ellipse_curvature_formula_matches_operator():
         z = np.array([2.0 * np.cos(t), np.sin(t), 0.0])
         got = curvature(entry.problem.X, z).kappa
         assert abs(got - ellipse_boundary_curvature(t)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make, which",
+    [(make_ellipses, "Y"), (make_eq_constrained_ellipsoids, "X")],
+    ids=["ellipses", "eq_ellipsoids"],
+)
+def test_one_step_limit_strictly_inside_one_set(make, which):
+    # the limit lies strictly inside one set, so no rate tail exists and
+    # the entry claims none
+    entry = make()
+    trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-14), entry.suggested_z0)
+    assert trace.termination == "feasible"
+    assert trace.n_steps == 1
+    assert getattr(entry.problem, which)._boundary(trace.final)[0] < -0.1
+    assert entry.reference.expected_rate is None
+
+
+def test_eq_ellipsoids_has_a_common_point_strictly_inside_both_ellipsoids():
+    # Slater's condition for the fixed instance: a Dykstra probe within L
+    # lands strictly inside both ambient ellipsoids
+    e1, e2, L = _eq_ellipsoids_leaves()
+    probe = dykstra_project([e1, e2, L], L.project(0.5 * (e1.center + e2.center)), tol=1e-10)
+    assert np.linalg.norm(L.A @ probe - L.b) <= 1e-9
+    assert max(e1._boundary(probe)[0], e2._boundary(probe)[0]) <= -1e-8
 
 
 def test_ellipses_converge_finitely():
@@ -173,26 +201,11 @@ def test_sdp_limit_is_rank_deficient_psd():
 
 
 def test_sdp_trace_constraint_gives_spectral_set():
-    # a lone multiple of the trace: X is PSD cap {tr = b / c}, sharing Y's hull
+    # X is the PSD cone capped by {tr = 1}, sharing Y's hull
     entry = make_sdp_feasibility()
     X, L = entry.problem.X, entry.problem.common_hull
     assert isinstance(X, SpectralSet)
     assert X.affine_hull is L and entry.problem.Y.affine_hull is L
-    scaled = make_sdp_feasibility(A_ops=[2.0 * np.eye(2)], b=[3.0], Sigma_hat=np.eye(2), r=1.5, n=2)
-    assert scaled.problem.X.trace == 1.5
-    # any other single constraint cuts the PSD cone exactly; two rows keep
-    # the Dykstra intersection with L
-    general = make_sdp_feasibility(
-        A_ops=[np.diag([1.0, 2.0])], b=[1.0], Sigma_hat=np.eye(2), r=1.5, n=2
-    )
-    X, L = general.problem.X, general.problem.common_hull
-    assert isinstance(X, Cap) and isinstance(X.inner, SpectralSet)
-    assert X.cut is L and X.affine_hull is L and general.problem.Y.affine_hull is L
-    two_rows = make_sdp_feasibility(
-        A_ops=[np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
-        b=[1.0, 0.0], Sigma_hat=np.eye(2), r=1.5, n=2,
-    )
-    assert isinstance(two_rows.problem.X, DykstraIntersection)
 
 
 def test_fixed_trace_limit_feasible():
@@ -205,10 +218,17 @@ def test_fixed_trace_limit_feasible():
     assert w[-1] <= 0.5 + 1e-9
 
 
+def _fixed_trace_problem(Sigma_hat, r):
+    """2 x 2: tr = 1, lambda_max <= 1 and a Frobenius ball within the trace plane."""
+    X = SpectralSet(2, hi=1.0, trace=1.0)
+    L = X.affine_hull
+    return FeasibilityProblem(X, Ball(sym_to_vec(Sigma_hat), r, L), common_hull=L)
+
+
 def test_fixed_trace_custom_small_instance():
     Sh = np.diag([2.0, -1.0]) / 2.0
-    entry = make_fixed_trace(a=1.0, Sigma_hat=Sh, r=2.0, n=2)
-    trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), entry.suggested_z0)
+    problem = _fixed_trace_problem(Sh, 2.0)
+    trace = run(problem, SolverConfig(method="ccrm", tol_feas=1e-10), problem.common_hull.anchor)
     assert trace.termination == "feasible"
     limit = vec_to_sym(trace.final)
     assert abs(np.trace(limit) - 1.0) <= 1e-9
@@ -218,65 +238,53 @@ def test_fixed_trace_custom_small_instance():
 def test_fixed_trace_feasible_target_one_step():
     # the target matrix itself satisfies every constraint: trace of length one
     Sh = np.diag([0.6, 0.4])
-    entry = make_fixed_trace(a=1.0, Sigma_hat=Sh, r=1.0, n=2)
-    from ccrm.linalg import sym_to_vec
-
-    trace = run(entry.problem, SolverConfig(method="ccrm"), sym_to_vec(Sh))
+    trace = run(_fixed_trace_problem(Sh, 1.0), SolverConfig(method="ccrm"), sym_to_vec(Sh))
     assert trace.termination == "feasible"
     assert trace.iterates.shape[0] == 1
 
 
 def test_eq_ellipsoids_reduction_rejects_degenerate_sets():
-    balls = [(np.eye(2), np.zeros(2), 1.0), (np.eye(2), np.array([0.5, 0.0]), 1.0)]
+    disc = _ellipsoid_from_ball(np.eye(2), np.zeros(2), 1.0)
     # a constraint line that misses the first disc's interior
     with pytest.raises(ValueError):
-        make_eq_constrained_ellipsoids(np.array([[1.0, 0.0]]), np.array([1.0]), balls)
+        _ellipsoid_within(disc, Hyperplane([1.0, 0.0], 1.0))
     # two rows leave a single point, with no room for an ellipsoid
     with pytest.raises(ValueError):
-        make_eq_constrained_ellipsoids(np.eye(2), np.array([0.1, 0.0]), balls)
+        _ellipsoid_within(disc, AffineSubspace(np.eye(2), [0.1, 0.0]))
 
 
 def test_eq_ellipsoids_without_constraints():
     # zero-row equality block: the problem lives in the full space
-    A = np.zeros((0, 3))
-    b = np.zeros(0)
-    balls = [
-        (np.eye(3), np.array([0.0, 0.0, 0.0]), 1.0),
-        (np.eye(3), np.array([1.0, 0.0, 0.0]), 1.0),
-    ]
-    entry = make_eq_constrained_ellipsoids(A, b, balls)
-    assert entry.problem.common_hull.subspace_dim == 3
-    assert type(entry.problem.X) is Ellipsoid and type(entry.problem.Y) is Ellipsoid
-    trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), np.array([3.0, 2.0, 1.0]))
+    hull = AffineSubspace(np.zeros((0, 3)), np.zeros(0))
+    X = _ellipsoid_from_ball(np.eye(3), np.array([0.0, 0.0, 0.0]), 1.0)
+    Y = _ellipsoid_from_ball(np.eye(3), np.array([1.0, 0.0, 0.0]), 1.0)
+    problem = FeasibilityProblem(X, Y, common_hull=hull)
+    assert problem.common_hull.subspace_dim == 3
+    assert type(problem.X) is Ellipsoid and type(problem.Y) is Ellipsoid
+    trace = run(problem, SolverConfig(method="ccrm", tol_feas=1e-10), np.array([3.0, 2.0, 1.0]))
     assert trace.termination == "feasible"
 
 
 def test_concentric_balls_in_hyperplane_limit():
     # nested sets: one centralized step lands on the projection onto the
     # smaller ball within the hyperplane, computable in closed form
-    A = np.array([[0.0, 0.0, 1.0]])
-    b = np.array([0.5])
+    H = Hyperplane([0.0, 0.0, 1.0], 0.5)
     center = np.array([0.2, -0.1, 0.5])
-    balls = [
-        (np.eye(3), center, 1.0),
-        (np.eye(3), center, 2.0),
-    ]
-    entry = make_eq_constrained_ellipsoids(A, b, balls)
-    from ccrm.sets import AffineSubspace, Ball
-
-    L = AffineSubspace(A, b)
+    X, Y = (_ellipsoid_within(_ellipsoid_from_ball(np.eye(3), center, r), H) for r in (1.0, 2.0))
     z0 = np.array([3.0, 1.5, 2.0])
-    trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), z0)
+    trace = run(FeasibilityProblem(X, Y, common_hull=H), SolverConfig(method="ccrm", tol_feas=1e-10), z0)
     assert trace.termination == "feasible"
-    expected = Ball(center, 1.0, L).project(z0)
+    expected = Ball(center, 1.0, AffineSubspace([[0.0, 0.0, 1.0]], [0.5])).project(z0)
     assert np.linalg.norm(trace.final - expected) <= 1e-9
 
 
 def test_sdp_without_linear_constraints(monkeypatch):
     # cone-versus-ball problem in the full flattened space
-    entry = make_sdp_feasibility(A_ops=[], b=[], Sigma_hat=np.diag([1.0, 1.0, -1.0]), r=1.2, n=3)
+    L = AffineSubspace(np.zeros((0, 6)), np.zeros(0))
+    problem = FeasibilityProblem(
+        SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 1.0, -1.0])), 1.2, L), common_hull=L
+    )
     from ccrm import sets
-    from ccrm.linalg import sym_to_vec, vec_to_sym
 
     eighs, projections = [0], [0]
 
@@ -284,14 +292,14 @@ def test_sdp_without_linear_constraints(monkeypatch):
         eighs[0] += 1
         return _eigh(S)
 
-    def counting_project(z, _project=entry.problem.X.project):
+    def counting_project(z, _project=problem.X.project):
         projections[0] += 1
         return _project(z)
 
     monkeypatch.setattr(sets, "symmetric_eigh", counting_eigh)
-    entry.problem.X.project = counting_project
+    problem.X.project = counting_project
     trace = run(
-        entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10),
+        problem, SolverConfig(method="ccrm", tol_feas=1e-10),
         sym_to_vec(np.diag([2.0, 1.0, -2.0])),
     )
     assert trace.termination == "feasible"
@@ -302,13 +310,11 @@ def test_sdp_without_linear_constraints(monkeypatch):
 
 
 def test_sdp_small_custom_instance_trace_one():
-    entry = make_sdp_feasibility(
-        A_ops=[np.eye(2)], b=[1.0], Sigma_hat=np.eye(2), r=1.5, n=2
-    )
-    from ccrm.linalg import sym_to_vec, vec_to_sym
-
+    X = SpectralSet(2, lo=0.0, trace=1.0)
+    L = X.affine_hull
+    problem = FeasibilityProblem(X, Ball(sym_to_vec(np.eye(2)), 1.5, L), common_hull=L)
     trace = run(
-        entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10),
+        problem, SolverConfig(method="ccrm", tol_feas=1e-10),
         sym_to_vec(np.diag([2.0, -1.0])),
     )
     assert trace.termination == "feasible"

@@ -86,6 +86,13 @@ def test_solve_unknown_problem_no_partial_files(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_fixed_trace_rejects_a_dimension(capsys):
+    assert main(["solve", "--problem", "fixed_trace:n=4"]) == 1
+    assert capsys.readouterr().err.strip() == "error: unknown fixed_trace parameter 'n'"
+    for problem in ("fixed_trace:a=0.6", "sdp", "eq_ellipsoids"):
+        assert main(["solve", "--problem", problem]) == 0
+
+
 def test_solve_bad_z0_dimension(tmp_path):
     out = tmp_path / "t.csv"
     code = main(["solve", "--problem", "discs3d", "--z0", "1,2", "--out", str(out)])
@@ -284,7 +291,9 @@ def test_diagnose_disc_problem(tmp_path, capsys):
     code = main(["diagnose", "--problem", "discs3d", "--out", str(out)])
     assert code == 0
     with open(out) as fh:
-        data = json.load(fh)
+        text = fh.read()
+    assert text == capsys.readouterr().out
+    data = json.loads(text)
     assert data["kappa_x"] == pytest.approx(0.5, abs=1e-8)
     assert data["kappa_y"] == pytest.approx(0.5, abs=1e-8)
     assert 0.0 < data["omega_estimate"] <= 1.0

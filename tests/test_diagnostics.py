@@ -19,7 +19,7 @@ from ccrm.diagnostics import (
     curvature,
     estimate_omega,
     fejer_bound_check,
-    intersection_distance,
+    intersection_oracle,
     quad_constant_check,
     rate_report,
     tangent_bound_check,
@@ -260,7 +260,7 @@ def test_estimate_omega_disc_problem_in_unit_interval():
 )
 def test_estimate_omega_reuses_each_samples_x_projection(make):
     # One X projection per sample serves dist(z, X) and the cap's s = 0
-    # residual; omega equals max_distance / intersection_distance bitwise.
+    # residual; omega equals max_distance / dist(z, X & Y) bitwise.
     entry = make()
     problem = entry.problem
     z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
@@ -276,7 +276,7 @@ def test_estimate_omega_reuses_each_samples_x_projection(make):
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         for s in directions:
             z = z_bar + rho * s
-            di = intersection_distance(problem, z)
+            di = intersection_oracle(problem).distance(z)
             if di > 1e-12:
                 best, kept = min(best, problem.max_distance(z) / di), kept + 1
     assert omega == best
@@ -307,8 +307,8 @@ def test_intersection_distance_prefers_projector():
     prob = FeasibilityProblem(Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0))
     z = np.array([1.0, 1.0])
     proj = lambda w: np.minimum(w, 0.0)
-    assert intersection_distance(prob, z, projector=proj) == pytest.approx(np.sqrt(2.0))
-    assert intersection_distance(prob, z) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert np.linalg.norm(proj(z) - z) == pytest.approx(np.sqrt(2.0))
+    assert intersection_oracle(prob).distance(z) == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def _socp():
@@ -330,7 +330,7 @@ def test_intersection_distance_makes_no_call_into_nested_x():
     calls = []
     for oracle in (problem.X, problem.Y):
         oracle.project = lambda z, o=oracle: calls.append(z) or DykstraIntersection.project(o, z)
-    assert intersection_distance(problem, [0.6, 1.0, 0.2, 0.9]) > 0.0
+    assert intersection_oracle(problem).distance([0.6, 1.0, 0.2, 0.9]) > 0.0
     assert calls == []
 
 
@@ -350,7 +350,7 @@ def test_intersection_distance_matches_flat_reference_near_limit(make):
             s = rng.normal(size=problem.dim)
             z = limit + rho * s / np.linalg.norm(s)
             reference = np.linalg.norm(z - dykstra_project(leaves, z, tol=1e-15))
-            assert abs(intersection_distance(problem, z) - reference) <= 1e-11
+            assert abs(intersection_oracle(problem).distance(z) - reference) <= 1e-11
 
 
 def test_quad_constant_check_disc_problem():
@@ -386,7 +386,7 @@ def test_flat_pair_collapses_in_one_step():
     trace = run(prob, SolverConfig(method="ccrm"), np.array([2.0, 3.0]))
     assert trace.termination == "feasible"
     assert trace.n_steps <= 2
-    assert intersection_distance(prob, trace.final, projector=lambda w: np.minimum(w, 0.0)) <= 1e-12
+    assert np.linalg.norm(np.minimum(trace.final, 0.0) - trace.final) <= 1e-12
 
 
 # --- Fejer factor-two bound -------------------------------------------------------

@@ -1,0 +1,107 @@
+"""The identity gates: tools/compare_traces.py and tools/compare_omegas.py."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+compare_traces = _tool("compare_traces")
+compare_omegas = _tool("compare_omegas")
+
+TRACE = [
+    "# method=ccrm termination=feasible",
+    "k,z0,z1,dist_X,dist_Y",
+    "0,1.5,2.0,0.25,0.5",
+    "1,1.0,0.0,1e-12,0.0",
+]
+TRACES = {"discs3d_ccrm_z0.csv": TRACE, "sdp_map_z0.csv": ["error: ConvergenceError: no"]}
+OMEGAS = ["discs3d seed0 0.5968757820268886", "socp seed0 error: ConvergenceError: no"]
+
+
+def _corpus(root, name, traces):
+    path = root / name
+    path.mkdir()
+    for file, lines in traces.items():
+        (path / file).write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _omegas(root, name, lines):
+    path = root / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _changed(row, cell, value):
+    lines = list(TRACE)
+    cells = lines[row].split(",")
+    cells[cell] = value
+    lines[row] = ",".join(cells)
+    return lines
+
+
+def test_compare_traces_accepts_identical_and_tolerated_corpora(tmp_path):
+    a = _corpus(tmp_path, "a", TRACES)
+    assert compare_traces([a, _corpus(tmp_path, "b", TRACES)]) == 0
+    near = _corpus(tmp_path, "near", {**TRACES, "discs3d_ccrm_z0.csv": _changed(2, 1, "1.5000000000001")})
+    assert compare_traces([a, near, "--atol", "1e-12"]) == 0
+    assert compare_traces([a, near]) == 1
+
+
+@pytest.mark.parametrize(
+    "file, lines",
+    [
+        ("discs3d_ccrm_z0.csv", ["# method=ccrm termination=max_iter"] + TRACE[1:]),
+        ("discs3d_ccrm_z0.csv", TRACE[:-1]),
+        ("discs3d_ccrm_z0.csv", _changed(3, 3, "3e-12")),
+        ("sdp_map_z0.csv", ["error: ValueError: no"]),
+    ],
+    ids=["header", "row-count", "gap", "error-type"],
+)
+def test_compare_traces_rejects_a_broken_rule(tmp_path, file, lines):
+    a = _corpus(tmp_path, "a", TRACES)
+    b = _corpus(tmp_path, "b", {**TRACES, file: lines})
+    assert compare_traces([a, b, "--atol", "1e-12"]) == 1
+
+
+def test_compare_traces_rejects_a_missing_file(tmp_path):
+    a = _corpus(tmp_path, "a", TRACES)
+    b = _corpus(tmp_path, "b", {"discs3d_ccrm_z0.csv": TRACE})
+    assert compare_traces([a, b]) == 1
+
+
+def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
+    a = _omegas(tmp_path, "a.txt", OMEGAS)
+    assert compare_omegas([a, _omegas(tmp_path, "b.txt", OMEGAS)]) == 0
+    # the same error type with another message, and a value within rtol
+    near = _omegas(
+        tmp_path, "near.txt", ["discs3d seed0 0.5968757820269", "socp seed0 error: ConvergenceError: other"]
+    )
+    assert compare_omegas([a, near, "--rtol", "1e-10"]) == 0
+    assert compare_omegas([a, near]) == 1
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["discs3d seed1 0.5968757820268886", OMEGAS[1]],
+        OMEGAS[:1],
+        ["discs3d seed0 0.6", OMEGAS[1]],
+        [OMEGAS[0], "socp seed0 error: ValueError: no"],
+        [OMEGAS[0], "socp seed0 0.25"],
+    ],
+    ids=["key", "line-count", "gap", "error-type", "error-to-value"],
+)
+def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
+    a = _omegas(tmp_path, "a.txt", OMEGAS)
+    assert compare_omegas([a, _omegas(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
