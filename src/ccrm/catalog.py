@@ -72,11 +72,7 @@ def make_discs3d() -> CatalogEntry:
     Y = Ball([s15, 0.0, 0.0], 2.0, plane)
     zbar = np.array([s15 / 2.0, 0.5, 0.0])
     problem = FeasibilityProblem(
-        X,
-        Y,
-        common_hull=plane,
-        reference_solution=zbar,
-        known_constants=KnownConstants(kappa_x=0.5, kappa_y=0.5),
+        X, Y, reference_solution=zbar, known_constants=KnownConstants(kappa_x=0.5, kappa_y=0.5)
     )
     reference = ReferenceData(expected_rate="quadratic")
     return CatalogEntry("discs3d", problem, np.array([s15 / 2.0, 4.0, 0.5]), reference)
@@ -100,7 +96,7 @@ def make_ellipses() -> CatalogEntry:
     plane = _plane_z3()
     X = EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0])), plane)
     Y = EmbeddedOracle(Ellipsoid(np.diag([1.0, 0.25]), center=[1.0, 0.0]), plane)
-    problem = FeasibilityProblem(X, Y, common_hull=plane)
+    problem = FeasibilityProblem(X, Y)
     reference = ReferenceData(expected_rate=None)
     return CatalogEntry("ellipses", problem, np.array([2.5, 2.0, 1.0]), reference)
 
@@ -209,7 +205,7 @@ def make_eq_constrained_ellipsoids() -> CatalogEntry:
     -0.97), so there is no tail to classify.
     """
     e1, e2, L = _eq_ellipsoids_leaves()
-    problem = FeasibilityProblem(_ellipsoid_within(e1, L), _ellipsoid_within(e2, L), common_hull=L)
+    problem = FeasibilityProblem(_ellipsoid_within(e1, L), _ellipsoid_within(e2, L))
     z0 = L.anchor + 2.0 * (np.arange(L.dim) == 0)
     return CatalogEntry("eq_ellipsoids", problem, z0, ReferenceData(expected_rate=None))
 
@@ -224,7 +220,7 @@ def make_socp() -> CatalogEntry:
     L = Hyperplane([0.0, 1.0, 1.0, 1.0], 1.5)
     X = Cap(SecondOrderCone(4), L)
     Y = Ball([0.3, 0.7, 0.5, 0.3], 0.7, L)
-    problem = FeasibilityProblem(X, Y, common_hull=L)
+    problem = FeasibilityProblem(X, Y)
     z0 = np.array([0.2, 1.5, 0.4, 0.5])
     return CatalogEntry("socp", problem, z0, ReferenceData(expected_rate="quadratic"))
 
@@ -242,9 +238,8 @@ def make_sdp_feasibility() -> CatalogEntry:
     """
     off = np.array([[0.0, 0.05, 0.02], [0.05, 0.0, 0.04], [0.02, 0.04, 0.0]])
     X = SpectralSet(3, lo=0.0, trace=1.0)
-    L = X.affine_hull
-    Y = Ball(sym_to_vec(np.diag([1.0, 0.8, -0.8]) + off), 1.02, L)
-    problem = FeasibilityProblem(X, Y, common_hull=L)
+    Y = Ball(sym_to_vec(np.diag([1.0, 0.8, -0.8]) + off), 1.02, X.affine_hull)
+    problem = FeasibilityProblem(X, Y)
     z0 = sym_to_vec(np.diag([2.0, 0.4, -1.4]) + 0.3 * off)
     return CatalogEntry("sdp", problem, z0, ReferenceData(expected_rate="quadratic"))
 
@@ -267,9 +262,8 @@ def make_fixed_trace(a=0.5) -> CatalogEntry:
         ]
     )
     X = SpectralSet(4, hi=a, trace=1.0)
-    L = X.affine_hull
-    Y = Ball(sym_to_vec(Sigma_hat), 1.17, L)
-    problem = FeasibilityProblem(X, Y, common_hull=L)
+    Y = Ball(sym_to_vec(Sigma_hat), 1.17, X.affine_hull)
+    problem = FeasibilityProblem(X, Y)
     z0 = sym_to_vec(np.diag([2.2, -0.4, -0.4, -0.4]))
     return CatalogEntry("fixed_trace", problem, z0, ReferenceData(expected_rate="quadratic"))
 

@@ -261,16 +261,11 @@ def intersection_oracle(problem: FeasibilityProblem):
     socp, sdp, fixed_trace);
     otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
-    X, Y, hull = problem.X, problem.Y, problem.X.affine_hull
-    if type(Y) in (Hyperplane, Halfspace):
+    X, Y = problem.X, problem.Y
+    if type(Y) in (Hyperplane, Halfspace) or (type(Y) is Ball and Y.subspace is None):
         return Cap(X, Y)
-    if type(Y) is Ball:
-        L = Y.subspace
-        if L is None:
-            return Cap(X, Y)
-        same = hull is not None and np.array_equal(hull.A, L.A) and np.array_equal(hull.b, L.b)
-        if hull is L or same:
-            return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
+    if type(Y) is Ball and problem.common_hull is not None:
+        return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
     return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
 
 

@@ -1,9 +1,11 @@
 """JSON problem descriptors and trace/report serialization.
 
 The problem file format (version "1") describes the two sets as tagged
-JSON descriptors plus an optional common hull, reference point, and
-start. Traces serialize to CSV (one row per iterate, full precision,
-bit-exact round trip) or to JSON with solver internals included.
+JSON descriptors plus an optional reference point and start. A file
+written here also records the sets' common hull; on load a declared hull
+must be that hull. Traces serialize to CSV (one row per iterate, full
+precision, bit-exact round trip) or to JSON with solver internals
+included.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .sets import (
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
+    same_subspace,
 )
 from .solvers import FeasibilityProblem, KnownConstants, SolveTrace
 
@@ -199,17 +202,16 @@ def problem_from_dict(data):
     Y = oracle_from_dict(data["Y"])
     if X.dim != Y.dim:
         raise ValueError(f"set dimensions differ: X has {X.dim}, Y has {Y.dim}")
-    hull = _field(data, "hull", _subspace_from_dict)
-    if hull is not None and hull.dim != X.dim:
-        raise ValueError(f"hull dimension {hull.dim} does not match sets ({X.dim})")
     reference = _field(data, "reference", lambda v: _point(v, X.dim, "reference point"))
     constants = _field(data, "known_constants", lambda kc: KnownConstants(
         kappa_x=kc.get("kappa_x"), kappa_y=kc.get("kappa_y"), omega=kc.get("omega")
     ))
     z0 = _field(data, "z0", lambda v: _point(v, X.dim, "z0"))
-    problem = FeasibilityProblem(
-        X, Y, common_hull=hull, reference_solution=reference, known_constants=constants
-    )
+    problem = FeasibilityProblem(X, Y, reference_solution=reference, known_constants=constants)
+    # The hull is derived from the sets; a declared one is only checked.
+    hull = _field(data, "hull", _subspace_from_dict)
+    if hull is not None and not same_subspace(hull, problem.common_hull):
+        raise ValueError("the declared hull is not an affine hull that X and Y share")
     return problem, z0
 
 

@@ -63,6 +63,13 @@ def _as_point(z, dim=None):
     return z
 
 
+def _check_finite(**params):
+    """Raise ValueError naming the first scalar parameter that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _norm(d) -> float:
     """Euclidean norm of a finite vector: numpy's own sqrt(d . d), with
     ``vdot`` (which does not warn on overflow), rescaled by max|d_i| when
@@ -86,7 +93,13 @@ def _row_norms(D) -> np.ndarray:
 
 
 class SetOracle:
-    """Base class: a closed convex set with an exact projection."""
+    """Base class: a closed convex set with an exact projection.
+
+    ``affine_hull`` is the :class:`AffineSubspace` the set is confined to,
+    or None for a full-dimensional set; each constructor sets it once.
+    """
+
+    affine_hull = None
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -103,10 +116,6 @@ class SetOracle:
 
     def contains(self, z, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(z) <= tol
-
-    @property
-    def affine_hull(self):
-        return None
 
     # Smooth-boundary descriptor (g, grad g, Hess g) at z, in ambient
     # coordinates. Subclasses with smooth relative boundaries override it.
@@ -126,9 +135,12 @@ class AffineSubspace(SetOracle):
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+        if not np.isfinite(b).all():
+            raise ValueError(f"b must be finite, got {b.tolist()}")
         super().__init__(A.shape[1])
         self.A = A
         self.b = b
+        self.affine_hull = self
         if A.shape[0] == 0:
             self.anchor = np.zeros(self.dim)
         else:
@@ -155,10 +167,6 @@ class AffineSubspace(SetOracle):
     def subspace_dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def affine_hull(self):
-        return self
-
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
         return self.anchor + self.basis @ (self.basis.T @ (z - self.anchor))
@@ -173,6 +181,13 @@ class AffineSubspace(SetOracle):
         return self.anchor + self.basis @ v
 
 
+def same_subspace(a, b) -> bool:
+    """Whether two affine hulls (subspaces or None) are one object or have equal A and b."""
+    return a is b or (
+        a is not None and b is not None and np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
+    )
+
+
 class Hyperplane(AffineSubspace):
     """{z : <normal, z> = offset}."""
 
@@ -180,6 +195,7 @@ class Hyperplane(AffineSubspace):
         normal = _as_point(normal)
         if np.linalg.norm(normal) == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
+        _check_finite(offset=offset)
         super().__init__(normal[None, :], [float(offset)])
         self.normal = normal
         self.offset = float(offset)
@@ -193,6 +209,7 @@ class Halfspace(SetOracle):
         nn = np.linalg.norm(normal)
         if nn == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        _check_finite(offset=offset)
         super().__init__(normal.shape[0])
         self.normal = normal
         self.offset = float(offset)
@@ -224,10 +241,12 @@ class Ball(SetOracle):
 
     def __init__(self, center, radius, subspace: AffineSubspace | None = None):
         center = _as_point(center, None if subspace is None else subspace.dim)
+        _check_finite(radius=radius)
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         super().__init__(center.shape[0])
-        self.center, self.radius, self.subspace = center, float(radius), subspace
+        self.center, self.radius = center, float(radius)
+        self.subspace = self.affine_hull = subspace
         self.in_plane_center, self.in_plane_radius = center, self.radius
         if subspace is not None:
             q = subspace.project(center)
@@ -235,10 +254,6 @@ class Ball(SetOracle):
             if chord2 <= 0.0:
                 raise ValueError("empty set: the ball does not reach the subspace")
             self.in_plane_center, self.in_plane_radius = q, float(np.sqrt(chord2))
-
-    @property
-    def affine_hull(self):
-        return self.subspace
 
     def project(self, z) -> np.ndarray:
         L = self.subspace
@@ -410,6 +425,7 @@ class PowerEpigraph(SetOracle):
     """
 
     def __init__(self, alpha, beta=0.0):
+        _check_finite(alpha=alpha, beta=beta)
         if alpha <= 1.0:
             raise ValueError("exponent must exceed 1")
         if beta < 0.0:
@@ -514,19 +530,16 @@ class SpectralSet(SetOracle):
         lo, hi = float(lo), float(hi)
         if not (lo <= hi and lo < np.inf and hi > -np.inf) or (lo, hi) == (-np.inf, np.inf):
             raise ValueError("need lo <= hi with at least one finite bound")
-        if trace is not None and not n * lo <= trace <= n * hi:
-            raise ValueError("empty set: need n * lo <= trace <= n * hi")
+        if trace is not None:
+            _check_finite(trace=trace)
+            if not n * lo <= trace <= n * hi:
+                raise ValueError("empty set: need n * lo <= trace <= n * hi")
         super().__init__(sym_dim(n))
         self.n = int(n)
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
-        self._hull = None
         if self.trace is not None:
-            self._hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
-
-    @property
-    def affine_hull(self):
-        return self._hull
+            self.affine_hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
 
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
@@ -568,11 +581,7 @@ class EmbeddedOracle(SetOracle):
             )
         super().__init__(subspace.dim)
         self.inner = inner
-        self.subspace = subspace
-
-    @property
-    def affine_hull(self):
-        return self.subspace
+        self.subspace = self.affine_hull = subspace
 
     def project(self, z) -> np.ndarray:
         a, B = self.subspace.anchor, self.subspace.basis
@@ -636,10 +645,7 @@ class Cap(SetOracle):
         self.inner, self.cut, self._ball = inner, cut, ball
         v = cut.center if self._ball else cut.normal
         self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
-
-    @property
-    def affine_hull(self):
-        return self.cut if isinstance(self.cut, Hyperplane) else self.inner.affine_hull
+        self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
     def _boundary(self, z):
         return self.inner._boundary(z)
@@ -801,11 +807,7 @@ class DykstraIntersection(SetOracle):
         self.members = members
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self._hull = hull
-
-    @property
-    def affine_hull(self):
-        return self._hull
+        self.affine_hull = hull
 
     def project(self, z) -> np.ndarray:
         return dykstra_project(self.members, z, tol=self.tol, max_iter=self.max_iter)

@@ -18,7 +18,7 @@ import numpy as np
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, UnsupportedOperation
 from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _norm, _power_normal_root
-from .sets import _row_norms
+from .sets import _row_norms, same_subspace
 
 TERMINATION_FEASIBLE = "feasible"
 TERMINATION_MAX_ITER = "max_iter"
@@ -45,14 +45,12 @@ class KnownConstants:
 class FeasibilityProblem:
     """Find a point in X intersect Y.
 
-    ``common_hull`` is the shared affine hull when both sets are confined
-    to one; ``reference_solution`` is an analytically known limit used by
-    the rate diagnostics.
+    ``reference_solution`` is an analytically known limit used by the rate
+    diagnostics.
     """
 
     X: SetOracle
     Y: SetOracle
-    common_hull: Optional[AffineSubspace] = None
     reference_solution: Optional[np.ndarray] = None
     known_constants: Optional[KnownConstants] = None
 
@@ -65,6 +63,12 @@ class FeasibilityProblem:
     @property
     def dim(self) -> int:
         return self.X.dim
+
+    @property
+    def common_hull(self) -> Optional[AffineSubspace]:
+        """X's affine hull when Y's is the same subspace, else None."""
+        hull = self.X.affine_hull
+        return hull if same_subspace(hull, self.Y.affine_hull) else None
 
     def max_distance(self, z) -> float:
         return max(self.X.distance(z), self.Y.distance(z))
@@ -79,8 +83,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.tol_feas <= 0.0:
-            raise ValueError("tol_feas must be positive")
+        if not 0.0 < self.tol_feas < np.inf:
+            raise ValueError(f"tol_feas must be finite and positive, got {self.tol_feas}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -259,7 +263,7 @@ class IsometryReduction:
 
 
 def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
-    """Rewrite a hull-confined problem in the hull's local coordinates.
+    """Rewrite a problem whose sets share an affine hull in its local coordinates.
 
     Isometries commute with projections and preserve circumcenters, so
     traces of the reduced problem embed back onto traces of the original
@@ -267,14 +271,13 @@ def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
     """
     hull = problem.common_hull
     if hull is None:
-        raise UnsupportedOperation("problem has no common affine hull to reduce onto")
+        raise UnsupportedOperation("X and Y share no affine hull to reduce onto")
     reduced_ref = None
     if problem.reference_solution is not None:
         reduced_ref = hull.to_local(problem.reference_solution)
     reduced = FeasibilityProblem(
         X=IsometricImage(problem.X, hull),
         Y=IsometricImage(problem.Y, hull),
-        common_hull=None,
         reference_solution=reduced_ref,
         known_constants=problem.known_constants,
     )

@@ -74,7 +74,6 @@ def dykstra_eq_ellipsoids():
     problem = FeasibilityProblem(
         DykstraIntersection([e1, L], hull=L),
         DykstraIntersection([e2, L], hull=L),
-        common_hull=L,
     )
     return problem, entry.suggested_z0
 
@@ -83,7 +82,7 @@ def cap_eq_ellipsoids():
     """The catalog's eq_ellipsoids problem with X = Cap(e1, L) and
     Y = Cap(e2, L), sharing the hull instance L, and its suggested start."""
     entry, e1, e2, L = eq_ellipsoid_leaves()
-    problem = FeasibilityProblem(Cap(e1, L), Cap(e2, L), common_hull=L)
+    problem = FeasibilityProblem(Cap(e1, L), Cap(e2, L))
     return problem, entry.suggested_z0
 
 
@@ -93,7 +92,7 @@ def general_sdp():
     limit on that boundary."""
     H = Hyperplane(sym_to_vec(np.diag([1.0, 2.0])), 1.0)
     Y = Ball(sym_to_vec(np.array([[1.5, 0.1], [0.1, -0.5]])), 0.73, H)
-    problem = FeasibilityProblem(Cap(SpectralSet(2, lo=0.0), H), Y, common_hull=H)
+    problem = FeasibilityProblem(Cap(SpectralSet(2, lo=0.0), H), Y)
     return problem, problem.Y.in_plane_center
 
 

@@ -57,6 +57,18 @@ def test_projections_land_in_common_hull():
                 assert np.linalg.norm(hull.A @ p - hull.b) <= 1e-9, entry.name
 
 
+def test_common_hull_is_read_from_the_sets():
+    for entry in all_entries():
+        X, Y = entry.problem.X, entry.problem.Y
+        if entry.name == "epigraph":
+            assert entry.problem.common_hull is None
+        else:
+            assert entry.problem.common_hull is X.affine_hull is not None, entry.name
+            assert np.array_equal(Y.affine_hull.A, X.affine_hull.A), entry.name
+    line = make_epigraph(3.0, 1.0, "line").problem
+    assert line.Y.affine_hull is line.Y and line.common_hull is None
+
+
 def test_fixed_trace_empty_spectral_set_rejected():
     with pytest.raises(ValueError):
         make_fixed_trace(a=0.2)
@@ -222,7 +234,7 @@ def _fixed_trace_problem(Sigma_hat, r):
     """2 x 2: tr = 1, lambda_max <= 1 and a Frobenius ball within the trace plane."""
     X = SpectralSet(2, hi=1.0, trace=1.0)
     L = X.affine_hull
-    return FeasibilityProblem(X, Ball(sym_to_vec(Sigma_hat), r, L), common_hull=L)
+    return FeasibilityProblem(X, Ball(sym_to_vec(Sigma_hat), r, L))
 
 
 def test_fixed_trace_custom_small_instance():
@@ -254,12 +266,11 @@ def test_eq_ellipsoids_reduction_rejects_degenerate_sets():
 
 
 def test_eq_ellipsoids_without_constraints():
-    # zero-row equality block: the problem lives in the full space
-    hull = AffineSubspace(np.zeros((0, 3)), np.zeros(0))
+    # full-dimensional sets: the problem lives in the full space, with no common hull
     X = _ellipsoid_from_ball(np.eye(3), np.array([0.0, 0.0, 0.0]), 1.0)
     Y = _ellipsoid_from_ball(np.eye(3), np.array([1.0, 0.0, 0.0]), 1.0)
-    problem = FeasibilityProblem(X, Y, common_hull=hull)
-    assert problem.common_hull.subspace_dim == 3
+    problem = FeasibilityProblem(X, Y)
+    assert problem.common_hull is None
     assert type(problem.X) is Ellipsoid and type(problem.Y) is Ellipsoid
     trace = run(problem, SolverConfig(method="ccrm", tol_feas=1e-10), np.array([3.0, 2.0, 1.0]))
     assert trace.termination == "feasible"
@@ -272,7 +283,7 @@ def test_concentric_balls_in_hyperplane_limit():
     center = np.array([0.2, -0.1, 0.5])
     X, Y = (_ellipsoid_within(_ellipsoid_from_ball(np.eye(3), center, r), H) for r in (1.0, 2.0))
     z0 = np.array([3.0, 1.5, 2.0])
-    trace = run(FeasibilityProblem(X, Y, common_hull=H), SolverConfig(method="ccrm", tol_feas=1e-10), z0)
+    trace = run(FeasibilityProblem(X, Y), SolverConfig(method="ccrm", tol_feas=1e-10), z0)
     assert trace.termination == "feasible"
     expected = Ball(center, 1.0, AffineSubspace([[0.0, 0.0, 1.0]], [0.5])).project(z0)
     assert np.linalg.norm(trace.final - expected) <= 1e-9
@@ -282,7 +293,7 @@ def test_sdp_without_linear_constraints(monkeypatch):
     # cone-versus-ball problem in the full flattened space
     L = AffineSubspace(np.zeros((0, 6)), np.zeros(0))
     problem = FeasibilityProblem(
-        SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 1.0, -1.0])), 1.2, L), common_hull=L
+        SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 1.0, -1.0])), 1.2, L)
     )
     from ccrm import sets
 
@@ -312,7 +323,7 @@ def test_sdp_without_linear_constraints(monkeypatch):
 def test_sdp_small_custom_instance_trace_one():
     X = SpectralSet(2, lo=0.0, trace=1.0)
     L = X.affine_hull
-    problem = FeasibilityProblem(X, Ball(sym_to_vec(np.eye(2)), 1.5, L), common_hull=L)
+    problem = FeasibilityProblem(X, Ball(sym_to_vec(np.eye(2)), 1.5, L))
     trace = run(
         problem, SolverConfig(method="ccrm", tol_feas=1e-10),
         sym_to_vec(np.diag([2.0, -1.0])),

@@ -144,6 +144,36 @@ def test_solve_mistyped_problem_field_is_an_input_error(tmp_path, capsys, field)
     assert capsys.readouterr().err.startswith(f"error: problem field {field!r} is malformed")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--problem", "discs3d", "--tol", "nan"], "tol_feas must be finite and positive, got nan"),
+        (["--problem", "discs3d", "--tol", "inf"], "tol_feas must be finite and positive, got inf"),
+        (["--problem", "epigraph:a=inf,b=1"], "alpha must be finite, got inf"),
+    ],
+    ids=["tol-nan", "tol-inf", "alpha-inf"],
+)
+def test_solve_non_finite_parameter_is_an_input_error(capsys, argv, message):
+    # tol nan ended as stagnation, tol inf as feasible at residual 2.49, and
+    # alpha inf printed a RuntimeWarning before its error.
+    assert main(["solve", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_nan_radius_file_names_the_radius(tmp_path, capsys):
+    problem = {
+        "version": "1",
+        "X": {"kind": "ball", "center": [0.0, 0.0], "radius": float("nan")},
+        "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+        "z0": [1.0, 1.0],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(problem))  # a bare NaN, which json reads back
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err == "error: radius must be finite, got nan\n"
+
+
 def test_solve_missing_z0_in_file(tmp_path):
     entry = make_discs3d()
     path = tmp_path / "p.json"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ccrm.catalog import make_discs3d, make_fixed_trace, make_sdp_feasibility, make_socp
+from ccrm.catalog import make_discs3d, make_fixed_trace, make_sdp_feasibility, make_socp, resolve
 from ccrm.serialize import (
     load_problem_file,
     oracle_from_dict,
@@ -121,6 +121,38 @@ def test_problem_file_io(tmp_path):
     problem, z0 = load_problem_file(path)
     assert problem.dim == 3
     assert np.allclose(z0, entry.suggested_z0)
+
+
+def test_common_hull_survives_a_problem_file(tmp_path):
+    for name in ("discs3d", "ellipses", "eq_ellipsoids", "socp", "sdp", "fixed_trace"):
+        entry = resolve(name)
+        path = tmp_path / f"{name}.json"
+        save_problem_file(path, entry.problem, z0=entry.suggested_z0)
+        hull, loaded = entry.problem.common_hull, load_problem_file(path)[0].common_hull
+        for attr in ("A", "b", "basis"):
+            assert np.array_equal(getattr(loaded, attr), getattr(hull, attr)), (name, attr)
+
+
+def test_declared_hull_that_x_does_not_lie_in_is_rejected():
+    # A whole-space ball X and a disc Y of {z_3 = 0}, declaring that plane.
+    # Trusting it reduced X to an oracle whose output for (5, 0) was
+    # (1.961, 0), outside X & L (radius sqrt(3)) and moved by projecting again.
+    plane = {"A": [[0.0, 0.0, 1.0]], "b": [0.0]}
+    disc = {"kind": "frobenius_ball_in_L", "center": [3.0, 0.0, 0.0], "radius": 2.0, **plane}
+    data = {
+        "version": "1",
+        "X": {"kind": "ball", "center": [0.0, 0.0, 1.0], "radius": 2.0},
+        "Y": disc,
+        "hull": plane,
+    }
+    with pytest.raises(ValueError, match="declared hull"):
+        problem_from_dict(data)
+    data["X"] = {**disc, "center": [0.0, 0.0, 1.0]}  # two discs of the plane: the hull is theirs
+    problem, _ = problem_from_dict(data)
+    assert problem.common_hull is problem.X.affine_hull
+    for hull in ({"A": [[0.0, 0.0, 1.0]], "b": [1.0]}, {"A": [[0.0, 1.0]], "b": [0.0]}):
+        with pytest.raises(ValueError, match="declared hull"):
+            problem_from_dict(data | {"hull": hull})
 
 
 def test_problem_validation_errors():

@@ -467,6 +467,31 @@ def test_spectral_set_validation():
     assert hull.subspace_dim == 5 and hull.contains(sym_to_vec(np.eye(3) * (2.0 / 3.0)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Ball([0.0, 0.0], np.nan), "radius"),
+        (lambda: Ball([0.0, 0.0], np.inf), "radius"),
+        (lambda: Halfspace([1.0, 0.0], np.nan), "offset"),
+        (lambda: Halfspace([1.0, 0.0], -np.inf), "offset"),
+        (lambda: Hyperplane([1.0, 0.0], np.nan), "offset"),
+        (lambda: AffineSubspace([[1.0, 0.0]], [np.nan]), "b"),
+        (lambda: PowerEpigraph(2.0, np.nan), "beta"),
+        (lambda: PowerEpigraph(np.nan), "alpha"),
+        (lambda: PowerEpigraph(np.inf, 1.0), "alpha"),
+        (lambda: SpectralSet(2, lo=0.0, trace=np.inf), "trace"),
+    ],
+    ids=["ball-nan", "ball-inf", "halfspace-nan", "halfspace-minf", "hyperplane-nan",
+         "affine-nan", "epigraph-beta-nan", "epigraph-alpha-nan", "epigraph-alpha-inf",
+         "spectral-trace-inf"],
+)
+def test_non_finite_scalar_parameter_is_rejected(build, name):
+    # Each was accepted and then projected to a non-finite or meaningless point.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
 # --- ball within an affine subspace ----------------------------------------
 
 def test_ball_in_affine_plane_projection():

@@ -309,6 +309,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_feas=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(tol_feas=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(tol_feas=float("inf"))
+    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
 
@@ -346,6 +350,15 @@ def test_isometry_reduce_requires_hull():
         isometry_reduce(complementary_halfplanes())
 
 
+def test_isometry_reduce_refuses_sets_with_different_hulls():
+    # a whole-space ball against a disc of {z_3 = 0}: aff(X) != aff(Y)
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
+    problem = FeasibilityProblem(Ball([0.0, 0.0, 1.0], 2.0), Ball([3.0, 0.0, 0.0], 2.0, plane))
+    assert problem.common_hull is None
+    with pytest.raises(UnsupportedOperation):
+        isometry_reduce(problem)
+
+
 def test_isometry_reduce_disc_traces_agree():
     entry = make_discs3d()
     red = isometry_reduce(entry.problem)
@@ -356,17 +369,6 @@ def test_isometry_reduce_disc_traces_agree():
     for k in range(1, min(ambient.iterates.shape[0] - 1, reduced.iterates.shape[0])):
         back = red.embed(reduced.iterates[k - 1])
         assert np.linalg.norm(back - ambient.iterates[k]) <= 1e-10
-
-
-def test_isometry_reduce_trivial_hull_is_identity():
-    hull = AffineSubspace(np.zeros((0, 2)), np.zeros(0))
-    prob = FeasibilityProblem(
-        Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5), common_hull=hull
-    )
-    red = isometry_reduce(prob)
-    assert red.problem.dim == 2
-    z = np.array([0.3, -0.8])
-    assert np.allclose(red.embed(red.restrict(z)), z, atol=1e-12)
 
 
 def test_isometry_reduce_fixed_trace_dimension_count():
