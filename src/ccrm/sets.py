@@ -793,7 +793,8 @@ class DykstraIntersection(SetOracle):
     ``project`` is :func:`dykstra_project` over the members at this
     intersection's ``tol`` and ``max_iter``. Nested intersections are
     flattened there into one cycle over their leaf sets, under the outer
-    call's tolerance and budget.
+    call's tolerance and budget. A declared ``hull`` must be the affine
+    hull of one member, so that the intersection lies in it.
     """
 
     def __init__(self, members, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, hull=None):
@@ -803,6 +804,8 @@ class DykstraIntersection(SetOracle):
         dims = {m.dim for m in members}
         if len(dims) != 1:
             raise ValueError(f"member dimensions differ: {sorted(dims)}")
+        if hull is not None and not any(same_subspace(hull, m.affine_hull) for m in members):
+            raise ValueError("hull is not the affine hull of any member")
         super().__init__(members[0].dim)
         self.members = members
         self.tol = float(tol)

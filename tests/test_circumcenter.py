@@ -124,3 +124,90 @@ def test_circumcenter_past_overflow_stays_typed():
         circumcenter([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e291]])
     with pytest.raises(ValueError):
         circumcenter([[1e300, 0.0], [np.inf, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-300, -200, -160, -100, 0, 90, 100, 140, 150, 200, 300])
+def test_circumcenter_exact_at_every_scale(k):
+    # The squared residual overflowed from about 1e77 on, and distances
+    # underflowed below about 1e-160; the solve now runs at unit scale.
+    rng = np.random.default_rng(400 + k)
+    scale = 10.0**k
+    for m, n in [(3, 2), (3, 5), (4, 3), (4, 6)] * 10:  # triangles and tetrahedra
+        pts = rng.normal(size=(m, n))
+        unit = circumcenter(pts)
+        big = circumcenter(pts * scale)
+        assert big.status == unit.status == NONDEGENERATE
+        gap = np.linalg.norm(big.center / scale - unit.center)
+        assert gap <= 1e-12 * np.linalg.norm(unit.center)
+    right = circumcenter(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]) * scale)
+    assert right.status == NONDEGENERATE
+    assert np.all(np.abs(right.center) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize(
+    "points", [[], np.zeros((2, 2, 2))], ids=["empty", "three-axis"]
+)
+def test_circumcenter_rejects_malformed_input(points):
+    with pytest.raises(ValueError):
+        circumcenter(points)
+
+
+def _lstsq_reference(pts):
+    """The min-norm least-squares u of 2 V^T u = (|d_i|^2), which lies in
+    the span of V, as the center p_0 + u; the singular values of V relative
+    to its largest; and the system's residual relative to diameter^2."""
+    V = (pts[1:] - pts[0]).T
+    rhs = np.sum(V * V, axis=0)
+    u, *_ = np.linalg.lstsq(2.0 * V.T, rhs, rcond=1e-10)
+    sig = np.linalg.svd(V, compute_uv=False)
+    diameter = max(np.linalg.norm(a - b) for a in pts for b in pts)
+    residual = np.linalg.norm(2.0 * V.T @ u - rhs) / diameter**2
+    return pts[0] + u, sig / sig[0], residual
+
+
+def _reference_draws():
+    rng = np.random.default_rng(31)
+    for _ in range(60):  # generic: 2..5 points in general position
+        n = int(rng.integers(2, 11))
+        yield "generic", rng.normal(size=(int(rng.integers(2, min(5, n + 1) + 1)), n))
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        a, b, u = rng.normal(size=(3, n))
+        t, offset = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-14, -2)
+        yield "near_collinear", np.array([a, b, a + t * (b - a) + offset * u])
+        yield "near_duplicate", np.array([a, a + 10.0 ** rng.uniform(-16, -9) * u, b])
+        spread = 10.0 ** rng.uniform(-14, -6)
+        yield "collapsed", a + spread * rng.normal(size=(3, n))
+
+
+def test_circumcenter_matches_lstsq_reference():
+    checked = dict.fromkeys(["generic", "near_collinear", "near_duplicate", "collapsed"], 0)
+    for kind, pts in _reference_draws():
+        ref, ratios, residual = _lstsq_reference(pts)
+        if ((ratios > 1e-12) & (ratios < 1e-3)).any():
+            continue  # ill-conditioned, or near the rank threshold
+        checked[kind] += 1
+        diameter = max(np.linalg.norm(a - b) for a in pts for b in pts)
+        if residual > 1e-5:
+            with pytest.raises(GeometryError):
+                circumcenter(pts)
+            continue
+        # the center itself is rounded to its own magnitude
+        tol = 1e-9 * diameter + 4.0 * np.finfo(float).eps * np.abs(ref).max()
+        assert np.linalg.norm(circumcenter(pts).center - ref) <= tol
+    assert min(checked.values()) >= 10, checked
+
+
+def test_circumcenter_status_classes_on_constructed_cases():
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        n = int(rng.integers(2, 11))
+        a, b, u = rng.normal(size=(3, n))
+        scale = np.linalg.norm(b - a)
+        merged = circumcenter([a, a + 10.0 ** rng.uniform(-16, -13) * scale * u, b])
+        assert merged.status == REDUCED_RANK
+        assert np.linalg.norm(merged.center - 0.5 * (a + b)) <= 1e-12 * scale
+        assert circumcenter([a, a, a]).status == COINCIDENT_ALL
+        with pytest.raises(GeometryError):  # distinct and collinear
+            circumcenter([a, b, a + rng.choice([-1.5, 0.25, 3.0]) * (b - a)])

@@ -161,6 +161,35 @@ def test_solve_non_finite_parameter_is_an_input_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_solve_dykstra_hull_outside_its_members_is_an_input_error(tmp_path, capsys):
+    # X loaded with a hull it does not lie in, and the isometry reduction
+    # then projected (5, 0) to (1.961, 0), which projected again to (1.782, 0).
+    plane = {"A": [[0.0, 0.0, 1.0]], "b": [0.0]}
+    problem = {
+        "version": "1",
+        "X": {
+            "kind": "dykstra_intersection",
+            "members": [{"kind": "ball", "center": [0.0, 0.0, 1.0], "radius": 2.0}],
+            "hull": plane,
+        },
+        "Y": {"kind": "frobenius_ball_in_L", "center": [3.0, 0.0, 0.0], "radius": 2.0, **plane},
+        "z0": [5.0, 0.0, 0.0],
+    }
+    path = tmp_path / "hull.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err == "error: hull is not the affine hull of any member\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_crm_from_a_start_near_1e100(capsys):
+    # The circumcenter's residual overflowed at the first step, which
+    # ended the run as stagnation after 0 steps with a RuntimeWarning.
+    argv = ["solve", "--problem", "socp", "--method", "crm", "--z0=1e100,-2e100,3e100,1e100"]
+    assert main(argv) == 0
+    assert "crm on socp: feasible after" in capsys.readouterr().out
+
+
 def test_solve_nan_radius_file_names_the_radius(tmp_path, capsys):
     problem = {
         "version": "1",

@@ -24,6 +24,7 @@ from ccrm.sets import (
     _project_eigs,
     boundary_eval,
     dykstra_project,
+    same_subspace,
 )
 from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
@@ -615,6 +616,17 @@ def test_dykstra_intersection_oracle_wrapper():
 def test_dykstra_dimension_mismatch():
     with pytest.raises(ValueError):
         DykstraIntersection([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
+
+
+def test_dykstra_intersection_hull_must_be_a_member_hull():
+    # A whole-space ball declared to lie in {z_3 = 0} loaded, and its
+    # reduction onto that plane was not a projection.
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
+    with pytest.raises(ValueError, match="affine hull"):
+        DykstraIntersection([Ball([0.0, 0.0, 1.0], 2.0)], hull=plane)
+    problem, _ = dykstra_eq_ellipsoids()
+    for X in (problem.X, oracle_from_dict(json.loads(json.dumps(oracle_to_dict(problem.X))))):
+        assert same_subspace(X.affine_hull, X.members[1])
 
 
 def _count_projections(oracle, calls, key):
