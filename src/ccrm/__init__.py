@@ -38,6 +38,7 @@ from .sets import (
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    HyperboloidSheet,
     Hyperplane,
     IsometricImage,
     PowerEpigraph,

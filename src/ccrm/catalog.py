@@ -20,13 +20,12 @@ from .linalg import sym_to_vec
 from .sets import (
     AffineSubspace,
     Ball,
-    Cap,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    HyperboloidSheet,
     Hyperplane,
     PowerEpigraph,
-    SecondOrderCone,
     SpectralSet,
 )
 from .solvers import FeasibilityProblem, KnownConstants
@@ -184,6 +183,23 @@ def _ellipsoid_within(e, L):
     return EmbeddedOracle(Ellipsoid(Qp / slack, cp), L)
 
 
+def _soc_within(L):
+    """K & L as a :class:`~ccrm.sets.HyperboloidSheet` in L's orthonormal
+    coordinates v, z = anchor + B v, for K = {(t, u) : ||u|| <= t} and a
+    hyperplane L = {<a, z> = b} whose normal has no cone-axis component.
+
+    The anchor b a / ||a||^2 then has t = 0, and B v has u orthogonal to
+    the anchor, so t = <e, v> with e = B^T e_1 and ||u||^2 = d^2 +
+    ||v - <e, v> e||^2 with d = |b| / ||a||: the region above one sheet of
+    a hyperboloid. The descriptor h(||w||) - t is the cone's ||u|| - t
+    restricted to L.
+    """
+    if L.normal[0] != 0.0:
+        raise ValueError("the hyperplane's normal has a cone-axis component")
+    d = abs(L.offset) / float(np.linalg.norm(L.normal))
+    return EmbeddedOracle(HyperboloidSheet(L.basis[0], d), L)
+
+
 def _eq_ellipsoids_leaves():
     """(e1, e2, L) of the eq_ellipsoids instance: the ambient ellipsoids
     {||B_i (z - c_i)|| <= r_i} in R^4 and L = {z_1 + z_2 + z_3 + z_4 = 2}."""
@@ -214,11 +230,13 @@ def make_socp() -> CatalogEntry:
     """Second-order-cone feasibility within an affine subspace of R^4.
 
     X is the cone {||(z_2, z_3, z_4)|| <= z_1} cut by the hyperplane L =
-    {z_2 + z_3 + z_4 = 1.5}, an exact :class:`~ccrm.sets.Cap`; Y is a ball
-    within L (closed form).
+    {z_2 + z_3 + z_4 = 1.5}. L is parallel to the cone's axis, so X is
+    the region above a hyperboloid sheet in L's coordinates (see
+    :func:`_soc_within`), projected by one scalar Newton solve; Y is a
+    ball within L (closed form).
     """
     L = Hyperplane([0.0, 1.0, 1.0, 1.0], 1.5)
-    X = Cap(SecondOrderCone(4), L)
+    X = _soc_within(L)
     Y = Ball([0.3, 0.7, 0.5, 0.3], 0.7, L)
     problem = FeasibilityProblem(X, Y)
     z0 = np.array([0.2, 1.5, 0.4, 0.5])

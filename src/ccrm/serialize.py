@@ -24,6 +24,7 @@ from .sets import (
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    HyperboloidSheet,
     Hyperplane,
     PowerEpigraph,
     SecondOrderCone,
@@ -68,6 +69,8 @@ def oracle_to_dict(oracle) -> dict:
         return {"kind": "ellipsoid", "shape": _floats(oracle.Q), "center": _floats(oracle.center)}
     if isinstance(oracle, SecondOrderCone):
         return {"kind": "second_order_cone", "dim": oracle.dim}
+    if isinstance(oracle, HyperboloidSheet):
+        return {"kind": "hyperboloid_sheet", "axis": _floats(oracle.axis), "d": oracle.d}
     if isinstance(oracle, PowerEpigraph):
         return {"kind": "power_epigraph", "alpha": oracle.alpha, "beta": oracle.beta}
     if isinstance(oracle, SpectralSet):
@@ -113,6 +116,8 @@ def oracle_from_dict(data) -> object:
             return Ellipsoid(data["shape"], data.get("center"))
         if kind == "second_order_cone":
             return SecondOrderCone(data["dim"])
+        if kind == "hyperboloid_sheet":
+            return HyperboloidSheet(data["axis"], data["d"])
         if kind == "power_epigraph":
             return PowerEpigraph(data["alpha"], data.get("beta", 0.0))
         # Older files name two spectral sets by their own kinds.

@@ -41,7 +41,8 @@ EIG_GAP_TOL = 1e-8
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_ITER = 100_000
 
-# Budget of the scalar Newton solves (ellipsoid dual, power-epigraph normal).
+# Budget of the scalar Newton solves (ellipsoid dual, hyperboloid-sheet and
+# power-epigraph normals).
 NEWTON_MAX_ITER = 200
 
 # A cap's dual solve: the budget of each phase, and the multiple of the
@@ -374,6 +375,96 @@ class SecondOrderCone(SetOracle):
         H = np.zeros((self.dim, self.dim))
         H[1:, 1:] = (np.eye(self.dim - 1) - np.outer(uhat, uhat)) / nu
         return nu - z[0], grad, H
+
+
+def _sheet_root(t, r, d):
+    """Root in (0, r) of phi(rho) = 2 rho - r - t rho / h(rho), h = hypot(d, rho).
+
+    phi is convex for t > 0, and Newton descends to the root from the
+    upper bound min(r, (r + t) / 2). It is concave and increasing for
+    t <= 0, and Newton climbs from the lower bound max(r / (2 - t / d),
+    (r + t) / 2), under the upper bounds r / 2 and, for q = r / -t < 1,
+    d q / sqrt(1 - q^2). A step past the bracket stops at its end; a step
+    that cannot move, or is over half the step before last, becomes a
+    bisection, geometric across a wide bracket: for a far point with t
+    close to -r, Newton climbs by a factor of about 1.5 per step. The
+    residual test accepts any rho whose error is below the rounding of
+    r and t, and every term is a ratio to h, so nothing overflows.
+    """
+    if t > 0.0:
+        lo, hi = 0.0, min(r, 0.5 * (r + t))
+        rho = hi
+    else:
+        lo, hi = max(r / (2.0 - t / d), 0.5 * (r + t)), 0.5 * r
+        if r < -t:
+            q = r / -t
+            hi = min(hi, d * q / math.sqrt((1.0 - q) * (1.0 + q)))
+        rho = lo
+    last = older = hi - lo
+    for _ in range(NEWTON_MAX_ITER):
+        h = math.hypot(d, rho)
+        q = rho / h
+        f = 2.0 * rho - r - t * q
+        if abs(f) <= 4.0 * EPS * (2.0 * rho + r + abs(t) * q):
+            return rho
+        if f > 0.0:
+            hi = rho
+        else:
+            lo = rho
+        slope = 2.0 - (t / h) * (d / h) ** 2  # phi'(rho); below 0 only left of a t > 0 root
+        nxt = min(max(rho - f / slope, lo), hi) if slope > 0.0 else rho
+        if nxt == rho or 2.0 * abs(nxt - rho) > older:
+            nxt = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+        older, last = last, abs(nxt - rho)
+        if nxt == rho:
+            return rho
+        rho = nxt
+    raise ConvergenceError("hyperboloid-sheet normal equation did not converge", residual=abs(f))
+
+
+class HyperboloidSheet(SetOracle):
+    """{v : <e, v> >= sqrt(d^2 + ||v - <e, v> e||^2)}: the region above one
+    sheet of a hyperboloid, e = axis / ||axis||, d > 0 the vertex height.
+
+    A second-order cone cut by a hyperplane parallel to its axis is this
+    set in the hyperplane's coordinates. With t = <e, v>, w = v - t e and
+    r = ||w||, the projection is h(rho) e + (rho / r) w, h(rho) =
+    sqrt(d^2 + rho^2), at the root rho of the one-dimensional normal
+    equation (see :func:`_sheet_root`); w = 0 projects to the vertex d e.
+    The descriptor g = h(||w||) - t is smooth everywhere, the vertex too.
+    """
+
+    def __init__(self, axis, d):
+        axis = _as_point(axis)
+        na = _norm(axis)
+        if na == 0.0:
+            raise ValueError("hyperboloid axis must be nonzero")
+        _check_finite(d=d)
+        if d <= 0.0:
+            raise ValueError("vertex height d must be positive")
+        super().__init__(axis.shape[0])
+        self.axis, self.d = axis / na, float(d)
+
+    def _split(self, z):
+        v = _as_point(z, self.dim)
+        t = float(self.axis @ v)
+        w = v - t * self.axis
+        return v, t, w, _norm(w)
+
+    def project(self, z) -> np.ndarray:
+        v, t, w, r = self._split(z)
+        if t >= math.hypot(self.d, r):
+            return v.copy()
+        if r == 0.0:
+            return self.d * self.axis
+        rho = _sheet_root(t, r, self.d)
+        return math.hypot(self.d, rho) * self.axis + (rho / r) * w
+
+    def _boundary(self, z):
+        _, t, w, r = self._split(z)
+        h = math.hypot(self.d, r)
+        P = np.eye(self.dim) - np.outer(self.axis, self.axis)
+        return h - t, w / h - self.axis, (P - np.outer(w / h, w / h)) / h
 
 
 def _power_normal_root(alpha, x0, y0):

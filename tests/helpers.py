@@ -10,6 +10,7 @@ from ccrm.sets import (
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    HyperboloidSheet,
     Hyperplane,
     IsometricImage,
     PowerEpigraph,
@@ -17,9 +18,15 @@ from ccrm.sets import (
     SpectralSet,
 )
 from ccrm import catalog
-from ccrm.catalog import make_eq_constrained_ellipsoids
+from ccrm.catalog import make_eq_constrained_ellipsoids, make_socp
 from ccrm.linalg import sym_to_vec
 from ccrm.solvers import FeasibilityProblem
+
+
+def big_norm(x):
+    """||x||, past the square's overflow."""
+    s = float(np.max(np.abs(x)))
+    return s * float(np.linalg.norm(x / s)) if s > 0.0 else 0.0
 
 
 def random_orthogonal(rng, n):
@@ -54,6 +61,7 @@ def oracle_zoo(rng):
         (Cap(SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 0.5, -0.3])), 1.0)), 6),
         (EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0]), center=[0.2, -0.1]), tilted), 3),
         (IsometricImage(Ball([0.6, 0.3, 0.4], 1.2, tilted), tilted), 2),
+        (HyperboloidSheet([1.0, 0.5, -0.5], 0.8), 3),
     ]
     return zoo
 
@@ -83,6 +91,15 @@ def cap_eq_ellipsoids():
     Y = Cap(e2, L), sharing the hull instance L, and its suggested start."""
     entry, e1, e2, L = eq_ellipsoid_leaves()
     problem = FeasibilityProblem(Cap(e1, L), Cap(e2, L))
+    return problem, entry.suggested_z0
+
+
+def cap_socp():
+    """The catalog's socp problem with X = Cap(SecondOrderCone(4), L), L
+    the catalog's hull instance, and its suggested start."""
+    entry = make_socp()
+    L = entry.problem.common_hull
+    problem = FeasibilityProblem(Cap(SecondOrderCone(4), L), entry.problem.Y)
     return problem, entry.suggested_z0
 
 

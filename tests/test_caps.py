@@ -29,7 +29,7 @@ from ccrm.sets import (
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
-from helpers import cap_eq_ellipsoids, general_sdp
+from helpers import cap_eq_ellipsoids, cap_socp, general_sdp
 
 
 def _catalog(make):
@@ -42,9 +42,10 @@ def _catalog(make):
 
 # (name, problem builder, the cap under test); hyperplane caps are the
 # problem's X, ball caps the exact X & Y of intersection_oracle. The
-# eq_ellipsoids caps are its ambient ellipsoids cut by its hull.
+# socp cap is its cone cut by its hull, and the eq_ellipsoids caps are its
+# ambient ellipsoids cut by its hull.
 HYPERPLANE_CAPS = [
-    ("socp", _catalog(make_socp)),
+    ("socp", cap_socp),
     ("eq_ellipsoids", cap_eq_ellipsoids),
     ("general_sdp", general_sdp),
 ]
@@ -288,14 +289,14 @@ def test_socp_far_points_take_a_bounded_number_of_cone_projections():
     # Far from the apex P_SOC returns 0 over a range of the dual value, so
     # the residual repeats exactly (-1.5) there. The regula falsi crept in
     # from that flat side: up to 39 cone projections for one X projection.
-    entry = make_socp()
-    X = entry.problem.X
+    problem, z0 = cap_socp()
+    X = problem.X
     cone_project, counts = X.inner.project, []
     X.inner.project = lambda z: counts.append(1) or cone_project(z)
     rng = np.random.default_rng(2)
     per_call = []
     for _ in range(200):
-        z = entry.suggested_z0 + 1e3 * rng.normal(size=4)
+        z = z0 + 1e3 * rng.normal(size=4)
         del counts[:]
         x = X.project(z)
         per_call.append(len(counts))

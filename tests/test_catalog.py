@@ -5,6 +5,7 @@ from ccrm.catalog import (
     _ellipsoid_from_ball,
     _ellipsoid_within,
     _eq_ellipsoids_leaves,
+    _soc_within,
     ellipse_boundary_curvature,
     make_discs3d,
     make_ellipses,
@@ -19,8 +20,19 @@ from ccrm.catalog import (
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
 from ccrm.linalg import sym_to_vec, vec_to_sym
-from ccrm.sets import AffineSubspace, Ball, Ellipsoid, Hyperplane, SpectralSet, dykstra_project
+from ccrm.sets import (
+    AffineSubspace,
+    Ball,
+    Ellipsoid,
+    Hyperplane,
+    SecondOrderCone,
+    SpectralSet,
+    boundary_eval,
+    dykstra_project,
+)
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
+
+from helpers import big_norm, cap_socp
 
 
 def all_entries():
@@ -186,16 +198,61 @@ def test_socp_runs_and_respects_hull():
     assert np.linalg.norm(hull.A @ final - hull.b) <= 1e-9
 
 
-def test_socp_apex_curvature_refused():
+@pytest.mark.filterwarnings("error")
+def test_socp_x_lands_on_its_hyperplane_and_in_the_cone_at_every_scale():
+    # As a cap of the cone by L, X returned a point 0.023 off L for the first
+    # z below, which a second projection moved by 0.027, and 3-8 wrong
+    # outputs of 40 at each scale from 1e10 on.
     entry = make_socp()
-    cone = entry.problem.X.inner
+    X, cap = entry.problem.X, cap_socp()[0].X
+    a = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
+
+    def check(z):
+        x = X.project(z)
+        tol = 1e-9 * max(1.0, big_norm(x))
+        assert abs(a @ x - 1.5 / np.sqrt(3.0)) <= tol
+        assert big_norm(x[1:]) - x[0] <= tol
+        assert big_norm(X.project(x) - x) <= tol
+        return x
+
+    check(1e15 * np.array([-0.721, -0.52, 0.16, -0.38]))
+    rng = np.random.default_rng(5)
+    for k in (-3, 0, 3, 10, 15, 20, 50, 100, 150, 300):
+        for _ in range(40):
+            z = entry.suggested_z0 + 10.0**k * rng.normal(size=4)
+            x = check(z)
+            if k <= 3:
+                assert big_norm(x - cap.project(z)) <= 1e-12 * max(1.0, big_norm(z))
+
+
+def test_socp_x_descriptor_is_the_cones_within_its_hyperplane():
+    # On L the sheet's h(||w||) - t is the cone's ||u|| - t, so boundary_eval
+    # agrees with the cap's (the cone's descriptor restricted to L), and
+    # kappa_X at the cCRM limit is the same number.
+    entry = make_socp()
+    X, cap = entry.problem.X, cap_socp()[0].X
+    limit = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    assert curvature(X, limit).kappa == pytest.approx(curvature(cap, limit).kappa, rel=1e-12)
+    rng = np.random.default_rng(6)
+    for z in entry.suggested_z0 + rng.normal(size=(20, 4)):
+        x = X.project(z)
+        for got, want in zip(boundary_eval(X, x), boundary_eval(cap, x)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_soc_within_refuses_a_hyperplane_across_the_cone_axis():
+    with pytest.raises(ValueError, match="cone-axis component"):
+        _soc_within(Hyperplane([0.5, 1.0, 1.0, 1.0], 1.5))
+
+
+def test_socp_apex_curvature_refused():
+    cone = SecondOrderCone(4)
     with pytest.raises(RegularityError):
         curvature(cone, np.zeros(cone.dim))
 
 
 def test_socp_smooth_boundary_away_from_apex():
-    entry = make_socp()
-    cone = entry.problem.X.inner
+    cone = SecondOrderCone(4)
     z = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
     val = curvature(cone, z)
     assert val.kappa == pytest.approx(1.0 / (np.sqrt(2.0) * 1.0), rel=1e-8)

@@ -106,17 +106,32 @@ def test_solve_malformed_problem_file(tmp_path):
     assert main(["solve", "--problem", str(bad)]) == 1
 
 
+def _sheet(axis=(1.0, 0.0), d=1.0):
+    return {"kind": "hyperboloid_sheet", "axis": list(axis), "d": d}
+
+
 @pytest.mark.parametrize(
-    "x",
+    "x, message",
     [
-        {"kind": "ball", "center": [0.0, 0.0], "radius": "1"},
-        {"kind": "second_order_cone", "dim": "2"},
-        {"kind": "dykstra_intersection", "members": 5},
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": "1"}, "descriptor of kind"),
+        ({"kind": "second_order_cone", "dim": "2"}, "descriptor of kind"),
+        ({"kind": "dykstra_intersection", "members": 5}, "descriptor of kind"),
+        (_sheet(d="1"), "descriptor of kind"),
+        (_sheet(d=0.0), "vertex height d must be positive"),
+        (_sheet(d=-1.0), "vertex height d must be positive"),
+        (_sheet(d=float("inf")), "d must be finite, got inf"),
+        (_sheet(d=float("nan")), "d must be finite, got nan"),
+        (_sheet(axis=(0.0, 0.0)), "hyperboloid axis must be nonzero"),
     ],
-    ids=["string-radius", "string-dim", "members-not-a-list"],
+    ids=[
+        "string-radius", "string-dim", "members-not-a-list", "sheet-string-d",
+        "sheet-zero-d", "sheet-negative-d", "sheet-inf-d", "sheet-nan-d", "sheet-zero-axis",
+    ],
 )
-def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x):
-    # Each of these raised a TypeError out of the set constructors.
+def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, message):
+    # The first three raised a TypeError out of the set constructors, and a
+    # string d is wrapped the same way; an invalid hyperboloid sheet's error
+    # names the parameter at fault.
     problem = {
         "version": "1",
         "X": x,
@@ -126,7 +141,7 @@ def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(problem))
     assert main(["solve", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: descriptor of kind")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("field", ["z0", "reference", "hull", "known_constants"])

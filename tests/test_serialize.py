@@ -18,7 +18,7 @@ from ccrm.serialize import (
 from ccrm.sets import Cap, DykstraIntersection, IsometricImage, SpectralSet
 from ccrm.solvers import SolverConfig, run
 
-from helpers import oracle_zoo
+from helpers import cap_socp, oracle_zoo
 
 
 def test_oracle_descriptor_round_trips():
@@ -59,8 +59,8 @@ def test_problem_round_trip_matrix_kinds():
 
 
 def test_cap_round_trip_and_dykstra_files_still_load():
-    entry = make_socp()
-    X = entry.problem.X
+    cap_problem, z0 = cap_socp()
+    X = cap_problem.X
     data = oracle_to_dict(X)
     assert data["kind"] == "cap"
     assert data["inner"] == {"kind": "second_order_cone", "dim": 4}
@@ -69,11 +69,11 @@ def test_cap_round_trip_and_dykstra_files_still_load():
     assert isinstance(rebuilt, Cap)
     rng = np.random.default_rng(94)
     for _ in range(10):
-        z = entry.suggested_z0 + rng.normal(size=4)
+        z = z0 + rng.normal(size=4)
         assert np.array_equal(rebuilt.project(z), X.project(z))
     # a socp file written with X as a Dykstra intersection of the cone and
     # L still loads as one, and solves to the same point
-    problem_data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
+    problem_data = problem_to_dict(cap_problem, z0=z0)
     L = {"kind": "affine_subspace", "A": [[0.0, 1.0, 1.0, 1.0]], "b": [1.5]}
     problem_data["X"] = {
         "kind": "dykstra_intersection",
@@ -85,7 +85,7 @@ def test_cap_round_trip_and_dykstra_files_still_load():
     problem, z0 = problem_from_dict(json.loads(json.dumps(problem_data)))
     assert isinstance(problem.X, DykstraIntersection)
     t1 = run(problem, SolverConfig(method="ccrm"), z0)
-    t2 = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
+    t2 = run(cap_problem, SolverConfig(method="ccrm"), z0)
     assert t1.termination == t2.termination == "feasible"
     assert t1.n_steps == t2.n_steps
     assert np.linalg.norm(t1.final - t2.final) <= 1e-10

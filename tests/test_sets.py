@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ccrm.sets
+from ccrm.diagnostics import curvature
 from ccrm.errors import ConvergenceError, RegularityError, UnsupportedOperation
 from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
@@ -15,6 +16,7 @@ from ccrm.sets import (
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    HyperboloidSheet,
     Hyperplane,
     IsometricImage,
     PowerEpigraph,
@@ -29,6 +31,7 @@ from ccrm.sets import (
 from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
 from helpers import (
+    big_norm,
     cap_projection_kkt,
     dykstra_eq_ellipsoids,
     oracle_zoo,
@@ -239,6 +242,62 @@ def test_soc_boundary_case():
 def test_soc_apex_is_fixed():
     K = SecondOrderCone(3)
     assert np.allclose(K.project([0.0, 0.0, 0.0]), 0.0)
+
+
+# --- hyperboloid sheet ----------------------------------------------------
+
+def _sheet_points(rng, sheet):
+    """Seeded points at 1e-3 ... 1e300, plus points near the asymptotic cone
+    (t = -r, t = -1.05 r, t = r) where the normal equation is hardest; on a
+    coordinate axis t = -r holds exactly, and the root is (r d^2 / 4)^(1/3)
+    against a start near d."""
+    perp = np.linalg.svd(sheet.axis[None, :])[2][1]
+    for k in (-3, 0, 3, 10, 50, 150, 300):
+        for _ in range(20):
+            yield 10.0**k * rng.normal(size=sheet.dim)
+        for tf in (-1.0, -1.0 + 1e-8, -1.05, 1.0 - 1e-8):
+            yield 10.0**k * (tf * sheet.axis + perp)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hyperboloid_sheet_projection_meets_its_optimality_system():
+    # x on the boundary g = 0 with z - x a nonnegative multiple of grad g(x)
+    # is the optimality system of the projection onto this convex set.
+    rng = np.random.default_rng(81)
+    sheets = [HyperboloidSheet([1.0, 0.5, -0.5], 0.8), HyperboloidSheet(rng.normal(size=4), 2.5),
+              HyperboloidSheet([0.0, 0.0, 3.0], 0.5)]
+    for sheet in sheets:
+        for z in _sheet_points(rng, sheet):
+            x = sheet.project(z)
+            g, grad, _ = sheet._boundary(x)
+            if np.array_equal(x, z):
+                assert g <= 0.0
+                continue
+            assert abs(g) <= 1e-14 * max(1.0, big_norm(x))
+            n, r = grad / np.linalg.norm(grad), z - x
+            assert n @ r > 0.0
+            assert big_norm(r - (n @ r) * n) <= 1e-12 * max(1.0, big_norm(z))
+            assert big_norm(sheet.project(x) - x) <= 1e-14 * max(1.0, big_norm(x))
+
+
+def test_hyperboloid_sheet_vertex_is_smooth():
+    sheet = HyperboloidSheet([0.0, 2.0, 0.0], 0.5)
+    assert np.array_equal(sheet.axis, [0.0, 1.0, 0.0])
+    # a point on the axis below the vertex d e projects to it
+    assert np.array_equal(sheet.project([0.0, -3.0, 0.0]), [0.0, 0.5, 0.0])
+    # t = sqrt(d^2 + rho^2) has curvature 1 / d at its vertex
+    assert curvature(sheet, [0.0, 0.5, 0.0]).kappa == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "axis,d",
+    [([0.0, 0.0], 1.0), ([1.0, 0.0], 0.0), ([1.0, 0.0], -1.0), ([1.0, 0.0], np.inf),
+     ([1.0, 0.0], np.nan), ([1.0, np.nan], 1.0)],
+    ids=["zero-axis", "zero-d", "negative-d", "inf-d", "nan-d", "nan-axis"],
+)
+def test_hyperboloid_sheet_rejects_bad_parameters(axis, d):
+    with pytest.raises(ValueError):
+        HyperboloidSheet(axis, d)
 
 
 # --- power epigraph -------------------------------------------------------
@@ -1015,5 +1074,7 @@ def test_huge_finite_points_validate_without_warnings():
         p = oracle.project(z)
         r = z - p
         s = np.max(np.abs(r))
-        assert oracle.distance(z) == pytest.approx(s * np.linalg.norm(r / s), rel=1e-15)
+        # a point of the set (the hyperboloid sheet's draw) is its own projection
+        expected = s * np.linalg.norm(r / s) if s > 0.0 else 0.0
+        assert oracle.distance(z) == pytest.approx(expected, rel=1e-15)
         assert np.array_equal(oracle.reflect(z), 2.0 * p - z)

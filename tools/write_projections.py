@@ -38,6 +38,7 @@ DESCRIPTORS = {
         "inner": {"kind": "spectral_set", "n": 3, "lo": 0.0, "hi": None, "trace": None},
         "cut": {"kind": "ball", "center": [1.0, 0.0, 0.0, 0.5, 0.0, -0.3], "radius": 1.0},
     },
+    "hyperboloid_sheet": {"kind": "hyperboloid_sheet", "axis": [1.0, 0.5, -0.5], "d": 0.8},
     "embedded": {
         "kind": "embedded",
         "inner": {"kind": "ellipsoid", "shape": [[0.25, 0.0], [0.0, 1.0]], "center": [0.2, -0.1]},
