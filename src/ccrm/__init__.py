@@ -21,7 +21,13 @@ from .diagnostics import (
     tangent_bound_check,
     trace_reference_distances,
 )
-from .errors import ConvergenceError, GeometryError, RegularityError, UnsupportedOperation
+from .errors import (
+    ConvergenceError,
+    GeometryError,
+    NonFiniteError,
+    RegularityError,
+    UnsupportedOperation,
+)
 from .linalg import (
     SymEig,
     least_squares_min_norm,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, NonFiniteError
 from .linalg import RANK_RTOL
 
 NONDEGENERATE = "nondegenerate"
@@ -62,7 +62,7 @@ def circumcenter(points) -> CircumResult:
     half = 0.5 * pts - 0.5 * pts[0]
     top = float(np.abs(half).max())
     if not math.isfinite(top):
-        raise ValueError("points have non-finite entries")
+        raise NonFiniteError("points have non-finite entries")
     p0 = pts[0]
     if top == 0.0:
         return CircumResult(p0.copy(), COINCIDENT_ALL if len(pts) > 1 else NONDEGENERATE)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
 from .sets import Ball, Cap, DykstraIntersection, Halfspace, Hyperplane
-from .sets import _norm, _row_norms, boundary_eval
+from .sets import _as_point, _norm, _row_norms, boundary_eval
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -178,8 +178,15 @@ def curvature(oracle, z_bar) -> CurvatureValue:
     Raises:
         RegularityError: vanishing gradient (the boundary is not a
             regular hypersurface of the hull at this point).
-        ValueError: z_bar is not on the boundary.
+        ValueError: z_bar is not on the boundary, or not on the oracle's
+            affine hull (beyond rounding), where the descriptor would
+            read the boundary at z_bar's projection onto the hull.
     """
+    hull = oracle.affine_hull
+    if hull is not None:
+        off = hull.distance(z_bar)
+        if off > 1e-9 * (1.0 + _norm(_as_point(z_bar))):
+            raise ValueError(f"point is not on the set's affine hull (distance {off:.3e})")
     g, grad, hess = boundary_eval(oracle, z_bar)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= 1e-10:
@@ -195,7 +202,6 @@ def curvature(oracle, z_bar) -> CurvatureValue:
     idx = int(np.argmax(np.abs(eig.eigenvalues)))
     kappa = abs(float(eig.eigenvalues[idx])) / grad_norm
     direction = tangent @ eig.eigenvectors[:, idx]
-    hull = oracle.affine_hull
     if hull is not None:
         direction = hull.basis @ direction
     return CurvatureValue(kappa, direction)

@@ -13,6 +13,10 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class NonFiniteError(ValueError):
+    """A point that must be finite has a nan or infinite entry."""
+
+
 class GeometryError(RuntimeError):
     """The equidistance system has no solution in the affine hull."""
 

@@ -147,6 +147,8 @@ def oracle_from_dict(data) -> object:
         raise ValueError(f"descriptor of kind {kind!r} is missing field {exc}") from exc
     except TypeError as exc:  # a field of the wrong type, e.g. a string radius
         raise ValueError(f"descriptor of kind {kind!r} is malformed: {exc}") from exc
+    except ValueError as exc:  # a value the constructor rejects, e.g. a nan radius
+        raise ValueError(f"descriptor of kind {kind!r} is invalid: {exc}") from exc
     raise ValueError(f"unknown set kind {kind!r}")
 
 
@@ -200,11 +202,15 @@ def problem_from_dict(data):
         raise ValueError("problem file must be a JSON object")
     if data.get("version") != PROBLEM_FILE_VERSION:
         raise ValueError(f"unsupported problem file version {data.get('version')!r}")
+    sets = []
     for field in ("X", "Y"):
         if field not in data:
             raise ValueError(f"problem file is missing set {field!r}")
-    X = oracle_from_dict(data["X"])
-    Y = oracle_from_dict(data["Y"])
+        try:
+            sets.append(oracle_from_dict(data[field]))
+        except ValueError as exc:
+            raise ValueError(f"set {field}: {exc}") from exc
+    X, Y = sets
     if X.dim != Y.dim:
         raise ValueError(f"set dimensions differ: X has {X.dim}, Y has {Y.dim}")
     reference = _field(data, "reference", lambda v: _point(v, X.dim, "reference point"))

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, RegularityError, UnsupportedOperation
+from .errors import ConvergenceError, NonFiniteError, RegularityError, UnsupportedOperation
 from .linalg import (
     EPS,
     least_squares_min_norm,
@@ -60,7 +60,7 @@ def _as_point(z, dim=None):
     # A Python float sum carries inf and nan through without a warning; a
     # finite point whose sum overflows falls through to the exact test.
     if not math.isfinite(sum(z.tolist())) and not np.isfinite(z).all():
-        raise ValueError("point has non-finite entries")
+        raise NonFiniteError("point has non-finite entries")
     return z
 
 
@@ -527,7 +527,8 @@ class PowerEpigraph(SetOracle):
 
     def project(self, z) -> np.ndarray:
         z = _as_point(z, 2)
-        x0, y0 = float(z[0]), float(z[1]) + self.beta
+        x0, y0 = z.tolist()
+        y0 += self.beta
         ax = abs(x0)
         try:
             if y0 >= ax**self.alpha:
@@ -535,7 +536,7 @@ class PowerEpigraph(SetOracle):
             if ax == 0.0:
                 return np.array([0.0, -self.beta])
             u = _power_normal_root(self.alpha, ax, y0)
-            return np.array([np.copysign(u, x0), u**self.alpha - self.beta])
+            return np.array([math.copysign(u, x0), u**self.alpha - self.beta])
         except OverflowError as exc:
             raise ConvergenceError(f"power-epigraph projection overflows at {z.tolist()}") from exc
 

@@ -10,13 +10,14 @@ orthonormal coordinates, which leaves the iteration invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .circumcenter import circumcenter
-from .errors import ConvergenceError, GeometryError, UnsupportedOperation
+from .errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
 from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _norm, _power_normal_root
 from .sets import _row_norms, same_subspace
 
@@ -94,7 +95,9 @@ class SolveTrace:
     """Per-iteration record of a solver run.
 
     ``iterates[k]`` is z^k (row 0 is the start), with the residuals to
-    each set evaluated at every iterate. Circumcenter statuses (cCRM and
+    each set at every iterate. They are measured by projection, except a
+    MAP iterate's Y residual (k >= 1), which is 0 by construction: the
+    iterate is P_Y's output. Circumcenter statuses (cCRM and
     CRM) and centralized points (cCRM) are always recorded; entry k
     belongs to the step producing iterate k+1. ``termination`` is
     ``feasible``, ``max_iter``, ``stagnation`` or ``inner_failure`` (see
@@ -125,8 +128,9 @@ class SolveTrace:
         return self.iterates[-1]
 
 
-# Each step maps (problem, z, px = P_X(z), tol_feas) to
-# (z_next, z_C or None, circumcenter status or None).
+# Each step maps (problem, z, px = P_X(z), tol_feas) to (z_next, z_C or
+# None, circumcenter status or None, the Y residual of z_next that the
+# step guarantees, or None when the driver must measure it).
 def _ccrm(problem, z, px, tol_feas):
     """cCRM: the circumcenter of {z_C, R_X(z_C), R_Y(z_C)}.
 
@@ -142,20 +146,20 @@ def _ccrm(problem, z, px, tol_feas):
     except GeometryError:
         if max(_norm(z_c - pxc), _norm(z_c - pyc)) > tol_feas:
             raise
-        return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE
-    return result.center, z_c, result.status
+        return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE, None
+    return result.center, z_c, result.status, None
 
 
 def _crm(problem, z, px, tol_feas):
     """CRM: the circumcenter of {z, R_X(z), R_Y(R_X(z))}."""
     rx = 2.0 * px - z
     result = circumcenter([z, rx, problem.Y.reflect(rx)])
-    return result.center, None, result.status
+    return result.center, None, result.status, None
 
 
 def _map(problem, z, px, tol_feas):
-    """MAP: P_Y(P_X(z))."""
-    return problem.Y.project(px), None, None
+    """MAP: P_Y(P_X(z)), which lies in Y, so its Y residual is 0."""
+    return problem.Y.project(px), None, None, 0.0
 
 
 STEPS = {"ccrm": _ccrm, "map": _map, "crm": _crm}
@@ -182,48 +186,66 @@ def map_step(problem: FeasibilityProblem, z) -> np.ndarray:
     return _step("map", problem, z)[0]
 
 
+def _residuals(problem, z, px, dist_y):
+    """X and Y residuals of z; dist_y is measured when the step gave None."""
+    dist_x = _norm(z - px)
+    if dist_y is None:
+        dist_y = problem.Y.distance(z)
+    if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
+        raise NonFiniteError("a residual is non-finite")
+    return dist_x, dist_y
+
+
 def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     """Iterate the configured method from z0 and record the trace.
 
     Each iterate is projected onto X once: that projection gives its X
-    residual and is the next step's P_X(z). Stops at feasibility (max
-    residual below ``tol_feas``), at the iteration cap, on stagnation, or
-    on an inner-solver ``ConvergenceError`` (``inner_failure``). A
-    circumcenter degeneracy at the double-precision floor (the step
-    geometry collapses once projection corrections underflow) is
-    stagnation rather than an error. Either error keeps the iterates so
-    far and its message as ``termination_detail``; one at z0 propagates.
+    residual and is the next step's P_X(z). Its Y residual is the one the
+    step guarantees (0 for MAP, whose iterate is P_Y's output), else it
+    is measured. Stops at feasibility (max residual below ``tol_feas``),
+    at the iteration cap, on stagnation, or on an inner-solver
+    ``ConvergenceError`` or a non-finite iterate or residual
+    (``inner_failure``). A circumcenter degeneracy at the double-precision
+    floor (the step geometry collapses once projection corrections
+    underflow) is stagnation rather than an error. Each of these keeps the
+    iterates so far and its message as ``termination_detail``; one at z0
+    propagates.
     """
     step = STEPS[config.method]
     z = _as_point(z0, problem.dim).copy()
     px = problem.X.project(z)
     iterates = [z.copy()]
-    res_x = [_norm(z - px)]
-    res_y = [problem.Y.distance(z)]
+    dist_x, dist_y = _residuals(problem, z, px, None)
+    res_x, res_y = [dist_x], [dist_y]
     centers, statuses = [], []
 
     termination, detail = TERMINATION_MAX_ITER, None
-    if max(res_x[0], res_y[0]) <= config.tol_feas:
+    if max(dist_x, dist_y) <= config.tol_feas:
         termination = TERMINATION_FEASIBLE
     else:
         for _ in range(config.max_iter):
             try:
-                z_next, z_c, status = step(problem, z, px, config.tol_feas)
+                z_next, z_c, status, dist_y = step(problem, z, px, config.tol_feas)
                 px = problem.X.project(z_next)
-                dist_y = problem.Y.distance(z_next)
-            except (GeometryError, ConvergenceError) as exc:
-                inner = isinstance(exc, ConvergenceError)
-                termination = TERMINATION_INNER_FAILURE if inner else TERMINATION_STAGNATION
-                detail = str(exc)
+                dist_x, dist_y = _residuals(problem, z_next, px, dist_y)
+            except GeometryError as exc:
+                termination, detail = TERMINATION_STAGNATION, str(exc)
+                break
+            except ConvergenceError as exc:
+                termination, detail = TERMINATION_INNER_FAILURE, str(exc)
+                break
+            except NonFiniteError as exc:
+                termination = TERMINATION_INNER_FAILURE
+                detail = f"iterate {len(iterates)}: {exc}"
                 break
             iterates.append(z_next.copy())
-            res_x.append(_norm(z_next - px))
+            res_x.append(dist_x)
             res_y.append(dist_y)
             if z_c is not None:
                 centers.append(z_c)
             if status is not None:
                 statuses.append(status)
-            if max(res_x[-1], res_y[-1]) <= config.tol_feas:
+            if max(dist_x, dist_y) <= config.tol_feas:
                 termination = TERMINATION_FEASIBLE
                 break
             if _norm(z_next - z) <= STEP_TOL * (1.0 + _norm(z)):

@@ -1,5 +1,8 @@
 """Shared test utilities: independent brute-force oracles and samplers."""
 
+import importlib.util
+import os
+
 import numpy as np
 
 from ccrm.sets import (
@@ -21,6 +24,15 @@ from ccrm import catalog
 from ccrm.catalog import make_eq_constrained_ellipsoids, make_socp
 from ccrm.linalg import sym_to_vec
 from ccrm.solvers import FeasibilityProblem
+
+
+def tool_module(name):
+    """Import ``tools/<name>.py`` as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def big_norm(x):

@@ -113,35 +113,35 @@ def _sheet(axis=(1.0, 0.0), d=1.0):
 @pytest.mark.parametrize(
     "x, message",
     [
-        ({"kind": "ball", "center": [0.0, 0.0], "radius": "1"}, "descriptor of kind"),
-        ({"kind": "second_order_cone", "dim": "2"}, "descriptor of kind"),
-        ({"kind": "dykstra_intersection", "members": 5}, "descriptor of kind"),
-        (_sheet(d="1"), "descriptor of kind"),
-        (_sheet(d=0.0), "vertex height d must be positive"),
-        (_sheet(d=-1.0), "vertex height d must be positive"),
-        (_sheet(d=float("inf")), "d must be finite, got inf"),
-        (_sheet(d=float("nan")), "d must be finite, got nan"),
-        (_sheet(axis=(0.0, 0.0)), "hyperboloid axis must be nonzero"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": "1"}, "is malformed"),
+        ({"kind": "second_order_cone", "dim": "2"}, "is malformed"),
+        ({"kind": "dykstra_intersection", "members": 5}, "is malformed"),
+        (_sheet(d="1"), "is malformed"),
+        (_sheet(d=0.0), "is invalid: vertex height d must be positive"),
+        (_sheet(d=-1.0), "is invalid: vertex height d must be positive"),
+        (_sheet(d=float("inf")), "is invalid: d must be finite, got inf"),
+        (_sheet(d=float("nan")), "is invalid: d must be finite, got nan"),
+        (_sheet(axis=(0.0, 0.0)), "is invalid: hyperboloid axis must be nonzero"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": float("nan")},
+         "is invalid: radius must be finite, got nan"),
     ],
     ids=[
         "string-radius", "string-dim", "members-not-a-list", "sheet-string-d",
         "sheet-zero-d", "sheet-negative-d", "sheet-inf-d", "sheet-nan-d", "sheet-zero-axis",
+        "nan-radius",
     ],
 )
 def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, message):
     # The first three raised a TypeError out of the set constructors, and a
-    # string d is wrapped the same way; an invalid hyperboloid sheet's error
-    # names the parameter at fault.
-    problem = {
-        "version": "1",
-        "X": x,
-        "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
-        "z0": [1.0, 1.0],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(problem))
-    assert main(["solve", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    # string d is wrapped the same way; a value a constructor rejects is
+    # wrapped too. Each error names the set and its kind.
+    good = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}
+    for name, problem in (("X", {"X": x, "Y": good}), ("Y", {"X": good, "Y": x})):
+        path = tmp_path / f"bad_{name}.json"
+        path.write_text(json.dumps({"version": "1", **problem, "z0": [1.0, 1.0]}))
+        assert main(["solve", "--problem", str(path)]) == 1
+        expected = f"error: set {name}: descriptor of kind {x['kind']!r} {message}"
+        assert capsys.readouterr().err.startswith(expected)
 
 
 @pytest.mark.parametrize("field", ["z0", "reference", "hull", "known_constants"])
@@ -193,7 +193,10 @@ def test_solve_dykstra_hull_outside_its_members_is_an_input_error(tmp_path, caps
     path = tmp_path / "hull.json"
     path.write_text(json.dumps(problem))
     assert main(["solve", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err == "error: hull is not the affine hull of any member\n"
+    assert capsys.readouterr().err == (
+        "error: set X: descriptor of kind 'dykstra_intersection' is invalid: "
+        "hull is not the affine hull of any member\n"
+    )
 
 
 @pytest.mark.filterwarnings("error")
@@ -215,7 +218,9 @@ def test_solve_nan_radius_file_names_the_radius(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(problem))  # a bare NaN, which json reads back
     assert main(["solve", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err == "error: radius must be finite, got nan\n"
+    assert capsys.readouterr().err == (
+        "error: set X: descriptor of kind 'ball' is invalid: radius must be finite, got nan\n"
+    )
 
 
 def test_solve_missing_z0_in_file(tmp_path):
@@ -392,6 +397,15 @@ def test_diagnose_reports_regularity_per_set(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert "kappa_x_error" in data or "kappa_y_error" in data
+
+
+def test_diagnose_refuses_a_point_off_the_hull(capsys):
+    code = main(["diagnose", "--problem", "socp", "--point", "0,0.6,0.6,0.6"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    for label in ("kappa_x", "kappa_y"):
+        assert data[label] is None
+        assert data[label + "_error"].startswith("point is not on the set's affine hull")
 
 
 def test_diagnose_requires_point_without_reference():

@@ -175,6 +175,18 @@ def test_curvature_off_boundary_rejected():
         curvature(ball, [0.5, 0.0])
 
 
+def test_curvature_off_hull_rejected():
+    # The descriptor of a hull-confined set reads only the point's hull
+    # coordinates, so the lifted limit reported the limit's kappa_X 0.9549.
+    entry = make_socp()
+    limit = run(entry.problem, SolverConfig(tol_feas=1e-14), entry.suggested_z0).final
+    normal = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    for oracle in (entry.problem.X, entry.problem.Y):
+        curvature(oracle, limit)  # a limit on the hull to rounding passes
+        with pytest.raises(ValueError, match="affine hull"):
+            curvature(oracle, limit + 0.3 * normal)
+
+
 # --- tangent bound -------------------------------------------------------------
 
 def test_tangent_bound_flat_boundary():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccrm import catalog
 from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
@@ -8,8 +9,9 @@ from ccrm.catalog import (
     make_sdp_feasibility,
     make_socp,
 )
-from ccrm.errors import ConvergenceError, GeometryError, UnsupportedOperation
-from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph, SetOracle
+from ccrm.errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
+from ccrm.linalg import EPS
+from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph, SetOracle, _row_norms
 from ccrm.solvers import (
     METHODS,
     STATUS_CENTRALIZED_FEASIBLE,
@@ -27,7 +29,9 @@ from ccrm.solvers import (
     run,
 )
 
-from helpers import sample_lens_point
+from helpers import sample_lens_point, tool_module
+
+write_traces = tool_module("write_traces")
 
 
 def complementary_halfplanes():
@@ -216,9 +220,10 @@ def _count_projections(problem):
     return calls
 
 
-# X/Y projections per step: the two residuals of the new iterate plus the
-# step's own projections once P_X(z) is reused.
-PROJECTIONS_PER_STEP = {"ccrm": 6, "crm": 3, "map": 3}
+# X/Y projections per step: the step's own projections once P_X(z) is
+# reused, plus the new iterate's X residual and, except for MAP, whose
+# iterate is P_Y's output, its Y residual.
+PROJECTIONS_PER_STEP = {"ccrm": 6, "crm": 3, "map": 2}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -249,17 +254,21 @@ def test_run_matches_repeated_steps(build, method):
 
 
 class FailingOracle(SetOracle):
-    """Delegates to ``inner`` but raises ConvergenceError on the N-th project."""
+    """Delegates to ``inner`` but fails its N-th project: raises
+    ConvergenceError, or with ``nan`` returns a nan point."""
 
-    def __init__(self, inner, fail_at):
+    def __init__(self, inner, fail_at, nan=False):
         super().__init__(inner.dim)
         self.inner = inner
         self.fail_at = fail_at
+        self.nan = nan
         self.calls = 0
 
     def project(self, z):
         self.calls += 1
         if self.calls == self.fail_at:
+            if self.nan:
+                return np.full(self.dim, np.nan)
             raise ConvergenceError("inner solver gave up", residual=1.0)
         return self.inner.project(z)
 
@@ -286,21 +295,62 @@ def test_inner_failure_keeps_partial_trace(method):
         assert len(trace.circum_statuses) == trace.n_steps
 
 
+@pytest.mark.parametrize("nan_at", range(2, 7))
+@pytest.mark.parametrize("broken", ["X", "Y"])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_oracle_output_ends_run_as_inner_failure(method, broken, nan_at):
+    # Depending on the call, the nan is the iterate (MAP), a point inside
+    # the step or a residual; each ends the run with the trace so far.
+    sets = {"X": Ball([0.0, 0.0], 2.0), "Y": Ball([3.5, 0.0], 2.0)}
+    z0 = [1.0, 5.0]
+    full = run(FeasibilityProblem(**sets), SolverConfig(method=method), z0)
+    sets[broken] = FailingOracle(sets[broken], nan_at, nan=True)
+    trace = run(FeasibilityProblem(**sets), SolverConfig(method=method), z0)
+    assert trace.termination == TERMINATION_INNER_FAILURE
+    assert trace.termination_detail.startswith(f"iterate {trace.n_steps + 1}: ")
+    assert "non-finite" in trace.termination_detail
+    assert trace.n_steps < full.n_steps
+    assert np.array_equal(trace.iterates, full.iterates[: trace.n_steps + 1])
+    assert np.array_equal(trace.residuals_x, full.residuals_x[: trace.n_steps + 1])
+    assert np.array_equal(trace.residuals_y, full.residuals_y[: trace.n_steps + 1])
+
+
 def test_inner_failure_at_start_propagates():
     entry = make_discs3d()
     failing = FeasibilityProblem(FailingOracle(entry.problem.X, fail_at=1), entry.problem.Y)
     with pytest.raises(ConvergenceError):
         run(failing, SolverConfig(), entry.suggested_z0)
+    nan_y = FeasibilityProblem(entry.problem.X, FailingOracle(entry.problem.Y, 1, nan=True))
+    with pytest.raises(NonFiniteError):
+        run(nan_y, SolverConfig(), entry.suggested_z0)
 
 
 def test_run_trace_residuals_consistent():
     entry = make_discs3d()
-    trace = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
-    k = trace.n_steps // 2
-    z = trace.iterates[k]
-    assert np.isclose(trace.residuals_x[k], entry.problem.X.distance(z))
-    assert np.isclose(trace.residuals_y[k], entry.problem.Y.distance(z))
-    assert trace.residuals[-1] <= 1e-12
+    X, Y = entry.problem.X, entry.problem.Y
+    for method in METHODS:
+        trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+        assert trace.residuals[-1] <= 1e-12
+        for k, z in enumerate(trace.iterates):
+            assert trace.residuals_x[k] == X.distance(z), (method, k)
+            if method != "map" or k == 0:
+                assert trace.residuals_y[k] == Y.distance(z), (method, k)
+        if method == "map":  # taken from the step, which lands in Y
+            assert np.all(trace.residuals_y[1:] == 0.0)
+
+
+@pytest.mark.parametrize("selector", write_traces.SELECTORS)
+def test_map_iterates_lie_in_y(selector):
+    # A MAP iterate's Y residual is recorded as 0 without a projection; the
+    # projection that the trace no longer makes must find it within
+    # rounding of Y at every iterate from every start of the trace corpus.
+    entry = catalog.resolve(selector)
+    for z0 in write_traces.starts_of(entry).values():
+        trace = run(entry.problem, SolverConfig(method="map"), z0)
+        assert trace.n_steps > 0
+        assert np.all(trace.residuals_y[1:] == 0.0)
+        measured = [entry.problem.Y.distance(z) for z in trace.iterates[1:]]
+        assert np.all(measured <= 4 * EPS * (1.0 + _row_norms(trace.iterates[1:])))
 
 
 def test_config_validation():

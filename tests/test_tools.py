@@ -1,22 +1,11 @@
 """The identity gates: tools/compare_traces.py and tools/compare_omegas.py."""
 
-import importlib.util
-import os
-
 import pytest
 
-TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+from helpers import tool_module
 
-
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
-
-
-compare_traces = _tool("compare_traces")
-compare_omegas = _tool("compare_omegas")
+compare_traces = tool_module("compare_traces").main
+compare_omegas = tool_module("compare_omegas").main
 
 TRACE = [
     "# method=ccrm termination=feasible",

@@ -29,15 +29,21 @@ SELECTORS = (
 SEEDS = (0, 1, 2)
 
 
+def starts_of(entry):
+    """The catalog start and its seeded perturbations, by label."""
+    out = {"z0": entry.suggested_z0}
+    for seed in SEEDS:
+        noise = np.random.default_rng(seed).normal(size=entry.problem.dim)
+        out[f"seed{seed}"] = entry.suggested_z0 + 0.3 * noise
+    return out
+
+
 def main(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     count = 0
     for selector in SELECTORS:
         entry = catalog.resolve(selector)
-        starts = {"z0": entry.suggested_z0}
-        for seed in SEEDS:
-            noise = np.random.default_rng(seed).normal(size=entry.problem.dim)
-            starts[f"seed{seed}"] = entry.suggested_z0 + 0.3 * noise
+        starts = starts_of(entry)
         runs = [(f"{method}_{label}", method, entry.problem, z0)
                 for method in METHODS for label, z0 in starts.items()]
         if entry.problem.common_hull is not None:
