@@ -210,9 +210,11 @@ def cmd_diagnose(args):
             report[label] = None
             report[label + "_error"] = str(exc)
 
-    omega = estimate_omega(problem, point, seed=args.seed)
-    report["omega_estimate"] = omega
-    if kappas:
+    try:
+        omega = report["omega_estimate"] = estimate_omega(problem, point, seed=args.seed)
+    except ValueError as exc:
+        omega, report["omega_estimate"], report["omega_error"] = None, None, str(exc)
+    if kappas and omega is not None:
         kappa = max(kappas.values())
         report["quad_constant_bound"] = 4.0 * kappa / omega
         report["quad_constant_sharper"] = kappa / omega

@@ -160,6 +160,14 @@ def trace_reference_distances(trace: SolveTrace, problem: Optional[FeasibilityPr
     return _row_norms(trace.iterates[:-2] - ref)
 
 
+def _require_on_hull(hull, z, name):
+    """Raise ValueError when z is off ``hull`` (None: the whole space) beyond rounding."""
+    if hull is not None:
+        off = hull.distance(z)
+        if off > 1e-9 * (1.0 + _norm(_as_point(z))):
+            raise ValueError(f"point is not on {name} (distance {off:.3e})")
+
+
 @dataclass(frozen=True)
 class CurvatureValue:
     kappa: float
@@ -183,10 +191,7 @@ def curvature(oracle, z_bar) -> CurvatureValue:
             read the boundary at z_bar's projection onto the hull.
     """
     hull = oracle.affine_hull
-    if hull is not None:
-        off = hull.distance(z_bar)
-        if off > 1e-9 * (1.0 + _norm(_as_point(z_bar))):
-            raise ValueError(f"point is not on the set's affine hull (distance {off:.3e})")
+    _require_on_hull(hull, z_bar, "the set's affine hull")
     g, grad, hess = boundary_eval(oracle, z_bar)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= 1e-10:
@@ -289,9 +294,12 @@ def estimate_omega(
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
     over samples whose intersection distance exceeds ``OMEGA_EXCLUDE_TOL``.
     Deterministic under the seed. Each sample projects onto X once; a cap
-    of X takes that projection as its s = 0 residual.
+    of X takes that projection as its s = 0 residual. Raises ValueError
+    when every sample lies in X & Y, or when z_bar is off the problem's
+    common hull beyond rounding, where the samples would measure the hull.
     """
     z_bar = np.asarray(z_bar, dtype=float)
+    _require_on_hull(problem.common_hull, z_bar, "the problem's common hull")
     oracle = intersection_oracle(problem) if projector is None else None
     cap, project = (oracle if isinstance(oracle, Cap) else None), projector or oracle.project
     rng = np.random.default_rng(seed)

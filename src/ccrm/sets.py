@@ -13,6 +13,7 @@ All oracles are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -338,45 +339,6 @@ class Ellipsoid(SetOracle):
         return float(d @ (self.Q @ d)) - 1.0, 2.0 * self.Q @ d, 2.0 * self.Q
 
 
-class SecondOrderCone(SetOracle):
-    """{(t, u) : ||u|| <= t}; the first coordinate is the cone height.
-
-    The boundary descriptor g = ||u|| - t is smooth away from the apex;
-    boundary calculus refuses at the apex, where the boundary is not a
-    manifold.
-    """
-
-    def __init__(self, dim):
-        if dim < 2:
-            raise ValueError("second-order cone needs dimension >= 2")
-        super().__init__(dim)
-
-    def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        t, u = z[0], z[1:]
-        nu = _norm(u)
-        if nu <= t:
-            return z.copy()
-        if nu <= -t:
-            return np.zeros(self.dim)
-        s = 0.5 * (t + nu)
-        out = np.empty(self.dim)
-        out[0] = s
-        out[1:] = u * (s / nu)
-        return out
-
-    def _boundary(self, z):
-        z = _as_point(z, self.dim)
-        nu = float(np.linalg.norm(z[1:]))
-        if nu <= 1e-12 * (1.0 + abs(z[0])):
-            raise RegularityError("second-order cone boundary is not a manifold at the apex")
-        uhat = z[1:] / nu
-        grad = np.concatenate(([-1.0], uhat))
-        H = np.zeros((self.dim, self.dim))
-        H[1:, 1:] = (np.eye(self.dim - 1) - np.outer(uhat, uhat)) / nu
-        return nu - z[0], grad, H
-
-
 def _sheet_root(t, r, d):
     """Root in (0, r) of phi(rho) = 2 rho - r - t rho / h(rho), h = hypot(d, rho).
 
@@ -389,8 +351,11 @@ def _sheet_root(t, r, d):
     bisection, geometric across a wide bracket: for a far point with t
     close to -r, Newton climbs by a factor of about 1.5 per step. The
     residual test accepts any rho whose error is below the rounding of
-    r and t, and every term is a ratio to h, so nothing overflows.
+    r and t, and every term is a ratio to h, so nothing overflows. At
+    d = 0 (the second-order cone) the root is max((r + t) / 2, 0).
     """
+    if d == 0.0:
+        return max(0.5 * (r + t), 0.0)
     if t > 0.0:
         lo, hi = 0.0, min(r, 0.5 * (r + t))
         rho = hi
@@ -424,14 +389,15 @@ def _sheet_root(t, r, d):
 
 class HyperboloidSheet(SetOracle):
     """{v : <e, v> >= sqrt(d^2 + ||v - <e, v> e||^2)}: the region above one
-    sheet of a hyperboloid, e = axis / ||axis||, d > 0 the vertex height.
+    sheet of a hyperboloid, e = axis / ||axis||, d >= 0 the vertex height.
 
-    A second-order cone cut by a hyperplane parallel to its axis is this
-    set in the hyperplane's coordinates. With t = <e, v>, w = v - t e and
-    r = ||w||, the projection is h(rho) e + (rho / r) w, h(rho) =
-    sqrt(d^2 + rho^2), at the root rho of the one-dimensional normal
-    equation (see :func:`_sheet_root`); w = 0 projects to the vertex d e.
-    The descriptor g = h(||w||) - t is smooth everywhere, the vertex too.
+    d = 0 is the second-order cone about e; a cone cut by a hyperplane
+    parallel to its axis is a d > 0 sheet in the hyperplane's coordinates.
+    With t = <e, v>, w = v - t e and r = ||w||, the projection is h(rho) e
+    + (rho / r) w, h(rho) = sqrt(d^2 + rho^2), at the root rho of the
+    one-dimensional normal equation (see :func:`_sheet_root`); w = 0
+    projects to the vertex d e. The descriptor g = h(||w||) - t is smooth
+    everywhere for d > 0; at d = 0 it is refused at the apex.
     """
 
     def __init__(self, axis, d):
@@ -440,8 +406,8 @@ class HyperboloidSheet(SetOracle):
         if na == 0.0:
             raise ValueError("hyperboloid axis must be nonzero")
         _check_finite(d=d)
-        if d <= 0.0:
-            raise ValueError("vertex height d must be positive")
+        if d < 0.0:
+            raise ValueError("vertex height d must be nonnegative")
         super().__init__(axis.shape[0])
         self.axis, self.d = axis / na, float(d)
 
@@ -463,8 +429,20 @@ class HyperboloidSheet(SetOracle):
     def _boundary(self, z):
         _, t, w, r = self._split(z)
         h = math.hypot(self.d, r)
+        if self.d == 0.0 and h <= 1e-12 * (1.0 + abs(t)):
+            raise RegularityError("second-order cone boundary is not a manifold at the apex")
         P = np.eye(self.dim) - np.outer(self.axis, self.axis)
         return h - t, w / h - self.axis, (P - np.outer(w / h, w / h)) / h
+
+
+class SecondOrderCone(HyperboloidSheet):
+    """{(t, u) : ||u|| <= t}, the first coordinate the cone height: the
+    hyperboloid sheet of axis e_1 and vertex height 0."""
+
+    def __init__(self, dim):
+        if operator.index(dim) < 2:
+            raise ValueError("second-order cone needs dimension >= 2")
+        super().__init__(np.eye(dim)[0], 0.0)
 
 
 def _power_normal_root(alpha, x0, y0):
@@ -617,6 +595,7 @@ class SpectralSet(SetOracle):
     """
 
     def __init__(self, n, lo=-np.inf, hi=np.inf, trace=None):
+        n = operator.index(n)
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         lo, hi = float(lo), float(hi)
@@ -627,7 +606,7 @@ class SpectralSet(SetOracle):
             if not n * lo <= trace <= n * hi:
                 raise ValueError("empty set: need n * lo <= trace <= n * hi")
         super().__init__(sym_dim(n))
-        self.n = int(n)
+        self.n = n
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
         if self.trace is not None:
@@ -883,7 +862,8 @@ class DykstraIntersection(SetOracle):
     """Intersection of oracles without a closed-form joint projection.
 
     ``project`` is :func:`dykstra_project` over the members at this
-    intersection's ``tol`` and ``max_iter``. Nested intersections are
+    intersection's ``tol`` (finite, > 0) and ``max_iter`` (an integer,
+    >= 1). Nested intersections are
     flattened there into one cycle over their leaf sets, under the outer
     call's tolerance and budget. A declared ``hull`` must be the affine
     hull of one member, so that the intersection lies in it.
@@ -898,6 +878,10 @@ class DykstraIntersection(SetOracle):
             raise ValueError(f"member dimensions differ: {sorted(dims)}")
         if hull is not None and not any(same_subspace(hull, m.affine_hull) for m in members):
             raise ValueError("hull is not the affine hull of any member")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {tol}")
+        if operator.index(max_iter) < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
         super().__init__(members[0].dim)
         self.members = members
         self.tol = float(tol)

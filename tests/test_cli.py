@@ -110,6 +110,12 @@ def _sheet(axis=(1.0, 0.0), d=1.0):
     return {"kind": "hyperboloid_sheet", "axis": list(axis), "d": d}
 
 
+def _lens(**params):
+    members = [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+               {"kind": "halfspace", "normal": [1.0, 0.0], "offset": -0.2}]
+    return {"kind": "dykstra_intersection", "members": members, **params}
+
+
 @pytest.mark.parametrize(
     "x, message",
     [
@@ -117,24 +123,32 @@ def _sheet(axis=(1.0, 0.0), d=1.0):
         ({"kind": "second_order_cone", "dim": "2"}, "is malformed"),
         ({"kind": "dykstra_intersection", "members": 5}, "is malformed"),
         (_sheet(d="1"), "is malformed"),
-        (_sheet(d=0.0), "is invalid: vertex height d must be positive"),
-        (_sheet(d=-1.0), "is invalid: vertex height d must be positive"),
+        (_sheet(d=-1.0), "is invalid: vertex height d must be nonnegative"),
         (_sheet(d=float("inf")), "is invalid: d must be finite, got inf"),
         (_sheet(d=float("nan")), "is invalid: d must be finite, got nan"),
         (_sheet(axis=(0.0, 0.0)), "is invalid: hyperboloid axis must be nonzero"),
         ({"kind": "ball", "center": [0.0, 0.0], "radius": float("nan")},
          "is invalid: radius must be finite, got nan"),
+        ({"kind": "second_order_cone", "dim": 2.7}, "is malformed"),
+        ({"kind": "spectral_set", "n": 1.5, "lo": 0.0}, "is malformed"),
+        (_lens(tol=-1.0), "is invalid: tol must be finite and positive, got -1.0"),
+        (_lens(tol=float("nan")), "is invalid: tol must be finite and positive, got nan"),
+        (_lens(max_iter=0), "is invalid: max_iter must be at least 1, got 0"),
+        (_lens(max_iter=2.5), "is malformed"),
     ],
     ids=[
         "string-radius", "string-dim", "members-not-a-list", "sheet-string-d",
-        "sheet-zero-d", "sheet-negative-d", "sheet-inf-d", "sheet-nan-d", "sheet-zero-axis",
-        "nan-radius",
+        "sheet-negative-d", "sheet-inf-d", "sheet-nan-d", "sheet-zero-axis",
+        "nan-radius", "float-dim", "float-n", "dykstra-negative-tol", "dykstra-nan-tol",
+        "dykstra-zero-max-iter", "dykstra-float-max-iter",
     ],
 )
 def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, message):
     # The first three raised a TypeError out of the set constructors, and a
     # string d is wrapped the same way; a value a constructor rejects is
-    # wrapped too. Each error names the set and its kind.
+    # wrapped too. Each error names the set and its kind. A float dim solved
+    # as its floor, a float n failed at the first projection, and a bad
+    # Dykstra tol or max_iter at the first projection with exit 2.
     good = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}
     for name, problem in (("X", {"X": x, "Y": good}), ("Y", {"X": good, "Y": x})):
         path = tmp_path / f"bad_{name}.json"
@@ -142,6 +156,21 @@ def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, messag
         assert main(["solve", "--problem", str(path)]) == 1
         expected = f"error: set {name}: descriptor of kind {x['kind']!r} {message}"
         assert capsys.readouterr().err.startswith(expected)
+
+
+def test_solve_zero_d_sheet_file_is_the_cone(tmp_path):
+    # d = 0 was rejected; the sheet of axis e_1 and d = 0 is the cone, so
+    # both files give the same trace.
+    y = {"kind": "ball", "center": [1.0, 2.0, 0.5], "radius": 1.5}
+    traces = []
+    for name, x in (("sheet", _sheet(axis=(2.0, 0.0, 0.0), d=0.0)),
+                    ("cone", {"kind": "second_order_cone", "dim": 3})):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        path.write_text(json.dumps({"version": "1", "X": x, "Y": y, "z0": [-1.0, 3.0, 1.0]}))
+        assert main(["solve", "--problem", str(path), "--out", str(out)]) == 0
+        traces.append(trace_from_csv(out))
+    assert traces[0].termination == "feasible"
+    assert np.array_equal(traces[0].iterates, traces[1].iterates)
 
 
 @pytest.mark.parametrize("field", ["z0", "reference", "hull", "known_constants"])
@@ -406,6 +435,10 @@ def test_diagnose_refuses_a_point_off_the_hull(capsys):
     for label in ("kappa_x", "kappa_y"):
         assert data[label] is None
         assert data[label + "_error"].startswith("point is not on the set's affine hull")
+    # omega was sampled around the lifted point (0.957 there, about 0.39 at the limit)
+    assert data["omega_estimate"] is None
+    assert data["omega_error"].startswith("point is not on the problem's common hull")
+    assert "quad_constant_bound" not in data and "quad_constant_sharper" not in data
 
 
 def test_diagnose_requires_point_without_reference():

@@ -187,6 +187,22 @@ def test_curvature_off_hull_rejected():
             curvature(oracle, limit + 0.3 * normal)
 
 
+def test_estimate_omega_off_hull_rejected():
+    # Samples around the lifted limit measured the lift, not the error
+    # bound: 50 samples per radius gave 0.965 there, and 0.392 at the limit.
+    entry = make_socp()
+    limit = run(entry.problem, SolverConfig(tol_feas=1e-14), entry.suggested_z0).final
+    normal = np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    assert 0.3 < estimate_omega(entry.problem, limit, samples_per_radius=50) < 0.5
+    with pytest.raises(ValueError, match="not on the problem's common hull"):
+        estimate_omega(entry.problem, limit + 0.3 * normal, samples_per_radius=50)
+    # the tolerance is curvature's: 1e-9 (1 + ||z||)
+    scale = 1e-9 * (1.0 + np.linalg.norm(limit))
+    estimate_omega(entry.problem, limit + 0.5 * scale * normal, samples_per_radius=50)
+    with pytest.raises(ValueError, match="not on the problem's common hull"):
+        estimate_omega(entry.problem, limit + 2.0 * scale * normal, samples_per_radius=50)
+
+
 # --- tangent bound -------------------------------------------------------------
 
 def test_tangent_bound_flat_boundary():

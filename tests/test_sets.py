@@ -244,6 +244,68 @@ def test_soc_apex_is_fixed():
     assert np.allclose(K.project([0.0, 0.0, 0.0]), 0.0)
 
 
+def _soc_points(rng, n):
+    """Seeded points at 1e-300 ... 1e300: random draws, and draws moved
+    inside, onto the polar cone and just off the cone's boundary."""
+    for k in range(-300, 301, 50):
+        for _ in range(4):
+            z = 10.0**k * rng.normal(size=n)
+            nu = big_norm(z[1:])
+            yield z
+            yield np.concatenate(([2.0 * nu], z[1:]))
+            yield np.concatenate(([-2.0 * nu], z[1:]))
+            yield np.concatenate(([0.999 * nu], z[1:]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(2, 11))
+def test_soc_projection_is_its_closed_form_bitwise(n):
+    # P(t, u) is (t, u) inside, 0 on the polar cone -K, and else s (1, u / ||u||)
+    # with s = (t + ||u||) / 2.
+    K = SecondOrderCone(n)
+    for z in _soc_points(np.random.default_rng(n), n):
+        t, u = z[0], z[1:]
+        nu = ccrm.sets._norm(u)
+        if nu <= t:
+            want = z
+        elif nu <= -t:
+            want = np.zeros(n)
+        else:
+            s = 0.5 * (t + nu)
+            want = np.concatenate(([s], u * (s / nu)))
+        assert K.project(z).tobytes() == want.tobytes(), z
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_hyperboloid_sheet_with_zero_d_is_the_second_order_cone(n):
+    # The cone is the sheet of axis e_1 (here given unnormalized) and d = 0,
+    # in projection and descriptor alike.
+    K, sheet = SecondOrderCone(n), HyperboloidSheet(3.0 * np.eye(n)[0], 0.0)
+    assert isinstance(K, HyperboloidSheet) and (K.d, sheet.d) == (0.0, 0.0)
+    assert np.array_equal(K.axis, sheet.axis)
+    for z in _soc_points(np.random.default_rng(10 + n), n):
+        assert K.project(z).tobytes() == sheet.project(z).tobytes()
+        try:
+            want = boundary_eval(K, z)
+        except RegularityError:
+            with pytest.raises(RegularityError):
+                boundary_eval(sheet, z)
+            continue
+        got = boundary_eval(sheet, z)
+        assert got[0] == want[0] and all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
+def test_soc_descriptor_is_finite_far_out():
+    # ||u|| overflowed np.linalg.norm here, and the descriptor was refused
+    # as not finite.
+    K = SecondOrderCone(4)
+    z = 1e300 * np.array([1.0, 0.6, 0.8, 0.0])
+    g, grad, hess = boundary_eval(K, z)
+    assert abs(g) <= 1e-15 * 1e300
+    assert np.allclose(grad, [-1.0, 0.6, 0.8, 0.0], rtol=0.0, atol=1e-15)
+    assert np.all(np.isfinite(hess)) and np.abs(hess).max() <= 1e-300
+
+
 # --- hyperboloid sheet ----------------------------------------------------
 
 def _sheet_points(rng, sheet):
@@ -291,13 +353,27 @@ def test_hyperboloid_sheet_vertex_is_smooth():
 
 @pytest.mark.parametrize(
     "axis,d",
-    [([0.0, 0.0], 1.0), ([1.0, 0.0], 0.0), ([1.0, 0.0], -1.0), ([1.0, 0.0], np.inf),
+    [([0.0, 0.0], 1.0), ([1.0, 0.0], -1.0), ([1.0, 0.0], -1e-300), ([1.0, 0.0], np.inf),
      ([1.0, 0.0], np.nan), ([1.0, np.nan], 1.0)],
-    ids=["zero-axis", "zero-d", "negative-d", "inf-d", "nan-d", "nan-axis"],
+    ids=["zero-axis", "negative-d", "tiny-negative-d", "inf-d", "nan-d", "nan-axis"],
 )
 def test_hyperboloid_sheet_rejects_bad_parameters(axis, d):
     with pytest.raises(ValueError):
         HyperboloidSheet(axis, d)
+
+
+def test_hyperboloid_sheet_accepts_zero_d():
+    # d = 0 is the second-order cone about the axis: its apex is a point of
+    # the set, its descriptor is refused there, and the polar cone projects
+    # to the apex.
+    sheet = HyperboloidSheet([0.0, 2.0, 0.0], 0.0)
+    assert sheet.d == 0.0
+    assert np.array_equal(sheet.project([0.0, -3.0, 0.0]), [0.0, 0.0, 0.0])
+    assert np.array_equal(sheet.project([1.0, -3.0, 0.0]), [0.0, 0.0, 0.0])
+    assert np.array_equal(sheet.project([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
+    assert np.allclose(sheet.project([2.0, 0.0, 0.0]), [1.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
+    with pytest.raises(RegularityError, match="apex"):
+        boundary_eval(sheet, [0.0, 0.0, 0.0])
 
 
 # --- power epigraph -------------------------------------------------------
@@ -677,6 +753,36 @@ def test_dykstra_dimension_mismatch():
         DykstraIntersection([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
 
 
+@pytest.mark.parametrize(
+    "params, error",
+    [({"tol": -1.0}, ValueError), ({"tol": 0.0}, ValueError), ({"tol": np.nan}, ValueError),
+     ({"tol": np.inf}, ValueError), ({"max_iter": 0}, ValueError),
+     ({"max_iter": 2.5}, TypeError), ({"tol": "1e-9"}, TypeError)],
+    ids=["negative-tol", "zero-tol", "nan-tol", "inf-tol", "zero-max-iter",
+         "float-max-iter", "string-tol"],
+)
+def test_dykstra_intersection_rejects_bad_stopping_parameters(params, error):
+    # Each was accepted and failed only at the first projection, with a
+    # ConvergenceError, after the whole cycle budget for a bad tol.
+    members = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.5)]
+    with pytest.raises(error):
+        DykstraIntersection(members, **params)
+    DykstraIntersection(members, tol=1e-3, max_iter=np.int64(1))
+
+
+def test_set_sizes_must_be_integers():
+    # SecondOrderCone(4.7) was a dimension-4 cone, and SpectralSet(2.5) a
+    # set of dimension 4 that failed at its first projection.
+    with pytest.raises(TypeError):
+        SecondOrderCone(4.7)
+    with pytest.raises(TypeError):
+        SpectralSet(2.5, lo=0.0)
+    assert SecondOrderCone(np.int64(3)).dim == 3
+    assert SpectralSet(np.int64(3), lo=0.0).dim == 6
+    with pytest.raises(ValueError):
+        SecondOrderCone(1)
+
+
 def test_dykstra_intersection_hull_must_be_a_member_hull():
     # A whole-space ball declared to lie in {z_3 = 0} loaded, and its
     # reduction onto that plane was not a projection.
@@ -797,6 +903,11 @@ def test_boundary_eval_soc_apex_refuses():
     K = SecondOrderCone(3)
     with pytest.raises(RegularityError):
         boundary_eval(K, [0.0, 0.0, 0.0])
+    # the refusal covers ||u|| up to 1e-12 (1 + |t|), on the axis above and below too
+    for z in ([5.0, 1e-12, 0.0], [-5.0, 0.0, 5e-12], [1e6, 0.0, 0.0]):
+        with pytest.raises(RegularityError, match="not a manifold at the apex"):
+            boundary_eval(K, z)
+    boundary_eval(K, [0.0, 2e-12, 0.0])
 
 
 def test_boundary_eval_hull_coordinates():

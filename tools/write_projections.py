@@ -39,6 +39,7 @@ DESCRIPTORS = {
         "cut": {"kind": "ball", "center": [1.0, 0.0, 0.0, 0.5, 0.0, -0.3], "radius": 1.0},
     },
     "hyperboloid_sheet": {"kind": "hyperboloid_sheet", "axis": [1.0, 0.5, -0.5], "d": 0.8},
+    "second_order_cone": {"kind": "second_order_cone", "dim": 4},
     "embedded": {
         "kind": "embedded",
         "inner": {"kind": "ellipsoid", "shape": [[0.25, 0.0], [0.0, 1.0]], "center": [0.2, -0.1]},
