@@ -39,6 +39,7 @@ from .linalg import (
 from .sets import (
     AffineSubspace,
     Ball,
+    BallLens,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -53,6 +54,7 @@ from .sets import (
     SpectralSet,
     boundary_eval,
     dykstra_project,
+    in_hull_coordinates,
 )
 from .solvers import (
     FeasibilityProblem,

@@ -9,6 +9,8 @@ quadratically convergent runs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,8 +18,9 @@ import numpy as np
 
 from .errors import RegularityError
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import Ball, Cap, DykstraIntersection, Halfspace, Hyperplane
-from .sets import _as_point, _norm, _row_norms, boundary_eval
+from .sets import Ball, BallLens, Cap, DykstraIntersection, EmbeddedOracle, Halfspace, Hyperplane
+from .sets import IsometricImage, _as_point, _check_count, _norm, _row_norms, boundary_eval
+from .sets import in_hull_coordinates
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -266,17 +269,28 @@ def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
 def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
-    An exact :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane`` or
-    ``Halfspace`` (epigraph) or a whole-space ``Ball``, or by B(in-plane
-    center, in-plane radius) when Y is a ``Ball`` within X's hull (discs3d,
-    socp, sdp, fixed_trace);
-    otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
+    A :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane`` or
+    ``Halfspace`` (epigraph) or a whole-space ``Ball``. When Y is a ``Ball``
+    of the common hull L, X & Y lies in L, so P_{X&Y}(z) = P_{X&Y}(P_L z):
+    the projection is solved in L's coordinates, where Y is a whole-space
+    ball (:func:`~ccrm.sets.in_hull_coordinates`), and embedded back. There
+    X & Y is a :class:`~ccrm.sets.BallLens` when X is a ball as well
+    (discs3d), else the cap of X by that ball (socp). An X with no native
+    form in L's coordinates (a spectral set with a trace: sdp, fixed_trace)
+    is capped in ambient coordinates by B(in-plane center, in-plane
+    radius) instead, which saves a round trip per inner projection.
+    Otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
-    X, Y = problem.X, problem.Y
+    X, Y, hull = problem.X, problem.Y, problem.common_hull
     if type(Y) in (Hyperplane, Halfspace) or (type(Y) is Ball and Y.subspace is None):
         return Cap(X, Y)
-    if type(Y) is Ball and problem.common_hull is not None:
-        return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
+    if type(Y) is Ball and hull is not None:
+        x = in_hull_coordinates(X, hull)
+        if isinstance(x, IsometricImage):
+            return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
+        y = in_hull_coordinates(Y, hull)
+        lens = type(x) is Ball and x.subspace is None and x.dim > 1
+        return EmbeddedOracle(BallLens(x, y) if lens else Cap(x, y), hull)
     return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
 
 
@@ -293,15 +307,29 @@ def estimate_omega(
     Samples points uniformly on spheres of the given radii around z_bar
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
     over samples whose intersection distance exceeds ``OMEGA_EXCLUDE_TOL``.
-    Deterministic under the seed. Each sample projects onto X once; a cap
-    of X takes that projection as its s = 0 residual. Raises ValueError
-    when every sample lies in X & Y, or when z_bar is off the problem's
-    common hull beyond rounding, where the samples would measure the hull.
+    Deterministic under the seed. Each sample projects onto X once. Where
+    :func:`intersection_oracle` is a cap or lens (in the common hull's
+    coordinates v = B^T (z - a), if it works there), that projection is
+    P_X(v), which gives dist(z, X) through a + B P_X(v) and is the pair's
+    s = 0 residual. Raises ValueError unless ``radii`` is a non-empty
+    sequence of finite radii > 0 and ``samples_per_radius`` an integer
+    >= 1, when every sample lies in X & Y, or when z_bar is off the
+    problem's common hull beyond rounding, where the samples would measure
+    the hull.
     """
+    radii = tuple(radii)
+    if not radii or not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0.0 for r in radii):
+        raise ValueError(f"radii must be a non-empty sequence of finite numbers > 0, got {radii}")
+    samples_per_radius = _check_count("samples_per_radius", samples_per_radius)
     z_bar = np.asarray(z_bar, dtype=float)
     _require_on_hull(problem.common_hull, z_bar, "the problem's common hull")
     oracle = intersection_oracle(problem) if projector is None else None
-    cap, project = (oracle if isinstance(oracle, Cap) else None), projector or oracle.project
+    pair, local, embed = oracle, (lambda z: z), (lambda v: v)
+    if isinstance(oracle, EmbeddedOracle):
+        pair, a, B = oracle.inner, oracle.subspace.anchor, oracle.subspace.basis
+        local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
+    if not isinstance(pair, (Cap, BallLens)):
+        pair, project = None, projector or oracle.project
     rng = np.random.default_rng(seed)
     best = np.inf
     for rho in radii:
@@ -309,8 +337,14 @@ def estimate_omega(
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         for s in directions:
             z = z_bar + rho * s
-            px = problem.X.project(z)
-            di = _norm((cap.project_dual(z, inner_z=px)[0] if cap else project(z)) - z)
+            if pair is None:
+                px, x = problem.X.project(z), project(z)
+            else:
+                v = local(z)
+                pv = pair.inner.project(v)
+                x = pair.project_dual(v, pv)[0] if isinstance(pair, Cap) else pair.project_given(v, pv)
+                px, x = embed(pv), embed(x)
+            di = _norm(x - z)
             if di <= OMEGA_EXCLUDE_TOL:
                 continue
             ratio = max(_norm(px - z), problem.Y.distance(z)) / di

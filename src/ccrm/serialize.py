@@ -19,6 +19,7 @@ from .sets import (
     DYKSTRA_TOL,
     AffineSubspace,
     Ball,
+    BallLens,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -83,6 +84,8 @@ def oracle_to_dict(oracle) -> dict:
             "inner": oracle_to_dict(oracle.inner),
             **_subspace_to_dict(oracle.subspace),
         }
+    if isinstance(oracle, BallLens):
+        return {"kind": "ball_lens", "inner": oracle_to_dict(oracle.inner), "cut": oracle_to_dict(oracle.cut)}
     if isinstance(oracle, Cap):
         return {"kind": "cap", "inner": oracle_to_dict(oracle.inner), "cut": oracle_to_dict(oracle.cut)}
     if isinstance(oracle, DykstraIntersection):
@@ -133,6 +136,8 @@ def oracle_from_dict(data) -> object:
             return Ball(data["center"], data["radius"], _subspace_from_dict(data))
         if kind == "embedded":
             return EmbeddedOracle(oracle_from_dict(data["inner"]), _subspace_from_dict(data))
+        if kind == "ball_lens":
+            return BallLens(oracle_from_dict(data["inner"]), oracle_from_dict(data["cut"]))
         if kind == "cap":
             return Cap(oracle_from_dict(data["inner"]), oracle_from_dict(data["cut"]))
         if kind == "dykstra_intersection":

@@ -72,6 +72,26 @@ def _check_finite(**params):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_count(name, value) -> int:
+    """``value`` as an int (through ``operator.index``); ValueError unless it is an integer >= 1."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return count
+
+
+def _check_stopping(tol, max_iter) -> int:
+    """Refuse an iterative stopping rule that cannot stop as asked: ``tol``
+    must be finite and positive and ``max_iter`` an integer >= 1; returns
+    ``max_iter`` as an int."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return _check_count("max_iter", max_iter)
+
+
 def _norm(d) -> float:
     """Euclidean norm of a finite vector: numpy's own sqrt(d . d), with
     ``vdot`` (which does not warn on overflow), rescaled by max|d_i| when
@@ -689,6 +709,28 @@ class IsometricImage(SetOracle):
         return g, B.T @ grad, B.T @ hess @ B
 
 
+def in_hull_coordinates(oracle: SetOracle, hull: AffineSubspace) -> SetOracle:
+    """``oracle``, a set within ``hull``, as an oracle of the hull's
+    orthonormal coordinates v (z = anchor + B v).
+
+    An :class:`EmbeddedOracle` on the hull's own frame is its ``inner``, and
+    a :class:`Ball` of the hull is the whole-space ball of its in-plane
+    center and radius; both then project without a round trip through
+    ambient coordinates. Anything else becomes an :class:`IsometricImage`.
+    """
+    if isinstance(oracle, EmbeddedOracle):
+        frame = oracle.subspace
+        if frame is hull or (
+            same_subspace(frame, hull)
+            and np.array_equal(frame.anchor, hull.anchor)
+            and np.array_equal(frame.basis, hull.basis)
+        ):
+            return oracle.inner
+    if type(oracle) is Ball and oracle.subspace is not None and same_subspace(oracle.subspace, hull):
+        return Ball(hull.to_local(oracle.in_plane_center), oracle.in_plane_radius)
+    return IsometricImage(oracle, hull)
+
+
 class Cap(SetOracle):
     """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
     {<a, x> <= b} or a whole-space :class:`Ball` B(c, r).
@@ -806,6 +848,76 @@ class Cap(SetOracle):
         return xb, b
 
 
+class BallLens(SetOracle):
+    """The intersection of two whole-space balls, ``inner`` B(c1, r1) cut by
+    ``cut`` B(c2, r2), projected in closed form.
+
+    P(z) is P_inner(z) if that lies in ``cut``, else P_cut(z) if that lies
+    in ``inner``, else the nearest point of the rim, the sphere where the
+    two boundaries meet: with both constraints active the projection lies
+    on the rim, and z projects onto the rim radially about its center. The
+    rim lies in the hyperplane <x - c1, e> = a, e the unit axis from c1 to
+    c2 at distance D, a = D / 2 + (r1 - r2)(r1 + r2) / (2 D); its radius
+    is twice the area of the triangle of sides r1, r2, D over D, taken by
+    Heron's formula, which neither cancels for a thin lens nor overflows.
+    A point on the axis is as near to every rim point as to any other and
+    takes one of them. A ball inside the other is the lens itself. Balls
+    that are disjoint or tangent (r1 + r2 - D within the rounding of
+    r1 + r2) raise ``ConvergenceError`` when the lens is built, the error a
+    :class:`Cap` of one by the other raises at its first projection. The
+    names ``inner`` and ``cut`` and the boundary descriptor (``inner``'s)
+    are a cap's.
+    """
+
+    def __init__(self, inner: Ball, cut: Ball):
+        if not all(type(b) is Ball and b.subspace is None for b in (inner, cut)) or (
+            inner.dim != cut.dim or inner.dim < 2
+        ):
+            raise ValueError("a lens is two whole-space Balls of one dimension >= 2")
+        super().__init__(inner.dim)
+        self.inner, self.cut = inner, cut
+        (c1, r1), (c2, r2) = (inner.center, inner.radius), (cut.center, cut.radius)
+        D = _norm(c2 - c1)
+        if r1 + r2 - D <= 4.0 * EPS * (r1 + r2):
+            raise ConvergenceError("the balls are tangent or disjoint")
+        self._nested = inner if D + r1 <= r2 else cut if D + r2 <= r1 else None
+        if self._nested is not None:
+            return
+        e = (c2 - c1) / D
+        self._axis, self._rim_center = e, c1 + (0.5 * D + (r1 - r2) * ((r1 + r2) / (2.0 * D))) * e
+        sides = (r1 + r2 - D, D + r2 - r1, D + r1 - r2, D + r1 + r2)
+        self._rim_radius = math.prod(math.sqrt(f) for f in sides) / (2.0 * D)
+        k = int(np.argmin(np.abs(e)))
+        u = -e[k] * e
+        u[k] += 1.0
+        self._across = u / _norm(u)  # a unit vector orthogonal to the axis
+
+    def _boundary(self, z):
+        return self.inner._boundary(z)
+
+    def project(self, z) -> np.ndarray:
+        return self.project_given(z, None)
+
+    def project_given(self, z, inner_z) -> np.ndarray:
+        """P(z); ``inner_z`` is P_inner(z), or None if not known."""
+        z = _as_point(z, self.dim)
+        if self._nested is not None:
+            return inner_z if inner_z is not None and self._nested is self.inner else self._nested.project(z)
+        inner, cut = self.inner, self.cut
+        x = inner.project(z) if inner_z is None else inner_z
+        if _norm(x - cut.center) <= cut.radius:
+            return x
+        y = cut.project(z)
+        if _norm(y - inner.center) <= inner.radius:
+            return y
+        q = z - self._rim_center
+        w = q - float(self._axis @ q) * self._axis
+        nw = _norm(w)
+        if nw == 0.0:
+            w, nw = self._across, 1.0
+        return self._rim_center + w * (self._rim_radius / nw)
+
+
 def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> np.ndarray:
     """Projection onto an intersection by Dykstra's cyclic scheme.
 
@@ -825,11 +937,14 @@ def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> n
     responsibility.
 
     Raises:
+        ValueError: no oracle, ``tol`` not finite and positive, or
+            ``max_iter`` not an integer >= 1.
         ConvergenceError: cycle budget exhausted; carries the last
             cycle-to-cycle change as the residual.
     """
     if not oracles:
         raise ValueError("need at least one oracle")
+    max_iter = _check_stopping(tol, max_iter)
     leaves, pending = [], list(oracles)[::-1]
     while pending:
         oracle = pending.pop()
@@ -878,14 +993,10 @@ class DykstraIntersection(SetOracle):
             raise ValueError(f"member dimensions differ: {sorted(dims)}")
         if hull is not None and not any(same_subspace(hull, m.affine_hull) for m in members):
             raise ValueError("hull is not the affine hull of any member")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {tol}")
-        if operator.index(max_iter) < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        max_iter = _check_stopping(tol, max_iter)
         super().__init__(members[0].dim)
         self.members = members
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
+        self.tol, self.max_iter = float(tol), max_iter
         self.affine_hull = hull
 
     def project(self, z) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
-from .sets import AffineSubspace, IsometricImage, SetOracle, _as_point, _norm, _power_normal_root
-from .sets import _row_norms, same_subspace
+from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _norm, _power_normal_root
+from .sets import _row_norms, in_hull_coordinates, same_subspace
 
 TERMINATION_FEASIBLE = "feasible"
 TERMINATION_MAX_ITER = "max_iter"
@@ -86,8 +86,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 < self.tol_feas < np.inf:
             raise ValueError(f"tol_feas must be finite and positive, got {self.tol_feas}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        self.max_iter = _check_count("max_iter", self.max_iter)
 
 
 @dataclass
@@ -290,6 +289,10 @@ def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
     Isometries commute with projections and preserve circumcenters, so
     traces of the reduced problem embed back onto traces of the original
     (from the first iterate on, once the iterate has entered the hull).
+    Each set is taken into the hull's coordinates by
+    :func:`~ccrm.sets.in_hull_coordinates`: an embedded oracle becomes its
+    inner oracle and a ball of the hull a whole-space ball, which project
+    natively; any other set projects through an ambient round trip.
     """
     hull = problem.common_hull
     if hull is None:
@@ -298,8 +301,8 @@ def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
     if problem.reference_solution is not None:
         reduced_ref = hull.to_local(problem.reference_solution)
     reduced = FeasibilityProblem(
-        X=IsometricImage(problem.X, hull),
-        Y=IsometricImage(problem.Y, hull),
+        X=in_hull_coordinates(problem.X, hull),
+        Y=in_hull_coordinates(problem.Y, hull),
         reference_solution=reduced_ref,
         known_constants=problem.known_constants,
     )

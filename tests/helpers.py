@@ -8,6 +8,7 @@ import numpy as np
 from ccrm.sets import (
     AffineSubspace,
     Ball,
+    BallLens,
     Cap,
     DykstraIntersection,
     Ellipsoid,
@@ -74,6 +75,7 @@ def oracle_zoo(rng):
         (EmbeddedOracle(Ellipsoid(np.diag([0.25, 1.0]), center=[0.2, -0.1]), tilted), 3),
         (IsometricImage(Ball([0.6, 0.3, 0.4], 1.2, tilted), tilted), 2),
         (HyperboloidSheet([1.0, 0.5, -0.5], 0.8), 3),
+        (BallLens(Ball([0.2, -0.1, 0.3], 1.0), Ball([1.1, 0.4, 0.0], 0.8)), 3),
     ]
     return zoo
 

@@ -17,11 +17,14 @@ from ccrm.catalog import (
 )
 from ccrm.diagnostics import curvature, intersection_oracle, tangent_bound_check
 from ccrm.errors import ConvergenceError
+from ccrm.linalg import EPS
 from ccrm.sets import (
     Ball,
+    BallLens,
     Cap,
     DykstraIntersection,
     Ellipsoid,
+    EmbeddedOracle,
     Halfspace,
     Hyperplane,
     SecondOrderCone,
@@ -41,8 +44,9 @@ def _catalog(make):
 
 
 # (name, problem builder, the cap under test); hyperplane caps are the
-# problem's X, ball caps the exact X & Y of intersection_oracle. The
-# socp cap is its cone cut by its hull, and the eq_ellipsoids caps are its
+# problem's X, ball caps the exact X & Y of intersection_oracle (for
+# discs3d the lens of its two discs in the hull's coordinates). The socp
+# cap is its cone cut by its hull, and the eq_ellipsoids caps are its
 # ambient ellipsoids cut by its hull.
 HYPERPLANE_CAPS = [
     ("socp", cap_socp),
@@ -60,9 +64,29 @@ ALL_CAPS = [(name, build, "X") for name, build in HYPERPLANE_CAPS] + [
 
 
 def _cap(problem, which):
+    """(the cap under test, the map of ambient points into its coordinates).
+    discs3d's X & Y is a lens of the common hull's coordinates, embedded."""
     cap = problem.X if which == "X" else intersection_oracle(problem)
+    if isinstance(cap, EmbeddedOracle):
+        hull = problem.common_hull
+        assert cap.subspace is hull and isinstance(cap.inner, BallLens)
+        return cap.inner, hull.to_local
     assert isinstance(cap, Cap)
-    return cap
+    return cap, lambda z: z
+
+
+def _assert_lens_kkt(lens, z, tol):
+    # x is the projection onto the lens iff it lies in both balls and z - x
+    # is a nonnegative combination of the outward normals x - c_i of the
+    # balls whose boundary it is on.
+    x = lens.project(z)
+    balls = (lens.inner, lens.cut)
+    g = [np.linalg.norm(x - b.center) - b.radius for b in balls]
+    assert max(g) <= tol
+    normals = np.column_stack([x - b.center for b, gi in zip(balls, g) if gi >= -tol] or [0.0 * x])
+    lam = np.linalg.lstsq(normals, z - x, rcond=None)[0]
+    assert np.all(lam >= -tol)
+    assert np.linalg.norm(normals @ lam - (z - x)) <= tol
 
 
 def _around(center, rng, radii, per_radius):
@@ -75,13 +99,14 @@ def _around(center, rng, radii, per_radius):
 @pytest.mark.parametrize("name,build,which", ALL_CAPS, ids=[c[0] for c in ALL_CAPS])
 def test_cap_agrees_with_tight_dykstra_near_the_limit(name, build, which):
     problem, z0 = build()
-    cap = _cap(problem, which)
+    cap, _ = _cap(problem, which)
+    oracle = problem.X if which == "X" else intersection_oracle(problem)
     limit = run(problem, SolverConfig(method="ccrm"), z0).final
     rng = np.random.default_rng(71)
     leaves = [cap.inner, cap.cut] if which == "X" else [problem.X, problem.Y]
     for z in _around(limit, rng, (1e-1, 1e-2, 1e-3, 1e-4), 8):
         reference = dykstra_project(leaves, z, tol=1e-15)
-        assert np.linalg.norm(cap.project(z) - reference) <= 1e-12, name
+        assert np.linalg.norm(oracle.project(z) - reference) <= 1e-12, name
 
 
 @pytest.mark.parametrize("name,build,which", ALL_CAPS, ids=[c[0] for c in ALL_CAPS])
@@ -90,11 +115,14 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
     # of the projection onto inner & cut, so it certifies x without a
     # reference solver.
     problem, z0 = build()
-    cap = _cap(problem, which)
+    cap, to_local = _cap(problem, which)
     cut, scale = cap.cut, 1e3
     rng = np.random.default_rng(72)
     for _ in range(16):
-        z = z0 + scale * rng.normal(size=z0.shape[0])
+        z = to_local(z0 + scale * rng.normal(size=z0.shape[0]))
+        if isinstance(cap, BallLens):
+            _assert_lens_kkt(cap, z, 1e-12 * scale)
+            continue
         x, s = cap.project_dual(z)
         if isinstance(cut, Hyperplane):
             shifted = z - s * cut.normal
@@ -206,8 +234,24 @@ def test_intersection_oracle_is_exact_where_y_is_a_ball_in_the_hull(monkeypatch)
     monkeypatch.setattr(ccrm.sets, "dykstra_project", refuse)
     for make in (make_discs3d, make_socp, make_sdp_feasibility, make_fixed_trace):
         entry = make()
-        oracle = intersection_oracle(entry.problem)
-        assert isinstance(oracle, Cap)
+        problem, hull = entry.problem, entry.problem.common_hull
+        oracle = intersection_oracle(problem)
+        y = problem.Y
+        if make in (make_discs3d, make_socp):
+            # X has a native form in the hull's coordinates: the pair is
+            # solved there, a lens of two discs or the sheet capped by Y.
+            assert isinstance(oracle, EmbeddedOracle) and oracle.subspace is hull
+            pair = oracle.inner
+            assert isinstance(pair, BallLens if make is make_discs3d else Cap)
+            assert pair.inner.dim == pair.cut.dim == hull.subspace_dim
+            center = hull.to_local(y.in_plane_center)
+        else:
+            # a spectral set with a trace: the ambient cap by Y's in-plane ball
+            pair = oracle
+            assert isinstance(pair, Cap) and pair.inner is problem.X
+            center = y.in_plane_center
+        assert type(pair.cut) is Ball and pair.cut.subspace is None
+        assert np.array_equal(pair.cut.center, center) and pair.cut.radius == y.in_plane_radius
         assert oracle.distance(entry.suggested_z0) > 0.0
     # Y is an ellipsoid within the hull, not a ball, so X & Y stays with Dykstra
     assert isinstance(intersection_oracle(make_eq_constrained_ellipsoids().problem), DykstraIntersection)
@@ -267,10 +311,13 @@ def test_halfspace_cap_keeps_an_inner_projection_that_meets_the_cut():
 
 def test_cap_takes_the_inner_projection_it_is_given():
     # project_dual(z, inner_z=P_inner(z)) is project_dual(z), bitwise, and
-    # makes one inner projection fewer.
+    # makes one inner projection fewer. socp's cap is in its hull's coordinates.
     entry = make_socp()
-    cap = intersection_oracle(entry.problem)
-    limit = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    oracle, hull = intersection_oracle(entry.problem), entry.problem.common_hull
+    assert isinstance(oracle, EmbeddedOracle) and oracle.subspace is hull
+    cap = oracle.inner
+    assert isinstance(cap, Cap)
+    limit = hull.to_local(run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final)
     calls = []
     inner_project = cap.inner.project
     cap.inner.project = lambda z: calls.append(1) or inner_project(z)
@@ -305,3 +352,161 @@ def test_socp_far_points_take_a_bounded_number_of_cone_projections():
         assert abs(x[1:].sum() - 1.5) <= 1e-12 * scale
     assert max(per_call) <= 20
     assert np.median(per_call) <= 7
+
+
+# -- the two-ball lens ------------------------------------------------------------
+
+
+def _discs3d_lens():
+    oracle = intersection_oracle(make_discs3d().problem)
+    assert isinstance(oracle, EmbeddedOracle) and isinstance(oracle.inner, BallLens)
+    return oracle.inner
+
+
+def _lenses():
+    c = np.array([0.3, -0.2, 0.1])
+    e = np.array([2.0, 1.0, -2.0]) / 3.0
+    return {
+        "discs3d": _discs3d_lens(),
+        "zoo": BallLens(Ball([0.2, -0.1, 0.3], 1.0), Ball([1.1, 0.4, 0.0], 0.8)),
+        "thin": BallLens(Ball(c, 1.0), Ball(c + (2.0 - 1e-9) * e, 1.0)),
+        "unequal": BallLens(Ball(c, 0.2), Ball(c + 3.0 * e, 3.1)),
+    }
+
+
+def _lens_points(lens, rng, count=200):
+    """Points of the lens drawn independently of its projection: rim points,
+    the rim center and the poles, and rejection samples from the inner ball."""
+    (c1, r1), (c2, r2) = (lens.inner.center, lens.inner.radius), (lens.cut.center, lens.cut.radius)
+    n, e = c1.shape[0], (c2 - c1) / np.linalg.norm(c2 - c1)
+    D = np.linalg.norm(c2 - c1)
+    a = (D**2 + r1**2 - r2**2) / (2.0 * D)
+    m, rho = c1 + a * e, np.sqrt(max(r1**2 - a**2, 0.0))
+    points = [m, c1 + r1 * e, c2 - r2 * e]
+    for _ in range(count):
+        u = rng.normal(size=n)
+        u -= (u @ e) * e
+        points.append(m + rho * u / np.linalg.norm(u))
+        s = rng.normal(size=n)
+        y = c1 + r1 * rng.random() ** (1.0 / n) * s / np.linalg.norm(s)
+        if np.linalg.norm(y - c2) <= r2:
+            points.append(y)
+    return points
+
+
+@pytest.mark.parametrize("name", ["discs3d", "zoo", "thin", "unequal"])
+def test_lens_is_exact_at_every_scale(name):
+    # Membership of both balls and the variational inequality
+    # <z - x, y - x> <= 0 at points y of the lens, for draws at 1e-3 ... 1e300
+    # around the lens; the variational inequality is scaled by ||z - x||.
+    lens = _lenses()[name]
+    rng = np.random.default_rng(76)
+    points = _lens_points(lens, rng)
+    size = lens.inner.radius + np.linalg.norm(lens.inner.center)
+    for k in range(-3, 301, 3):
+        for _ in range(8):
+            z = lens.inner.center + 10.0**k * rng.normal(size=lens.dim)
+            x = lens.project(z)
+            assert np.all(np.isfinite(x))
+            for ball in (lens.inner, lens.cut):
+                assert np.linalg.norm(x - ball.center) - ball.radius <= 8.0 * EPS * size, (name, k)
+            r = z - x
+            s = np.max(np.abs(r))
+            if s == 0.0:
+                continue
+            u = (r / s) / np.linalg.norm(r / s)
+            for y in points:
+                assert u @ (y - x) <= 1e-12 * max(np.linalg.norm(y - x), 1.0), (name, k)
+
+
+@pytest.mark.parametrize("name", ["discs3d", "zoo", "unequal"])
+def test_lens_agrees_with_the_cap_of_its_balls(name):
+    # Not the thin lens: there the cap's dual value places its rim point
+    # only to about 5e-12 along the rim, which a rim of radius 4.5e-5
+    # magnifies; the lens passes the variational inequality there.
+    lens = _lenses()[name]
+    cap = Cap(lens.inner, lens.cut)
+    rng = np.random.default_rng(77)
+    for scale in (1e-2, 1.0, 1e2):
+        for _ in range(20):
+            z = lens.inner.center + scale * rng.normal(size=lens.dim)
+            assert np.linalg.norm(lens.project(z) - cap.project(z)) <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("name", ["discs3d", "zoo", "thin", "unequal"])
+def test_lens_takes_the_inner_projection_it_is_given(name):
+    # project_given(z, P_inner(z)) is project(z), bitwise, and makes no
+    # inner projection; project(z) makes exactly one.
+    lens = _lenses()[name]
+    calls = []
+    inner_project = lens.inner.project
+    lens.inner.project = lambda z: calls.append(1) or inner_project(z)
+    rng = np.random.default_rng(78)
+    for _ in range(40):
+        z = lens.inner.center + 3.0 * rng.normal(size=lens.dim)
+        del calls[:]
+        x = lens.project(z)
+        assert len(calls) == 1
+        px = inner_project(z)
+        assert np.array_equal(lens.project_given(z, px), x) and len(calls) == 1
+
+
+def test_lens_of_nested_balls_is_the_smaller_ball():
+    big, small = Ball([0.0, 0.0], 2.0), Ball([0.5, 0.3], 1.0)
+    touching = Ball([1.0, 0.0], 1.0)  # inside big, touching it at (2, 0)
+    rng = np.random.default_rng(79)
+    for inner, cut, smaller in ((big, small, small), (small, big, small), (big, touching, touching),
+                                (small, Ball([0.5, 0.3], 1.0), small)):
+        lens = BallLens(inner, cut)
+        for _ in range(20):
+            z = 3.0 * rng.normal(size=2)
+            assert np.array_equal(lens.project(z), smaller.project(z))
+            assert np.array_equal(lens.project_given(z, inner.project(z)), smaller.project(z))
+
+
+@pytest.mark.parametrize(
+    "second",
+    [Ball([3.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), Ball([2.0 - 1e-16, 0.0], 1.0)],
+    ids=["disjoint", "tangent", "tangent-to-rounding"],
+)
+def test_lens_of_tangent_or_disjoint_balls_raises_when_built(second):
+    # The cap of one ball by the other raises at its first projection.
+    with pytest.raises(ConvergenceError):
+        Cap(Ball([0.0, 0.0], 1.0), second).project([0.0, 2.0])
+    with pytest.raises(ConvergenceError, match="tangent or disjoint"):
+        BallLens(Ball([0.0, 0.0], 1.0), second)
+
+
+def test_lens_rejects_other_sets():
+    plane = Hyperplane([0.0, 0.0, 1.0], 0.0)
+    for inner, cut in ((Ball([0.0], 1.0), Ball([1.0], 1.0)),
+                       (Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0, 0.0], 1.0)),
+                       (Ball([0.0, 0.0, 0.0], 1.0), Ball([1.0, 0.0, 0.0], 1.0, plane)),
+                       (Ball([0.0, 0.0], 1.0), Ellipsoid(np.eye(2), center=[1.0, 0.0]))):
+        with pytest.raises(ValueError):
+            BallLens(inner, cut)
+
+
+def test_lens_on_the_axis_of_the_centres():
+    # Beyond either pole the answer is that pole; between them, the point.
+    lens = BallLens(Ball([0.0, 0.0, 0.0], 1.0), Ball([1.5, 0.0, 0.0], 1.0))
+    for t, want in ((10.0, 1.0), (1e300, 1.0), (-10.0, 0.5), (-1e300, 0.5), (0.75, 0.75), (0.6, 0.6)):
+        assert np.array_equal(lens.project([t, 0.0, 0.0]), [want, 0.0, 0.0])
+    # the rim's center lies on the axis inside the lens
+    thin = _lenses()["thin"]
+    center = thin._rim_center
+    assert np.array_equal(thin.project(center), center)
+    # The rim branch at a point of the axis, reached here through a given
+    # inner projection that misses the cut: every rim point is as near as
+    # any other, and the lens returns one, not 0 / 0.
+    z = lens.cut.center + 5.0 * lens._axis
+    x = lens.project_given(z, lens.inner.center - lens._axis)
+    for ball in (lens.inner, lens.cut):
+        assert abs(np.linalg.norm(x - ball.center) - ball.radius) <= 4.0 * EPS
+    # points just off the axis beyond the thin lens's rim go to the rim
+    e = thin._axis
+    off = center + 1e-3 * thin._across
+    x = thin.project(off)
+    assert abs(np.linalg.norm(x - thin.inner.center) - 1.0) <= 4.0 * EPS
+    assert abs(np.linalg.norm(x - thin.cut.center) - 1.0) <= 4.0 * EPS
+    assert abs((x - center) @ e) <= 4.0 * EPS

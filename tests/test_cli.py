@@ -134,7 +134,7 @@ def _lens(**params):
         (_lens(tol=-1.0), "is invalid: tol must be finite and positive, got -1.0"),
         (_lens(tol=float("nan")), "is invalid: tol must be finite and positive, got nan"),
         (_lens(max_iter=0), "is invalid: max_iter must be at least 1, got 0"),
-        (_lens(max_iter=2.5), "is malformed"),
+        (_lens(max_iter=2.5), "is invalid: max_iter must be an integer, got 2.5"),
     ],
     ids=[
         "string-radius", "string-dim", "members-not-a-list", "sheet-string-d",
@@ -439,6 +439,20 @@ def test_diagnose_refuses_a_point_off_the_hull(capsys):
     assert data["omega_estimate"] is None
     assert data["omega_error"].startswith("point is not on the problem's common hull")
     assert "quad_constant_bound" not in data and "quad_constant_sharper" not in data
+
+
+@pytest.mark.parametrize("second", [2.0, 3.0], ids=["tangent", "disjoint"])
+def test_diagnose_tangent_or_disjoint_discs_file_is_a_convergence_error(tmp_path, capsys, second):
+    # Two discs of one plane that touch or miss: their lens refuses to be
+    # built, as their cap refused at its first projection (exit 2).
+    def disc(x):
+        return {"kind": "frobenius_ball_in_L", "center": [x, 0.0, 0.0], "radius": 1.0,
+                "A": [[0.0, 0.0, 1.0]], "b": [0.0]}
+
+    path = tmp_path / "discs.json"
+    path.write_text(json.dumps({"version": "1", "X": disc(0.0), "Y": disc(second), "z0": [1.0, 2.0, 0.5]}))
+    assert main(["diagnose", "--problem", str(path), "--point", "1,0,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: the balls are tangent or disjoint")
 
 
 def test_diagnose_requires_point_without_reference():

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+import ccrm.diagnostics
+
 from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
@@ -32,8 +34,10 @@ from ccrm.sets import (
     Cap,
     DykstraIntersection,
     Ellipsoid,
+    EmbeddedOracle,
     Halfspace,
     SecondOrderCone,
+    _norm,
     dykstra_project,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
@@ -286,17 +290,33 @@ def test_estimate_omega_disc_problem_in_unit_interval():
     "make", [make_discs3d, make_socp, make_sdp_feasibility, make_fixed_trace],
     ids=["discs3d", "socp", "sdp", "fixed_trace"],
 )
-def test_estimate_omega_reuses_each_samples_x_projection(make):
-    # One X projection per sample serves dist(z, X) and the cap's s = 0
-    # residual; omega equals max_distance / dist(z, X & Y) bitwise.
+def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
+    # One X projection per sample serves dist(z, X) and the pair's s = 0
+    # residual; omega equals max_distance / dist(z, X & Y) bitwise. discs3d
+    # and socp solve X & Y in the hull's coordinates: there the projection
+    # is of v = B^T (z - a) onto X's own oracle in those coordinates,
+    # dist(z, X) comes from a + B P_X(v), and problem.X is never called.
     entry = make()
     problem = entry.problem
     z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    oracle = intersection_oracle(problem)
+    monkeypatch.setattr(ccrm.diagnostics, "intersection_oracle", lambda p: oracle)
+    if isinstance(oracle, EmbeddedOracle):
+        hull = oracle.subspace
+        assert hull is problem.common_hull and make in (make_discs3d, make_socp)
+        pair, local, embed = oracle.inner, hull.to_local, hull.from_local
+    else:
+        pair, local, embed = oracle, (lambda z: z), (lambda v: v)
+        assert pair.inner is problem.X
     radii, per_radius = (1e-1, 1e-2, 1e-3, 1e-4), 5
-    x_project, calls = problem.X.project, []
-    problem.X.project = lambda z: calls.append(1) or x_project(z)
+    x_project, calls, ambient = pair.inner.project, [], []
+    pair.inner.project = lambda z: calls.append(1) or x_project(z)
+    if pair.inner is not problem.X:
+        ambient_project = problem.X.project
+        problem.X.project = lambda z: ambient.append(1) or ambient_project(z)
     omega = estimate_omega(problem, z_bar, radii=radii, samples_per_radius=per_radius, seed=3)
     reused = len(calls)
+    assert ambient == []
     del calls[:]
     rng, best, kept = np.random.default_rng(3), np.inf, 0
     for rho in radii:
@@ -304,11 +324,13 @@ def test_estimate_omega_reuses_each_samples_x_projection(make):
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         for s in directions:
             z = z_bar + rho * s
-            di = intersection_oracle(problem).distance(z)
+            di = oracle.distance(z)
             if di > 1e-12:
-                best, kept = min(best, problem.max_distance(z) / di), kept + 1
+                dist_x = _norm(embed(pair.inner.project(local(z))) - z)
+                best = min(best, max(dist_x, problem.Y.distance(z)) / di)
+                kept += 1
     assert omega == best
-    assert reused == len(calls) - kept
+    assert kept > 0 and reused == len(calls) - kept
 
 
 def test_estimate_omega_raises_fast_on_a_tangent_intersection():
@@ -320,6 +342,30 @@ def test_estimate_omega_raises_fast_on_a_tangent_intersection():
     with pytest.raises(ConvergenceError, match="tangent"):
         estimate_omega(entry.problem, entry.problem.reference_solution, samples_per_radius=4)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"samples_per_radius": 0}, {"samples_per_radius": -3}, {"samples_per_radius": 2.5},
+     {"samples_per_radius": "4"}, {"radii": ()}, {"radii": (0.0,)}, {"radii": (1e-2, -1e-3)},
+     {"radii": (np.nan,)}, {"radii": (np.inf,)}, {"radii": ("0.1",)}],
+    ids=["zero-samples", "negative-samples", "float-samples", "string-samples", "no-radii",
+         "zero-radius", "negative-radius", "nan-radius", "inf-radius", "string-radius"],
+)
+def test_estimate_omega_rejects_bad_sampling_arguments(kwargs):
+    # The first three radius cases and zero samples reported "all samples
+    # were inside the intersection"; a float sample count raised a bare
+    # TypeError, and a negative radius was accepted.
+    entry = make_discs3d()
+    with pytest.raises(ValueError, match="radii|samples_per_radius"):
+        estimate_omega(entry.problem, entry.problem.reference_solution, **kwargs)
+
+
+def test_estimate_omega_takes_any_sequence_of_radii():
+    entry = make_discs3d()
+    args = (entry.problem, entry.problem.reference_solution)
+    omega = estimate_omega(*args, radii=(1e-2, 1e-3), samples_per_radius=np.int64(20))
+    assert estimate_omega(*args, radii=[1e-2, 1e-3], samples_per_radius=20) == omega
 
 
 def test_estimate_omega_all_samples_excluded():

@@ -1,5 +1,7 @@
+import inspect
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -757,7 +759,7 @@ def test_dykstra_dimension_mismatch():
     "params, error",
     [({"tol": -1.0}, ValueError), ({"tol": 0.0}, ValueError), ({"tol": np.nan}, ValueError),
      ({"tol": np.inf}, ValueError), ({"max_iter": 0}, ValueError),
-     ({"max_iter": 2.5}, TypeError), ({"tol": "1e-9"}, TypeError)],
+     ({"max_iter": 2.5}, ValueError), ({"tol": "1e-9"}, TypeError)],
     ids=["negative-tol", "zero-tol", "nan-tol", "inf-tol", "zero-max-iter",
          "float-max-iter", "string-tol"],
 )
@@ -781,6 +783,25 @@ def test_set_sizes_must_be_integers():
     assert SpectralSet(np.int64(3), lo=0.0).dim == 6
     with pytest.raises(ValueError):
         SecondOrderCone(1)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0},
+     {"max_iter": 2.5}, {"max_iter": "3"}],
+    ids=["nan-tol", "negative-tol", "zero-tol", "inf-tol", "zero-max-iter", "float-max-iter",
+         "string-max-iter"],
+)
+def test_dykstra_project_rejects_bad_stopping_parameters(params):
+    # A nan tol ran all 100 000 cycles (2 s) before its ConvergenceError;
+    # max_iter=0 "did not converge within 0 cycles"; 2.5 a bare TypeError.
+    members = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.5)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+        dykstra_project(members, [2.0, 1.5], **params)
+    assert time.perf_counter() - start < 0.1
+    x = dykstra_project(members, [2.0, 1.5], tol=1e-12, max_iter=np.int64(1000))
+    assert x[0] <= -0.5 + 1e-12 and np.linalg.norm(x) <= 1.0 + 1e-12
 
 
 def test_dykstra_intersection_hull_must_be_a_member_hull():
@@ -1143,6 +1164,16 @@ def test_oracle_zoo_covers_every_set_class():
     assert sorted(cls.__name__ for cls in classes - {type(o) for o in zoo}) == []
     # a ball in the whole space and one within a subspace
     assert {o.subspace is None for o in zoo if type(o) is Ball} == {True, False}
+
+
+def test_every_project_takes_exactly_one_point():
+    # Wrappers around project, such as the benchmark's per-class spans,
+    # call it as project(self, z); a set that needs more takes it
+    # through another method (Cap.project_dual, BallLens.project_given).
+    for cls in vars(ccrm.sets).values():
+        if isinstance(cls, type) and issubclass(cls, ccrm.sets.SetOracle):
+            params = list(inspect.signature(cls.project).parameters.values())
+            assert len(params) == 2 and all(p.default is p.empty for p in params), cls.__name__
 
 
 @pytest.mark.parametrize("index", range(len(ZOO_IDS)), ids=ZOO_IDS)

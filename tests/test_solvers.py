@@ -11,7 +11,8 @@ from ccrm.catalog import (
 )
 from ccrm.errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
 from ccrm.linalg import EPS
-from ccrm.sets import AffineSubspace, Ball, Halfspace, PowerEpigraph, SetOracle, _row_norms
+from ccrm.sets import AffineSubspace, Ball, Ellipsoid, EmbeddedOracle, Halfspace, IsometricImage
+from ccrm.sets import PowerEpigraph, SetOracle, _row_norms, in_hull_coordinates
 from ccrm.solvers import (
     METHODS,
     STATUS_CENTRALIZED_FEASIBLE,
@@ -366,6 +367,21 @@ def test_config_validation():
         SolverConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, "3", None, -1], ids=["float", "string", "none", "negative"])
+def test_config_max_iter_must_be_an_integer_of_at_least_one(max_iter):
+    # 2.5 was accepted and run() died in range() with a TypeError; "3"
+    # raised a TypeError from the comparison.
+    with pytest.raises(ValueError, match="max_iter must be"):
+        SolverConfig(max_iter=max_iter)
+
+
+def test_config_max_iter_takes_any_integer_type():
+    config = SolverConfig(max_iter=np.int64(3))
+    assert config.max_iter == 3 and type(config.max_iter) is int
+    entry = make_discs3d()
+    assert run(entry.problem, config, entry.suggested_z0).n_steps <= 3
+
+
 # --- Fejer-type step inequalities -------------------------------------------
 
 def test_fejer_decrease_and_chain_on_disc_problem():
@@ -407,6 +423,41 @@ def test_isometry_reduce_refuses_sets_with_different_hulls():
     assert problem.common_hull is None
     with pytest.raises(UnsupportedOperation):
         isometry_reduce(problem)
+
+
+def test_isometry_reduce_returns_native_oracles_where_it_can():
+    # A ball of the hull is a whole-space ball of its coordinates, and an
+    # embedded oracle on the hull's frame is its inner oracle; a spectral
+    # set with a trace has no such form and projects through the hull.
+    discs = make_discs3d().problem
+    red = isometry_reduce(discs).problem
+    for ambient, local in ((discs.X, red.X), (discs.Y, red.Y)):
+        assert type(local) is Ball and local.subspace is None
+        assert np.array_equal(local.center, discs.common_hull.to_local(ambient.in_plane_center))
+        assert local.radius == ambient.in_plane_radius
+    socp = make_socp().problem
+    red = isometry_reduce(socp).problem
+    assert red.X is socp.X.inner and type(red.Y) is Ball and red.Y.subspace is None
+    sdp = make_sdp_feasibility().problem
+    red = isometry_reduce(sdp).problem
+    assert isinstance(red.X, IsometricImage) and red.X.inner is sdp.X
+    assert type(red.Y) is Ball and red.Y.dim == 5
+
+
+def test_in_hull_coordinates_keeps_an_embedded_oracle_of_another_frame_wrapped():
+    # The same plane with a rotated basis: the inner oracle's coordinates
+    # are not the hull's, so it goes through the round trip.
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0], basis=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    turned = AffineSubspace([[0.0, 0.0, 1.0]], [0.0], basis=[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    ellipse = Ellipsoid(np.diag([0.25, 1.0]))
+    assert in_hull_coordinates(EmbeddedOracle(ellipse, plane), plane) is ellipse
+    same = AffineSubspace(plane.A, plane.b, basis=plane.basis)
+    assert in_hull_coordinates(EmbeddedOracle(ellipse, same), plane) is ellipse
+    image = in_hull_coordinates(EmbeddedOracle(ellipse, turned), plane)
+    assert isinstance(image, IsometricImage)
+    v = np.array([3.0, 0.5])
+    assert np.allclose(image.project(v), plane.to_local(EmbeddedOracle(ellipse, turned).project(plane.from_local(v))))
+    assert np.allclose(image.project(v), ellipse.project(v[::-1])[::-1])
 
 
 def test_isometry_reduce_disc_traces_agree():
