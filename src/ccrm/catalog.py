@@ -112,18 +112,10 @@ def make_epigraph(alpha, beta=0.0, y_variant="halfplane") -> CatalogEntry:
     x-axis right of the lens corner (beta^(1/alpha), 0); the iteration
     stays on the axis and converges to that corner.
     """
-    if alpha <= 1.0:
-        raise ValueError("exponent must exceed 1")
-    if beta < 0.0:
-        raise ValueError("shift must be nonnegative")
+    X = PowerEpigraph(alpha, beta)
     if y_variant not in EPIGRAPH_VARIANTS:
         raise ValueError(f"unknown variant {y_variant!r}; expected one of {EPIGRAPH_VARIANTS}")
-
-    X = PowerEpigraph(alpha, beta)
-    if y_variant == "halfplane":
-        Y = Halfspace([0.0, 1.0], 0.0)
-    else:
-        Y = Hyperplane([0.0, 1.0], 0.0)
+    Y = (Halfspace if y_variant == "halfplane" else Hyperplane)([0.0, 1.0], 0.0)
 
     if beta == 0.0:
         zbar = np.zeros(2)
@@ -286,46 +278,22 @@ def make_fixed_trace(a=0.5) -> CatalogEntry:
     return CatalogEntry("fixed_trace", problem, z0, ReferenceData(expected_rate="quadratic"))
 
 
-def _parse_epigraph_params(params):
-    kwargs = {}
-    for key, value in params.items():
-        if key in ("a", "alpha"):
-            kwargs["alpha"] = float(value)
-        elif key in ("b", "beta"):
-            kwargs["beta"] = float(value)
-        elif key in ("variant", "y"):
-            kwargs["y_variant"] = value
-        else:
-            raise ValueError(f"unknown epigraph parameter {key!r}")
-    if "alpha" not in kwargs:
-        raise ValueError("epigraph needs an exponent, e.g. epigraph:a=2,b=0")
-    return make_epigraph(**kwargs)
-
-
-def _parse_fixed_trace_params(params):
-    kwargs = {}
-    for key, value in params.items():
-        if key != "a":
-            raise ValueError(f"unknown fixed_trace parameter {key!r}")
-        kwargs["a"] = float(value)
-    return make_fixed_trace(**kwargs)
-
-
 _BUILDERS = {
-    "discs3d": lambda params: _no_params("discs3d", params, make_discs3d),
-    "ellipses": lambda params: _no_params("ellipses", params, make_ellipses),
-    "epigraph": _parse_epigraph_params,
-    "eq_ellipsoids": lambda params: _no_params("eq_ellipsoids", params, make_eq_constrained_ellipsoids),
-    "socp": lambda params: _no_params("socp", params, make_socp),
-    "sdp": lambda params: _no_params("sdp", params, make_sdp_feasibility),
-    "fixed_trace": _parse_fixed_trace_params,
+    "discs3d": make_discs3d,
+    "ellipses": make_ellipses,
+    "epigraph": make_epigraph,
+    "eq_ellipsoids": make_eq_constrained_ellipsoids,
+    "socp": make_socp,
+    "sdp": make_sdp_feasibility,
+    "fixed_trace": make_fixed_trace,
 }
 
-
-def _no_params(name, params, builder):
-    if params:
-        raise ValueError(f"problem {name!r} takes no parameters")
-    return builder()
+# Selector keys by the builder argument they set; every value but the variant is a float.
+_KEYS = {
+    "epigraph": {"a": "alpha", "alpha": "alpha", "b": "beta", "beta": "beta",
+                 "variant": "y_variant", "y": "y_variant"},
+    "fixed_trace": {"a": "a"},
+}
 
 
 def problem_names():
@@ -333,15 +301,24 @@ def problem_names():
 
 
 def resolve(selector: str) -> CatalogEntry:
-    """Build the catalog entry named by ``name`` or ``name:key=val,...``."""
+    """Build the catalog entry named by ``name`` or ``name:key=val,...`` (keys in ``_KEYS``)."""
     name, _, rest = selector.partition(":")
     if name not in _BUILDERS:
         raise ValueError(f"unknown problem {name!r}; known: {', '.join(problem_names())}")
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed parameter {item!r}; expected key=value")
-            params[key.strip()] = value.strip()
-    return _BUILDERS[name](params)
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"malformed parameter {item!r}; expected key=value")
+        params[key.strip()] = value.strip()
+    keys = _KEYS.get(name)
+    if params and keys is None:
+        raise ValueError(f"problem {name!r} takes no parameters")
+    kwargs = {}
+    for key, value in params.items():
+        if key not in keys:
+            raise ValueError(f"unknown {name} parameter {key!r}")
+        kwargs[keys[key]] = value if keys[key] == "y_variant" else float(value)
+    if name == "epigraph" and "alpha" not in kwargs:
+        raise ValueError("epigraph needs an exponent, e.g. epigraph:a=2,b=0")
+    return _BUILDERS[name](**kwargs)

@@ -269,28 +269,30 @@ def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
 def intersection_oracle(problem: FeasibilityProblem):
     """X intersect Y as one oracle.
 
-    A :class:`~ccrm.sets.Cap` of X by Y when Y is a ``Hyperplane`` or
-    ``Halfspace`` (epigraph) or a whole-space ``Ball``. When Y is a ``Ball``
-    of the common hull L, X & Y lies in L, so P_{X&Y}(z) = P_{X&Y}(P_L z):
-    the projection is solved in L's coordinates, where Y is a whole-space
-    ball (:func:`~ccrm.sets.in_hull_coordinates`), and embedded back. There
-    X & Y is a :class:`~ccrm.sets.BallLens` when X is a ball as well
-    (discs3d), else the cap of X by that ball (socp). An X with no native
-    form in L's coordinates (a spectral set with a trace: sdp, fixed_trace)
-    is capped in ambient coordinates by B(in-plane center, in-plane
-    radius) instead, which saves a round trip per inner projection.
-    Otherwise Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
+    Two whole-space balls of dimension >= 2 give a :class:`~ccrm.sets.BallLens`;
+    any other X cut by a ``Hyperplane``, ``Halfspace`` (epigraph) or
+    whole-space ``Ball`` Y gives a :class:`~ccrm.sets.Cap` of X by Y. When Y
+    is a ``Ball`` of the common hull L, X & Y lies in L, so P_{X&Y}(z) =
+    P_{X&Y}(P_L z): the pair is solved by the same rule in L's coordinates
+    (:func:`~ccrm.sets.in_hull_coordinates`), where Y is a whole-space ball
+    (a lens for discs3d, a cap for socp), and embedded back. An X with no
+    native form there (a spectral set with a trace: sdp, fixed_trace) is
+    capped in ambient coordinates by B(in-plane center, in-plane radius)
+    instead, which saves a round trip per inner projection. Otherwise
+    Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
     """
+    def cap_or_lens(x, y):
+        lens = type(x) is type(y) is Ball and x.subspace is y.subspace is None and x.dim > 1
+        return BallLens(x, y) if lens else Cap(x, y)
+
     X, Y, hull = problem.X, problem.Y, problem.common_hull
     if type(Y) in (Hyperplane, Halfspace) or (type(Y) is Ball and Y.subspace is None):
-        return Cap(X, Y)
+        return cap_or_lens(X, Y)
     if type(Y) is Ball and hull is not None:
         x = in_hull_coordinates(X, hull)
         if isinstance(x, IsometricImage):
             return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
-        y = in_hull_coordinates(Y, hull)
-        lens = type(x) is Ball and x.subspace is None and x.dim > 1
-        return EmbeddedOracle(BallLens(x, y) if lens else Cap(x, y), hull)
+        return EmbeddedOracle(cap_or_lens(x, in_hull_coordinates(Y, hull)), hull)
     return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
 
 

@@ -28,6 +28,7 @@ from ccrm.sets import (
     Halfspace,
     Hyperplane,
     SecondOrderCone,
+    boundary_eval,
     dykstra_project,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
@@ -268,11 +269,22 @@ def test_intersection_oracle_cuts_x_by_a_hyperplane_halfspace_or_ball_y(monkeypa
         assert isinstance(oracle, Cap)
         assert oracle.inner is entry.problem.X and oracle.cut is entry.problem.Y
         assert oracle.distance(entry.suggested_z0) > 0.0
+    # two whole-space balls are a lens, as in the hull's coordinates
     for Y in (Ball([2.5, 0.0], 1.0), Halfspace([1.0, 0.0], 1.5), Hyperplane([1.0, 0.0], 1.5)):
         problem = FeasibilityProblem(Ball([0.0, 0.0], 2.0), Y)
         oracle = intersection_oracle(problem)
-        assert isinstance(oracle, Cap) and oracle.cut is Y
+        assert isinstance(oracle, BallLens if type(Y) is Ball else Cap) and oracle.cut is Y
         assert oracle.distance([3.0, 1.0]) > 0.0
+
+
+def test_intersection_oracle_of_two_whole_space_balls_is_their_lens():
+    # The pair rule of the hull's coordinates holds in the whole space: a
+    # lens 1e-9 from tangency gets the closed form, not the cap's rim search.
+    X, Y = Ball([0.0, 0.0, 0.0], 1.0), Ball([2.0 - 1e-9, 0.0, 0.0], 1.0)
+    oracle = intersection_oracle(FeasibilityProblem(X, Y))
+    assert isinstance(oracle, BallLens) and oracle.inner is X and oracle.cut is Y
+    # two intervals are not a lens
+    assert isinstance(intersection_oracle(FeasibilityProblem(Ball([0.0], 1.0), Ball([1.5], 1.0))), Cap)
 
 
 def _lens_projection(z):
@@ -449,6 +461,15 @@ def test_lens_takes_the_inner_projection_it_is_given(name):
         assert len(calls) == 1
         px = inner_project(z)
         assert np.array_equal(lens.project_given(z, px), x) and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["discs3d", "zoo", "thin", "unequal"])
+def test_lens_boundary_descriptor_is_its_inner_balls(name):
+    lens = _lenses()[name]
+    rng = np.random.default_rng(80)
+    for z in [lens.project(lens.inner.center + 3.0 * rng.normal(size=lens.dim)) for _ in range(10)]:
+        for got, want in zip(boundary_eval(lens, z), boundary_eval(lens.inner, z)):
+            assert np.array_equal(got, want)
 
 
 def test_lens_of_nested_balls_is_the_smaller_ball():

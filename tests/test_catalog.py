@@ -20,6 +20,7 @@ from ccrm.catalog import (
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
 from ccrm.linalg import sym_to_vec, vec_to_sym
+from ccrm.serialize import problem_to_dict
 from ccrm.sets import (
     AffineSubspace,
     Ball,
@@ -32,7 +33,7 @@ from ccrm.sets import (
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
-from helpers import big_norm, cap_socp
+from helpers import big_norm, cap_socp, tool_module
 
 
 def all_entries():
@@ -437,3 +438,70 @@ def test_resolver_errors():
         resolve("epigraph:a2")
     with pytest.raises(ValueError):
         resolve("epigraph")  # exponent required
+
+
+# Each selector form in use (the catalog names, tools/write_traces.py's
+# y= form, perfbench's float and %g forms, the docs' examples), with the
+# direct call it must equal.
+SELECTOR_CALLS = {
+    "discs3d": (make_discs3d, {}),
+    "ellipses": (make_ellipses, {}),
+    "eq_ellipsoids": (make_eq_constrained_ellipsoids, {}),
+    "socp": (make_socp, {}),
+    "sdp": (make_sdp_feasibility, {}),
+    "fixed_trace": (make_fixed_trace, {}),
+    "fixed_trace:a=0.6": (make_fixed_trace, {"a": 0.6}),
+    "epigraph:a=2,b=0,y=halfplane": (make_epigraph, {"alpha": 2.0, "beta": 0.0}),
+    "epigraph:a=2,b=0,y=line": (make_epigraph, {"alpha": 2.0, "beta": 0.0, "y_variant": "line"}),
+    "epigraph:a=3,b=1,y=halfplane": (make_epigraph, {"alpha": 3.0, "beta": 1.0}),
+    "epigraph:a=3,b=1,y=line": (make_epigraph, {"alpha": 3.0, "beta": 1.0, "y_variant": "line"}),
+    "epigraph:a=1.5,b=1.0,variant=line": (make_epigraph, {"alpha": 1.5, "beta": 1.0, "y_variant": "line"}),
+    "epigraph:a=2,b=1": (make_epigraph, {"alpha": 2.0, "beta": 1.0}),
+    "epigraph:a=2,b=0": (make_epigraph, {"alpha": 2.0}),
+    "epigraph:alpha=2.5,beta=1,variant=line": (make_epigraph, {"alpha": 2.5, "beta": 1.0, "y_variant": "line"}),
+    "epigraph: a = 3 , variant = line ": (make_epigraph, {"alpha": 3.0, "y_variant": "line"}),
+}
+
+
+def _entry_dict(entry):
+    return (
+        entry.name,
+        problem_to_dict(entry.problem, entry.suggested_z0),
+        repr(entry.reference),
+    )
+
+
+@pytest.mark.parametrize("selector", list(SELECTOR_CALLS))
+def test_resolve_builds_what_the_direct_call_builds(selector):
+    make, kwargs = SELECTOR_CALLS[selector]
+    assert _entry_dict(resolve(selector)) == _entry_dict(make(**kwargs))
+
+
+def test_selector_calls_cover_the_selectors_in_use():
+    assert set(tool_module("write_traces").SELECTORS) <= set(SELECTOR_CALLS)
+    assert {s.partition(":")[0] for s in SELECTOR_CALLS} == set(problem_names())
+
+
+@pytest.mark.parametrize(
+    "selector, message",
+    [
+        ("torus", "unknown problem 'torus'; known: discs3d, ellipses, epigraph, eq_ellipsoids, fixed_trace, sdp, socp"),
+        ("epigraph:a2", "malformed parameter 'a2'; expected key=value"),
+        # every item is read before any key is checked
+        ("sdp:a=1,bad", "malformed parameter 'bad'; expected key=value"),
+        ("epigraph:a=2,speed=fast", "unknown epigraph parameter 'speed'"),
+        ("fixed_trace:b=1", "unknown fixed_trace parameter 'b'"),
+        ("discs3d:r=3", "problem 'discs3d' takes no parameters"),
+        ("epigraph", "epigraph needs an exponent, e.g. epigraph:a=2,b=0"),
+        ("epigraph:b=1,y=line", "epigraph needs an exponent, e.g. epigraph:a=2,b=0"),
+        ("fixed_trace:a=half", "could not convert string to float: 'half'"),
+        ("epigraph:a=2,b=x", "could not convert string to float: 'x'"),
+        ("epigraph:a=1", "exponent must exceed 1"),
+        ("epigraph:a=2,b=-1", "shift must be nonnegative"),
+        ("epigraph:a=2,variant=circle", "unknown variant 'circle'; expected one of ('halfplane', 'line')"),
+    ],
+)
+def test_resolve_errors_keep_their_message(selector, message):
+    with pytest.raises(ValueError) as info:
+        resolve(selector)
+    assert str(info.value) == message

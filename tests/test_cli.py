@@ -93,6 +93,13 @@ def test_solve_fixed_trace_rejects_a_dimension(capsys):
         assert main(["solve", "--problem", problem]) == 0
 
 
+def test_solve_missing_problem_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "missing.json"]) == 1
+    assert capsys.readouterr().err == "error: problem file 'missing.json' does not exist\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_bad_z0_dimension(tmp_path):
     out = tmp_path / "t.csv"
     code = main(["solve", "--problem", "discs3d", "--z0", "1,2", "--out", str(out)])
@@ -451,6 +458,18 @@ def test_diagnose_tangent_or_disjoint_discs_file_is_a_convergence_error(tmp_path
 
     path = tmp_path / "discs.json"
     path.write_text(json.dumps({"version": "1", "X": disc(0.0), "Y": disc(second), "z0": [1.0, 2.0, 0.5]}))
+    assert main(["diagnose", "--problem", str(path), "--point", "1,0,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: the balls are tangent or disjoint")
+
+
+@pytest.mark.parametrize("second", [2.0, 3.0], ids=["tangent", "disjoint"])
+def test_diagnose_tangent_or_disjoint_whole_space_balls_file_is_a_convergence_error(tmp_path, capsys, second):
+    # Two whole-space balls are a lens as well, refused when it is built.
+    def ball(x):
+        return {"kind": "ball", "center": [x, 0.0, 0.0], "radius": 1.0}
+
+    path = tmp_path / "balls.json"
+    path.write_text(json.dumps({"version": "1", "X": ball(0.0), "Y": ball(second), "z0": [1.0, 2.0, 0.5]}))
     assert main(["diagnose", "--problem", str(path), "--point", "1,0,0"]) == 2
     assert capsys.readouterr().err.startswith("error: the balls are tangent or disjoint")
 

@@ -92,6 +92,22 @@ def test_rate_report_requires_three_usable():
         rate_report([1.0, 1e-20, 1e-21])
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ([[1.0, 0.5, 0.25]], "expected a 1-d sequence of distances"),
+        ([1.0, -0.5, 0.25], "distances must be finite and nonnegative"),
+        ([1.0, np.nan, 0.25], "distances must be finite and nonnegative"),
+        ([1.0, np.inf, 0.25], "distances must be finite and nonnegative"),
+    ],
+    ids=["2-d", "negative", "nan", "inf"],
+)
+def test_rate_report_refuses_bad_distances(d, message):
+    with pytest.raises(ValueError) as info:
+        rate_report(d)
+    assert str(info.value) == message
+
+
 def test_rate_report_floor_excludes_tail():
     d = np.array([1.0, 1e-1, 1e-2, 1e-3, 1e-16, 1e-17])
     report = rate_report(d, scale=1.0)
@@ -245,6 +261,29 @@ def test_tangent_bound_rejects_off_plane_samples():
     ball = Ball([0.0, 0.0], 2.0)
     with pytest.raises(ValueError):
         tangent_bound_check(ball, np.array([2.0, 0.0]), [np.array([2.1, 0.05])])
+
+
+def test_tangent_bound_rejects_off_hull_and_far_samples():
+    # a radius-2 disc of {z_3 = 0}: kappa = 1/2, so offsets up to 0.2 hold
+    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
+    disc = Ball([0.0, 0.0, 0.0], 2.0, plane)
+    p = np.array([2.0, 0.0, 0.0])
+    assert tangent_bound_check(disc, p, [np.array([2.0, 0.15, 0.0])]).passed
+    with pytest.raises(ValueError, match="sample is not in the affine hull"):
+        tangent_bound_check(disc, p, [np.array([2.0, 0.05, 0.01])])
+    with pytest.raises(ValueError, match="sample offset exceeds the validity radius"):
+        tangent_bound_check(disc, p, [np.array([2.0, 0.25, 0.0])])
+
+
+def test_tangent_bound_at_a_zero_offset():
+    ball = Ball([0.0, 0.0], 2.0)
+    p = np.array([2.0, 0.0])
+    report = tangent_bound_check(ball, p, [p])
+    assert report.n_samples == 1 and report.worst_ratio == 0.0 and report.passed
+    # a boundary point just outside the set is its own sample at a positive distance
+    q = np.array([2.0 + 1e-9, 0.0])
+    report = tangent_bound_check(ball, q, [q])
+    assert report.n_samples == 1 and report.worst_ratio == np.inf and not report.passed
 
 
 # --- error-bound estimation -----------------------------------------------------

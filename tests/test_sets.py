@@ -436,6 +436,21 @@ def test_epigraph_rejects_bad_exponent():
         PowerEpigraph(2.0, -0.1)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_epigraph_boundary_at_the_vertex(beta):
+    # At x = 0 (the beta = 0 limit point of the rate table) the second
+    # derivative alpha (alpha - 1) |x|^(alpha - 2) is unbounded for
+    # alpha < 2, 2 for alpha = 2 and 0 for alpha > 2.
+    vertex = [0.0, -beta]
+    with pytest.raises(RegularityError, match="not C\\^2 at the vertex"):
+        boundary_eval(PowerEpigraph(1.5, beta), vertex)
+    for alpha, gxx in ((2.0, 2.0), (3.0, 0.0)):
+        g, grad, hess = boundary_eval(PowerEpigraph(alpha, beta), vertex)
+        assert g == 0.0 and grad.tolist() == [0.0, -1.0]
+        assert hess.tolist() == [[gxx, 0.0], [0.0, 0.0]]
+    assert curvature(PowerEpigraph(2.0, beta), vertex).kappa == 2.0
+
+
 def test_epigraph_optimality_against_curve_scan():
     X = PowerEpigraph(3.0, 0.0)
     z = np.array([0.9, 0.1])

@@ -1,6 +1,14 @@
-"""The identity gates: tools/compare_traces.py and tools/compare_omegas.py."""
+"""The identity gates: tools/compare_traces.py and tools/compare_omegas.py,
+and the kinds tools/write_projections.py covers."""
+
+import inspect
+import os
+import re
 
 import pytest
+
+from ccrm import catalog
+from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
 from helpers import tool_module
 
@@ -94,3 +102,16 @@ def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
 def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
     a = _omegas(tmp_path, "a.txt", OMEGAS)
     assert compare_omegas([a, _omegas(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+
+
+def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    write_projections = tool_module("write_projections")
+    read = set(re.findall(r'kind == "(\w+)"', inspect.getsource(oracle_from_dict)))
+    assert {"ball", "ball_lens", "psd_cone", "spectral_box_trace"} <= read
+    assert all(data["kind"] == kind for kind, data in write_projections.DESCRIPTORS.items())
+    catalog_kinds = set()
+    for selector in write_projections.SELECTORS:
+        problem = catalog.resolve(selector).problem
+        catalog_kinds |= {oracle_to_dict(problem.X)["kind"], oracle_to_dict(problem.Y)["kind"]}
+    assert set(write_projections.DESCRIPTORS) | catalog_kinds == read

@@ -6,7 +6,9 @@ Run it on two checkouts and ``diff`` the files: a change that must leave
 the oracles alone leaves them byte-identical. The oracles are each
 catalog problem's X, Y and ``intersection_oracle`` (for the selectors of
 ``write_traces.py``), and one set built by ``serialize.oracle_from_dict``
-for each descriptor kind in ``DESCRIPTORS``. Each is called at seeded
+for each descriptor kind in ``DESCRIPTORS``; with the kinds of the
+catalog's sets, these are every kind a problem file can name (checked in
+``tests/test_tools.py``). Each is called at seeded
 points of norm about 1e-3 ... 1e3, at the projections of those points,
 and at 0. Every call writes one line: the ``repr`` of the result of
 ``project`` or ``boundary_eval`` with arrays as lists, or the error's type
@@ -53,6 +55,17 @@ DESCRIPTORS = {
         ],
         "tol": 1e-13,
     },
+    "ball_lens": {
+        "kind": "ball_lens",
+        "inner": {"kind": "ball", "center": [0.2, -0.1, 0.3], "radius": 1.0},
+        "cut": {"kind": "ball", "center": [1.1, 0.4, 0.0], "radius": 0.8},
+    },
+    "affine_subspace": {"kind": "affine_subspace", "A": [[1.0, -1.0, 0.5]], "b": [0.25]},
+    "ellipsoid": {"kind": "ellipsoid", "shape": [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]],
+                  "center": [0.1, 0.0, -0.3]},
+    # kinds that older problem files use for two spectral sets
+    "psd_cone": {"kind": "psd_cone", "n": 3},
+    "spectral_box_trace": {"kind": "spectral_box_trace", "n": 3, "bound": 0.5},
 }
 
 
