@@ -41,8 +41,8 @@ from .sets import (
     Ball,
     BallLens,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
+    EllipsoidLens,
     EmbeddedOracle,
     Halfspace,
     HyperboloidSheet,

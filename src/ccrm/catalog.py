@@ -305,19 +305,21 @@ def resolve(selector: str) -> CatalogEntry:
     name, _, rest = selector.partition(":")
     if name not in _BUILDERS:
         raise ValueError(f"unknown problem {name!r}; known: {', '.join(problem_names())}")
-    params = {}
+    params = []
     for item in rest.split(",") if rest else ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"malformed parameter {item!r}; expected key=value")
-        params[key.strip()] = value.strip()
+        params.append((key.strip(), value.strip()))
     keys = _KEYS.get(name)
     if params and keys is None:
         raise ValueError(f"problem {name!r} takes no parameters")
     kwargs = {}
-    for key, value in params.items():
+    for key, value in params:
         if key not in keys:
             raise ValueError(f"unknown {name} parameter {key!r}")
+        if keys[key] in kwargs:
+            raise ValueError(f"{name} parameter {key!r} sets {keys[key]} a second time")
         kwargs[keys[key]] = value if keys[key] == "y_variant" else float(value)
     if name == "epigraph" and "alpha" not in kwargs:
         raise ValueError("epigraph needs an exponent, e.g. epigraph:a=2,b=0")

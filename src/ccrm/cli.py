@@ -212,7 +212,7 @@ def cmd_diagnose(args):
 
     try:
         omega = report["omega_estimate"] = estimate_omega(problem, point, seed=args.seed)
-    except ValueError as exc:
+    except (UnsupportedOperation, ValueError) as exc:
         omega, report["omega_estimate"], report["omega_error"] = None, None, str(exc)
     if kappas and omega is not None:
         kappa = max(kappas.values())

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RegularityError
+from .errors import RegularityError, UnsupportedOperation
 from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
-from .sets import Ball, BallLens, Cap, DykstraIntersection, EmbeddedOracle, Halfspace, Hyperplane
+from .sets import Ball, BallLens, Cap, Ellipsoid, EllipsoidLens, EmbeddedOracle, Halfspace, Hyperplane
 from .sets import IsometricImage, _as_point, _check_count, _norm, _row_norms, boundary_eval
 from .sets import in_hull_coordinates
 from .solvers import FeasibilityProblem, SolveTrace
@@ -37,13 +37,6 @@ OMEGA_EXCLUDE_TOL = 1e-12
 
 # Ratio geometric means at or above this value are reported as sublinear.
 SUBLINEAR_THRESHOLD = 0.98
-
-# Dykstra stop for intersection distances. It is tighter than
-# sets.DYKSTRA_TOL (1e-12, sized for solver tolerances of 1e-10 and up)
-# because estimate_omega divides by these distances and rate_report
-# classifies them down to PRECISION_FLOOR_FACTOR (about 2.2e-13) times
-# the problem scale.
-INTERSECTION_TOL = 1e-13
 
 # Relative margin over the bound of the tangent-bound and 4 kappa / omega checks.
 CHECK_MARGIN = 0.10
@@ -267,33 +260,40 @@ def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
 
 
 def intersection_oracle(problem: FeasibilityProblem):
-    """X intersect Y as one oracle.
+    """X intersect Y as one pair oracle, by one rule: two whole-space balls
+    of dimension >= 2 give a :class:`~ccrm.sets.BallLens`, two ellipsoids an
+    :class:`~ccrm.sets.EllipsoidLens`, and a ``Hyperplane``, ``Halfspace``
+    or whole-space ``Ball`` Y a :class:`~ccrm.sets.Cap` of X.
 
-    Two whole-space balls of dimension >= 2 give a :class:`~ccrm.sets.BallLens`;
-    any other X cut by a ``Hyperplane``, ``Halfspace`` (epigraph) or
-    whole-space ``Ball`` Y gives a :class:`~ccrm.sets.Cap` of X by Y. When Y
-    is a ``Ball`` of the common hull L, X & Y lies in L, so P_{X&Y}(z) =
-    P_{X&Y}(P_L z): the pair is solved by the same rule in L's coordinates
-    (:func:`~ccrm.sets.in_hull_coordinates`), where Y is a whole-space ball
-    (a lens for discs3d, a cap for socp), and embedded back. An X with no
-    native form there (a spectral set with a trace: sdp, fixed_trace) is
-    capped in ambient coordinates by B(in-plane center, in-plane radius)
-    instead, which saves a round trip per inner projection. Otherwise
-    Dykstra at ``INTERSECTION_TOL`` over the leaf sets of X and Y.
+    With a common hull L, X & Y lies in L, so P_{X&Y}(z) = P_{X&Y}(P_L z),
+    and the rule applies to the sets in L's coordinates
+    (:func:`~ccrm.sets.in_hull_coordinates`), embedded back (discs3d, socp,
+    ellipses, eq_ellipsoids). An X with no native form there and a ``Ball``
+    Y of L (sdp, fixed_trace) give the ambient cap of X by B(in-plane
+    center, in-plane radius) instead, which saves a round trip per inner
+    projection. Otherwise the rule applies to X and Y (epigraph); a pair it
+    does not cover, which only a problem file can build, raises
+    ``UnsupportedOperation``.
     """
-    def cap_or_lens(x, y):
-        lens = type(x) is type(y) is Ball and x.subspace is y.subspace is None and x.dim > 1
-        return BallLens(x, y) if lens else Cap(x, y)
+    def pair_rule(x, y):
+        if type(x) is type(y) is Ball and x.subspace is y.subspace is None and x.dim > 1:
+            return BallLens(x, y)
+        if type(x) is type(y) is Ellipsoid:
+            return EllipsoidLens(x, y)
+        if type(y) in (Hyperplane, Halfspace) or (type(y) is Ball and y.subspace is None):
+            return Cap(x, y)
+        raise UnsupportedOperation(f"no exact projection onto {type(x).__name__} & {type(y).__name__}")
 
     X, Y, hull = problem.X, problem.Y, problem.common_hull
-    if type(Y) in (Hyperplane, Halfspace) or (type(Y) is Ball and Y.subspace is None):
-        return cap_or_lens(X, Y)
-    if type(Y) is Ball and hull is not None:
+    if hull is not None:
         x = in_hull_coordinates(X, hull)
-        if isinstance(x, IsometricImage):
+        if type(x) is IsometricImage and type(Y) is Ball:
             return Cap(X, Ball(Y.in_plane_center, Y.in_plane_radius))
-        return EmbeddedOracle(cap_or_lens(x, in_hull_coordinates(Y, hull)), hull)
-    return DykstraIntersection([X, Y], tol=INTERSECTION_TOL)
+        try:
+            return EmbeddedOracle(pair_rule(x, in_hull_coordinates(Y, hull)), hull)
+        except UnsupportedOperation:
+            pass  # X and Y themselves may have a rule: Y the hyperplane that is the hull
+    return pair_rule(X, Y)
 
 
 def estimate_omega(
@@ -309,15 +309,14 @@ def estimate_omega(
     Samples points uniformly on spheres of the given radii around z_bar
     and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
     over samples whose intersection distance exceeds ``OMEGA_EXCLUDE_TOL``.
-    Deterministic under the seed. Each sample projects onto X once. Where
-    :func:`intersection_oracle` is a cap or lens (in the common hull's
-    coordinates v = B^T (z - a), if it works there), that projection is
-    P_X(v), which gives dist(z, X) through a + B P_X(v) and is the pair's
-    s = 0 residual. Raises ValueError unless ``radii`` is a non-empty
-    sequence of finite radii > 0 and ``samples_per_radius`` an integer
-    >= 1, when every sample lies in X & Y, or when z_bar is off the
-    problem's common hull beyond rounding, where the samples would measure
-    the hull.
+    Deterministic under the seed. Each sample projects onto X once: that
+    gives dist(z, X) and, through ``project_given``, the projection onto
+    :func:`intersection_oracle`'s pair (in the common hull's coordinates v =
+    B^T (z - a), if it works there), unless a ``projector`` onto X & Y is
+    given. Raises ValueError unless ``radii`` is a non-empty sequence of
+    finite radii > 0 and ``samples_per_radius`` an integer >= 1, when every
+    sample lies in X & Y, or when z_bar is off the problem's common hull
+    beyond rounding, where the samples would measure the hull.
     """
     radii = tuple(radii)
     if not radii or not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0.0 for r in radii):
@@ -325,13 +324,12 @@ def estimate_omega(
     samples_per_radius = _check_count("samples_per_radius", samples_per_radius)
     z_bar = np.asarray(z_bar, dtype=float)
     _require_on_hull(problem.common_hull, z_bar, "the problem's common hull")
-    oracle = intersection_oracle(problem) if projector is None else None
-    pair, local, embed = oracle, (lambda z: z), (lambda v: v)
-    if isinstance(oracle, EmbeddedOracle):
-        pair, a, B = oracle.inner, oracle.subspace.anchor, oracle.subspace.basis
-        local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
-    if not isinstance(pair, (Cap, BallLens)):
-        pair, project = None, projector or oracle.project
+    pair, local, embed = None, (lambda z: z), (lambda v: v)
+    if projector is None:
+        pair = intersection_oracle(problem)
+        if isinstance(pair, EmbeddedOracle):
+            pair, a, B = pair.inner, pair.subspace.anchor, pair.subspace.basis
+            local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
     rng = np.random.default_rng(seed)
     best = np.inf
     for rho in radii:
@@ -340,12 +338,11 @@ def estimate_omega(
         for s in directions:
             z = z_bar + rho * s
             if pair is None:
-                px, x = problem.X.project(z), project(z)
+                px, x = problem.X.project(z), projector(z)
             else:
                 v = local(z)
                 pv = pair.inner.project(v)
-                x = pair.project_dual(v, pv)[0] if isinstance(pair, Cap) else pair.project_given(v, pv)
-                px, x = embed(pv), embed(x)
+                px, x = embed(pv), embed(pair.project_given(v, pv))
             di = _norm(x - z)
             if di <= OMEGA_EXCLUDE_TOL:
                 continue

@@ -15,13 +15,10 @@ import json
 import numpy as np
 
 from .sets import (
-    DYKSTRA_MAX_ITER,
-    DYKSTRA_TOL,
     AffineSubspace,
     Ball,
     BallLens,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
@@ -88,16 +85,6 @@ def oracle_to_dict(oracle) -> dict:
         return {"kind": "ball_lens", "inner": oracle_to_dict(oracle.inner), "cut": oracle_to_dict(oracle.cut)}
     if isinstance(oracle, Cap):
         return {"kind": "cap", "inner": oracle_to_dict(oracle.inner), "cut": oracle_to_dict(oracle.cut)}
-    if isinstance(oracle, DykstraIntersection):
-        out = {
-            "kind": "dykstra_intersection",
-            "members": [oracle_to_dict(m) for m in oracle.members],
-            "tol": oracle.tol,
-            "max_iter": oracle.max_iter,
-        }
-        if oracle.affine_hull is not None:
-            out["hull"] = _subspace_to_dict(oracle.affine_hull)
-        return out
     raise ValueError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
@@ -140,14 +127,6 @@ def oracle_from_dict(data) -> object:
             return BallLens(oracle_from_dict(data["inner"]), oracle_from_dict(data["cut"]))
         if kind == "cap":
             return Cap(oracle_from_dict(data["inner"]), oracle_from_dict(data["cut"]))
-        if kind == "dykstra_intersection":
-            hull = _subspace_from_dict(data["hull"]) if "hull" in data else None
-            return DykstraIntersection(
-                [oracle_from_dict(m) for m in data["members"]],
-                tol=data.get("tol", DYKSTRA_TOL),
-                max_iter=data.get("max_iter", DYKSTRA_MAX_ITER),
-                hull=hull,
-            )
     except KeyError as exc:
         raise ValueError(f"descriptor of kind {kind!r} is missing field {exc}") from exc
     except TypeError as exc:  # a field of the wrong type, e.g. a string radius

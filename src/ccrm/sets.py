@@ -37,11 +37,6 @@ ELLIPSOID_TOL = 1e-12
 # spectral set's boundary descriptor is not C^2 there.
 EIG_GAP_TOL = 1e-8
 
-# Dykstra defaults; the inner tolerance is kept two orders tighter than
-# any outer solver tolerance that consumes these projections.
-DYKSTRA_TOL = 1e-12
-DYKSTRA_MAX_ITER = 100_000
-
 # Budget of the scalar Newton solves (ellipsoid dual, hyperboloid-sheet and
 # power-epigraph normals).
 NEWTON_MAX_ITER = 200
@@ -81,15 +76,6 @@ def _check_count(name, value) -> int:
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return count
-
-
-def _check_stopping(tol, max_iter) -> int:
-    """Refuse an iterative stopping rule that cannot stop as asked: ``tol``
-    must be finite and positive and ``max_iter`` an integer >= 1; returns
-    ``max_iter`` as an int."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    return _check_count("max_iter", max_iter)
 
 
 def _norm(d) -> float:
@@ -731,7 +717,18 @@ def in_hull_coordinates(oracle: SetOracle, hull: AffineSubspace) -> SetOracle:
     return IsometricImage(oracle, hull)
 
 
-class Cap(SetOracle):
+class _Pair:
+    """A pair oracle, ``inner`` cut by ``cut``: ``project_given(z, inner_z)`` takes
+    ``inner_z`` = P_inner(z), or None; the boundary descriptor is ``inner``'s."""
+
+    def project(self, z) -> np.ndarray:
+        return self.project_given(z, None)
+
+    def _boundary(self, z):
+        return self.inner._boundary(z)
+
+
+class Cap(_Pair, SetOracle):
     """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
     {<a, x> <= b} or a whole-space :class:`Ball` B(c, r).
 
@@ -760,9 +757,6 @@ class Cap(SetOracle):
         self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
         self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
-    def _boundary(self, z):
-        return self.inner._boundary(z)
-
     def _residual(self, z, s, x=None):
         # (f, x) at the dual value s; x, when given, is P_inner there.
         cut, ball = self.cut, self._ball
@@ -785,8 +779,8 @@ class Cap(SetOracle):
         if pull > room * CAP_TANGENT_RATIO * _norm(z - x):
             raise ConvergenceError("the cut is tangent to the set or misses it")
 
-    def project(self, z) -> np.ndarray:
-        return self.project_dual(z)[0]
+    def project_given(self, z, inner_z) -> np.ndarray:
+        return self.project_dual(z, inner_z)[0]
 
     def project_dual(self, z, inner_z=None):
         """(P(z), s): the projection and its dual value; ``inner_z`` is P_inner(z), if known."""
@@ -848,7 +842,7 @@ class Cap(SetOracle):
         return xb, b
 
 
-class BallLens(SetOracle):
+class BallLens(_Pair, SetOracle):
     """The intersection of two whole-space balls, ``inner`` B(c1, r1) cut by
     ``cut`` B(c2, r2), projected in closed form.
 
@@ -864,9 +858,7 @@ class BallLens(SetOracle):
     takes one of them. A ball inside the other is the lens itself. Balls
     that are disjoint or tangent (r1 + r2 - D within the rounding of
     r1 + r2) raise ``ConvergenceError`` when the lens is built, the error a
-    :class:`Cap` of one by the other raises at its first projection. The
-    names ``inner`` and ``cut`` and the boundary descriptor (``inner``'s)
-    are a cap's.
+    :class:`Cap` of one by the other raises at its first projection.
     """
 
     def __init__(self, inner: Ball, cut: Ball):
@@ -892,14 +884,7 @@ class BallLens(SetOracle):
         u[k] += 1.0
         self._across = u / _norm(u)  # a unit vector orthogonal to the axis
 
-    def _boundary(self, z):
-        return self.inner._boundary(z)
-
-    def project(self, z) -> np.ndarray:
-        return self.project_given(z, None)
-
     def project_given(self, z, inner_z) -> np.ndarray:
-        """P(z); ``inner_z`` is P_inner(z), or None if not known."""
         z = _as_point(z, self.dim)
         if self._nested is not None:
             return inner_z if inner_z is not None and self._nested is self.inner else self._nested.project(z)
@@ -918,89 +903,105 @@ class BallLens(SetOracle):
         return self._rim_center + w * (self._rim_radius / nw)
 
 
-def dykstra_project(oracles, z, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER) -> np.ndarray:
-    """Projection onto an intersection by Dykstra's cyclic scheme.
+class EllipsoidLens(_Pair, SetOracle):
+    """Two :class:`Ellipsoid` s, ``inner`` cut by ``cut``, g_i(x) = (x - c_i)^T Q_i (x - c_i) - 1 <= 0.
 
-    The cycle runs over leaf sets only: every :class:`DykstraIntersection`
-    in ``oracles`` is replaced by its members, recursively, and a set that
-    is the same instance as an earlier one is dropped, so [X, Y] with
-    X = [e1, L] and Y = [e2, L] cycles over [e1, L, e2]. Dykstra's scheme
-    converges to the projection onto the intersection of any finite family
-    of closed convex sets (Boyle & Dykstra 1986), so the flat cycle
-    computes the same projection as nesting, without an inner Dykstra run
-    per outer step. ``tol`` and ``max_iter`` govern the flat cycle; a
-    nested intersection's own ``tol`` and ``max_iter`` apply only to its
-    standalone ``project``.
+    P(z) is P_inner(z) if that lies in ``cut``, else P_cut(z) if that lies
+    in ``inner``, else x(lam) = (I + lam_1 Q_1 + lam_2 Q_2)^-1 (z + lam_1
+    Q_1 c_1 + lam_2 Q_2 c_2) at the lam > 0 where g(x(lam)) = 0, the
+    maximizer of the concave two-multiplier dual (Boyd & Vandenberghe 2004,
+    ch. 5). Projected Newton (Bertsekas 1982) starts at half of each single
+    ellipsoid's multiplier, halves a step that neither raises the dual nor
+    lowers ||g||, and stops once both residuals are at their rounding level
+    at x, so the output lies in both sets; its systems are divided by
+    max(1, lam_1 + lam_2), so far points do not overflow. A pull lam_i ||Q_i
+    (x - c_i)|| past ``CAP_TANGENT_RATIO`` ||z - x|| (tangent ellipsoids), a
+    singular system or ``NEWTON_MAX_ITER`` evaluations raise ``ConvergenceError``.
+    """
+
+    def __init__(self, inner: Ellipsoid, cut: Ellipsoid):
+        if not (type(inner) is type(cut) is Ellipsoid and inner.dim == cut.dim):
+            raise ValueError("an ellipsoid lens is two Ellipsoids of one dimension")
+        super().__init__(inner.dim)
+        self.inner, self.cut = inner, cut
+
+    @staticmethod
+    def _residual(e, x):
+        # g(x), grad g(x) = 2 Q (x - c), and the rounding level of g at x.
+        g, grad, _ = e._boundary(x)
+        return g, grad, 4.0 * EPS * (e.dim + _norm(grad) * (_norm(x) + _norm(e.center)))
+
+    @np.errstate(over="ignore", invalid="ignore")  # a trial step far past the root
+    def project_given(self, z, inner_z) -> np.ndarray:
+        z = _as_point(z, self.dim)
+        x1 = self.inner.project(z) if inner_z is None else inner_z
+        g, _, tol = self._residual(self.cut, x1)
+        if g <= tol:
+            return x1
+        x2 = self.cut.project(z)
+        g, _, tol = self._residual(self.inner, x2)
+        if g <= tol:
+            return x2
+        lam = np.array([_norm(z - x) / _norm(e._boundary(x)[1]) for e, x in ((self.inner, x1), (self.cut, x2))])
+        (Q1, c1), (Q2, c2) = (self.inner.Q, self.inner.center), (self.cut.Q, self.cut.center)
+        step, s, merit = np.zeros(2), 1.0, np.inf
+        try:
+            for _ in range(NEWTON_MAX_ITER):
+                new = np.maximum(lam + s * step, 0.0)
+                t = max(1.0, new[0] + new[1])
+                m1, m2 = new / t
+                M = np.eye(self.dim) / t + m1 * Q1 + m2 * Q2
+                x = np.linalg.solve(M, z / t + m1 * (Q1 @ c1) + m2 * (Q2 @ c2))
+                (g1, n1, tol1), (g2, n2, tol2) = (self._residual(e, x) for e in (self.inner, self.cut))
+                g = np.array([g1, g2])
+                # The dual d is concave, so d(new) >= d(lam) + g . (new - lam) / 2.
+                ascent = float(g @ (new - lam))
+                if not math.isfinite(ascent) or (ascent < 0.0 and math.hypot(g1, g2) >= merit):
+                    s *= 0.5
+                    continue
+                if abs(g1) <= tol1 and abs(g2) <= tol2:
+                    if max(new[0] * _norm(n1), new[1] * _norm(n2)) > 2.0 * CAP_TANGENT_RATIO * _norm(z - x):
+                        break
+                    return x
+                lam, s, merit = new, 1.0, math.hypot(g1, g2)
+                free = (lam > 0.0) | (g > 0.0)  # a multiplier at 0 whose constraint holds stays there
+                N = np.column_stack([n1, n2])[:, free]
+                step = np.zeros(2)
+                step[free] = 2.0 * t * np.linalg.solve(N.T @ np.linalg.solve(M, N), g[free])
+        except (np.linalg.LinAlgError, NonFiniteError):  # normals parallel, or multipliers overflowed
+            pass
+        raise ConvergenceError("the ellipsoids are tangent or disjoint, or Newton did not converge")
+
+
+def dykstra_project(oracles, z, tol=1e-12, max_iter=100_000) -> np.ndarray:
+    """Projection onto the intersection of ``oracles`` by Dykstra's cyclic
+    scheme (Boyle & Dykstra 1986), a slow but independent reference for tests.
 
     Stops when the iterate moves less than ``tol`` between successive
-    cycles. The intersection must be nonempty; that is the caller's
-    responsibility.
-
-    Raises:
-        ValueError: no oracle, ``tol`` not finite and positive, or
-            ``max_iter`` not an integer >= 1.
-        ConvergenceError: cycle budget exhausted; carries the last
-            cycle-to-cycle change as the residual.
+    cycles; the intersection must be nonempty. Raises ValueError for no
+    oracle, a ``tol`` that is not finite and positive or a ``max_iter``
+    that is not an integer >= 1, and ``ConvergenceError``, with the last
+    cycle-to-cycle change as its residual, when the cycles run out.
     """
     if not oracles:
         raise ValueError("need at least one oracle")
-    max_iter = _check_stopping(tol, max_iter)
-    leaves, pending = [], list(oracles)[::-1]
-    while pending:
-        oracle = pending.pop()
-        if isinstance(oracle, DykstraIntersection):
-            pending.extend(oracle.members[::-1])
-        elif not any(oracle is leaf for leaf in leaves):
-            leaves.append(oracle)
-    x = _as_point(z, leaves[0].dim).copy()
-    if len(leaves) == 1:
-        return leaves[0].project(x)
-    corrections = [np.zeros_like(x) for _ in leaves]
-    prev = None
-    change = np.inf
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    max_iter = _check_count("max_iter", max_iter)
+    x = _as_point(z, oracles[0].dim)
+    corrections = [np.zeros_like(x) for _ in oracles]
     for _ in range(max_iter):
-        for i, oracle in enumerate(leaves):
+        prev = x
+        for i, oracle in enumerate(oracles):
             shifted = x + corrections[i]
             x = oracle.project(shifted)
             corrections[i] = shifted - x
-        if prev is not None:
-            change = float(np.linalg.norm(x - prev))
-            if change <= tol:
-                return x
-        prev = x.copy()
+        change = float(np.linalg.norm(x - prev))
+        if change <= tol:
+            return x
     raise ConvergenceError(
         f"Dykstra did not converge within {max_iter} cycles", residual=change
     )
-
-
-class DykstraIntersection(SetOracle):
-    """Intersection of oracles without a closed-form joint projection.
-
-    ``project`` is :func:`dykstra_project` over the members at this
-    intersection's ``tol`` (finite, > 0) and ``max_iter`` (an integer,
-    >= 1). Nested intersections are
-    flattened there into one cycle over their leaf sets, under the outer
-    call's tolerance and budget. A declared ``hull`` must be the affine
-    hull of one member, so that the intersection lies in it.
-    """
-
-    def __init__(self, members, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, hull=None):
-        members = list(members)
-        if not members:
-            raise ValueError("need at least one member oracle")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise ValueError(f"member dimensions differ: {sorted(dims)}")
-        if hull is not None and not any(same_subspace(hull, m.affine_hull) for m in members):
-            raise ValueError("hull is not the affine hull of any member")
-        max_iter = _check_stopping(tol, max_iter)
-        super().__init__(members[0].dim)
-        self.members = members
-        self.tol, self.max_iter = float(tol), max_iter
-        self.affine_hull = hull
-
-    def project(self, z) -> np.ndarray:
-        return dykstra_project(self.members, z, tol=self.tol, max_iter=self.max_iter)
 
 
 def boundary_eval(oracle: SetOracle, z):

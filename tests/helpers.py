@@ -10,8 +10,8 @@ from ccrm.sets import (
     Ball,
     BallLens,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
+    EllipsoidLens,
     EmbeddedOracle,
     Halfspace,
     HyperboloidSheet,
@@ -65,10 +65,11 @@ def oracle_zoo(rng):
         (SpectralSet(3, lo=0.0, trace=1.0), 6),
         (Ball([0.1, 0.2, 0.7], 1.0, plane), 3),
         (
-            DykstraIntersection(
-                [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)], tol=1e-13
+            EllipsoidLens(
+                Ellipsoid(np.diag([1.0, 0.5, 2.0])),
+                Ellipsoid([[0.8, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 0.6]], center=[0.9, 0.3, -0.2]),
             ),
-            2,
+            3,
         ),
         (Cap(SecondOrderCone(3), Hyperplane([1.0, 0.3, 0.0], 1.0)), 3),
         (Cap(SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 0.5, -0.3])), 1.0)), 6),
@@ -87,17 +88,6 @@ def eq_ellipsoid_leaves():
     entry = make_eq_constrained_ellipsoids()
     e1, e2, _ = catalog._eq_ellipsoids_leaves()
     return entry, e1, e2, entry.problem.common_hull
-
-
-def dykstra_eq_ellipsoids():
-    """The catalog's eq_ellipsoids problem with X = [e1, L] and Y = [e2, L]
-    Dykstra-backed, sharing the hull instance L, and its suggested start."""
-    entry, e1, e2, L = eq_ellipsoid_leaves()
-    problem = FeasibilityProblem(
-        DykstraIntersection([e1, L], hull=L),
-        DykstraIntersection([e2, L], hull=L),
-    )
-    return problem, entry.suggested_z0
 
 
 def cap_eq_ellipsoids():

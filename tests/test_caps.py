@@ -9,6 +9,7 @@ import ccrm.sets
 
 from ccrm.catalog import (
     make_discs3d,
+    make_ellipses,
     make_epigraph,
     make_eq_constrained_ellipsoids,
     make_fixed_trace,
@@ -22,8 +23,8 @@ from ccrm.sets import (
     Ball,
     BallLens,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
+    EllipsoidLens,
     EmbeddedOracle,
     Halfspace,
     Hyperplane,
@@ -48,7 +49,8 @@ def _catalog(make):
 # problem's X, ball caps the exact X & Y of intersection_oracle (for
 # discs3d the lens of its two discs in the hull's coordinates). The socp
 # cap is its cone cut by its hull, and the eq_ellipsoids caps are its
-# ambient ellipsoids cut by its hull.
+# ambient ellipsoids cut by its hull. The ellipse pairs are the lenses of
+# their two ellipsoids in the hull's coordinates.
 HYPERPLANE_CAPS = [
     ("socp", cap_socp),
     ("eq_ellipsoids", cap_eq_ellipsoids),
@@ -59,32 +61,43 @@ BALL_CAPS = [
     ("sdp", _catalog(make_sdp_feasibility)),
     ("fixed_trace", _catalog(make_fixed_trace)),
 ]
+ELLIPSOID_PAIRS = [
+    ("ellipses", _catalog(make_ellipses)),
+    ("eq_ellipsoids-lens", _catalog(make_eq_constrained_ellipsoids)),
+]
 ALL_CAPS = [(name, build, "X") for name, build in HYPERPLANE_CAPS] + [
-    (name, build, "X&Y") for name, build in BALL_CAPS
+    (name, build, "X&Y") for name, build in BALL_CAPS + ELLIPSOID_PAIRS
 ]
 
 
 def _cap(problem, which):
     """(the cap under test, the map of ambient points into its coordinates).
-    discs3d's X & Y is a lens of the common hull's coordinates, embedded."""
+    The X & Y of discs3d and of the ellipse pairs is a lens of the common
+    hull's coordinates, embedded."""
     cap = problem.X if which == "X" else intersection_oracle(problem)
     if isinstance(cap, EmbeddedOracle):
         hull = problem.common_hull
-        assert cap.subspace is hull and isinstance(cap.inner, BallLens)
+        assert cap.subspace is hull and isinstance(cap.inner, (BallLens, EllipsoidLens))
         return cap.inner, hull.to_local
     assert isinstance(cap, Cap)
     return cap, lambda z: z
 
 
 def _assert_lens_kkt(lens, z, tol):
-    # x is the projection onto the lens iff it lies in both balls and z - x
-    # is a nonnegative combination of the outward normals x - c_i of the
-    # balls whose boundary it is on.
+    # x is the projection onto the lens iff it lies in both sets and z - x
+    # is a nonnegative combination of the outward normals of the sets whose
+    # boundary it is on: x - c_i for a ball, Q_i (x - c_i) for an ellipsoid,
+    # whose g_i is (x - c_i)^T Q_i (x - c_i) - 1.
     x = lens.project(z)
-    balls = (lens.inner, lens.cut)
-    g = [np.linalg.norm(x - b.center) - b.radius for b in balls]
+    sets = (lens.inner, lens.cut)
+    if isinstance(lens, BallLens):
+        g = [np.linalg.norm(x - b.center) - b.radius for b in sets]
+        normals = [x - b.center for b in sets]
+    else:
+        normals = [e.Q @ (x - e.center) for e in sets]
+        g = [(x - e.center) @ a - 1.0 for e, a in zip(sets, normals)]
     assert max(g) <= tol
-    normals = np.column_stack([x - b.center for b, gi in zip(balls, g) if gi >= -tol] or [0.0 * x])
+    normals = np.column_stack([n for n, gi in zip(normals, g) if gi >= -tol] or [0.0 * x])
     lam = np.linalg.lstsq(normals, z - x, rcond=None)[0]
     assert np.all(lam >= -tol)
     assert np.linalg.norm(normals @ lam - (z - x)) <= tol
@@ -121,7 +134,7 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
     rng = np.random.default_rng(72)
     for _ in range(16):
         z = to_local(z0 + scale * rng.normal(size=z0.shape[0]))
-        if isinstance(cap, BallLens):
+        if isinstance(cap, (BallLens, EllipsoidLens)):
             _assert_lens_kkt(cap, z, 1e-12 * scale)
             continue
         x, s = cap.project_dual(z)
@@ -254,8 +267,143 @@ def test_intersection_oracle_is_exact_where_y_is_a_ball_in_the_hull(monkeypatch)
         assert type(pair.cut) is Ball and pair.cut.subspace is None
         assert np.array_equal(pair.cut.center, center) and pair.cut.radius == y.in_plane_radius
         assert oracle.distance(entry.suggested_z0) > 0.0
-    # Y is an ellipsoid within the hull, not a ball, so X & Y stays with Dykstra
-    assert isinstance(intersection_oracle(make_eq_constrained_ellipsoids().problem), DykstraIntersection)
+    # Y is an ellipsoid within the hull, not a ball: X & Y is the lens of
+    # the two ellipsoids in the hull's coordinates
+    entry = make_eq_constrained_ellipsoids()
+    oracle, hull = intersection_oracle(entry.problem), entry.problem.common_hull
+    assert isinstance(oracle, EmbeddedOracle) and oracle.subspace is hull
+    assert isinstance(oracle.inner, EllipsoidLens)
+    assert oracle.inner.inner is entry.problem.X.inner and oracle.inner.cut is entry.problem.Y.inner
+    assert oracle.distance(entry.suggested_z0) > 0.0
+
+
+@pytest.mark.parametrize("make", [make_ellipses, make_eq_constrained_ellipsoids], ids=["ellipses", "eq_ellipsoids"])
+def test_ellipsoid_pair_is_exact_at_every_scale(make, monkeypatch):
+    # 40 draws z0 + 10^k N(0, I) per scale from 1e0 to 1e300: the output
+    # lies in X and in Y, and a second projection keeps it, to 1e-9 max(1,
+    # ||x||). Dykstra took 639 ms (ellipses) and 1.58 s (eq_ellipsoids) per
+    # call at 1e3.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dykstra ran")
+
+    monkeypatch.setattr(ccrm.sets, "dykstra_project", refuse)
+    entry = make()
+    problem, oracle = entry.problem, intersection_oracle(entry.problem)
+    rng = np.random.default_rng(5)
+    for k in range(0, 301, 10):
+        for _ in range(40):
+            x = oracle.project(entry.suggested_z0 + 10.0**k * rng.normal(size=problem.dim))
+            error = max(problem.X.distance(x), problem.Y.distance(x), np.linalg.norm(oracle.project(x) - x))
+            assert error <= 1e-9 * max(1.0, np.linalg.norm(x)), k
+
+
+def test_ellipsoid_lens_takes_the_inner_projection_it_is_given():
+    # project_given(z, P_inner(z)) is project(z), bitwise, and makes no
+    # inner projection; project(z) makes exactly one.
+    lens = _discs_as_ellipsoids()
+    calls = []
+    inner_project = lens.inner.project
+    lens.inner.project = lambda z: calls.append(1) or inner_project(z)
+    rng = np.random.default_rng(81)
+    for _ in range(40):
+        z = 3.0 * rng.normal(size=2)
+        del calls[:]
+        x = lens.project(z)
+        assert len(calls) == 1
+        px = inner_project(z)
+        assert np.array_equal(lens.project_given(z, px), x) and len(calls) == 1
+
+
+def _discs_as_ellipsoids():
+    # the discs3d lens, in its plane, as two ellipsoids
+    ball_lens = _discs3d_lens()
+    return EllipsoidLens(*(Ellipsoid(np.eye(2) / b.radius**2, b.center) for b in (ball_lens.inner, ball_lens.cut)))
+
+
+def test_ellipsoid_lens_of_two_discs_is_their_ball_lens():
+    ball_lens, lens = _discs3d_lens(), _discs_as_ellipsoids()
+    rng = np.random.default_rng(82)
+    for scale in (1e-2, 1.0, 1e2, 1e100):
+        for _ in range(20):
+            z = ball_lens.inner.center + scale * rng.normal(size=2)
+            assert np.linalg.norm(lens.project(z) - ball_lens.project(z)) <= 1e-12 * max(1.0, scale)
+
+
+# Overlapping pairs (Q_1, Q_2, c_2, a direction of z; c_1 = 0) drawn at
+# random, on which Newton without its safeguards raised ConvergenceError:
+# without the dual-ascent test it cycled on the first, quartering lam_1
+# and overshooting lam_2; without the active set it stalled on the others
+# with one multiplier crawling to 0.
+HARD_PAIRS = {
+    "cycling": (
+        [[2.145874063188807, 0.021600753638147153], [0.021600753638147153, 0.24709296304247044]],
+        [[0.24519796430581067, 0.43294941715579005], [0.43294941715579005, 1.3989731694648484]],
+        [0.13423994708633882, -0.11078013611159404], [0.2246385236493769, 2.5500346363079057],
+    ),
+    "active-set-2d": (
+        [[1.0143593814675143, 1.624093399799265], [1.624093399799265, 4.369675727969125]],
+        [[0.6219451580366302, -0.3614701235080561], [-0.3614701235080561, 0.4075513453473928]],
+        [0.5252379357769884, -2.851557667416043], [-0.06923463825462314, -1.6688536473865703],
+    ),
+    "active-set-3d": (
+        [[4.689144757321516, -1.529063579101911, -0.5387926043180514],
+         [-1.529063579101911, 1.757357394929563, -1.639832932074148],
+         [-0.5387926043180514, -1.639832932074148, 3.908098406955054]],
+        [[2.704134389401691, 1.3661989005457262, 0.5165425926241088],
+         [1.3661989005457262, 3.7076200207536645, 0.5067703264834285],
+         [0.5165425926241088, 0.5067703264834285, 0.26557340170276317]],
+        [-1.0093714925914228, -1.933574425684407, -0.23323282085238398],
+        [0.2543144827704248, -1.189256233676433, 0.23966781175697333],
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e50, 1e120, 1e166, 1e181])
+@pytest.mark.parametrize("name", list(HARD_PAIRS))
+def test_ellipsoid_lens_converges_on_hard_pairs(name, scale):
+    # The output lies on both boundaries, or in the set whose multiplier is
+    # 0, and z - x is a nonnegative combination of the normals Q_i (x - c_i)
+    # of the sets it lies on, which certifies it.
+    Q1, Q2, c2, direction = HARD_PAIRS[name]
+    inner, cut = Ellipsoid(Q1), Ellipsoid(Q2, center=c2)
+    z = scale * np.array(direction)
+    x = EllipsoidLens(inner, cut).project(z)
+    normals = np.column_stack([e.Q @ (x - e.center) for e in (inner, cut)])
+    g = np.array([(x - e.center) @ n - 1.0 for e, n in zip((inner, cut), normals.T)])
+    assert np.all(g <= 1e-14)
+    r = (z - x) / scale
+    lam = np.linalg.lstsq(normals[:, g >= -1e-14], r, rcond=None)[0]  # the multipliers over scale
+    assert np.all(lam >= 0.0)
+    assert np.linalg.norm(normals[:, g >= -1e-14] @ lam - r) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "center", [[3.0, 0.0], [2.0, 0.0]], ids=["disjoint", "tangent"]
+)
+def test_ellipsoid_lens_of_tangent_or_disjoint_ellipsoids_raises(center):
+    # from near and far points, with no warning on the way
+    lens = EllipsoidLens(Ellipsoid(np.eye(2)), Ellipsoid(np.eye(2), center=center))
+    for z in ([1.0, 2.0], [1e200, 3e200], [1.0, -1e-3]):
+        with pytest.raises(ConvergenceError, match="tangent or disjoint"):
+            lens.project(z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ellipsoid_lens_refuses_disjoint_ellipsoids_whose_multipliers_overflow():
+    # Newton's trial points leave the finite range on the way; that is the
+    # same refusal, not a NonFiniteError.
+    cut = Ellipsoid(np.diag([0.7580509454996001, 1.4103419001695447]), center=[4.292521918673152, 0.0])
+    with pytest.raises(ConvergenceError, match="tangent or disjoint"):
+        EllipsoidLens(Ellipsoid(np.eye(2)), cut).project([73917808711155.03, -51133383894709.44])
+
+
+def test_ellipsoid_lens_rejects_other_sets():
+    for inner, cut in ((Ellipsoid(np.eye(2)), Ellipsoid(np.eye(3))),
+                       (Ellipsoid(np.eye(2)), Ball([1.0, 0.0], 1.0)),
+                       (Ball([0.0, 0.0], 1.0), Ellipsoid(np.eye(2)))):
+        with pytest.raises(ValueError):
+            EllipsoidLens(inner, cut)
 
 
 def test_intersection_oracle_cuts_x_by_a_hyperplane_halfspace_or_ball_y(monkeypatch):

@@ -17,6 +17,7 @@ from ccrm.catalog import (
     problem_names,
     resolve,
 )
+from ccrm.cli import main
 from ccrm.diagnostics import curvature, rate_report, trace_reference_distances
 from ccrm.errors import RegularityError
 from ccrm.linalg import sym_to_vec, vec_to_sym
@@ -505,3 +506,22 @@ def test_resolve_errors_keep_their_message(selector, message):
     with pytest.raises(ValueError) as info:
         resolve(selector)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "selector, message",
+    [
+        ("epigraph:a=2,alpha=3", "epigraph parameter 'alpha' sets alpha a second time"),
+        ("epigraph:a=2,b=0,y=line,variant=halfplane",
+         "epigraph parameter 'variant' sets y_variant a second time"),
+        ("fixed_trace:a=0.6,a=0.7", "fixed_trace parameter 'a' sets a a second time"),
+    ],
+    ids=["alias-exponent", "alias-variant", "same-key"],
+)
+def test_resolve_refuses_a_repeated_key(selector, message, capsys):
+    # The last value was kept: alpha = 3, and the halfspace Y.
+    with pytest.raises(ValueError) as info:
+        resolve(selector)
+    assert str(info.value) == message
+    assert main(["solve", "--problem", selector]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

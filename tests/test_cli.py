@@ -117,18 +117,11 @@ def _sheet(axis=(1.0, 0.0), d=1.0):
     return {"kind": "hyperboloid_sheet", "axis": list(axis), "d": d}
 
 
-def _lens(**params):
-    members = [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-               {"kind": "halfspace", "normal": [1.0, 0.0], "offset": -0.2}]
-    return {"kind": "dykstra_intersection", "members": members, **params}
-
-
 @pytest.mark.parametrize(
     "x, message",
     [
         ({"kind": "ball", "center": [0.0, 0.0], "radius": "1"}, "is malformed"),
         ({"kind": "second_order_cone", "dim": "2"}, "is malformed"),
-        ({"kind": "dykstra_intersection", "members": 5}, "is malformed"),
         (_sheet(d="1"), "is malformed"),
         (_sheet(d=-1.0), "is invalid: vertex height d must be nonnegative"),
         (_sheet(d=float("inf")), "is invalid: d must be finite, got inf"),
@@ -138,24 +131,18 @@ def _lens(**params):
          "is invalid: radius must be finite, got nan"),
         ({"kind": "second_order_cone", "dim": 2.7}, "is malformed"),
         ({"kind": "spectral_set", "n": 1.5, "lo": 0.0}, "is malformed"),
-        (_lens(tol=-1.0), "is invalid: tol must be finite and positive, got -1.0"),
-        (_lens(tol=float("nan")), "is invalid: tol must be finite and positive, got nan"),
-        (_lens(max_iter=0), "is invalid: max_iter must be at least 1, got 0"),
-        (_lens(max_iter=2.5), "is invalid: max_iter must be an integer, got 2.5"),
     ],
     ids=[
-        "string-radius", "string-dim", "members-not-a-list", "sheet-string-d",
+        "string-radius", "string-dim", "sheet-string-d",
         "sheet-negative-d", "sheet-inf-d", "sheet-nan-d", "sheet-zero-axis",
-        "nan-radius", "float-dim", "float-n", "dykstra-negative-tol", "dykstra-nan-tol",
-        "dykstra-zero-max-iter", "dykstra-float-max-iter",
+        "nan-radius", "float-dim", "float-n",
     ],
 )
 def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, message):
-    # The first three raised a TypeError out of the set constructors, and a
+    # The first two raised a TypeError out of the set constructors, and a
     # string d is wrapped the same way; a value a constructor rejects is
     # wrapped too. Each error names the set and its kind. A float dim solved
-    # as its floor, a float n failed at the first projection, and a bad
-    # Dykstra tol or max_iter at the first projection with exit 2.
+    # as its floor, and a float n failed at the first projection.
     good = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}
     for name, problem in (("X", {"X": x, "Y": good}), ("Y", {"X": good, "Y": x})):
         path = tmp_path / f"bad_{name}.json"
@@ -163,6 +150,18 @@ def test_solve_mistyped_descriptor_is_an_input_error(tmp_path, capsys, x, messag
         assert main(["solve", "--problem", str(path)]) == 1
         expected = f"error: set {name}: descriptor of kind {x['kind']!r} {message}"
         assert capsys.readouterr().err.startswith(expected)
+
+
+def test_solve_dykstra_intersection_file_is_an_input_error(tmp_path, capsys):
+    # The kind is gone: its one oracle had a known wrong output far away.
+    x = {"kind": "dykstra_intersection",
+         "members": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                     {"kind": "halfspace", "normal": [1.0, 0.0], "offset": -0.2}]}
+    y = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}
+    path = tmp_path / "dykstra.json"
+    path.write_text(json.dumps({"version": "1", "X": x, "Y": y, "z0": [1.0, 1.0]}))
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err == "error: set X: unknown set kind 'dykstra_intersection'\n"
 
 
 def test_solve_zero_d_sheet_file_is_the_cone(tmp_path):
@@ -212,29 +211,6 @@ def test_solve_non_finite_parameter_is_an_input_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_solve_dykstra_hull_outside_its_members_is_an_input_error(tmp_path, capsys):
-    # X loaded with a hull it does not lie in, and the isometry reduction
-    # then projected (5, 0) to (1.961, 0), which projected again to (1.782, 0).
-    plane = {"A": [[0.0, 0.0, 1.0]], "b": [0.0]}
-    problem = {
-        "version": "1",
-        "X": {
-            "kind": "dykstra_intersection",
-            "members": [{"kind": "ball", "center": [0.0, 0.0, 1.0], "radius": 2.0}],
-            "hull": plane,
-        },
-        "Y": {"kind": "frobenius_ball_in_L", "center": [3.0, 0.0, 0.0], "radius": 2.0, **plane},
-        "z0": [5.0, 0.0, 0.0],
-    }
-    path = tmp_path / "hull.json"
-    path.write_text(json.dumps(problem))
-    assert main(["solve", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: set X: descriptor of kind 'dykstra_intersection' is invalid: "
-        "hull is not the affine hull of any member\n"
-    )
-
-
 @pytest.mark.filterwarnings("error")
 def test_solve_crm_from_a_start_near_1e100(capsys):
     # The circumcenter's residual overflowed at the first step, which
@@ -268,19 +244,19 @@ def test_solve_missing_z0_in_file(tmp_path):
 
 
 def _lens_problem_file(tmp_path):
-    # X is a thin lens whose Dykstra budget (2 cycles) suffices at the start
-    # but not at CRM's first circumcenter, which lies outside both balls.
+    # X is a disc cut by a disc tangent to it, which the cap refuses
+    # (ConvergenceError) everywhere but at points that project into the
+    # cut: the start (1, 0), the tangent point, is one, but CRM's first
+    # circumcenter is not.
     problem = {
         "version": "1",
         "X": {
-            "kind": "dykstra_intersection", "max_iter": 2,
-            "members": [
-                {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-                {"kind": "ball", "center": [1.9, 0.0], "radius": 1.0},
-            ],
+            "kind": "cap",
+            "inner": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "cut": {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0},
         },
-        "Y": {"kind": "ball", "center": [1.3, 0.3], "radius": 0.5},
-        "z0": [-0.3, 0.0],
+        "Y": {"kind": "ball", "center": [3.0, 3.0], "radius": 0.5},
+        "z0": [1.0, 0.0],
     }
     path = tmp_path / "lens.json"
     path.write_text(json.dumps(problem))
@@ -300,22 +276,22 @@ def test_solve_inner_failure_writes_partial_trace(tmp_path, capsys):
     assert code == 2
     trace = trace_from_csv(out)
     assert trace.termination == "inner_failure"
-    assert np.array_equal(trace.iterates, [[-0.3, 0.0]])
+    assert np.array_equal(trace.iterates, [[1.0, 0.0]])
     with open(report) as fh:
         data = json.load(fh)
     assert data["termination"] == "inner_failure"
-    assert "Dykstra did not converge" in data["termination_detail"]
-    assert "Dykstra did not converge" in capsys.readouterr().out
+    assert "the cut is tangent to the set or misses it" in data["termination_detail"]
+    assert "the cut is tangent to the set or misses it" in capsys.readouterr().out
 
 
 def test_convergence_error_outside_run_exits_2(tmp_path, capsys):
     path = _lens_problem_file(tmp_path)
     out = tmp_path / "trace.csv"
-    # the start itself needs more Dykstra cycles than the budget allows
+    # the start itself is refused
     assert main(["solve", "--problem", str(path), "--z0", "3,3", "--out", str(out)]) == 2
     assert not out.exists()
     assert main(["diagnose", "--problem", str(path), "--point", "0.95,0.5"]) == 2
-    assert capsys.readouterr().err.count("error: Dykstra did not converge") == 2
+    assert capsys.readouterr().err.count("error: the cut is tangent to the set or misses it") == 2
 
 
 def test_solve_power_epigraph_overflow_exits_2(tmp_path, capsys):
@@ -446,6 +422,25 @@ def test_diagnose_refuses_a_point_off_the_hull(capsys):
     assert data["omega_estimate"] is None
     assert data["omega_error"].startswith("point is not on the problem's common hull")
     assert "quad_constant_bound" not in data and "quad_constant_sharper" not in data
+
+
+def test_diagnose_reports_a_pair_with_no_intersection_oracle(tmp_path, capsys):
+    # No pair rule covers a ball and a power epigraph: omega is refused,
+    # and the curvatures are still reported.
+    problem = {
+        "version": "1",
+        "X": {"kind": "ball", "center": [0.0, 1.0], "radius": 1.0},
+        "Y": {"kind": "power_epigraph", "alpha": 2.0, "beta": 0.0},
+        "z0": [1.0, -1.0],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(problem))
+    assert main(["diagnose", "--problem", str(path), "--point", "0,0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["omega_estimate"] is None
+    assert data["omega_error"] == "no exact projection onto Ball & PowerEpigraph"
+    assert data["kappa_x"] == pytest.approx(1.0) and data["kappa_y"] == pytest.approx(2.0)
+    assert "quad_constant_bound" not in data
 
 
 @pytest.mark.parametrize("second", [2.0, 3.0], ids=["tangent", "disjoint"])

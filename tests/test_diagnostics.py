@@ -32,7 +32,6 @@ from ccrm.sets import (
     AffineSubspace,
     Ball,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
@@ -42,7 +41,7 @@ from ccrm.sets import (
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
 
-from helpers import dykstra_eq_ellipsoids, general_sdp
+from helpers import general_sdp
 
 BENCH_DISTANCES = np.array([3.54, 9.24e-2, 3.70e-3, 7.51e-6, 3.13e-11])
 
@@ -436,15 +435,6 @@ def _eq_ellipsoids():
 
 def _general_sdp():
     return general_sdp()
-
-
-def test_intersection_distance_makes_no_call_into_nested_x():
-    problem, _ = dykstra_eq_ellipsoids()
-    calls = []
-    for oracle in (problem.X, problem.Y):
-        oracle.project = lambda z, o=oracle: calls.append(z) or DykstraIntersection.project(o, z)
-    assert intersection_oracle(problem).distance([0.6, 1.0, 0.2, 0.9]) > 0.0
-    assert calls == []
 
 
 @pytest.mark.parametrize("make", [_socp, _eq_ellipsoids, _general_sdp])

@@ -1,5 +1,4 @@
 import inspect
-import json
 import re
 import time
 
@@ -14,7 +13,6 @@ from ccrm.sets import (
     AffineSubspace,
     Ball,
     Cap,
-    DykstraIntersection,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
@@ -28,14 +26,11 @@ from ccrm.sets import (
     _project_eigs,
     boundary_eval,
     dykstra_project,
-    same_subspace,
 )
-from ccrm.serialize import oracle_from_dict, oracle_to_dict
 
 from helpers import (
     big_norm,
     cap_projection_kkt,
-    dykstra_eq_ellipsoids,
     oracle_zoo,
     random_orthogonal,
     random_symmetric,
@@ -757,34 +752,9 @@ def test_dykstra_iteration_cap():
     assert err.value.residual is not None
 
 
-def test_dykstra_intersection_oracle_wrapper():
-    inter = DykstraIntersection(
-        [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.5)], tol=1e-13
-    )
-    z = np.array([2.0, 1.5])
-    assert np.allclose(inter.project(z), cap_projection_kkt(np.zeros(2), 1.0, 0, -0.5, z), atol=1e-9)
-
-
 def test_dykstra_dimension_mismatch():
-    with pytest.raises(ValueError):
-        DykstraIntersection([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
-
-
-@pytest.mark.parametrize(
-    "params, error",
-    [({"tol": -1.0}, ValueError), ({"tol": 0.0}, ValueError), ({"tol": np.nan}, ValueError),
-     ({"tol": np.inf}, ValueError), ({"max_iter": 0}, ValueError),
-     ({"max_iter": 2.5}, ValueError), ({"tol": "1e-9"}, TypeError)],
-    ids=["negative-tol", "zero-tol", "nan-tol", "inf-tol", "zero-max-iter",
-         "float-max-iter", "string-tol"],
-)
-def test_dykstra_intersection_rejects_bad_stopping_parameters(params, error):
-    # Each was accepted and failed only at the first projection, with a
-    # ConvergenceError, after the whole cycle budget for a bad tol.
-    members = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.5)]
-    with pytest.raises(error):
-        DykstraIntersection(members, **params)
-    DykstraIntersection(members, tol=1e-3, max_iter=np.int64(1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dykstra_project([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)], [2.0, 1.0])
 
 
 def test_set_sizes_must_be_integers():
@@ -819,63 +789,6 @@ def test_dykstra_project_rejects_bad_stopping_parameters(params):
     assert x[0] <= -0.5 + 1e-12 and np.linalg.norm(x) <= 1.0 + 1e-12
 
 
-def test_dykstra_intersection_hull_must_be_a_member_hull():
-    # A whole-space ball declared to lie in {z_3 = 0} loaded, and its
-    # reduction onto that plane was not a projection.
-    plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
-    with pytest.raises(ValueError, match="affine hull"):
-        DykstraIntersection([Ball([0.0, 0.0, 1.0], 2.0)], hull=plane)
-    problem, _ = dykstra_eq_ellipsoids()
-    for X in (problem.X, oracle_from_dict(json.loads(json.dumps(oracle_to_dict(problem.X))))):
-        assert same_subspace(X.affine_hull, X.members[1])
-
-
-def _count_projections(oracle, calls, key):
-    """Count calls into ``oracle.project`` under ``key`` (an instance wrapper)."""
-    cls_project = type(oracle).project
-
-    def project(z):
-        calls[key] = calls.get(key, 0) + 1
-        return cls_project(oracle, z)
-
-    oracle.project = project
-
-
-def test_dykstra_projects_a_shared_member_once_per_cycle():
-    # eq_ellipsoids built with X = [e1, L], Y = [e2, L] cycles over [e1, L, e2]
-    problem, _ = dykstra_eq_ellipsoids()
-    (e1, L), (e2, L2) = problem.X.members, problem.Y.members
-    assert L2 is L
-    calls = {}
-    for key, oracle in (("X", problem.X), ("Y", problem.Y), ("e1", e1), ("L", L), ("e2", e2)):
-        _count_projections(oracle, calls, key)
-    dykstra_project([problem.X, problem.Y], [3.0, -1.0, 0.5, 2.0])
-    assert "X" not in calls and "Y" not in calls
-    assert calls["e1"] == calls["L"] == calls["e2"] > 1
-
-
-def test_nested_dykstra_intersection_projects_through_leaves():
-    ball, cut = Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)
-    outer_cut = Halfspace([1.0, 1.0], -0.4)
-    direct = DykstraIntersection([DykstraIntersection([ball, cut]), outer_cut])
-    rebuilt = oracle_from_dict(json.loads(json.dumps(oracle_to_dict(direct))))
-    rng = np.random.default_rng(37)
-    for nested in (direct, rebuilt):
-        inner = nested.members[0]
-        assert isinstance(inner, DykstraIntersection)
-        calls = {}
-        for key, oracle in [("inner", inner), ("outer_cut", nested.members[1])] + [
-            (f"leaf{i}", leaf) for i, leaf in enumerate(inner.members)
-        ]:
-            _count_projections(oracle, calls, key)
-        for _ in range(10):
-            z = rng.normal(size=2) * 2.0
-            flat = dykstra_project(inner.members + [nested.members[1]], z)
-            assert np.linalg.norm(nested.project(z) - flat) <= 1e-12
-        assert "inner" not in calls
-        assert calls["leaf0"] == calls["leaf1"] == calls["outer_cut"] > 0
-
-
 # --- boundary calculus ------------------------------------------------------
 
 def test_boundary_eval_ball():
@@ -906,15 +819,13 @@ def test_boundary_eval_requires_descriptor():
     L = AffineSubspace([[1.0, 0.0]], [0.0])
     with pytest.raises(UnsupportedOperation):
         boundary_eval(L, [0.0, 1.0])
-    # intersections and wrappers of descriptor-less sets refuse as well
-    lens = DykstraIntersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2)])
+    # wrappers of descriptor-less sets refuse as well
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
     line_in_plane = EmbeddedOracle(L, plane)
-    lens_image = IsometricImage(DykstraIntersection([Ball([0.0, 0.0, 0.0], 1.0), plane]), plane)
+    line_image = IsometricImage(AffineSubspace([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0.0, 0.0]), plane)
     for oracle, z in (
-        (lens, [0.0, 1.0]),
         (line_in_plane, [0.0, 1.0, 0.0]),
-        (lens_image, [0.0, 1.0]),
+        (line_image, [0.0, 1.0]),
     ):
         with pytest.raises(UnsupportedOperation):
             boundary_eval(oracle, z)

@@ -47,14 +47,6 @@ DESCRIPTORS = {
         "inner": {"kind": "ellipsoid", "shape": [[0.25, 0.0], [0.0, 1.0]], "center": [0.2, -0.1]},
         "A": [[1.0, 1.0, 1.0]], "b": [1.0],
     },
-    "dykstra_intersection": {
-        "kind": "dykstra_intersection",
-        "members": [
-            {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-            {"kind": "halfspace", "normal": [1.0, 0.0], "offset": -0.2},
-        ],
-        "tol": 1e-13,
-    },
     "ball_lens": {
         "kind": "ball_lens",
         "inner": {"kind": "ball", "center": [0.2, -0.1, 0.3], "radius": 1.0},
