@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, NonFiniteError, RegularityError, UnsupportedOperation
 from .linalg import (
     EPS,
+    _sym_layout,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_dim,
@@ -548,14 +549,15 @@ def _project_eigs(v, lo, hi, trace=None):
     slope is minus the count m of entries free on it. Past the last
     breakpoint on an infinite bound's side every entry is free.
 
-    At any scale of v the result is formed without cancellation. The
-    work is relative to the entry that ends free, or next to the free
-    ones: the top entry with only lo, the bottom one with only hi, and
-    else the one whose descending rank is the count of entries at hi,
-    floor((trace - n lo) / (hi - lo)). Entries far from it end clipped.
-    mu is then solved from the bracket end b nearer to it, mu - b =
-    (sum at b - trace) / m, and clip(v - mu) is formed as clip((v - b) -
-    (mu - b)), so no large mu is ever rounded.
+    No cancellation at any scale of v: the work is relative to an entry
+    that ends free or borders the free ones (the top one with only lo, the
+    bottom one with only hi, else the one of descending rank floor((trace
+    - n lo) / (hi - lo)), the count at hi); mu - b = (sum at b - trace) / m,
+    from the bracket end b nearer to it, enters as clip((v - b) - (mu - b)).
+
+    A scalar loop on lists, since numpy's per-call overhead dominates at
+    2n <= 16 breakpoints. Each clipped sum is sequential, as numpy's row
+    sum is below 8 entries, so only at n >= 8 can the last bit differ.
     """
     if trace is None:
         return np.clip(v, lo, hi)
@@ -566,18 +568,25 @@ def _project_eigs(v, lo, hi, trace=None):
         rank = n - 1
     else:
         rank = min(max(int((trace - n * lo) / (hi - lo)), 0), n - 1)
-    u = v - v[n - 1 - rank]
-    bps = np.sort(np.concatenate([u - b for b in (lo, hi) if math.isfinite(b)]))
-    sums = (u - bps[:, None]).clip(lo, hi).sum(axis=1)
-    k = int(np.count_nonzero(sums >= trace))  # sums[:k] >= trace > sums[k:]
+    u = (v - v[n - 1 - rank]).tolist()
+    bps = sorted([x - b for b in (lo, hi) if math.isfinite(b) for x in u])
+    sums = []
+    for b in bps:  # the sums fall with b, rounded too: the first under the trace is sums[k]
+        s = 0.0
+        for x in u:
+            t = x - b
+            s += lo if t < lo else hi if t > hi else t  # np.clip(t, lo, hi), inlined
+        sums.append(s)
+        if s < trace:
+            break
+    k = len(sums) - (sums[-1] < trace)  # sums[:k] >= trace > sums[k]
     b0 = bps[k - 1] if k else -np.inf
-    b1 = bps[k] if k < bps.shape[0] else np.inf
-    m = int(np.count_nonzero((u - hi <= b0) & (u - lo >= b1)))
-    if k and (k == bps.shape[0] or sums[k - 1] - trace <= trace - sums[k]):
-        b, s = b0, sums[k - 1]
-    else:
-        b, s = b1, sums[k]
-    return ((u - b) - ((s - trace) / m if m else 0.0)).clip(lo, hi)
+    b1 = bps[k] if k < len(bps) else np.inf
+    m = sum(x - hi <= b0 and x - lo >= b1 for x in u)
+    near_b0 = k and (k == len(bps) or sums[k - 1] - trace <= trace - sums[k])
+    b, s = (b0, sums[k - 1]) if near_b0 else (b1, sums[k])
+    shift = (s - trace) / m if m else 0.0
+    return np.array([min(max((x - b) - shift, lo), hi) for x in u])
 
 
 class SpectralSet(SetOracle):
@@ -585,14 +594,12 @@ class SpectralSet(SetOracle):
 
     Points are symmetric matrices flattened isometrically (off-diagonals
     scaled by sqrt(2)), so the ambient dimension is n(n+1)/2 and the
-    Euclidean norm equals the Frobenius norm. The set is spectral, so one
-    eigendecomposition reduces its projection to the exact projection of
-    the eigenvalue vector (Lewis 1996); see :func:`_project_eigs`. One
-    bound may be infinite. With a trace the affine hull is the trace
-    hyperplane.
-
-    The PSD cone is ``SpectralSet(n, lo=0)`` and the fixed-trace box
-    ``SpectralSet(n, hi=a, trace=1)``.
+    Euclidean norm equals the Frobenius norm. The set is spectral, so a
+    projection is one validation of the point, one eigendecomposition and
+    the exact projection of the eigenvalues (Lewis 1996); see
+    :func:`_project_eigs`. One bound may be infinite. With a trace the
+    affine hull is the trace hyperplane. The PSD cone is
+    ``SpectralSet(n, lo=0)``, the fixed-trace box ``SpectralSet(n, hi=a, trace=1)``.
 
     The boundary descriptor is lo - lambda_min or lambda_max - hi, for the
     more violated finite bound (the active end); it is C^2 wherever that
@@ -619,11 +626,13 @@ class SpectralSet(SetOracle):
             self.affine_hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
 
     def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        eig = symmetric_eigh(vec_to_sym(z))
+        rows, cols, scale = _sym_layout(self.n)
+        S = np.empty((self.n, self.n))
+        S[rows, cols] = S[cols, rows] = _as_point(z, self.dim) / scale
+        eig = symmetric_eigh(S)
         w = _project_eigs(eig.eigenvalues, self.lo, self.hi, self.trace)
         V = eig.eigenvectors
-        return sym_to_vec((V * w) @ V.T)
+        return ((V * w) @ V.T)[rows, cols] * scale
 
     def _boundary(self, z):
         # One eigendecomposition gives all three. The active end is lambda_min

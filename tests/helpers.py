@@ -177,6 +177,63 @@ def spectral_box_enumeration(v, lo=-np.inf, hi=np.inf, trace=None):
     return best[1]
 
 
+def ordered_box_enumeration(v, lo=-np.inf, hi=np.inf, trace=None):
+    """:func:`spectral_box_enumeration` for ascending v, over the states that keep its order.
+
+    The projection keeps the order of v, so its entries at lo are a prefix
+    and those at hi a suffix: the (n + 1)(n + 2) / 2 such states replace the
+    3^n ones, and orders such as 16 are in reach.
+    """
+    n = v.shape[0]
+    best = None
+    for i in range(n + 1):  # v[:i] at lo, v[i:j] free, v[j:] at hi
+        for j in range(i, n + 1):
+            if (i and lo == -np.inf) or (j < n and hi == np.inf):
+                continue
+            cand = np.concatenate([np.full(i, lo), v[i:j], np.full(n - j, hi)])
+            if i < j and trace is not None:
+                cand[i:j] += (trace - cand.sum()) / (j - i)
+            elif i == j and trace is not None and abs(cand.sum() - trace) > 1e-12:
+                continue
+            if cand.min() < lo - 1e-12 or cand.max() > hi + 1e-12:
+                continue
+            d = np.linalg.norm(cand - v)
+            if best is None or d < best[0]:
+                best = (d, cand)
+    return best[1]
+
+
+def numpy_project_eigs(v, lo, hi, trace):
+    """The traced eigenvalue projection as whole-array numpy operations.
+
+    The same breakpoint search as ``ccrm.sets._project_eigs``, in the same
+    operation order, with numpy's sort, row sums and clip: the library's
+    scalar loop must equal it bit for bit where numpy sums a row of fewer
+    than 8 entries in sequence (matrix order n <= 7).
+    """
+    if trace is None:
+        return np.clip(v, lo, hi)
+    n = v.shape[0]
+    if hi == np.inf:
+        rank = 0
+    elif lo == -np.inf or hi == lo:
+        rank = n - 1
+    else:
+        rank = min(max(int((trace - n * lo) / (hi - lo)), 0), n - 1)
+    u = v - v[n - 1 - rank]
+    bps = np.sort(np.concatenate([u - b for b in (lo, hi) if np.isfinite(b)]))
+    sums = (u - bps[:, None]).clip(lo, hi).sum(axis=1)
+    k = int(np.count_nonzero(sums >= trace))
+    b0 = bps[k - 1] if k else -np.inf
+    b1 = bps[k] if k < bps.shape[0] else np.inf
+    m = int(np.count_nonzero((u - hi <= b0) & (u - lo >= b1)))
+    if k and (k == bps.shape[0] or sums[k - 1] - trace <= trace - sums[k]):
+        b, s = b0, sums[k - 1]
+    else:
+        b, s = b1, sums[k]
+    return ((u - b) - ((s - trace) / m if m else 0.0)).clip(lo, hi)
+
+
 def cap_projection_kkt(center, radius, cut, offset, z):
     """Projection onto ball(center, radius) cap {x_0 <= offset}, by case analysis."""
     z = np.asarray(z, dtype=float)

@@ -379,6 +379,31 @@ def test_sdp_without_linear_constraints(monkeypatch):
     assert eighs[0] == projections[0]
 
 
+def test_fixed_trace_takes_one_eigensolve_per_projection(monkeypatch):
+    # the traced spectral set with only an upper bound, driven by cCRM
+    entry = make_fixed_trace()
+    X = entry.problem.X
+    assert (X.n, X.lo, X.hi, X.trace) == (4, -np.inf, 0.5, 1.0)
+    from ccrm import sets
+
+    eighs, projections = [0], [0]
+
+    def counting_eigh(S, _eigh=sets.symmetric_eigh):
+        eighs[0] += 1
+        return _eigh(S)
+
+    def counting_project(z, _project=X.project):
+        projections[0] += 1
+        return _project(z)
+
+    monkeypatch.setattr(sets, "symmetric_eigh", counting_eigh)
+    X.project = counting_project
+    trace = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), entry.suggested_z0)
+    assert trace.termination == "feasible"
+    assert projections[0] > 0
+    assert eighs[0] == projections[0]
+
+
 def test_sdp_small_custom_instance_trace_one():
     X = SpectralSet(2, lo=0.0, trace=1.0)
     L = X.affine_hull

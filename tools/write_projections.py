@@ -8,7 +8,8 @@ catalog problem's X, Y and ``intersection_oracle`` (for the selectors of
 ``write_traces.py``), and one set built by ``serialize.oracle_from_dict``
 for each descriptor kind in ``DESCRIPTORS``; with the kinds of the
 catalog's sets, these are every kind a problem file can name (checked in
-``tests/test_tools.py``). Each is called at seeded
+``tests/test_tools.py``). The traced spectral sets of orders 6 and 8 in
+``SPECTRAL_SETS`` are built the same way. Each is called at seeded
 points of norm about 1e-3 ... 1e3, at the projections of those points,
 and at 0. Every call writes one line: the ``repr`` of the result of
 ``project`` or ``boundary_eval`` with arrays as lists, or the error's type
@@ -60,6 +61,16 @@ DESCRIPTORS = {
     "spectral_box_trace": {"kind": "spectral_box_trace", "n": 3, "bound": 0.5},
 }
 
+# Traced spectral sets past the catalog's orders 3 and 4: a box and an upper
+# bound alone. At order 8 the eigenvalue search sums 8 entries, where numpy's
+# row sum turns pairwise, so a numpy-based search can move the last bit there.
+SPECTRAL_SETS = {
+    f"spectral_set n={n} {name}": {"kind": "spectral_set", "n": n, **bounds}
+    for n in (6, 8)
+    for name, bounds in (("box", {"lo": -0.1, "hi": 0.4, "trace": 1.0}),
+                         ("hi", {"lo": None, "hi": 0.3, "trace": 1.0}))
+}
+
 
 def _plain(value):
     """Arrays as nested lists, so ``repr`` shows every float in full."""
@@ -78,8 +89,8 @@ def _oracles():
         yield f"{selector} X", lambda p=problem: p.X
         yield f"{selector} Y", lambda p=problem: p.Y
         yield f"{selector} intersection", lambda p=problem: intersection_oracle(p)
-    for kind, data in DESCRIPTORS.items():
-        yield f"file {kind}", lambda d=data: oracle_from_dict(d)
+    for name, data in (DESCRIPTORS | SPECTRAL_SETS).items():
+        yield f"file {name}", lambda d=data: oracle_from_dict(d)
 
 
 def main(out_path):
