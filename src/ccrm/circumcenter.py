@@ -7,6 +7,11 @@ directions q_k with d_i = sum_k R_ik q_k, and c = p_0 + sum_k x_k q_k
 where R x = (|d_i|^2 / 2) is solved by forward substitution. The solve
 runs on the differences scaled by a power of two to unit size, so no
 input scale over- or underflows their squares.
+
+The solve is a scalar loop on Python floats after one conversion: the
+steps pass three points of dimension 2-10, where numpy's per-call
+overhead would cost more than the arithmetic. Every sum is taken in
+sequence.
 """
 
 from __future__ import annotations
@@ -32,12 +37,17 @@ CONSISTENCY_RTOL = 1e-7
 
 @dataclass(frozen=True)
 class CircumResult:
+    """The center, its status, and the circumradius over the smallest kept
+    Gram-Schmidt height (0 when no direction was kept): a bound on how much
+    the rounding of the differences is amplified in the center."""
+
     center: np.ndarray
     status: str
+    condition: float = 0.0
 
 
-def _sq(v) -> float:
-    return float(np.dot(v, v))
+def _dot(u, v) -> float:
+    return sum([a * b for a, b in zip(u, v)])
 
 
 def circumcenter(points) -> CircumResult:
@@ -57,34 +67,38 @@ def circumcenter(points) -> CircumResult:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError(f"expected a non-empty (m, n) array, got shape {pts.shape}")
+    rows = pts.tolist()
+    p0 = rows[0]
     # Halved differences cannot overflow, and any non-finite entry shows
-    # in them; a power-of-two scale is exact.
-    half = 0.5 * pts - 0.5 * pts[0]
-    top = float(np.abs(half).max())
-    if not math.isfinite(top):
+    # in them (a NaN shows in their sum); a power-of-two scale is exact.
+    half = [0.5 * a - 0.5 * b for row in rows for a, b in zip(row, p0)]
+    top = max(map(abs, half))
+    if not math.isfinite(top) or math.isnan(sum(half)):
         raise NonFiniteError("points have non-finite entries")
-    p0 = pts[0]
     if top == 0.0:
-        return CircumResult(p0.copy(), COINCIDENT_ALL if len(pts) > 1 else NONDEGENERATE)
+        return CircumResult(pts[0].copy(), COINCIDENT_ALL if len(rows) > 1 else NONDEGENERATE)
     exp = math.frexp(top)[1]
-    d = np.ldexp(half, -exp)  # rows (p_i - p_0) / 2**(exp + 1), largest entry in [0.5, 1)
-    sq = [[_sq(d[i] - d[j]) for j in range(i)] for i in range(len(d))]  # |p_i - p_j|^2
+    flat, n = [math.ldexp(v, -exp) for v in half], len(p0)
+    d = [flat[k : k + n] for k in range(0, len(flat), n)]  # rows (p_i - p_0) / 2**(exp + 1)
+    # sq[i][j] = |p_i - p_j|^2 for j < i, in the scaled units
+    sq = [[sum([(a - b) * (a - b) for a, b in zip(u, v)]) for v in d[:i]] for i, u in enumerate(d)]
     diameter = math.sqrt(max(map(max, sq[1:])))
 
     # Greedy dedupe: keep the first representative of each cluster.
-    keep = [0]
+    keep, merge = [0], (DEDUPE_RTOL * diameter) ** 2
     for i in range(1, len(d)):
-        if all(sq[i][j] > (DEDUPE_RTOL * diameter) ** 2 for j in keep):
+        if all(sq[i][j] > merge for j in keep):
             keep.append(i)
 
     dirs = []  # (w_k, |w_k|, x_k): direction q_k = w_k / |w_k|, coefficient x_k
     for i in keep[1:]:
         w, known = d[i], 0.0  # known = sum_k R_ik x_k over the directions so far
         for v, h, x in dirs:
-            r = float(np.dot(v, w)) / h
-            w = w - (r / h) * v
+            r = _dot(v, w) / h
+            s = r / h
+            w = [a - s * b for a, b in zip(w, v)]
             known += r * x
-        height = math.sqrt(_sq(w))
+        height = math.sqrt(_dot(w, w))
         if height > RANK_RTOL * diameter:
             dirs.append((w, height, (0.5 * sq[i][0] - known) / height))
             continue
@@ -95,9 +109,17 @@ def circumcenter(points) -> CircumResult:
                 f"in the affine hull (relative residual {residual / diameter**2:.3e})"
             )
 
-    offset = np.dot([x / h for _, h, x in dirs], [w for w, _, _ in dirs])
-    with np.errstate(over="ignore"):  # scale back by 2 ** (exp + 1)
-        center = p0 + np.ldexp(offset, exp + 1)
-    if not np.isfinite(center).all():
-        raise GeometryError("the circumcenter lies beyond the float range")
-    return CircumResult(center, NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK)
+    # c = p_0 + 2**(exp + 1) sum_k (x_k / |w_k|) w_k; the radius is |x|
+    offset = [0.0] * n
+    for w, h, x in dirs:
+        s = x / h
+        offset = [o + s * a for o, a in zip(offset, w)]
+    try:
+        center = [a + math.ldexp(o, exp + 1) for a, o in zip(p0, offset)]
+        if not all(map(math.isfinite, center)):
+            raise OverflowError
+    except OverflowError:
+        raise GeometryError("the circumcenter lies beyond the float range") from None
+    status = NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK
+    condition = math.hypot(*[x for _, _, x in dirs]) / min([h for _, h, _ in dirs])
+    return CircumResult(np.array(center), status, condition)

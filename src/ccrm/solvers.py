@@ -133,20 +133,23 @@ class SolveTrace:
 def _ccrm(problem, z, px, tol_feas):
     """cCRM: the circumcenter of {z_C, R_X(z_C), R_Y(z_C)}.
 
-    A z_C within ``tol_feas`` of both sets can have reflections so close
-    to it that the circumcenter system is inconsistent; z_C is then the
-    step. Any other GeometryError propagates.
+    The homothety of ratio 2 about z_C maps P_X(z_C) and P_Y(z_C) to the
+    two reflections, so the step is 2 circ{z_C, P_X(z_C), P_Y(z_C)} - z_C
+    and no reflection is formed. A z_C within ``tol_feas`` of both sets
+    can have projections so close to it that the circumcenter system is
+    inconsistent; z_C is then the step. Any other GeometryError
+    propagates.
     """
     yw = problem.Y.project(px)
     z_c = 0.5 * (yw + problem.X.project(yw))
     pxc, pyc = problem.X.project(z_c), problem.Y.project(z_c)
     try:
-        result = circumcenter([z_c, 2.0 * pxc - z_c, 2.0 * pyc - z_c])
+        result = circumcenter([z_c, pxc, pyc])
     except GeometryError:
         if max(_norm(z_c - pxc), _norm(z_c - pyc)) > tol_feas:
             raise
         return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE, None
-    return result.center, z_c, result.status, None
+    return 2.0 * result.center - z_c, z_c, result.status, None
 
 
 def _crm(problem, z, px, tol_feas):
@@ -171,7 +174,11 @@ def _step(method, problem, z):
 
 
 def ccrm_step(problem: FeasibilityProblem, z):
-    """One cCRM step: (z_next, z_C) with z_C = (P_Y(w) + P_X(P_Y(w))) / 2, w = P_X(z)."""
+    """One cCRM step: (z_next, z_C) with z_C = (P_Y(w) + P_X(P_Y(w))) / 2, w = P_X(z).
+
+    z_next = circ{z_C, R_X(z_C), R_Y(z_C)}, computed as the doubled
+    circumcenter of the projections, 2 circ{z_C, P_X(z_C), P_Y(z_C)} - z_C.
+    """
     return _step("ccrm", problem, z)[:2]
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force oracles and samplers."""
 
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -22,8 +23,18 @@ from ccrm.sets import (
     SpectralSet,
 )
 from ccrm import catalog
+from ccrm.circumcenter import (
+    COINCIDENT_ALL,
+    CONSISTENCY_RTOL,
+    DEDUPE_RTOL,
+    NONDEGENERATE,
+    REDUCED_RANK,
+    CircumResult,
+    circumcenter,
+)
+from ccrm.errors import GeometryError, NonFiniteError
 from ccrm.catalog import make_eq_constrained_ellipsoids, make_socp
-from ccrm.linalg import sym_to_vec
+from ccrm.linalg import RANK_RTOL, sym_to_vec
 from ccrm.solvers import FeasibilityProblem
 
 
@@ -232,6 +243,63 @@ def numpy_project_eigs(v, lo, hi, trace):
     else:
         b, s = b1, sums[k]
     return ((u - b) - ((s - trace) / m if m else 0.0)).clip(lo, hi)
+
+
+def numpy_circumcenter(points):
+    """The circumcenter as whole-array numpy operations.
+
+    The same halving, power-of-two scaling, dedupe and modified
+    Gram-Schmidt as ``ccrm.circumcenter.circumcenter``, with numpy's dot
+    products; the library's scalar loop sums in sequence, so the two
+    agree up to rounding. Returns a ``CircumResult`` without a condition.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError(f"expected a non-empty (m, n) array, got shape {pts.shape}")
+    half = 0.5 * pts - 0.5 * pts[0]
+    top = float(np.abs(half).max())
+    if not math.isfinite(top):
+        raise NonFiniteError("points have non-finite entries")
+    p0 = pts[0]
+    if top == 0.0:
+        return CircumResult(p0.copy(), COINCIDENT_ALL if len(pts) > 1 else NONDEGENERATE)
+    exp = math.frexp(top)[1]
+    d = np.ldexp(half, -exp)
+    sq = [[float(np.dot(d[i] - d[j], d[i] - d[j])) for j in range(i)] for i in range(len(d))]
+    diameter = math.sqrt(max(map(max, sq[1:])))
+    keep = [0]
+    for i in range(1, len(d)):
+        if all(sq[i][j] > (DEDUPE_RTOL * diameter) ** 2 for j in keep):
+            keep.append(i)
+    dirs = []
+    for i in keep[1:]:
+        w, known = d[i], 0.0
+        for v, h, x in dirs:
+            r = float(np.dot(v, w)) / h
+            w = w - (r / h) * v
+            known += r * x
+        height = math.sqrt(float(np.dot(w, w)))
+        if height > RANK_RTOL * diameter:
+            dirs.append((w, height, (0.5 * sq[i][0] - known) / height))
+            continue
+        residual = abs(2.0 * known - sq[i][0])
+        if residual > CONSISTENCY_RTOL * diameter * diameter:
+            raise GeometryError("equidistance system is inconsistent")
+    offset = np.dot([x / h for _, h, x in dirs], [w for w, _, _ in dirs])
+    with np.errstate(over="ignore"):
+        center = p0 + np.ldexp(offset, exp + 1)
+    if not np.isfinite(center).all():
+        raise GeometryError("the circumcenter lies beyond the float range")
+    return CircumResult(center, NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK)
+
+
+def reflection_ccrm_step(problem, z):
+    """One cCRM step in its reflection form: (circ{z_C, R_X z_C, R_Y z_C}, z_C)."""
+    px = problem.X.project(z)
+    yw = problem.Y.project(px)
+    z_c = 0.5 * (yw + problem.X.project(yw))
+    rx, ry = problem.X.reflect(z_c), problem.Y.reflect(z_c)
+    return circumcenter([z_c, rx, ry]).center, z_c
 
 
 def cap_projection_kkt(center, radius, cut, offset, z):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import ccrm.solvers
 from ccrm import catalog
+from ccrm.circumcenter import circumcenter
 from ccrm.catalog import (
     make_discs3d,
     make_epigraph,
@@ -30,7 +32,7 @@ from ccrm.solvers import (
     run,
 )
 
-from helpers import sample_lens_point, tool_module
+from helpers import reflection_ccrm_step, sample_lens_point, tool_module
 
 write_traces = tool_module("write_traces")
 
@@ -554,3 +556,50 @@ def test_iterates_trapped_in_hull():
     z0 = np.array([6.0, 4.0, 2.0])
     trace = run(entry.problem, SolverConfig(method="crm", max_iter=2), z0)
     assert np.linalg.norm(hull.A @ trace.iterates[1] - hull.b) > 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e300])
+def test_doubled_circumcenter_of_projections_is_the_reflections_circumcenter(scale):
+    # The homothety of ratio 2 about z maps p and q to 2p - z and 2q - z.
+    rng = np.random.default_rng(2303)
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        z, p, q = rng.normal(size=(3, n)) * scale
+        doubled = circumcenter([z, p, q])
+        reflected = circumcenter([z, 2.0 * p - z, 2.0 * q - z])
+        assert doubled.status == reflected.status
+        assert doubled.condition == pytest.approx(reflected.condition, rel=1e-6)
+        diameter = 2.0 * max(np.linalg.norm((a - b) / scale) for a in (z, p, q) for b in (z, p, q))
+        gap = np.linalg.norm((2.0 * doubled.center - z - reflected.center) / scale)
+        assert gap <= 1e-13 * diameter
+    z = rng.normal(size=3) * scale  # collinear: neither triple has a circumcenter
+    for triple in ([z, 2.0 * z, 3.0 * z], [z, 3.0 * z, 5.0 * z]):
+        with pytest.raises(GeometryError):
+            circumcenter(triple)
+
+
+@pytest.mark.parametrize("selector", write_traces.SELECTORS)
+def test_ccrm_step_matches_the_reflection_form(selector):
+    entry = catalog.resolve(selector)
+    for z0 in write_traces.starts_of(entry).values():
+        z_next, z_c = ccrm_step(entry.problem, z0)
+        ref_next, ref_c = reflection_ccrm_step(entry.problem, z0)
+        assert np.array_equal(z_c, ref_c)
+        assert np.linalg.norm(z_next - ref_next) <= 1e-12 * max(1.0, np.linalg.norm(z0))
+
+
+@pytest.mark.parametrize("method", ["ccrm", "crm"])
+@pytest.mark.parametrize("selector", ["discs3d", "socp", "epigraph:a=2,b=0"])
+def test_one_circumcenter_call_per_recorded_status(method, selector, monkeypatch):
+    # perfbench counts circumcenter calls and statuses through this name
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return circumcenter(points)
+
+    monkeypatch.setattr(ccrm.solvers, "circumcenter", counted)
+    entry = catalog.resolve(selector)
+    trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+    assert trace.termination == TERMINATION_FEASIBLE
+    assert calls == [3] * len(trace.circum_statuses) and calls
