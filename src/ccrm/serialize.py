@@ -110,11 +110,6 @@ def oracle_from_dict(data) -> object:
             return HyperboloidSheet(data["axis"], data["d"])
         if kind == "power_epigraph":
             return PowerEpigraph(data["alpha"], data.get("beta", 0.0))
-        # Older files name two spectral sets by their own kinds.
-        if kind == "psd_cone":
-            return SpectralSet(data["n"], lo=0.0)
-        if kind == "spectral_box_trace":
-            return SpectralSet(data["n"], hi=data["bound"], trace=1.0)
         if kind == "spectral_set":
             lo, hi = data.get("lo"), data.get("hi")
             lo, hi = -np.inf if lo is None else lo, np.inf if hi is None else hi

@@ -43,8 +43,8 @@ EIG_GAP_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 
 # A cap's dual solve: the budget of each phase, and the multiple of the
-# displacement past which a hyperplane multiplier means a tangent or
-# missing cut (an intersection angle under about 1e-6).
+# displacement past which any cut's multiplier times ||grad|| means a
+# tangent or missing cut (an intersection angle under about 1e-6).
 CAP_MAX_ITER, CAP_TANGENT_RATIO = 200, 1e6
 
 
@@ -741,17 +741,19 @@ class Cap(_Pair, SetOracle):
     """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
     {<a, x> <= b} or a whole-space :class:`Ball` B(c, r).
 
-    The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - mu a),
-    or P_inner((1 - t) z + t c) with t in [0, 1], at the root of <a, x> - b,
-    or ||x - c|| - r, nonincreasing in the dual value s = mu or t; a
-    halfspace is active unless P_inner(z) meets it. A bracketed regula
-    falsi (Illinois type, Anderson-Bjorck weights) finds the root to the
-    rounding level of the residual or of the shifted point; while an end
-    lies where P_inner is constant (a cone's apex), it steps by the secant
-    through the other side's last two points, or bisects. An empty or
-    tangent cut, or an exhausted ``CAP_MAX_ITER`` budget, raises
-    ``ConvergenceError``. The boundary descriptor is the inner set's; the
-    affine hull is the hyperplane, or the inner set's hull.
+    The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - s a),
+    or P_inner(c + (z - c) / (1 + s)), at the root of <a, x> - b, or
+    ||x - c|| - r, nonincreasing in the cut's multiplier s; a halfspace or
+    ball is active unless P_inner(z) meets it. A bracketed regula falsi
+    (Illinois type, Anderson-Bjorck weights) finds the root to the rounding
+    level of the residual or of the shifted point, which for a ball is
+    that of the set's own scale; while an end lies where P_inner is
+    constant (a cone's apex), it steps by the secant through the other
+    side's last two points, or bisects. A multiplier past
+    ``CAP_TANGENT_RATIO`` times the displacement (an empty or tangent cut),
+    an end there off the cut, or an exhausted ``CAP_MAX_ITER`` budget
+    raises ``ConvergenceError``. The boundary descriptor is the inner
+    set's; the affine hull is the hyperplane, or the inner set's hull.
     """
 
     def __init__(self, inner: SetOracle, cut):
@@ -767,10 +769,10 @@ class Cap(_Pair, SetOracle):
         self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
     def _residual(self, z, s, x=None):
-        # (f, x) at the dual value s; x, when given, is P_inner there.
+        # (f, x) at the multiplier s; x, when given, is P_inner there.
         cut, ball = self.cut, self._ball
         if x is None:
-            x = self.inner.project((1.0 - s) * z + s * cut.center if ball else z - s * cut.normal)
+            x = self.inner.project(cut.center + (z - cut.center) / (1.0 + s) if ball else z - s * cut.normal)
         return _norm(x - cut.center) - cut.radius if ball else float(cut.normal @ x) - cut.offset, x
 
     def _settled(self, f, x, tol):
@@ -783,44 +785,42 @@ class Cap(_Pair, SetOracle):
         return abs(f) <= 4.0 * EPS * own
 
     def _check_tangent(self, z, s, x):
-        # The multiplier (mu, or t / (1 - t)) times ||grad||, against ||z - x||.
-        pull, room = (s * self.cut.radius, 1.0 - s) if self._ball else (abs(s) * self._size, 1.0)
-        if pull > room * CAP_TANGENT_RATIO * _norm(z - x):
+        # |s| ||grad||, r or ||a||, is ||z - x|| where the inner set is inactive.
+        if abs(s) * (self.cut.radius if self._ball else self._size) > CAP_TANGENT_RATIO * _norm(z - x):
             raise ConvergenceError("the cut is tangent to the set or misses it")
 
     def project_given(self, z, inner_z) -> np.ndarray:
         return self.project_dual(z, inner_z)[0]
 
     def project_dual(self, z, inner_z=None):
-        """(P(z), s): the projection and its dual value; ``inner_z`` is P_inner(z), if known."""
+        """(P(z), s): the projection and its multiplier; ``inner_z`` is P_inner(z), if known."""
         z = _as_point(z, self.dim)
         cut, ball, size, nz = self.cut, self._ball, self._size, _norm(z)
         tol = 4.0 * EPS * (cut.radius + size + nz if ball else abs(cut.offset) + size * nz)
-        fa, xb = self._residual(z, 0.0, inner_z)
+        # at s = 0, P_inner of z itself: c + (z - c) need not be z
+        fa, xb = self._residual(z, 0.0, self.inner.project(z) if inner_z is None else inner_z)
         if (fa <= 0.0 and not isinstance(cut, Hyperplane)) or self._settled(fa, xb, tol):
             return xb, 0.0
-        # P_inner is nonexpansive, so the root lies past the uncut case's
-        # root. The search starts there and, until the root is bracketed,
-        # steps 5% past the secant's root, at most 16 times as far. A step
-        # under ``ulp`` moves the shifted point by less than its rounding.
-        span = max(_norm(z - cut.center), EPS) if ball else size  # z = c: the cut misses
-        b = fa / (span if ball else self._a_sq)
-        ulp = 4.0 * EPS * (nz + size if ball else nz) / span
-        gz = None if ball else float(cut.normal @ z) - cut.offset  # <a, z - x> = gz - f
+        # The search starts at the root the cut alone has at P_inner(z) and,
+        # testing each multiplier for tangency, steps 5% past the secant's
+        # root, at most 16 times as far, taking the secant where the cut alone
+        # has a linear residual: in s, or in 1 / (1 + s) for a ball. A step
+        # under ``close`` moves the shifted point by less than its rounding:
+        # z - s a moves by ||a|| ds, c + (z - c) / (1 + s) only as 1 + s does.
+        b = fa / (cut.radius if ball else self._a_sq)
+        ulp = 4.0 * EPS * (1.0 if ball else nz / size)
         a, flat = 0.0, None
         seen = ([], [(0.0, fa)]) if fa > 0.0 else ([(0.0, fa)], [])  # (s, f) by f > 0
         for _ in range(CAP_MAX_ITER):
-            b = min(b, 1.0) if ball else b
             fb, xb = self._residual(z, b)
             seen[fb > 0.0].append((b, fb))
-            if not ball and abs(b) * self._a_sq > CAP_TANGENT_RATIO * abs(gz - fb):
-                self._check_tangent(z, b, xb)  # |<a, z - x>| <= ||a|| ||z - x|| screens it
-            if ball and b == 1.0 and (fb >= 0.0 or self._settled(fb, xb, tol)):
-                raise ConvergenceError("the cut is tangent to the set or misses it")
             if (fb > 0.0) != (fa > 0.0) or self._settled(fb, xb, tol):
                 break
+            self._check_tangent(z, b, xb)
             flat = fb if fb == fa else flat
             grow = fb / (fa - fb) * (1.0 - a / b) if abs(fb) < abs(fa) else np.inf
+            if ball:  # the secant in 1 / (1 + s)
+                grow = grow * (1.0 + b) / (1.0 + a - b * grow) if b * grow < 1.0 + a else np.inf
             a, fa, b = b, fb, b * (1.0 + min(1.05 * grow, 15.0))
         for _ in range(CAP_MAX_ITER):
             if self._settled(fb, xb, tol):
@@ -847,6 +847,8 @@ class Cap(_Pair, SetOracle):
             b, fb, xb = s, fs, xs
         else:
             raise ConvergenceError("cap dual root not converged", residual=abs(fb))
+        if fb == flat and not self._settled(fb, xb, tol):  # a flat end off the cut
+            raise ConvergenceError("cap dual root not resolved", residual=abs(fb))
         self._check_tangent(z, b, xb)
         return xb, b
 

@@ -15,10 +15,11 @@ from ccrm.catalog import (
     make_fixed_trace,
     make_sdp_feasibility,
     make_socp,
+    resolve,
 )
 from ccrm.diagnostics import curvature, intersection_oracle, tangent_bound_check
 from ccrm.errors import ConvergenceError
-from ccrm.linalg import EPS
+from ccrm.linalg import EPS, sym_to_vec
 from ccrm.sets import (
     Ball,
     BallLens,
@@ -29,6 +30,7 @@ from ccrm.sets import (
     Halfspace,
     Hyperplane,
     SecondOrderCone,
+    SpectralSet,
     boundary_eval,
     dykstra_project,
 )
@@ -141,13 +143,13 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
         if isinstance(cut, Hyperplane):
             shifted = z - s * cut.normal
         else:
-            shifted = (1.0 - s) * z + s * cut.center
+            shifted = cut.center + (z - cut.center) / (1.0 + s)
         assert np.array_equal(x, cap.inner.project(shifted))
         assert np.linalg.norm(cap.inner.project(x) - x) <= 1e-12 * scale
         if isinstance(cut, Hyperplane):
             on_cut = abs(cut.normal @ x - cut.offset) / np.linalg.norm(cut.normal)
         else:
-            assert 0.0 <= s < 1.0
+            assert s >= 0.0
             on_cut = abs(np.linalg.norm(x - cut.center) - cut.radius)
             if s == 0.0:
                 on_cut = max(0.0, np.linalg.norm(x - cut.center) - cut.radius)
@@ -295,6 +297,65 @@ def test_ellipsoid_pair_is_exact_at_every_scale(make, monkeypatch):
             x = oracle.project(entry.suggested_z0 + 10.0**k * rng.normal(size=problem.dim))
             error = max(problem.X.distance(x), problem.Y.distance(x), np.linalg.norm(oracle.project(x) - x))
             assert error <= 1e-9 * max(1.0, np.linalg.norm(x)), k
+
+
+def _far_pair(name):
+    """(problem, its X & Y oracle, the center of the draws): a catalog
+    selector's, or the zoo's PSD cone cut by a ball."""
+    if name == "zoo-ball-cap":
+        X, Y = SpectralSet(3, lo=0.0), Ball(sym_to_vec(np.diag([1.0, 0.5, -0.3])), 1.0)
+        return FeasibilityProblem(X, Y), Cap(X, Y), np.zeros(X.dim)
+    entry = resolve(name)
+    return entry.problem, intersection_oracle(entry.problem), entry.suggested_z0
+
+
+@pytest.mark.parametrize("name", ["discs3d", "socp", "sdp", "fixed_trace", "epigraph:a=2,b=1", "zoo-ball-cap"])
+def test_pair_oracle_is_exact_or_raises_at_every_scale(name):
+    # 40 draws z0 + 10^k N(0, I) per scale from 1e0 to 1e300: the output
+    # lies in X and in Y, and a second projection keeps it, to
+    # 1e-9 max(1, ||x||), or the call raises ConvergenceError. A ball cut's
+    # shifted point formed as (1 - t) z + t c carries the rounding of ||z||,
+    # and was wrong from 1e8 on (socp, sdp, fixed_trace, the zoo cap). The
+    # ellipse pairs are tested above.
+    problem, oracle, z0 = _far_pair(name)
+    rng = np.random.default_rng(5)
+    for k in (0, 3, 6, 8, 10, 12, 15, 20, 30, 50, 100, 300):
+        for _ in range(40):
+            z = z0 + 10.0**k * rng.normal(size=problem.dim)
+            try:
+                x = oracle.project(z)
+            except ConvergenceError:
+                continue
+            error = max(problem.X.distance(x), problem.Y.distance(x), np.linalg.norm(oracle.project(x) - x))
+            assert error <= 1e-9 * max(1.0, np.linalg.norm(x)), k
+
+
+def test_cap_never_returns_a_flat_end_off_the_cut():
+    # Over a range of s the inner set projects the shifted point to its
+    # apex, and the residual repeats; the secant through the other side
+    # then repeated its last step, and the cap returned the apex, off the
+    # cut: 0.158 outside the zoo cap's ball, and 1.5 off cap_socp's plane.
+    ball_cap = _far_pair("zoo-ball-cap")[1]
+    plane_cap = cap_socp()[0].X
+    for cap, z in ((ball_cap, 1e59 * np.array([-3.16, -0.248, 0.408, -5.87, 0.079, -2.37])),
+                   (plane_cap, 1e21 * np.array([-2.37, 0.61, -0.99, -0.76]))):
+        try:
+            x = cap.project(z)
+        except ConvergenceError:
+            continue
+        assert max(cap.inner.distance(x), cap.cut.distance(x)) <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
+def test_tangent_ball_cut_raises_within_33_inner_projections():
+    # The residual falls about as 1 / s^2 here; the bracket's secant in
+    # 1 / (1 + s) grows s by about 1.6 a step, where one in s took 51
+    # inner projections to reach the multiplier test.
+    cap, calls = Cap(Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0)), []
+    inner_project = cap.inner.project
+    cap.inner.project = lambda z: calls.append(1) or inner_project(z)
+    with pytest.raises(ConvergenceError, match="tangent"):
+        cap.project([0.0, 2.0])
+    assert len(calls) <= 33
 
 
 def test_ellipsoid_lens_takes_the_inner_projection_it_is_given():

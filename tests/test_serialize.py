@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccrm.catalog import make_discs3d, make_fixed_trace, make_sdp_feasibility, make_socp, resolve
+from ccrm.cli import main
 from ccrm.serialize import (
     load_problem_file,
     oracle_from_dict,
@@ -15,7 +16,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
-from ccrm.sets import Cap, EllipsoidLens, IsometricImage, SpectralSet
+from ccrm.sets import Cap, EllipsoidLens, IsometricImage
 from ccrm.solvers import SolverConfig, run
 
 from helpers import cap_socp, oracle_zoo
@@ -74,27 +75,18 @@ def test_cap_round_trip():
         assert np.array_equal(rebuilt.project(z), X.project(z))
 
 
-def test_legacy_spectral_kinds_load_as_spectral_sets():
-    rng = np.random.default_rng(93)
-    for data, expected in (
-        ({"kind": "psd_cone", "n": 3}, SpectralSet(3, lo=0.0)),
-        ({"kind": "spectral_box_trace", "n": 4, "bound": 0.5}, SpectralSet(4, hi=0.5, trace=1.0)),
-    ):
-        oracle = oracle_from_dict(data)
-        assert type(oracle) is SpectralSet
-        for _ in range(10):
-            z = rng.normal(size=expected.dim) * 2.0
-            assert np.array_equal(oracle.project(z), expected.project(z))
-        assert oracle_to_dict(oracle) == oracle_to_dict(expected)
-        assert oracle_to_dict(oracle)["kind"] == "spectral_set"
-    # a fixed_trace file naming X by its old kind solves to the same trace
+def test_legacy_spectral_kinds_are_unknown(tmp_path, capsys):
+    # spectral_set names both sets: lo = 0, and hi = bound with trace = 1
     entry = make_fixed_trace()
-    data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
-    data["X"] = {"kind": "spectral_box_trace", "n": 4, "bound": 0.5}
-    problem, z0 = problem_from_dict(json.loads(json.dumps(data)))
-    t1 = run(problem, SolverConfig(method="ccrm"), z0)
-    t2 = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
-    assert np.array_equal(t1.iterates, t2.iterates)
+    for legacy in ({"kind": "psd_cone", "n": 3}, {"kind": "spectral_box_trace", "n": 4, "bound": 0.5}):
+        with pytest.raises(ValueError, match=f"unknown set kind '{legacy['kind']}'"):
+            oracle_from_dict(legacy)
+        data = problem_to_dict(entry.problem, z0=entry.suggested_z0)
+        data["X"] = legacy
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--problem", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: set X: unknown set kind {legacy['kind']!r}\n"
 
 
 def test_problem_file_io(tmp_path):

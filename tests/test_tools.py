@@ -108,7 +108,7 @@ def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     write_projections = tool_module("write_projections")
     read = set(re.findall(r'kind == "(\w+)"', inspect.getsource(oracle_from_dict)))
-    assert {"ball", "ball_lens", "psd_cone", "spectral_box_trace"} <= read
+    assert {"ball", "ball_lens", "cap", "spectral_set"} <= read
     assert all(data["kind"] == kind for kind, data in write_projections.DESCRIPTORS.items())
     catalog_kinds = set()
     for selector in write_projections.SELECTORS:

@@ -56,9 +56,6 @@ DESCRIPTORS = {
     "affine_subspace": {"kind": "affine_subspace", "A": [[1.0, -1.0, 0.5]], "b": [0.25]},
     "ellipsoid": {"kind": "ellipsoid", "shape": [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]],
                   "center": [0.1, 0.0, -0.3]},
-    # kinds that older problem files use for two spectral sets
-    "psd_cone": {"kind": "psd_cone", "n": 3},
-    "spectral_box_trace": {"kind": "spectral_box_trace", "n": 3, "bound": 0.5},
 }
 
 # Traced spectral sets past the catalog's orders 3 and 4: a box and an upper
