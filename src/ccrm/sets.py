@@ -80,14 +80,17 @@ def _check_count(name, value) -> int:
 
 
 def _norm(d) -> float:
-    """Euclidean norm of a finite vector: numpy's own sqrt(d . d), with
-    ``vdot`` (which does not warn on overflow), rescaled by max|d_i| when
-    the sum of squares overflows (entries past ~1e154)."""
-    nd = math.sqrt(np.vdot(d, d))
-    if not math.isfinite(nd):
-        s = float(np.max(np.abs(d)))
-        nd = s * math.sqrt(np.vdot(d / s, d / s))
-    return nd
+    """Euclidean norm of a finite 1-d float array: ``math.hypot`` of its
+    entries, one C call within 1 ulp of the exact norm that does not
+    overflow for any vector whose norm is finite (Python >= 3.10)."""
+    return math.hypot(*d.tolist())
+
+
+def _ulps(x) -> int:
+    """A float as an exact integer multiple of 2**-1074; a quotient of two
+    such integers is rounded once."""
+    n, d = float(x).as_integer_ratio()
+    return (n << 1074) // d
 
 
 def _row_norms(D) -> np.ndarray:
@@ -464,7 +467,8 @@ def _power_normal_root(alpha, x0, y0):
     lo = y0 ** (1.0 / alpha) if y0 > 0.0 else 0.0
     hi = x0
 
-    def f_df(u):
+    u = min(max(min(x0, 1.0), lo), hi)
+    for _ in range(NEWTON_MAX_ITER):
         ua1 = u ** (alpha - 1.0)
         ua = ua1 * u
         f = (u - x0) + alpha * ua1 * (ua - y0)
@@ -472,11 +476,6 @@ def _power_normal_root(alpha, x0, y0):
         if u > 0.0:
             df += alpha * (alpha - 1.0) * u ** (alpha - 2.0) * (ua - y0)
         df += alpha * alpha * ua1 * ua1
-        return f, df
-
-    u = min(max(min(x0, 1.0), lo), hi)
-    for _ in range(NEWTON_MAX_ITER):
-        f, df = f_df(u)
         if f > 0.0:
             hi = u
         else:
@@ -864,7 +863,9 @@ class BallLens(_Pair, SetOracle):
     rim lies in the hyperplane <x - c1, e> = a, e the unit axis from c1 to
     c2 at distance D, a = D / 2 + (r1 - r2)(r1 + r2) / (2 D); its radius
     is twice the area of the triangle of sides r1, r2, D over D, taken by
-    Heron's formula, which neither cancels for a thin lens nor overflows.
+    Heron's formula. Its sides r1 + r2 - D and D - |r1 - r2|, which cancel
+    for a thin or nearly nested lens, are each rounded once from the exact
+    squared distance of the float centers, not from a rounded D.
     A point on the axis is as near to every rim point as to any other and
     takes one of them. A ball inside the other is the lens itself. Balls
     that are disjoint or tangent (r1 + r2 - D within the rounding of
@@ -881,14 +882,17 @@ class BallLens(_Pair, SetOracle):
         self.inner, self.cut = inner, cut
         (c1, r1), (c2, r2) = (inner.center, inner.radius), (cut.center, cut.radius)
         D = _norm(c2 - c1)
-        if r1 + r2 - D <= 4.0 * EPS * (r1 + r2):
+        d2 = sum((b - a) ** 2 for a, b in zip(map(_ulps, c1.tolist()), map(_ulps, c2.tolist())))
+        s, t, dd = _ulps(r1) + _ulps(r2), _ulps(r1) - _ulps(r2), _ulps(D)
+        gap = (s * s - d2) / ((s + dd) << 1074)  # r1 + r2 - D
+        if gap <= 4.0 * EPS * (r1 + r2):
             raise ConvergenceError("the balls are tangent or disjoint")
-        self._nested = inner if D + r1 <= r2 else cut if D + r2 <= r1 else None
+        self._nested = None if d2 > t * t else inner if t <= 0 else cut
         if self._nested is not None:
             return
         e = (c2 - c1) / D
         self._axis, self._rim_center = e, c1 + (0.5 * D + (r1 - r2) * ((r1 + r2) / (2.0 * D))) * e
-        sides = (r1 + r2 - D, D + r2 - r1, D + r1 - r2, D + r1 + r2)
+        sides = (gap, D + abs(r1 - r2), (d2 - t * t) / ((dd + abs(t)) << 1074), D + r1 + r2)
         self._rim_radius = math.prod(math.sqrt(f) for f in sides) / (2.0 * D)
         k = int(np.argmin(np.abs(e)))
         u = -e[k] * e
@@ -992,7 +996,9 @@ def dykstra_project(oracles, z, tol=1e-12, max_iter=100_000) -> np.ndarray:
     cycles; the intersection must be nonempty. Raises ValueError for no
     oracle, a ``tol`` that is not finite and positive or a ``max_iter``
     that is not an integer >= 1, and ``ConvergenceError``, with the last
-    cycle-to-cycle change as its residual, when the cycles run out.
+    cycle-to-cycle change as its residual, when the cycles run out or the
+    result lies over 1e-9 max(1, ||x||) from a member. A result inside
+    every member can still be off the projection, near a tangency.
     """
     if not oracles:
         raise ValueError("need at least one oracle")
@@ -1009,6 +1015,9 @@ def dykstra_project(oracles, z, tol=1e-12, max_iter=100_000) -> np.ndarray:
             corrections[i] = shifted - x
         change = float(np.linalg.norm(x - prev))
         if change <= tol:
+            off = max(oracle.distance(x) for oracle in oracles)
+            if off > 1e-9 * max(1.0, _norm(x)):
+                raise ConvergenceError(f"Dykstra stopped {off:.3g} outside a member", residual=off)
             return x
     raise ConvergenceError(
         f"Dykstra did not converge within {max_iter} cycles", residual=change

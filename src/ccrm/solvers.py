@@ -244,7 +244,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
                 termination = TERMINATION_INNER_FAILURE
                 detail = f"iterate {len(iterates)}: {exc}"
                 break
-            iterates.append(z_next.copy())
+            iterates.append(z_next)
             res_x.append(dist_x)
             res_y.append(dist_y)
             if z_c is not None:

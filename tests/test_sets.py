@@ -1,6 +1,9 @@
 import inspect
+import math
 import re
 import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -787,6 +790,16 @@ def test_dykstra_iteration_cap():
     assert err.value.residual is not None
 
 
+def test_dykstra_refuses_a_result_outside_a_member():
+    # Near a tangency the cycles move less than tol while far from both
+    # balls' intersection: this returned (1.00061, 0.0350), 1.2e-3 outside
+    # the first ball.
+    balls = [Ball([0.0, 0.0], 1.0), Ball([2.0 - 1e-6, 0.0], 1.0)]
+    with pytest.raises(ConvergenceError, match="outside a member") as err:
+        dykstra_project(balls, [1.0, 3.0], tol=1e-6)
+    assert err.value.residual > 1e-3
+
+
 def test_dykstra_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         dykstra_project([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)], [2.0, 1.0])
@@ -1004,8 +1017,32 @@ def test_psd_gradient_needs_simple_eigenvalue():
 
 # --- shared projection properties -------------------------------------------
 
-# The plain sum of squares overflows past ~1e154; these oracles rescale,
-# without an overflow warning.
+def _exact_norm(d):
+    """The Euclidean norm of a float vector: an exact Fraction sum of
+    squares, then a 50-digit Decimal square root."""
+    squares = sum(Fraction(x) ** 2 for x in d.tolist())
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(squares.numerator) / Decimal(squares.denominator)).sqrt()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(1, 17))
+def test_norm_is_within_one_ulp_at_every_scale(n):
+    # Scales 1e-300 ... 1e300, entries whose squares overflow (past 1e154)
+    # or underflow, subnormal entries, and mixtures of all of them.
+    rng = np.random.default_rng(100 + n)
+    vectors = [rng.normal(size=n) * 10.0**k for k in range(-300, 301, 20) for _ in range(3)]
+    vectors += [rng.normal(size=n) * 1e-315, np.full(n, 5e-324), np.full(n, 1e308)]
+    vectors += [rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n) for _ in range(40)]
+    for d in vectors:
+        got, exact = ccrm.sets._norm(d), _exact_norm(d)
+        assert abs(Decimal(got) - exact) <= Decimal(math.ulp(float(exact))), d.tolist()
+    assert ccrm.sets._norm(np.zeros(n)) == 0.0
+
+
+# The plain sum of squares overflows past ~1e154; the norms these oracles
+# take do not, and they warn of nothing.
 @pytest.mark.filterwarnings("error")
 def test_norm_based_projections_past_overflow_match_closed_form():
     s = 1.0 / np.sqrt(2.0)
@@ -1158,7 +1195,7 @@ def test_project_distance_reflect_validate_every_point(index):
     for _ in range(10):
         z = rng.normal(size=dim) * 3.0
         p = oracle.project(z)
-        assert oracle.distance(z) == float(np.linalg.norm(z - p))
+        assert oracle.distance(z) == math.hypot(*(z - p).tolist())
         assert np.array_equal(oracle.reflect(z), 2.0 * p - z)
 
 

@@ -1,5 +1,5 @@
-"""The identity gates: tools/compare_traces.py and tools/compare_omegas.py,
-and the kinds tools/write_projections.py covers."""
+"""The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
+tools/compare_projections.py, and the kinds tools/write_projections.py covers."""
 
 import inspect
 import os
@@ -14,6 +14,7 @@ from helpers import tool_module
 
 compare_traces = tool_module("compare_traces").main
 compare_omegas = tool_module("compare_omegas").main
+compare_projections = tool_module("compare_projections").main
 
 TRACE = [
     "# method=ccrm termination=feasible",
@@ -23,6 +24,12 @@ TRACE = [
 ]
 TRACES = {"discs3d_ccrm_z0.csv": TRACE, "sdp_map_z0.csv": ["error: ConvergenceError: no"]}
 OMEGAS = ["discs3d seed0 0.5968757820268886", "socp seed0 error: ConvergenceError: no"]
+PROJECTIONS = [
+    "socp X P(1e3#0) project [0.5, -1.25, 1000.0]",
+    "socp X P(1e3#0) boundary_eval (-2.5e-16, [1.0, 0.0], [[2.0, 0.0], [0.0, 2.0]])",
+    "socp intersection 0 project error: ConvergenceError: no",
+    "file cap error: ValueError: no",
+]
 
 
 def _corpus(root, name, traces):
@@ -33,7 +40,7 @@ def _corpus(root, name, traces):
     return str(path)
 
 
-def _omegas(root, name, lines):
+def _lines_file(root, name, lines):
     path = root / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -78,10 +85,10 @@ def test_compare_traces_rejects_a_missing_file(tmp_path):
 
 
 def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
-    a = _omegas(tmp_path, "a.txt", OMEGAS)
-    assert compare_omegas([a, _omegas(tmp_path, "b.txt", OMEGAS)]) == 0
+    a = _lines_file(tmp_path, "a.txt", OMEGAS)
+    assert compare_omegas([a, _lines_file(tmp_path, "b.txt", OMEGAS)]) == 0
     # the same error type with another message, and a value within rtol
-    near = _omegas(
+    near = _lines_file(
         tmp_path, "near.txt", ["discs3d seed0 0.5968757820269", "socp seed0 error: ConvergenceError: other"]
     )
     assert compare_omegas([a, near, "--rtol", "1e-10"]) == 0
@@ -100,8 +107,50 @@ def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
     ids=["key", "line-count", "gap", "error-type", "error-to-value"],
 )
 def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
-    a = _omegas(tmp_path, "a.txt", OMEGAS)
-    assert compare_omegas([a, _omegas(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+    a = _lines_file(tmp_path, "a.txt", OMEGAS)
+    assert compare_omegas([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+
+
+def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
+    a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
+    assert compare_projections([a, _lines_file(tmp_path, "b.txt", PROJECTIONS)]) == 0
+    # the same error types with other messages, and numbers within rtol of
+    # each line's largest magnitude (1000 and 2)
+    near = [
+        "socp X P(1e3#0) project [0.5000000001, -1.25, 1000.0]",
+        "socp X P(1e3#0) boundary_eval (1.5e-15, [1.0, 0.0], [[2.0, 0.0], [0.0, 2.0]])",
+        "socp intersection 0 project error: ConvergenceError: other",
+        "file cap error: ValueError: other",
+    ]
+    near = _lines_file(tmp_path, "near.txt", near)
+    assert compare_projections([a, near, "--rtol", "1e-12"]) == 0
+    assert compare_projections([a, near]) == 1
+
+
+@pytest.mark.parametrize(
+    "row, line",
+    [
+        (0, "socp X P(1e3#1) project [0.5, -1.25, 1000.0]"),
+        (0, None),
+        (0, "socp X P(1e3#0) project [0.5000001, -1.25, 1000.0]"),
+        (1, "socp X P(1e3#0) boundary_eval (-2.5e-16, [1.0, 0.0], [[2.0, 0.0], [0.0, 2.0001]])"),
+        (1, "socp X P(1e3#0) boundary_eval (-2.5e-16, [1.0, 0.0], [[2.0, 0.0, 0.0]])"),
+        (0, "socp X P(1e3#0) project [0.5, -1.25, inf]"),
+        (2, "socp intersection 0 project error: ValueError: no"),
+        (2, "socp intersection 0 project [0.5, -1.25, 1000.0]"),
+        (3, "file cap project [0.0]"),
+    ],
+    ids=["key", "line-count", "gap", "gap-of-small-line", "layout", "non-finite", "error-type",
+         "error-to-value", "build-error-to-value"],
+)
+def test_compare_projections_rejects_a_broken_rule(tmp_path, row, line):
+    lines = list(PROJECTIONS)
+    if line is None:
+        del lines[row]
+    else:
+        lines[row] = line
+    a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
+    assert compare_projections([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-12"]) == 1
 
 
 def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
