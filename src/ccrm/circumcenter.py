@@ -11,13 +11,17 @@ input scale over- or underflows their squares.
 The solve is a scalar loop on Python floats after one conversion: the
 steps pass three points of dimension 2-10, where numpy's per-call
 overhead would cost more than the arithmetic. Every sum is taken in
-sequence.
+sequence. Three points, the only count the steps pass, take straight-line
+code with the loop's float operations in the loop's order, at about half
+the loop's cost and with its results bit for bit; every other count takes
+the loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -33,6 +37,8 @@ DEDUPE_RTOL = 1e-12
 # Relative residual (against diameter^2) above which the reduced
 # equidistance system is declared inconsistent.
 CONSISTENCY_RTOL = 1e-7
+
+_FLOAT = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,17 @@ def _dot(u, v) -> float:
 
 
 def circumcenter(points) -> CircumResult:
-    """Circumcenter of one or more points, given as an (m, n) array.
+    """Circumcenter of one or more points, given as an (m, n) array or a
+    list of m points.
 
     Coincident points (within ``DEDUPE_RTOL`` of the diameter) are merged.
     A difference at most ``RANK_RTOL`` times the diameter from the span of
     the earlier ones adds no direction, and its equation must already
     hold. The result is the minimal-norm equidistant point of the hull.
+    Three points, as the steps pass them, take straight-line code with
+    the general loop's float operations in the loop's order, so center,
+    status and condition are the loop's bit for bit; a list of three 1-d
+    float64 arrays reaches it without being stacked.
 
     Raises:
         ValueError: points that are not a non-empty finite (m, n) array.
@@ -64,9 +75,85 @@ def circumcenter(points) -> CircumResult:
             inconsistent (e.g. three distinct collinear points), or a
             center beyond the float range.
     """
+    if type(points) is list and len(points) == 3:
+        p0, p1, p2 = points
+        if (
+            type(p0) is type(p1) is type(p2) is np.ndarray
+            and p0.dtype is p1.dtype is p2.dtype is _FLOAT
+            and p0.ndim == 1
+            and p0.shape == p1.shape == p2.shape
+            and p0.size
+        ):
+            return _circumcenter3(p0.tolist(), p1.tolist(), p2.tolist())
+    pts = _as_points(points)
+    return _circumcenter3(*pts.tolist()) if len(pts) == 3 else _circumcenter_loop(pts)
+
+
+def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError(f"expected a non-empty (m, n) array, got shape {pts.shape}")
+    return pts
+
+
+def _circumcenter3(p0, p1, p2) -> CircumResult:
+    """The loop below on three points (lists of floats), unrolled. The
+    difference row of p0 is zero and drops out: a non-finite entry of p0
+    shows in p1's row."""
+    n = len(p0)
+    half = [0.5 * a - 0.5 * b for row in (p1, p2) for a, b in zip(row, p0)]
+    top = max(map(abs, half))
+    if not math.isfinite(top) or math.isnan(sum(half)):
+        raise NonFiniteError("points have non-finite entries")
+    if top == 0.0:
+        return CircumResult(np.array(p0), COINCIDENT_ALL)
+    exp = math.frexp(top)[1]
+    flat = [math.ldexp(v, -exp) for v in half]
+    d1, d2 = flat[:n], flat[n:]
+    d21 = [a - b for a, b in zip(d2, d1)]
+    sq1, sq2, sq21 = sum(map(mul, d1, d1)), sum(map(mul, d2, d2)), sum(map(mul, d21, d21))
+    diameter = math.sqrt(max(sq1, sq2, sq21))
+    floor, slack = RANK_RTOL * diameter, CONSISTENCY_RTOL * diameter * diameter
+
+    # The loop's merges change nothing for three points, as a point within
+    # DEDUPE_RTOL of another stands below RANK_RTOL in any case. p1 gives a
+    # direction when its height |d1| clears RANK_RTOL; else its residual,
+    # at most floor**2, is far below slack. A p2 near p0 or p1 leaves a
+    # residual of about |d2| |d2 - d1|, again far below slack.
+    dirs = []
+    height = math.sqrt(sq1)
+    if height > floor:
+        dirs.append((d1, height, 0.5 * sq1 / height))
+    w, known = d2, 0.0
+    if dirs:  # one Gram-Schmidt step against q_1
+        v, h, x = dirs[0]
+        r = sum(map(mul, v, w)) / h
+        s = r / h
+        w = [a - s * b for a, b in zip(w, v)]
+        known += r * x
+    height = math.sqrt(sum(map(mul, w, w)))
+    if height > floor:
+        dirs.append((w, height, (0.5 * sq2 - known) / height))
+    elif abs(2.0 * known - sq2) > slack:
+        raise _inconsistent(abs(2.0 * known - sq2), diameter)
+
+    # The loop's offset sum from 0.0, one term per direction
+    if len(dirs) == 2:
+        (w1, h1, x1), (w2, h2, x2) = dirs
+        s1, s2 = x1 / h1, x2 / h2
+        offset = [0.0 + s1 * a + s2 * b for a, b in zip(w1, w2)]
+        status, condition = NONDEGENERATE, math.hypot(x1, x2) / min(h1, h2)
+    else:
+        ((w1, h1, x1),) = dirs
+        s1 = x1 / h1
+        offset = [0.0 + s1 * a for a in w1]
+        status, condition = REDUCED_RANK, x1 / h1  # x1 > 0
+    return CircumResult(_center(p0, offset, exp), status, condition)
+
+
+def _circumcenter_loop(points) -> CircumResult:
+    """Circumcenter of any number of points by the general loop."""
+    pts = _as_points(points)
     rows = pts.tolist()
     p0 = rows[0]
     # Halved differences cannot overflow, and any non-finite entry shows
@@ -104,22 +191,31 @@ def circumcenter(points) -> CircumResult:
             continue
         residual = abs(2.0 * known - sq[i][0])
         if residual > CONSISTENCY_RTOL * diameter * diameter:
-            raise GeometryError(
-                "equidistance system is inconsistent: no circumcenter exists "
-                f"in the affine hull (relative residual {residual / diameter**2:.3e})"
-            )
+            raise _inconsistent(residual, diameter)
 
     # c = p_0 + 2**(exp + 1) sum_k (x_k / |w_k|) w_k; the radius is |x|
     offset = [0.0] * n
     for w, h, x in dirs:
         s = x / h
         offset = [o + s * a for o, a in zip(offset, w)]
+    status = NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK
+    condition = math.hypot(*[x for _, _, x in dirs]) / min([h for _, h, _ in dirs])
+    return CircumResult(_center(p0, offset, exp), status, condition)
+
+
+def _inconsistent(residual, diameter) -> GeometryError:
+    return GeometryError(
+        "equidistance system is inconsistent: no circumcenter exists "
+        f"in the affine hull (relative residual {residual / diameter**2:.3e})"
+    )
+
+
+def _center(p0, offset, exp) -> np.ndarray:
+    """p_0 + 2**(exp + 1) offset, or GeometryError past the float range."""
     try:
         center = [a + math.ldexp(o, exp + 1) for a, o in zip(p0, offset)]
         if not all(map(math.isfinite, center)):
             raise OverflowError
     except OverflowError:
         raise GeometryError("the circumcenter lies beyond the float range") from None
-    status = NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK
-    condition = math.hypot(*[x for _, _, x in dirs]) / min([h for _, h, _ in dirs])
-    return CircumResult(np.array(center), status, condition)
+    return np.array(center)

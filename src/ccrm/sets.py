@@ -628,16 +628,16 @@ class SpectralSet(SetOracle):
         rows, cols, scale = _sym_layout(self.n)
         S = np.empty((self.n, self.n))
         S[rows, cols] = S[cols, rows] = _as_point(z, self.dim) / scale
-        eig = symmetric_eigh(S)
-        w = _project_eigs(eig.eigenvalues, self.lo, self.hi, self.trace)
-        V = eig.eigenvectors
+        # S is finite and exactly symmetric (both triangles from one vector),
+        # as in _boundary, so neither needs symmetric_eigh's checks.
+        w, V = np.linalg.eigh(S)
+        w = _project_eigs(w, self.lo, self.hi, self.trace)
         return ((V * w) @ V.T)[rows, cols] * scale
 
     def _boundary(self, z):
         # One eigendecomposition gives all three. The active end is lambda_min
         # (k = 0, s = -1) against lo or lambda_max (k = -1, s = +1) against hi.
-        eig = symmetric_eigh(vec_to_sym(_as_point(z, self.dim)))
-        w, V = eig.eigenvalues, eig.eigenvectors
+        w, V = np.linalg.eigh(vec_to_sym(_as_point(z, self.dim)))
         low = self.hi == np.inf or (self.lo > -np.inf and self.lo - w[0] >= w[-1] - self.hi)
         k, s = (0, -1.0) if low else (-1, 1.0)
         if self.n > 1 and s * (w[k] - w[k - int(s)]) <= EIG_GAP_TOL * (1.0 + abs(w[k])):
@@ -870,7 +870,8 @@ class BallLens(_Pair, SetOracle):
     takes one of them. A ball inside the other is the lens itself. Balls
     that are disjoint or tangent (r1 + r2 - D within the rounding of
     r1 + r2) raise ``ConvergenceError`` when the lens is built, the error a
-    :class:`Cap` of one by the other raises at its first projection.
+    :class:`Cap` of one by the other raises at its first projection;
+    centers whose distance overflows raise ``NonFiniteError``.
     """
 
     def __init__(self, inner: Ball, cut: Ball):
@@ -881,7 +882,10 @@ class BallLens(_Pair, SetOracle):
         super().__init__(inner.dim)
         self.inner, self.cut = inner, cut
         (c1, r1), (c2, r2) = (inner.center, inner.radius), (cut.center, cut.radius)
-        D = _norm(c2 - c1)
+        # Python floats overflow to inf without numpy's warning.
+        D = math.hypot(*[b - a for a, b in zip(c1.tolist(), c2.tolist())])
+        if D == math.inf:
+            raise NonFiniteError("the distance between the centers overflows")
         d2 = sum((b - a) ** 2 for a, b in zip(map(_ulps, c1.tolist()), map(_ulps, c2.tolist())))
         s, t, dd = _ulps(r1) + _ulps(r2), _ulps(r1) - _ulps(r2), _ulps(D)
         gap = (s * s - d2) / ((s + dd) << 1074)  # r1 + r2 - D

@@ -19,7 +19,7 @@ from ccrm.catalog import (
     resolve,
 )
 from ccrm.diagnostics import curvature, intersection_oracle, tangent_bound_check
-from ccrm.errors import ConvergenceError
+from ccrm.errors import ConvergenceError, NonFiniteError
 from ccrm.linalg import EPS, sym_to_vec
 from ccrm.sets import (
     Ball,
@@ -725,6 +725,15 @@ def test_lens_of_tangent_or_disjoint_balls_raises_when_built(second):
         Cap(Ball([0.0, 0.0], 1.0), second).project([0.0, 2.0])
     with pytest.raises(ConvergenceError, match="tangent or disjoint"):
         BallLens(Ball([0.0, 0.0], 1.0), second)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lens_of_centers_whose_distance_overflows_raises_when_built():
+    with pytest.raises(NonFiniteError, match="distance between the centers overflows"):
+        BallLens(Ball([-1e308, 0.0], 1e308), Ball([1e308, 0.0], 1.5e308))
+    # each difference is a float, their norm is not
+    with pytest.raises(NonFiniteError, match="distance between the centers overflows"):
+        BallLens(Ball([-0.7e308, -0.7e308], 1e308), Ball([0.7e308, 0.7e308], 1e308))
 
 
 def test_lens_rejects_other_sets():

@@ -1,4 +1,5 @@
-"""The scalar circumcenter against its numpy restatement, and its condition."""
+"""The scalar circumcenter against its numpy restatement, its three-point
+path against the general loop, and its condition."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from ccrm.circumcenter import (
     COINCIDENT_ALL,
     DEDUPE_RTOL,
     NONDEGENERATE,
+    REDUCED_RANK,
+    _circumcenter_loop,
     circumcenter,
 )
 from ccrm.errors import GeometryError, NonFiniteError
@@ -36,6 +39,33 @@ def _draws(rng):
         yield "near_collinear", np.array([a, b, a + t * (b - a) + offset * u])
         yield "near_duplicate", np.array([a, a + 10.0 ** rng.uniform(-16, -9) * u, b])
         yield "collapsed", a + 10.0 ** rng.uniform(-14, -6) * rng.normal(size=(3, n))
+
+
+def _three_point_draws(rng):
+    """The three-point draws of every kind, rounded to integers (exact ties
+    and signed zeros), and the coincident pairs and triple."""
+    for _, unit in _draws(rng):
+        if len(unit) == 3:
+            yield unit
+            yield np.round(unit)
+    for n in DIMS:
+        a, b = rng.normal(size=(2, n))
+        yield from (np.array(p) for p in ([a, a, b], [a, b, b], [a, a, a], [a, b, a]))
+        # p0 = -0.0 where the differences round to signed zeros in the offset
+        tiny = np.round(rng.normal(size=(3, n)))
+        tiny[:, 0] = [-0.0, *rng.choice([-1e-323, -5e-324, 0.0, 5e-324], size=2)]
+        yield tiny
+        yield tiny[[0, 1, 1]]
+
+
+def _bits(solve, pts):
+    """Center bytes (signed zeros included), status and condition bytes, or
+    the error raised with its message."""
+    try:
+        result = solve(pts)
+    except (GeometryError, ValueError) as exc:  # NonFiniteError is a ValueError
+        return type(exc), str(exc)
+    return result.center.shape, result.center.tobytes(), result.status, np.float64(result.condition).tobytes()
 
 
 def _near_a_threshold(pts):
@@ -145,3 +175,28 @@ def test_non_finite_entry_anywhere_is_refused(bad, where):
         circumcenter(pts)
     with pytest.raises(NonFiniteError):
         circumcenter(pts[where[0] : where[0] + 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_three_point_path_matches_the_loop_bit_for_bit():
+    # The loop is the reference for m = 3; the path is reached from a list
+    # of three arrays (as the steps pass them), an array and nested lists.
+    rng = np.random.default_rng(2303)
+    draws = [unit * scale for unit in _three_point_draws(rng) for scale in SCALES]
+    for n in DIMS:
+        for row in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                pts = rng.normal(size=(3, n))
+                pts[row, rng.integers(n)] = bad
+                draws.append(pts)
+    draws += [
+        np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e291]]),
+        np.array([[1.5e308, 0.0], [1.5612e308, 0.23971e308], [1.5612e308, -0.23971e308]]),
+    ]
+    seen = set()
+    for pts in draws:
+        want = _bits(_circumcenter_loop, pts)
+        for form in (list(pts), pts, pts.tolist()):
+            assert _bits(circumcenter, form) == want, pts
+        seen.add(want[0] if len(want) == 2 else want[2])
+    assert seen == {NONDEGENERATE, REDUCED_RANK, COINCIDENT_ALL, GeometryError, NonFiniteError}

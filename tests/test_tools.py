@@ -1,7 +1,9 @@
 """The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
-tools/compare_projections.py, and the kinds tools/write_projections.py covers."""
+tools/compare_projections.py, the kinds tools/write_projections.py covers,
+and the per-call timer tools/time_circumcenter.py."""
 
 import inspect
+import json
 import os
 import re
 
@@ -164,3 +166,15 @@ def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
         problem = catalog.resolve(selector).problem
         catalog_kinds |= {oracle_to_dict(problem.X)["kind"], oracle_to_dict(problem.Y)["kind"]}
     assert set(write_projections.DESCRIPTORS) | catalog_kinds == read
+
+
+def test_circumcenter_timer_prints_one_json_line(capsys):
+    tool_module("time_circumcenter").main(["--repeats", "1", "--passes", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    dims = [f"n={n}" for n in (2, 3, 4, 6, 10, 16)]
+    assert list(result["three"]) == list(result["loop_three"]) == dims
+    assert list(result["four"]) == ["n=4"]
+    times = [*result["three"].values(), *result["loop_three"].values(), *result["four"].values()]
+    assert all(t > 0.0 for t in times)
