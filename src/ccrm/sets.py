@@ -38,14 +38,13 @@ ELLIPSOID_TOL = 1e-12
 # spectral set's boundary descriptor is not C^2 there.
 EIG_GAP_TOL = 1e-8
 
-# Budget of the scalar Newton solves (ellipsoid dual, hyperboloid-sheet and
-# power-epigraph normals).
+# Budget of the scalar root searches (cap and ellipsoid duals,
+# hyperboloid-sheet and power-epigraph normals).
 NEWTON_MAX_ITER = 200
 
-# A cap's dual solve: the budget of each phase, and the multiple of the
-# displacement past which any cut's multiplier times ||grad|| means a
-# tangent or missing cut (an intersection angle under about 1e-6).
-CAP_MAX_ITER, CAP_TANGENT_RATIO = 200, 1e6
+# A cut's multiplier times ||grad|| past this multiple of the displacement
+# means a tangent or missing cut (an intersection angle under about 1e-6).
+CAP_TANGENT_RATIO = 1e6
 
 
 def _as_point(z, dim=None):
@@ -102,6 +101,75 @@ def _row_norms(D) -> np.ndarray:
     if far.any():
         out[far] = [_norm(d) for d in D[far]]
     return out
+
+
+def _root(residual, lo, hi, x0, settled, slope=None):
+    """(x, f, data) at a root of a monotone ``residual(x)`` = (f, data) between lo and hi.
+
+    f is evaluated at lo, where it is nonzero, then from the trial x0 (x0 =
+    lo starts at lo), never at hi: 0 or an infinity. A step is Newton's if
+    ``slope(x, data)`` gives f'(x), else a secant: through the bracket's
+    ends with Anderson-Bjorck weights, or through the last two points on
+    one side while the root is open or an end is flat (f repeats exactly,
+    as at a cone's apex, or is too flat for a step to leave x). While the
+    root is open, a secant aims 5% past its root and, after three steps
+    that each cut |f| by less than 4, at least doubles its step; a step
+    scales x by at most ``grow`` (16, squared whenever it binds), so a flat
+    f reaches 1e300 in about ten steps. A bracket of one sign over a factor
+    of 4 wide is bisected geometrically, a step out of a narrower one
+    arithmetically. Returns where ``settled(x, f, data, step)`` holds, step
+    the bracketed step's length (inf while the root is open), or where no
+    float is left to step to; raises ``ConvergenceError`` at hi or after
+    ``NEWTON_MAX_ITER`` evaluations.
+    """
+    fb, data = residual(lo)
+    a = b = c = lo  # the bracket's other end, the latest point, the point before it on its side
+    fa = ra = fc = fb  # ra is fa without its Anderson-Bjorck weights
+    up = abs(hi) > abs(lo)  # x grows toward hi, or shrinks toward 0
+    nxt, step, grow, creep, flat = x0, math.inf, 16.0, 0, None
+    for _ in range(NEWTON_MAX_ITER):
+        bracketed = (fa > 0.0) != (fb > 0.0)
+        if nxt == b:
+            if slope:
+                df = slope(b, data)
+            elif bracketed and fb != flat != ra:
+                df = (fb - fa) / (b - a)
+            else:
+                df = (fb - fc) / (b - c) if (fb > 0.0) == (fc > 0.0) and b != c else 0.0
+            nxt = b - fb / df if df else math.nan
+            if bracketed:
+                p, q = (a, b) if a < b else (b, a)
+                if 0.0 < 4.0 * p < q or p < 4.0 * q < 0.0:
+                    nxt = math.copysign(math.sqrt(abs(p)) * math.sqrt(abs(q)), b)
+                elif not (p < nxt < q or nxt == b):
+                    nxt = 0.5 * (a + b)
+                step = abs(nxt - b)
+            else:
+                t = nxt if slope else b + 1.05 * (nxt - b)  # a secant aims 5% past its root
+                flat = fb if t == b else flat  # f too flat for a step to leave b
+                if not slope:
+                    creep = creep + 1 if c != lo and abs(fb) > 0.25 * abs(fc) else 0
+                    if creep > 2 and abs(t - b) < 2.0 * abs(b - c):
+                        t = b + 2.0 * (b - c)
+                ratio = (t / b if up else b / t) if t and b else math.inf
+                if not 1.0 < ratio < grow:
+                    ratio, grow = grow, grow * grow
+                nxt = b * ratio if up else b / ratio
+        if settled(b, fb, data, step) or nxt == a or nxt == b:
+            return b, fb, data
+        if not 0.0 < abs(nxt) < math.inf:  # past hi, 0 or an infinity
+            raise ConvergenceError("root not bracketed", residual=abs(fb))
+        fs, ds = residual(nxt)
+        crossed = (fs > 0.0) != (fb > 0.0)
+        c, fc = (a, ra) if crossed else (b, fb)
+        flat = fs if fs == fc else flat
+        if not bracketed or crossed:
+            a, fa, ra = b, fb, fb
+        else:  # Anderson-Bjorck: the end kept again has its residual scaled down
+            m = 1.0 - fs / fb
+            fa *= m if m > 0.0 else 0.5
+        b, fb, data = nxt, fs, ds
+    raise ConvergenceError("root search did not converge", residual=abs(fb))
 
 
 class SetOracle:
@@ -285,13 +353,13 @@ class Ellipsoid(SetOracle):
     """{z : (z - c)^T Q (z - c) <= 1} for symmetric positive definite Q.
 
     Projection solves the scalar dual equation sum_i d_i w_i^2 / (1 + lam
-    d_i)^2 = 1 (eigenbasis of Q) by Newton with a bisection safeguard;
-    no closed form exists. Newton starts at the root's lower bound
-    (sqrt(sum_i d_i w_i^2) - 1) / max_i d_i, from which a far point's root
-    is a few steps away, and stops once the duality residual |f(lam)| is
-    at most ``ELLIPSOID_TOL``; a last step aims n * EPS inside, deeper until
-    the output projects to itself. Points far past 1e154 project without
-    overflow.
+    d_i)^2 = 1 (eigenbasis of Q) by Newton in :func:`_root`, safeguarded
+    by bisection; no closed form exists. Newton starts at the root's lower
+    bound (sqrt(sum_i d_i w_i^2) - 1) / max_i d_i, from which a far point's
+    root is a few steps away, and stops once the duality residual |f(lam)|
+    is at most ``ELLIPSOID_TOL``; a last step aims n * EPS inside, deeper
+    until the output projects to itself. Points far past 1e154 project
+    without overflow.
     """
 
     def __init__(self, Q, center=None):
@@ -316,33 +384,25 @@ class Ellipsoid(SetOracle):
             return z.copy()
         # 1 + lam d_i <= r there, so f(lam) >= 0. The iterate's point t
         # and f, f' are formed from w / (1 + lam d), which cannot overflow.
-        lam = lo = (r - 1.0) / float(self._d[-1])
-        hi = None
-        for _ in range(NEWTON_MAX_ITER):
-            den = 1.0 + lam * self._d
+        d = self._d
+
+        def residual(lam):  # (f(lam), -f'(lam))
+            den = 1.0 + lam * d
             t = w / den
-            dt = self._d * t
-            f = float(dt @ t) - 1.0
-            slope = 2.0 * float(dt @ (dt / den))  # -f'(lam)
-            if abs(f) <= ELLIPSOID_TOL:
-                # Newton nears the root from f > 0, outside the set: aim inside,
-                # twice as deep on each retry, until the test above passes.
-                for k in range(60):
-                    t = w / (1.0 + (lam + (f + self.dim * EPS * 2.0**k) / slope) * self._d)
-                    x = self.center + self._U @ t
-                    if _norm(self._sqrt_d * (self._U.T @ (x - self.center))) <= 1.0:
-                        return x
-                break
-            if f > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            step = lam + f / slope
-            if hi is None:
-                lam = step if step > lo else 2.0 * lo + 1.0
-            else:
-                lam = step if lo < step < hi else 0.5 * (lo + hi)
-        raise ConvergenceError("ellipsoid dual Newton did not converge", residual=abs(f))
+            dt = d * t
+            return float(dt @ t) - 1.0, 2.0 * float(dt @ (dt / den))
+
+        lo = (r - 1.0) / float(d[-1])
+        lam, f, slope = _root(residual, lo, math.inf, lo, lambda lam, f, slope, step: abs(f) <= ELLIPSOID_TOL,
+                              lambda lam, slope: -slope)
+        # Newton nears the root from f > 0, outside the set: aim inside, twice
+        # as deep on each retry, until the output passes the opening test.
+        for k in range(60):
+            t = w / (1.0 + (lam + (f + self.dim * EPS * 2.0**k) / slope) * d)
+            x = self.center + self._U @ t
+            if _norm(self._sqrt_d * (self._U.T @ (x - self.center))) <= 1.0:
+                return x
+        raise ConvergenceError("ellipsoid projection did not reach the set", residual=abs(f))
 
     def _boundary(self, z):
         d = _as_point(z, self.dim) - self.center
@@ -743,16 +803,14 @@ class Cap(_Pair, SetOracle):
     The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - s a),
     or P_inner(c + (z - c) / (1 + s)), at the root of <a, x> - b, or
     ||x - c|| - r, nonincreasing in the cut's multiplier s; a halfspace or
-    ball is active unless P_inner(z) meets it. A bracketed regula falsi
-    (Illinois type, Anderson-Bjorck weights) finds the root to the rounding
-    level of the residual or of the shifted point, which for a ball is
-    that of the set's own scale; while an end lies where P_inner is
-    constant (a cone's apex), it steps by the secant through the other
-    side's last two points, or bisects. A multiplier past
-    ``CAP_TANGENT_RATIO`` times the displacement (an empty or tangent cut),
-    an end there off the cut, or an exhausted ``CAP_MAX_ITER`` budget
-    raises ``ConvergenceError``. The boundary descriptor is the inner
-    set's; the affine hull is the hyperplane, or the inner set's hull.
+    ball is active unless P_inner(z) meets it. :func:`_root` solves in s,
+    or in 1 / (1 + s) for a ball (where the ball alone is linear), from the
+    cut's own root at P_inner(z). A multiplier past ``CAP_TANGENT_RATIO``
+    times the displacement short of the root (a tangent or missing cut),
+    an output over 1e-9 max(1, ||x||) off its cut (where z - s a cancels
+    far out) or a failed search raises ``ConvergenceError``. The boundary
+    descriptor is the inner set's; the affine hull is the hyperplane, or
+    the inner set's hull.
     """
 
     def __init__(self, inner: SetOracle, cut):
@@ -767,89 +825,51 @@ class Cap(_Pair, SetOracle):
         self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
         self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
-    def _residual(self, z, s, x=None):
-        # (f, x) at the multiplier s; x, when given, is P_inner there.
-        cut, ball = self.cut, self._ball
-        if x is None:
-            x = self.inner.project(cut.center + (z - cut.center) / (1.0 + s) if ball else z - s * cut.normal)
-        return _norm(x - cut.center) - cut.radius if ball else float(cut.normal @ x) - cut.offset, x
-
-    def _settled(self, f, x, tol):
-        # |f| within tol, the shifted point's rounding level, and within the
-        # rounding of its own evaluation at x, which can be far smaller.
-        if abs(f) > tol:
-            return False
-        cut, size = self.cut, self._size  # a ball's ||x|| <= ||x - c|| + ||c|| = f + r + ||c||
-        own = 2.0 * (cut.radius + size) + f if self._ball else abs(cut.offset) + size * _norm(x)
-        return abs(f) <= 4.0 * EPS * own
-
-    def _check_tangent(self, z, s, x):
-        # |s| ||grad||, r or ||a||, is ||z - x|| where the inner set is inactive.
-        if abs(s) * (self.cut.radius if self._ball else self._size) > CAP_TANGENT_RATIO * _norm(z - x):
-            raise ConvergenceError("the cut is tangent to the set or misses it")
-
     def project_given(self, z, inner_z) -> np.ndarray:
         return self.project_dual(z, inner_z)[0]
 
     def project_dual(self, z, inner_z=None):
         """(P(z), s): the projection and its multiplier; ``inner_z`` is P_inner(z), if known."""
         z = _as_point(z, self.dim)
-        cut, ball, size, nz = self.cut, self._ball, self._size, _norm(z)
-        tol = 4.0 * EPS * (cut.radius + size + nz if ball else abs(cut.offset) + size * nz)
-        # at s = 0, P_inner of z itself: c + (z - c) need not be z
-        fa, xb = self._residual(z, 0.0, self.inner.project(z) if inner_z is None else inner_z)
-        if (fa <= 0.0 and not isinstance(cut, Hyperplane)) or self._settled(fa, xb, tol):
-            return xb, 0.0
-        # The search starts at the root the cut alone has at P_inner(z) and,
-        # testing each multiplier for tangency, steps 5% past the secant's
-        # root, at most 16 times as far, taking the secant where the cut alone
-        # has a linear residual: in s, or in 1 / (1 + s) for a ball. A step
-        # under ``close`` moves the shifted point by less than its rounding:
-        # z - s a moves by ||a|| ds, c + (z - c) / (1 + s) only as 1 + s does.
-        b = fa / (cut.radius if ball else self._a_sq)
-        ulp = 4.0 * EPS * (1.0 if ball else nz / size)
-        a, flat = 0.0, None
-        seen = ([], [(0.0, fa)]) if fa > 0.0 else ([(0.0, fa)], [])  # (s, f) by f > 0
-        for _ in range(CAP_MAX_ITER):
-            fb, xb = self._residual(z, b)
-            seen[fb > 0.0].append((b, fb))
-            if (fb > 0.0) != (fa > 0.0) or self._settled(fb, xb, tol):
-                break
-            self._check_tangent(z, b, xb)
-            flat = fb if fb == fa else flat
-            grow = fb / (fa - fb) * (1.0 - a / b) if abs(fb) < abs(fa) else np.inf
-            if ball:  # the secant in 1 / (1 + s)
-                grow = grow * (1.0 + b) / (1.0 + a - b * grow) if b * grow < 1.0 + a else np.inf
-            a, fa, b = b, fb, b * (1.0 + min(1.05 * grow, 15.0))
-        for _ in range(CAP_MAX_ITER):
-            if self._settled(fb, xb, tol):
-                break
-            if (fa > 0.0) == (fb > 0.0):
-                raise ConvergenceError("cap dual root not bracketed", residual=abs(fb))
-            s, close = b - fb * (b - a) / (fb - fa), ulp + 4.0 * EPS * abs(b)
-            if flat is not None and flat in (fb, seen[fa > 0.0][-1][1]):
-                # The secant through a flat end creeps; a's side's last point
-                # is a. A lone point on the other side pairs with itself.
-                (s1, f1), (s2, f2) = (seen[flat < 0.0] * 2)[-2:]
-                t = s2 - f2 * (s2 - s1) / (f2 - f1) if f1 != f2 else np.nan
-                s = t if min(a, b) < t < max(a, b) or abs(t - b) <= close else 0.5 * (a + b)
-            if abs(s - b) <= close or not min(a, b) < s < max(a, b):
-                break
-            fs, xs = self._residual(z, s)
-            seen[fs > 0.0].append((s, fs))
-            flat = fs if fs == fb else flat
-            if (fs > 0.0) != (fb > 0.0):
-                a, fa = b, fb
-            else:
-                m = 1.0 - fs / fb
-                fa *= m if m > 0.0 else 0.5
-            b, fb, xb = s, fs, xs
-        else:
-            raise ConvergenceError("cap dual root not converged", residual=abs(fb))
-        if fb == flat and not self._settled(fb, xb, tol):  # a flat end off the cut
-            raise ConvergenceError("cap dual root not resolved", residual=abs(fb))
-        self._check_tangent(z, b, xb)
-        return xb, b
+        inner, cut, ball, size, nz = self.inner, self.cut, self._ball, self._size, _norm(z)
+        c, r, a = (cut.center, cut.radius, None) if ball else (None, None, cut.normal)
+        x0 = inner.project(z) if inner_z is None else inner_z
+        f0 = _norm(x0 - c) - r if ball else float(a @ x0) - cut.offset
+        if f0 <= 0.0 and not isinstance(cut, Hyperplane):
+            return x0, 0.0
+        # The search variable v is 1 / (1 + s) for a ball, else s; v = start is s = 0.
+        start, d0 = (1.0 if ball else 0.0), _norm(z - x0)
+        tol = 4.0 * EPS * (r + size + nz if ball else abs(cut.offset) + size * nz)
+        close = 0.0 if ball else nz / size
+
+        def residual(v):  # at s = 0, P_inner of z itself: c + (z - c) need not be z
+            if v == start:
+                return f0, x0
+            x = inner.project(c + (z - c) / (1.0 + (1.0 / v - 1.0)) if ball else z - v * a)
+            return (_norm(x - c) - r if ball else float(a @ x) - cut.offset), x
+
+        def tangent(v, x):  # |s| ||grad|| is ||z - x|| >= ||z - x0|| where the inner set is inactive
+            pull = abs(1.0 / v - 1.0 if ball else v) * (r if ball else size)
+            return pull > CAP_TANGENT_RATIO * d0 and pull > CAP_TANGENT_RATIO * _norm(z - x)
+
+        def settled(v, f, x, step):
+            # f at the rounding of the shifted point and of its own evaluation
+            # at x (a ball's ||x|| <= f + r + ||c||); a step under the shifted
+            # point's (z - s a moves by ||a|| ds, c + (z - c) v by ||z - c|| dv);
+            # or a tangent multiplier short of the root.
+            if abs(f) <= tol and abs(f) <= 4.0 * EPS * (
+                2.0 * (r + size) + f if ball else abs(cut.offset) + size * _norm(x)
+            ):
+                return True
+            return step <= 4.0 * EPS * (abs(v) + close) or (f > 0.0) == (f0 > 0.0) and tangent(v, x)
+
+        first = r / (r + f0) if ball else f0 / self._a_sq  # the root the cut alone has at P_inner(z)
+        v, f, x = _root(residual, start, 0.0 if ball else math.copysign(math.inf, f0), first, settled)
+        if tangent(v, x):
+            raise ConvergenceError("the cut is tangent to the set or misses it")
+        if abs(f) > 1e-9 * max(1.0, _norm(x)) * (1.0 if ball else size):
+            raise ConvergenceError("cap dual root not resolved", residual=abs(f))
+        return x, (1.0 / v - 1.0 if ball else v)
 
 
 class BallLens(_Pair, SetOracle):
@@ -870,8 +890,8 @@ class BallLens(_Pair, SetOracle):
     takes one of them. A ball inside the other is the lens itself. Balls
     that are disjoint or tangent (r1 + r2 - D within the rounding of
     r1 + r2) raise ``ConvergenceError`` when the lens is built, the error a
-    :class:`Cap` of one by the other raises at its first projection;
-    centers whose distance overflows raise ``NonFiniteError``.
+    :class:`Cap` of one by the other raises at its first projection; centers
+    whose distance, or radii whose sum, overflows raise ``NonFiniteError``.
     """
 
     def __init__(self, inner: Ball, cut: Ball):
@@ -886,6 +906,8 @@ class BallLens(_Pair, SetOracle):
         D = math.hypot(*[b - a for a, b in zip(c1.tolist(), c2.tolist())])
         if D == math.inf:
             raise NonFiniteError("the distance between the centers overflows")
+        if r1 + r2 == math.inf:
+            raise NonFiniteError("the sum of the radii overflows")
         d2 = sum((b - a) ** 2 for a, b in zip(map(_ulps, c1.tolist()), map(_ulps, c2.tolist())))
         s, t, dd = _ulps(r1) + _ulps(r2), _ulps(r1) - _ulps(r2), _ulps(D)
         gap = (s * s - d2) / ((s + dd) << 1074)  # r1 + r2 - D
@@ -945,7 +967,7 @@ class EllipsoidLens(_Pair, SetOracle):
         self.inner, self.cut = inner, cut
 
     @staticmethod
-    def _residual(e, x):
+    def _constraint(e, x):
         # g(x), grad g(x) = 2 Q (x - c), and the rounding level of g at x.
         g, grad, _ = e._boundary(x)
         return g, grad, 4.0 * EPS * (e.dim + _norm(grad) * (_norm(x) + _norm(e.center)))
@@ -954,11 +976,11 @@ class EllipsoidLens(_Pair, SetOracle):
     def project_given(self, z, inner_z) -> np.ndarray:
         z = _as_point(z, self.dim)
         x1 = self.inner.project(z) if inner_z is None else inner_z
-        g, _, tol = self._residual(self.cut, x1)
+        g, _, tol = self._constraint(self.cut, x1)
         if g <= tol:
             return x1
         x2 = self.cut.project(z)
-        g, _, tol = self._residual(self.inner, x2)
+        g, _, tol = self._constraint(self.inner, x2)
         if g <= tol:
             return x2
         lam = np.array([_norm(z - x) / _norm(e._boundary(x)[1]) for e, x in ((self.inner, x1), (self.cut, x2))])
@@ -971,7 +993,7 @@ class EllipsoidLens(_Pair, SetOracle):
                 m1, m2 = new / t
                 M = np.eye(self.dim) / t + m1 * Q1 + m2 * Q2
                 x = np.linalg.solve(M, z / t + m1 * (Q1 @ c1) + m2 * (Q2 @ c2))
-                (g1, n1, tol1), (g2, n2, tol2) = (self._residual(e, x) for e in (self.inner, self.cut))
+                (g1, n1, tol1), (g2, n2, tol2) = (self._constraint(e, x) for e in (self.inner, self.cut))
                 g = np.array([g1, g2])
                 # The dual d is concave, so d(new) >= d(lam) + g . (new - lam) / 2.
                 ascent = float(g @ (new - lam))

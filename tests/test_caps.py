@@ -347,16 +347,74 @@ def test_cap_never_returns_a_flat_end_off_the_cut():
         assert max(cap.inner.distance(x), cap.cut.distance(x)) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
-def test_tangent_ball_cut_raises_within_33_inner_projections():
-    # The residual falls about as 1 / s^2 here; the bracket's secant in
-    # 1 / (1 + s) grows s by about 1.6 a step, where one in s took 51
-    # inner projections to reach the multiplier test.
+def test_tangent_ball_cut_raises_within_18_inner_projections():
+    # A creeping secant doubles its step, and a flat residual widens the
+    # search geometrically in log scale: 17 inner projections, where a
+    # search that only grew by its secant took 31.
     cap, calls = Cap(Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0)), []
     inner_project = cap.inner.project
     cap.inner.project = lambda z: calls.append(1) or inner_project(z)
     with pytest.raises(ConvergenceError, match="tangent"):
         cap.project([0.0, 2.0])
-    assert len(calls) <= 33
+    assert len(calls) <= 18
+
+
+@pytest.mark.parametrize("name", ["sdp", "fixed_trace"])
+def test_spectral_pair_is_exact_at_1e300(name):
+    # The bounded inner set leaves the ball cut's residual flat from s = 1
+    # to s = ||z - c|| / r: a bracket grown 16 times a step raised "not
+    # bracketed" on all 40 draws.
+    problem, oracle, z0 = _far_pair(name)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        x = oracle.project(z0 + 1e300 * rng.normal(size=problem.dim))
+        error = max(problem.X.distance(x), problem.Y.distance(x), np.linalg.norm(oracle.project(x) - x))
+        assert error <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("name", ["sdp", "fixed_trace"])
+def test_spectral_pair_at_1e100_takes_few_eigensolves(name, monkeypatch):
+    # A bracket grown at most 16 times a step from s = 1 took a median of
+    # 94 (sdp) and 96 (fixed_trace) eigensolves.
+    eighs, eigh = [0], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: eighs.__setitem__(0, eighs[0] + 1) or eigh(S))
+    problem, oracle, z0 = _far_pair(name)
+    rng = np.random.default_rng(5)
+    per_call = []
+    for _ in range(40):
+        eighs[0] = 0
+        oracle.project(z0 + 1e100 * rng.normal(size=problem.dim))
+        per_call.append(eighs[0])
+    assert np.median(per_call) <= 30
+
+
+def test_zoo_ball_cap_is_exact_on_a_far_ray():
+    # From the flat end at the PSD cone's apex the secant repeated its
+    # step: "not resolved" on 20 of these 80 multiples, 1e50 ... 1e69.75.
+    problem, oracle, _ = _far_pair("zoo-ball-cap")
+    direction = np.array([-3.16, -0.248, 0.408, -5.87, 0.079, -2.37])
+    for k in range(80):
+        x = oracle.project(10.0 ** (50.0 + 0.25 * k) * direction)
+        error = max(problem.X.distance(x), problem.Y.distance(x), np.linalg.norm(oracle.project(x) - x))
+        assert error <= 1e-9 * max(1.0, np.linalg.norm(x)), k
+
+
+@pytest.mark.parametrize("build", [cap_socp, general_sdp], ids=["cap_socp", "general_sdp"])
+def test_hyperplane_cap_meets_its_cut_or_raises(build):
+    # Far out the dual shift z - s a cancels; without a check on the output
+    # the cap returned points up to 1.5 off the hyperplane (cap_socp 1-6 of
+    # 40 per scale from 1e8, general_sdp 34-40 of 40). An output meets its
+    # cut to 1e-9 max(1, ||x||), or the cap raises.
+    problem, z0 = build()
+    cap = problem.X
+    rng = np.random.default_rng(5)
+    for k in (6, 8, 10, 12, 15, 50, 100):
+        for _ in range(40):
+            try:
+                x = cap.project(z0 + 10.0**k * rng.normal(size=z0.shape[0]))
+            except ConvergenceError:
+                continue
+            assert cap.cut.distance(x) <= 1e-9 * max(1.0, np.linalg.norm(x)), k
 
 
 def test_ellipsoid_lens_takes_the_inner_projection_it_is_given():
@@ -734,6 +792,18 @@ def test_lens_of_centers_whose_distance_overflows_raises_when_built():
     # each difference is a float, their norm is not
     with pytest.raises(NonFiniteError, match="distance between the centers overflows"):
         BallLens(Ball([-0.7e308, -0.7e308], 1e308), Ball([0.7e308, 0.7e308], 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_lens_of_radii_whose_sum_overflows_raises_when_built():
+    # The exact gap quotient overflowed (a bare OverflowError), and an
+    # infinite r1 + r2 took a lens whose radii sum past D for tangent.
+    for inner, cut in (
+        (Ball([0.0, 0.0], 1.5e308), Ball([1.0, 0.0], 1.5e308)),
+        (Ball([0.0, 0.0], 1e308), Ball([1e308, 1e308], 1e308)),
+    ):
+        with pytest.raises(NonFiniteError, match="sum of the radii overflows"):
+            BallLens(inner, cut)
 
 
 def test_lens_rejects_other_sets():

@@ -1205,12 +1205,17 @@ def test_huge_finite_points_validate_without_warnings():
         assert np.array_equal(_as_point(z, 3), z)
     rng = np.random.default_rng(71)
     for oracle, dim in oracle_zoo(rng):
-        # At this scale the power epigraph's Newton overflows and the cap of
-        # a spectral set takes its cut for tangent: both raise ConvergenceError.
-        inner = getattr(oracle, "inner", None)
-        if isinstance(oracle, PowerEpigraph) or isinstance(inner, SpectralSet):
+        # At this scale the power epigraph's Newton can overflow, which
+        # raises ConvergenceError.
+        if isinstance(oracle, PowerEpigraph):
             continue
         z = rng.normal(size=dim) * 1e200
+        if isinstance(getattr(oracle, "cut", None), Hyperplane):
+            # The cone's cap: its dual shift z - s a cancels, and the output
+            # cannot meet the cut to 1e-9 relative (the apex, 0.96 off it).
+            with pytest.raises(ConvergenceError, match="not resolved"):
+                oracle.project(z)
+            continue
         p = oracle.project(z)
         r = z - p
         s = np.max(np.abs(r))

@@ -178,3 +178,15 @@ def test_circumcenter_timer_prints_one_json_line(capsys):
     assert list(result["four"]) == ["n=4"]
     times = [*result["three"].values(), *result["loop_three"].values(), *result["four"].values()]
     assert all(t > 0.0 for t in times)
+
+
+def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    tool_module("count_cap_projections").main(["--near", "4", "--far", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert set(result) == {"near", "far", "failed"}
+    assert {"socp", "sdp", "fixed_trace", "epigraph:a=2,b=1"} <= set(result["near"])
+    assert set(result["near"]) == set(result["far"]) == set(result["failed"])
+    assert all(count > 0 for count in result["near"].values())
