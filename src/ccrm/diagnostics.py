@@ -97,9 +97,8 @@ def rate_report(distances, scale=1.0, floor=None) -> RateReport:
 
     above = d > floor
     start = int(np.argmax(above)) if above.any() else 0
-    stop = start
-    while stop < d.shape[0] and above[stop]:
-        stop += 1
+    below = ~above[start:]
+    stop = start + int(np.argmax(below)) if below.any() else d.shape[0]
     usable = d[start:stop]
     if usable.shape[0] < 3:
         raise ValueError(

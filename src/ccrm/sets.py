@@ -225,8 +225,8 @@ class AffineSubspace(SetOracle):
             self.anchor = np.zeros(self.dim)
         else:
             self.anchor = least_squares_min_norm(A, b)
-            residual = np.linalg.norm(A @ self.anchor - b)
-            if residual > 1e-9 * (1.0 + np.linalg.norm(b)):
+            residual = _norm(A @ self.anchor - b)
+            if residual > 1e-9 * (1.0 + _norm(b)):
                 raise ValueError(f"system A z = b is inconsistent (residual {residual:.3e})")
         if basis is None:
             basis = orthonormal_nullspace(A)
@@ -268,39 +268,63 @@ def same_subspace(a, b) -> bool:
     )
 
 
+def _unit_normal(normal, offset, kind):
+    """(normal, u, c): the normal as a point, and {<normal, z> = offset} as
+    {<u, z> = c}, u a unit vector as a list. The normal is scaled by a power
+    of two to a largest entry in [0.5, 1) before ``math.hypot``, so u is
+    exact to rounding at every scale, subnormal normals included."""
+    normal = _as_point(normal)
+    _check_finite(offset=offset)
+    big = float(np.max(np.abs(normal), initial=0.0))
+    if big == 0.0:
+        raise ValueError(f"{kind} normal must be nonzero")
+    e = math.frexp(big)[1]
+    s = [math.ldexp(a, -e) for a in normal.tolist()]
+    h = math.hypot(*s)
+    try:
+        c = math.ldexp(offset, -e) / h
+    except OverflowError:
+        raise ValueError(f"{kind} offset / ||normal|| overflows") from None
+    return normal, [a / h for a in s], c
+
+
+def _onto_level(z, u, c, halfspace):
+    """z moved along the unit normal u onto {<u, x> = c}, as one sequential
+    dot product on Python floats: at n <= 10 numpy's per-call overhead costs
+    more than the arithmetic. A halfspace {<u, x> <= c} returns a copy of a
+    z inside it."""
+    x = z.tolist()
+    excess = sum(map(operator.mul, u, x)) - c
+    if halfspace and excess <= 0.0:
+        return z.copy()
+    if not math.isfinite(excess):
+        raise NonFiniteError("the point's distance to the hyperplane overflows")
+    return np.array([a - excess * b for a, b in zip(x, u)])
+
+
 class Hyperplane(AffineSubspace):
-    """{z : <normal, z> = offset}."""
+    """{z : <normal, z> = offset}, projected by :func:`_onto_level`; the
+    inherited ``anchor`` and ``basis`` serve ``to_local`` and ``from_local``."""
 
     def __init__(self, normal, offset):
-        normal = _as_point(normal)
-        if np.linalg.norm(normal) == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        _check_finite(offset=offset)
-        super().__init__(normal[None, :], [float(offset)])
-        self.normal = normal
+        self.normal, self._unit, self._level = _unit_normal(normal, offset, "hyperplane")
         self.offset = float(offset)
+        super().__init__(self.normal[None, :], [self.offset])
+
+    def project(self, z) -> np.ndarray:
+        return _onto_level(_as_point(z, self.dim), self._unit, self._level, False)
 
 
 class Halfspace(SetOracle):
-    """{z : <normal, z> <= offset}."""
+    """{z : <normal, z> <= offset}, projected by :func:`_onto_level`."""
 
     def __init__(self, normal, offset):
-        normal = _as_point(normal)
-        nn = np.linalg.norm(normal)
-        if nn == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        _check_finite(offset=offset)
-        super().__init__(normal.shape[0])
-        self.normal = normal
+        self.normal, self._unit, self._level = _unit_normal(normal, offset, "halfspace")
         self.offset = float(offset)
-        self._nn2 = float(nn * nn)
+        super().__init__(self.normal.shape[0])
 
     def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        excess = float(self.normal @ z) - self.offset
-        if excess <= 0.0:
-            return z.copy()
-        return z - (excess / self._nn2) * self.normal
+        return _onto_level(_as_point(z, self.dim), self._unit, self._level, True)
 
     def _boundary(self, z):
         g = float(self.normal @ _as_point(z, self.dim)) - self.offset
@@ -480,12 +504,14 @@ class HyperboloidSheet(SetOracle):
             raise ValueError("vertex height d must be nonnegative")
         super().__init__(axis.shape[0])
         self.axis, self.d = axis / na, float(d)
+        self._e = self.axis.tolist()
 
     def _split(self, z):
         v = _as_point(z, self.dim)
-        t = float(self.axis @ v)
-        w = v - t * self.axis
-        return v, t, w, _norm(w)
+        x = v.tolist()
+        t = sum(map(operator.mul, self._e, x))
+        w = [a - t * b for a, b in zip(x, self._e)]
+        return v, t, w, math.hypot(*w)
 
     def project(self, z) -> np.ndarray:
         v, t, w, r = self._split(z)
@@ -494,11 +520,12 @@ class HyperboloidSheet(SetOracle):
         if r == 0.0:
             return self.d * self.axis
         rho = _sheet_root(t, r, self.d)
-        return math.hypot(self.d, rho) * self.axis + (rho / r) * w
+        h, k = math.hypot(self.d, rho), rho / r
+        return np.array([h * a + k * b for a, b in zip(self._e, w)])
 
     def _boundary(self, z):
         _, t, w, r = self._split(z)
-        h = math.hypot(self.d, r)
+        w, h = np.array(w), math.hypot(self.d, r)
         if self.d == 0.0 and h <= 1e-12 * (1.0 + abs(t)):
             raise RegularityError("second-order cone boundary is not a manifold at the apex")
         P = np.eye(self.dim) - np.outer(self.axis, self.axis)

@@ -107,6 +107,45 @@ def test_rate_report_refuses_bad_distances(d, message):
     assert str(info.value) == message
 
 
+def _window_by_loop(d, floor):
+    """The usable window as rate_report found it by a Python loop: from the
+    first entry above the floor up to the next one at or below it."""
+    above = d > floor
+    start = int(np.argmax(above)) if above.any() else 0
+    stop = start
+    while stop < d.shape[0] and above[stop]:
+        stop += 1
+    return start, stop
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        [1.0, 0.5, 0.25, 0.125],  # all above the floor
+        [1.0, 0.5, 0.25, 1e-20, 0.25, 0.125],  # a dip ends the window
+        [1e-20, 0.0, 1.0, 0.5, 0.25, 1e-20],  # leading entries below the floor
+        [0.0, 1.0, 0.5, 0.25],  # a leading zero, then the rest of the sequence
+        [1.0, 0.5, 0.25, 1e-10],  # the last entry exactly at the floor is out
+    ],
+    ids=["all-above", "dip", "leading-below", "leading-zero", "at-floor"],
+)
+def test_rate_report_window_is_the_loops(d):
+    d = np.array(d)
+    report = rate_report(d, floor=1e-10)
+    assert report.usable_range == _window_by_loop(d, 1e-10)
+    start, stop = report.usable_range
+    assert np.array_equal(report.linear_ratios, d[start + 1:stop] / d[start:stop - 1])
+
+
+@pytest.mark.parametrize("d", [[1e-20, 1e-21, 0.0], [], [1.0, 0.5, 1e-20, 0.25, 0.125]],
+                         ids=["none-above", "empty", "dip-after-two"])
+def test_rate_report_window_too_short_raises(d):
+    d = np.array(d, dtype=float)
+    start, stop = _window_by_loop(d, 1e-10)
+    with pytest.raises(ValueError, match=f"got {stop - start}$"):
+        rate_report(d, floor=1e-10)
+
+
 def test_rate_report_floor_excludes_tail():
     d = np.array([1.0, 1e-1, 1e-2, 1e-3, 1e-16, 1e-17])
     report = rate_report(d, scale=1.0)

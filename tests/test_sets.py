@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import ccrm.sets
+from ccrm import catalog
 from ccrm.diagnostics import curvature
-from ccrm.errors import ConvergenceError, RegularityError, UnsupportedOperation
+from ccrm.errors import ConvergenceError, NonFiniteError, RegularityError, UnsupportedOperation
 from ccrm.linalg import sym_to_vec, vec_to_sym
 from ccrm.sets import (
     AffineSubspace,
@@ -121,6 +122,70 @@ def test_affine_reflection_involution():
         for _ in range(100):
             z = rng.normal(size=4) * 3.0
             assert np.linalg.norm(oracle.reflect(oracle.reflect(z)) - z) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1.0, 1e200])
+def test_affine_sets_project_at_every_normal_scale(scale):
+    # {x + y <= 0} and {x + y = 1} with the normal scaled: ||n||^2 under- or
+    # overflows at 1e-200 and 1e200, and 5e-324 is the smallest subnormal.
+    z = [1.0, 2.0]
+    assert np.allclose(Halfspace([scale, scale], 0.0).project(z), [-0.5, 0.5], rtol=0, atol=1e-15)
+    assert np.allclose(Hyperplane([scale, scale], 0.0).project(z), [-0.5, 0.5], rtol=0, atol=1e-15)
+    assert np.allclose(Hyperplane([scale, scale], scale).project(z), [0.0, 1.0], rtol=0, atol=1e-15)
+    assert Halfspace([scale, -scale], 0.0).contains(z)
+    H = Hyperplane([scale, 2.0 * scale], scale)
+    assert H.normal.tolist() == [scale, 2.0 * scale] and H.offset == scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_affine_sets_refuse_an_offset_past_the_range_and_a_distance_that_overflows():
+    Hyperplane([1e160, 1e160], 1e160)  # builds: its consistency residual is a hypot
+    for cls in (Halfspace, Hyperplane):
+        with pytest.raises(ValueError, match="nonzero"):
+            cls([0.0, -0.0], 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            cls([1e-300, 1e-300], 1e300)
+        with pytest.raises(NonFiniteError, match="overflows"):
+            cls([1.0, 1.0], 0.0).project([1.5e308, 1.5e308])
+    assert Halfspace([1.0, 1.0], 0.0).project([-1.5e308, -1.5e308]).tolist() == [-1.5e308, -1.5e308]
+
+
+def test_affine_set_kernels_match_the_basis_form():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4, 7):
+        normal, offset = rng.normal(size=n), float(rng.normal())
+        H, L = Hyperplane(normal, offset), AffineSubspace(normal[None, :], [offset])
+        hs = Halfspace(normal, offset)
+        for _ in range(20):
+            z = 3.0 * rng.normal(size=n)
+            assert np.allclose(H.project(z), L.project(z), rtol=0, atol=1e-14)
+            expected = L.project(z) if normal @ z > offset else z
+            assert np.allclose(hs.project(z), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", catalog.EPIGRAPH_VARIANTS)
+def test_epigraph_y_kernel_is_bitwise_the_numpy_formula(variant):
+    # The Table 2 cells' Y, {y <= 0} or {y = 0}: the scalar kernel makes the
+    # float operations of the numpy formulas it replaced, so the tables stay
+    # byte-identical. Only the sign of a zero differs: the line's basis form
+    # adds its anchor, which turns an input -0.0 into 0.0; adding 0.0 to both
+    # sides does the same.
+    Y = catalog.make_epigraph(2.0, 0.0, variant).problem.Y
+    normal, offset = Y.normal, Y.offset
+    L = AffineSubspace(normal[None, :], [offset])
+
+    def numpy_formula(z):
+        if variant != "halfplane":
+            return L.anchor + L.basis @ (L.basis.T @ (z - L.anchor))
+        excess = float(normal @ z) - offset
+        return z.copy() if excess <= 0.0 else z - (excess / float(normal @ normal)) * normal
+
+    rng = np.random.default_rng(9)
+    points = [rng.normal(size=2) * 10.0 ** rng.integers(-150, 151) for _ in range(300)]
+    points += [np.array(p) for p in ([0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0], [-1e-320, 5e-324])]
+    for z in points:
+        assert (Y.project(z) + 0.0).tobytes() == (numpy_formula(z) + 0.0).tobytes(), z
 
 
 def test_explicit_basis_validation():

@@ -1,6 +1,6 @@
 """The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
 tools/compare_projections.py, the kinds tools/write_projections.py covers,
-and the per-call timer tools/time_circumcenter.py."""
+and the per-call timers tools/time_circumcenter.py and tools/time_projections.py."""
 
 import inspect
 import json
@@ -178,6 +178,23 @@ def test_circumcenter_timer_prints_one_json_line(capsys):
     assert list(result["four"]) == ["n=4"]
     times = [*result["three"].values(), *result["loop_three"].values(), *result["four"].values()]
     assert all(t > 0.0 for t in times)
+
+
+def test_projection_timer_prints_one_json_line(capsys):
+    timer = tool_module("time_projections")
+    timer.main(["--repeats", "1", "--passes", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert result["unit"] == "us/call"
+    for role in ("X", "Y", "intersection"):
+        assert list(result[role]) == list(timer.SELECTORS)
+    times = [t for role in ("X", "Y", "intersection") for t in result[role].values()]
+    # Only a tangent pair's intersection refuses every point: epigraph with b = 0.
+    assert [s for s, t in result["intersection"].items() if t is None] == [
+        s for s in timer.SELECTORS if s.startswith("epigraph:") and ",b=0," in s
+    ]
+    assert all(t > 0.0 for t in times if t is not None)
 
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
