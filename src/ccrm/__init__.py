@@ -9,16 +9,12 @@ classification of linear / superlinear / quadratic tails.
 from .circumcenter import CircumResult, circumcenter
 from .diagnostics import (
     CurvatureValue,
-    FejerBoundReport,
     QuadConstantReport,
     RateReport,
-    TangentBoundReport,
     curvature,
     estimate_omega,
-    fejer_bound_check,
     quad_constant_check,
     rate_report,
-    tangent_bound_check,
     trace_reference_distances,
 )
 from .errors import (
@@ -29,7 +25,6 @@ from .errors import (
     UnsupportedOperation,
 )
 from .linalg import (
-    SymEig,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_to_vec,
@@ -53,12 +48,10 @@ from .sets import (
     SetOracle,
     SpectralSet,
     boundary_eval,
-    dykstra_project,
     in_hull_coordinates,
 )
 from .solvers import (
     FeasibilityProblem,
-    IsometryReduction,
     KnownConstants,
     SolveTrace,
     SolverConfig,

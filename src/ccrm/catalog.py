@@ -77,11 +77,6 @@ def make_discs3d() -> CatalogEntry:
     return CatalogEntry("discs3d", problem, np.array([s15 / 2.0, 4.0, 0.5]), reference)
 
 
-def ellipse_boundary_curvature(t) -> float:
-    """Curvature of the boundary of {x^2/4 + y^2 <= 1} at (2 cos t, sin t)."""
-    return 2.0 / (4.0 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
-
-
 def make_ellipses() -> CatalogEntry:
     """Two overlapping ellipses in the plane {z_3 = 0}.
 

@@ -2,8 +2,8 @@
 
 Covers rate classification of distance sequences, boundary curvature
 (the spectral radius of the shape operator, computed from the smooth
-descriptor), the tangent-hyperplane distance bound, empirical estimation
-of the local error-bound constant, and the asymptotic-constant check for
+descriptor), the exact projection onto X & Y, empirical estimation of the
+local error-bound constant, and the asymptotic-constant check for
 quadratically convergent runs.
 """
 
@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import RegularityError, UnsupportedOperation
-from .linalg import EPS, orthonormal_nullspace, symmetric_eigh
+from .linalg import EPS, orthonormal_nullspace
 from .sets import Ball, BallLens, Cap, Ellipsoid, EllipsoidLens, EmbeddedOracle, Halfspace, Hyperplane
 from .sets import IsometricImage, _as_point, _check_count, _norm, _row_norms, boundary_eval
 from .sets import in_hull_coordinates
@@ -38,11 +38,8 @@ OMEGA_EXCLUDE_TOL = 1e-12
 # Ratio geometric means at or above this value are reported as sublinear.
 SUBLINEAR_THRESHOLD = 0.98
 
-# Relative margin over the bound of the tangent-bound and 4 kappa / omega checks.
+# Relative margin over the bound of the 4 kappa / omega check.
 CHECK_MARGIN = 0.10
-
-# Absolute slack of the Fejer-type bound ||z - z_bar|| <= 2 dist(z, X&Y).
-FEJER_SLACK = 1e-9
 
 
 @dataclass
@@ -198,64 +195,13 @@ def curvature(oracle, z_bar) -> CurvatureValue:
     if tangent.shape[1] == 0:
         return CurvatureValue(0.0, None)
     reduced = tangent.T @ hess @ tangent
-    eig = symmetric_eigh(0.5 * (reduced + reduced.T))
-    idx = int(np.argmax(np.abs(eig.eigenvalues)))
-    kappa = abs(float(eig.eigenvalues[idx])) / grad_norm
-    direction = tangent @ eig.eigenvectors[:, idx]
+    w, V = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    idx = int(np.argmax(np.abs(w)))
+    kappa = abs(float(w[idx])) / grad_norm
+    direction = tangent @ V[:, idx]
     if hull is not None:
         direction = hull.basis @ direction
     return CurvatureValue(kappa, direction)
-
-
-@dataclass
-class TangentBoundReport:
-    kappa: float
-    worst_ratio: float
-    bound: float
-    n_samples: int
-    passed: bool
-
-
-def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
-    """Check dist(w, C) <= (1 + CHECK_MARGIN) * kappa * ||w - p||^2 on tangent samples.
-
-    Samples must lie on the tangent hyperplane at the boundary point p
-    (and in the affine hull); the guarantee covers offsets up to about
-    a tenth of the curvature radius, so larger offsets are rejected.
-    """
-    p = np.asarray(p, dtype=float)
-    _, grad, _ = boundary_eval(oracle, p)
-    kappa = curvature(oracle, p).kappa
-    hull = oracle.affine_hull
-
-    worst = 0.0
-    count = 0
-    for w in w_samples:
-        w = np.asarray(w, dtype=float)
-        offset = w - p
-        if hull is not None:
-            if np.linalg.norm(hull.A @ w - hull.b) > 1e-10 * (1.0 + np.linalg.norm(hull.b)):
-                raise ValueError("sample is not in the affine hull")
-            offset_h = hull.basis.T @ offset
-        else:
-            offset_h = offset
-        if abs(float(grad @ offset_h)) > 1e-10 * (1.0 + np.linalg.norm(grad)):
-            raise ValueError("sample is not on the tangent hyperplane")
-        r2 = float(offset @ offset)
-        if kappa > 0.0 and r2 > (0.1 / kappa) ** 2:
-            raise ValueError("sample offset exceeds the validity radius 0.1 / kappa")
-        dist = oracle.distance(w)
-        if r2 > 0.0:
-            worst = max(worst, dist / r2)
-        elif dist > 1e-12:
-            worst = np.inf
-        count += 1
-
-    bound = (1.0 + CHECK_MARGIN) * kappa
-    passed = worst <= bound + 1e-12
-    return TangentBoundReport(
-        kappa=kappa, worst_ratio=worst, bound=bound, n_samples=count, passed=passed
-    )
 
 
 def intersection_oracle(problem: FeasibilityProblem):
@@ -413,41 +359,4 @@ def quad_constant_check(
         omega=omega,
         passed=passed,
         passed_sharper=passed_sharper,
-    )
-
-
-@dataclass
-class FejerBoundReport:
-    worst_violation: float
-    worst_factor: float
-    passed: bool
-    n_checked: int
-
-
-def fejer_bound_check(
-    trace: SolveTrace,
-    solution_set_projector: Callable,
-    reference=None,
-) -> FejerBoundReport:
-    """Check ||z^k - z_bar|| <= 2 dist(z^k, X&Y) + FEJER_SLACK along a trace.
-
-    ``solution_set_projector`` maps a point to its projection onto the
-    intersection; the reference limit defaults to the final iterate.
-    """
-    z_bar = np.asarray(reference, dtype=float) if reference is not None else trace.final
-    worst_violation = -np.inf
-    worst_factor = 0.0
-    checked = 0
-    for z in trace.iterates:
-        gap = float(np.linalg.norm(z - z_bar))
-        dist = float(np.linalg.norm(z - solution_set_projector(z)))
-        worst_violation = max(worst_violation, gap - 2.0 * dist)
-        if dist > FEJER_SLACK:
-            worst_factor = max(worst_factor, gap / dist)
-        checked += 1
-    return FejerBoundReport(
-        worst_violation=worst_violation,
-        worst_factor=worst_factor,
-        passed=worst_violation <= FEJER_SLACK,
-        n_checked=checked,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +18,6 @@ RANK_RTOL = 1e-10
 
 # Machine epsilon of float64.
 EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition S = V diag(w) V^T with eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_matrix(A):
@@ -38,7 +29,7 @@ def _as_matrix(A):
     return A
 
 
-def symmetric_eigh(S) -> SymEig:
+def symmetric_eigh(S):
     """Eigendecomposition of a symmetric matrix (LAPACK ``syevd`` via numpy).
 
     Args:
@@ -46,7 +37,8 @@ def symmetric_eigh(S) -> SymEig:
             symmetric part is decomposed.
 
     Returns:
-        SymEig with ascending eigenvalues and orthonormal eigenvector columns.
+        (w, V) with S = V diag(w) V^T: ascending eigenvalues w and
+        orthonormal eigenvector columns V.
     """
     S = _as_matrix(S)
     n, m = S.shape
@@ -58,7 +50,7 @@ def symmetric_eigh(S) -> SymEig:
             raise ValueError("matrix is not symmetric to 1e-12 relative")
         S = 0.5 * (S + S.T)
     w, V = np.linalg.eigh(S)
-    return SymEig(w, V)
+    return w, V
 
 
 def orthonormal_nullspace(A) -> np.ndarray:

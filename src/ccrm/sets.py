@@ -4,8 +4,8 @@ Every oracle exposes ``project`` (exact, or within a stated tolerance for
 the iterative kinds), ``reflect``, membership helpers, and optionally a
 smooth boundary descriptor: ``_boundary(z)`` gives (g, grad g, Hess g)
 together, which :func:`boundary_eval` restricts to the set's affine hull.
-The descriptor feeds the curvature and tangent-bound diagnostics; oracles
-without one simply refuse those operations.
+The descriptor feeds the curvature diagnostic; oracles without one simply
+refuse it.
 
 All oracles are immutable after construction and all operations are pure.
 """
@@ -327,8 +327,9 @@ class Halfspace(SetOracle):
         return _onto_level(_as_point(z, self.dim), self._unit, self._level, True)
 
     def _boundary(self, z):
-        g = float(self.normal @ _as_point(z, self.dim)) - self.offset
-        return g, self.normal.copy(), np.zeros((self.dim, self.dim))
+        # In the unit normal's terms, so no normal scale over- or underflows.
+        g = sum(map(operator.mul, self._unit, _as_point(z, self.dim).tolist())) - self._level
+        return g, np.array(self._unit), np.zeros((self.dim, self.dim))
 
 
 class Ball(SetOracle):
@@ -388,16 +389,15 @@ class Ellipsoid(SetOracle):
 
     def __init__(self, Q, center=None):
         Q = np.asarray(Q, dtype=float)
-        eig = symmetric_eigh(Q)
-        if not eig.eigenvalues.size or eig.eigenvalues[0] <= 0.0:
+        d, U = symmetric_eigh(Q)
+        if not d.size or d[0] <= 0.0:
             raise ValueError("shape matrix must be nonempty and positive definite")
         n = Q.shape[0]
         super().__init__(n)
         self.Q = 0.5 * (Q + Q.T)
         self.center = np.zeros(n) if center is None else _as_point(center, n)
-        self._d = eig.eigenvalues
-        self._sqrt_d = np.sqrt(self._d)
-        self._U = eig.eigenvectors
+        self._d, self._U = d, U
+        self._sqrt_d = np.sqrt(d)
 
     def project(self, z) -> np.ndarray:
         z = _as_point(z, self.dim)
@@ -1039,42 +1039,6 @@ class EllipsoidLens(_Pair, SetOracle):
         except (np.linalg.LinAlgError, NonFiniteError):  # normals parallel, or multipliers overflowed
             pass
         raise ConvergenceError("the ellipsoids are tangent or disjoint, or Newton did not converge")
-
-
-def dykstra_project(oracles, z, tol=1e-12, max_iter=100_000) -> np.ndarray:
-    """Projection onto the intersection of ``oracles`` by Dykstra's cyclic
-    scheme (Boyle & Dykstra 1986), a slow but independent reference for tests.
-
-    Stops when the iterate moves less than ``tol`` between successive
-    cycles; the intersection must be nonempty. Raises ValueError for no
-    oracle, a ``tol`` that is not finite and positive or a ``max_iter``
-    that is not an integer >= 1, and ``ConvergenceError``, with the last
-    cycle-to-cycle change as its residual, when the cycles run out or the
-    result lies over 1e-9 max(1, ||x||) from a member. A result inside
-    every member can still be off the projection, near a tangency.
-    """
-    if not oracles:
-        raise ValueError("need at least one oracle")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    max_iter = _check_count("max_iter", max_iter)
-    x = _as_point(z, oracles[0].dim)
-    corrections = [np.zeros_like(x) for _ in oracles]
-    for _ in range(max_iter):
-        prev = x
-        for i, oracle in enumerate(oracles):
-            shifted = x + corrections[i]
-            x = oracle.project(shifted)
-            corrections[i] = shifted - x
-        change = float(np.linalg.norm(x - prev))
-        if change <= tol:
-            off = max(oracle.distance(x) for oracle in oracles)
-            if off > 1e-9 * max(1.0, _norm(x)):
-                raise ConvergenceError(f"Dykstra stopped {off:.3g} outside a member", residual=off)
-            return x
-    raise ConvergenceError(
-        f"Dykstra did not converge within {max_iter} cycles", residual=change
-    )
 
 
 def boundary_eval(oracle: SetOracle, z):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -276,21 +276,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     )
 
 
-@dataclass
-class IsometryReduction:
-    """A problem rewritten in its hull's orthonormal coordinates.
-
-    ``embed`` maps reduced points back to ambient hull points and
-    ``restrict`` is its inverse on the hull.
-    """
-
-    problem: FeasibilityProblem
-    subspace: AffineSubspace
-    embed: Callable[[np.ndarray], np.ndarray]
-    restrict: Callable[[np.ndarray], np.ndarray]
-
-
-def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
+def isometry_reduce(problem: FeasibilityProblem) -> FeasibilityProblem:
     """Rewrite a problem whose sets share an affine hull in its local coordinates.
 
     Isometries commute with projections and preserve circumcenters, so
@@ -299,22 +285,19 @@ def isometry_reduce(problem: FeasibilityProblem) -> IsometryReduction:
     Each set is taken into the hull's coordinates by
     :func:`~ccrm.sets.in_hull_coordinates`: an embedded oracle becomes its
     inner oracle and a ball of the hull a whole-space ball, which project
-    natively; any other set projects through an ambient round trip.
+    natively; any other set projects through an ambient round trip. Points
+    map between the two with ``problem.common_hull.to_local`` and
+    ``from_local``.
     """
     hull = problem.common_hull
     if hull is None:
         raise UnsupportedOperation("X and Y share no affine hull to reduce onto")
-    reduced_ref = None
-    if problem.reference_solution is not None:
-        reduced_ref = hull.to_local(problem.reference_solution)
-    reduced = FeasibilityProblem(
+    ref = problem.reference_solution
+    return FeasibilityProblem(
         X=in_hull_coordinates(problem.X, hull),
         Y=in_hull_coordinates(problem.Y, hull),
-        reference_solution=reduced_ref,
+        reference_solution=None if ref is None else hull.to_local(ref),
         known_constants=problem.known_constants,
-    )
-    return IsometryReduction(
-        problem=reduced, subspace=hull, embed=hull.from_local, restrict=hull.to_local
     )
 
 

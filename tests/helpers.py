@@ -1,8 +1,10 @@
-"""Shared test utilities: independent brute-force oracles and samplers."""
+"""Shared test utilities: independent brute-force oracles, reference checks and samplers."""
 
 import importlib.util
 import math
 import os
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +23,10 @@ from ccrm.sets import (
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
+    _as_point,
+    _check_count,
+    _norm,
+    boundary_eval,
 )
 from ccrm import catalog
 from ccrm.circumcenter import (
@@ -32,10 +38,14 @@ from ccrm.circumcenter import (
     CircumResult,
     circumcenter,
 )
-from ccrm.errors import GeometryError, NonFiniteError
+from ccrm.errors import ConvergenceError, GeometryError, NonFiniteError
 from ccrm.catalog import make_eq_constrained_ellipsoids, make_socp
+from ccrm.diagnostics import CHECK_MARGIN, curvature
 from ccrm.linalg import RANK_RTOL, sym_to_vec
-from ccrm.solvers import FeasibilityProblem
+from ccrm.solvers import FeasibilityProblem, SolveTrace
+
+# Absolute slack of the Fejer-type bound ||z - z_bar|| <= 2 dist(z, X&Y).
+FEJER_SLACK = 1e-9
 
 
 def tool_module(name):
@@ -329,3 +339,127 @@ def random_symmetric(rng, n, scale=1.0):
 def random_psd_vec(rng, n):
     W = rng.normal(size=(n, n))
     return sym_to_vec(W @ W.T / n)
+
+
+def dykstra_project(oracles, z, tol=1e-12, max_iter=100_000) -> np.ndarray:
+    """Projection onto the intersection of ``oracles`` by Dykstra's cyclic
+    scheme (Boyle & Dykstra 1986), a slow but independent reference for tests.
+
+    Stops when the iterate moves less than ``tol`` between successive
+    cycles; the intersection must be nonempty. Raises ValueError for no
+    oracle, a ``tol`` that is not finite and positive or a ``max_iter``
+    that is not an integer >= 1, and ``ConvergenceError``, with the last
+    cycle-to-cycle change as its residual, when the cycles run out or the
+    result lies over 1e-9 max(1, ||x||) from a member. A result inside
+    every member can still be off the projection, near a tangency.
+    """
+    if not oracles:
+        raise ValueError("need at least one oracle")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    max_iter = _check_count("max_iter", max_iter)
+    x = _as_point(z, oracles[0].dim)
+    corrections = [np.zeros_like(x) for _ in oracles]
+    for _ in range(max_iter):
+        prev = x
+        for i, oracle in enumerate(oracles):
+            shifted = x + corrections[i]
+            x = oracle.project(shifted)
+            corrections[i] = shifted - x
+        change = float(np.linalg.norm(x - prev))
+        if change <= tol:
+            off = max(oracle.distance(x) for oracle in oracles)
+            if off > 1e-9 * max(1.0, _norm(x)):
+                raise ConvergenceError(f"Dykstra stopped {off:.3g} outside a member", residual=off)
+            return x
+    raise ConvergenceError(
+        f"Dykstra did not converge within {max_iter} cycles", residual=change
+    )
+
+
+@dataclass
+class TangentBoundReport:
+    kappa: float
+    worst_ratio: float
+    bound: float
+    n_samples: int
+    passed: bool
+
+
+def tangent_bound_check(oracle, p, w_samples) -> TangentBoundReport:
+    """Check dist(w, C) <= (1 + CHECK_MARGIN) * kappa * ||w - p||^2 on tangent samples.
+
+    Samples must lie on the tangent hyperplane at the boundary point p
+    (and in the affine hull); the guarantee covers offsets up to about
+    a tenth of the curvature radius, so larger offsets are rejected.
+    """
+    p = np.asarray(p, dtype=float)
+    _, grad, _ = boundary_eval(oracle, p)
+    kappa = curvature(oracle, p).kappa
+    hull = oracle.affine_hull
+
+    worst = 0.0
+    count = 0
+    for w in w_samples:
+        w = np.asarray(w, dtype=float)
+        offset = w - p
+        if hull is not None:
+            if np.linalg.norm(hull.A @ w - hull.b) > 1e-10 * (1.0 + np.linalg.norm(hull.b)):
+                raise ValueError("sample is not in the affine hull")
+            offset_h = hull.basis.T @ offset
+        else:
+            offset_h = offset
+        if abs(float(grad @ offset_h)) > 1e-10 * (1.0 + np.linalg.norm(grad)):
+            raise ValueError("sample is not on the tangent hyperplane")
+        r2 = float(offset @ offset)
+        if kappa > 0.0 and r2 > (0.1 / kappa) ** 2:
+            raise ValueError("sample offset exceeds the validity radius 0.1 / kappa")
+        dist = oracle.distance(w)
+        if r2 > 0.0:
+            worst = max(worst, dist / r2)
+        elif dist > 1e-12:
+            worst = np.inf
+        count += 1
+
+    bound = (1.0 + CHECK_MARGIN) * kappa
+    passed = worst <= bound + 1e-12
+    return TangentBoundReport(
+        kappa=kappa, worst_ratio=worst, bound=bound, n_samples=count, passed=passed
+    )
+
+
+@dataclass
+class FejerBoundReport:
+    worst_violation: float
+    worst_factor: float
+    passed: bool
+    n_checked: int
+
+
+def fejer_bound_check(
+    trace: SolveTrace,
+    solution_set_projector: Callable,
+    reference=None,
+) -> FejerBoundReport:
+    """Check ||z^k - z_bar|| <= 2 dist(z^k, X&Y) + FEJER_SLACK along a trace.
+
+    ``solution_set_projector`` maps a point to its projection onto the
+    intersection; the reference limit defaults to the final iterate.
+    """
+    z_bar = np.asarray(reference, dtype=float) if reference is not None else trace.final
+    worst_violation = -np.inf
+    worst_factor = 0.0
+    checked = 0
+    for z in trace.iterates:
+        gap = float(np.linalg.norm(z - z_bar))
+        dist = float(np.linalg.norm(z - solution_set_projector(z)))
+        worst_violation = max(worst_violation, gap - 2.0 * dist)
+        if dist > FEJER_SLACK:
+            worst_factor = max(worst_factor, gap / dist)
+        checked += 1
+    return FejerBoundReport(
+        worst_violation=worst_violation,
+        worst_factor=worst_factor,
+        passed=worst_violation <= FEJER_SLACK,
+        n_checked=checked,
+    )

@@ -30,7 +30,7 @@ from ccrm.diagnostics import (
     trace_reference_distances,
 )
 from ccrm.linalg import least_squares_min_norm, vec_to_sym
-from ccrm.sets import Ball, Ellipsoid, dykstra_project
+from ccrm.sets import Ball, Ellipsoid
 from ccrm.solvers import (
     SolverConfig,
     ccrm_step,
@@ -39,7 +39,7 @@ from ccrm.solvers import (
     run,
 )
 
-from helpers import oracle_zoo, sample_epigraph_lens, sample_lens_point
+from helpers import dykstra_project, oracle_zoo, sample_epigraph_lens, sample_lens_point
 
 
 def _report(criterion, detail=""):
@@ -302,7 +302,7 @@ def test_criterion_5e_hull_trapping():
 def test_criterion_5f_isometry_reduction_equivalence():
     rng = np.random.default_rng(239)
     entry = make_discs3d()
-    red = isometry_reduce(entry.problem)
+    red, hull = isometry_reduce(entry.problem), entry.problem.common_hull
     compared = 0
     for _ in range(260):
         z0 = entry.suggested_z0 + rng.normal(size=3) * np.array([0.8, 1.5, 0.8])
@@ -312,14 +312,14 @@ def test_criterion_5f_isometry_reduction_equivalence():
         )
         if ambient.n_steps < 2:
             continue
-        start = red.restrict(ambient.iterates[1])
+        start = hull.to_local(ambient.iterates[1])
         reduced = run(
-            red.problem,
+            red,
             SolverConfig(method="ccrm", max_iter=ambient.n_steps - 1, tol_feas=1e-300),
             start,
         )
         for k in range(reduced.iterates.shape[0]):
-            back = red.embed(reduced.iterates[k])
+            back = hull.from_local(reduced.iterates[k])
             assert np.linalg.norm(back - ambient.iterates[k + 1]) <= 1e-10
             compared += 1
     assert compared >= 1000

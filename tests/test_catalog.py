@@ -6,7 +6,6 @@ from ccrm.catalog import (
     _ellipsoid_within,
     _eq_ellipsoids_leaves,
     _soc_within,
-    ellipse_boundary_curvature,
     make_discs3d,
     make_ellipses,
     make_epigraph,
@@ -30,11 +29,10 @@ from ccrm.sets import (
     SecondOrderCone,
     SpectralSet,
     boundary_eval,
-    dykstra_project,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
-from helpers import big_norm, cap_socp, tool_module
+from helpers import big_norm, cap_socp, dykstra_project, tool_module
 
 
 def all_entries():
@@ -108,6 +106,11 @@ def test_ellipses_interior_point():
     gy = entry.problem.Y._boundary(p)[0]
     assert gx < -0.5 and gy < -0.5
     assert entry.problem.max_distance(p) == 0.0
+
+
+def ellipse_boundary_curvature(t) -> float:
+    """Curvature of the boundary of {x^2/4 + y^2 <= 1} at (2 cos t, sin t)."""
+    return 2.0 / (4.0 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
 
 
 def test_ellipse_curvature_formula_matches_operator():

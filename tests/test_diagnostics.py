@@ -20,11 +20,9 @@ from ccrm.diagnostics import (
     RATE_SUPERLINEAR,
     curvature,
     estimate_omega,
-    fejer_bound_check,
     intersection_oracle,
     quad_constant_check,
     rate_report,
-    tangent_bound_check,
     trace_reference_distances,
 )
 from ccrm.errors import ConvergenceError, RegularityError
@@ -37,11 +35,10 @@ from ccrm.sets import (
     Halfspace,
     SecondOrderCone,
     _norm,
-    dykstra_project,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
 
-from helpers import general_sdp
+from helpers import dykstra_project, fejer_bound_check, general_sdp, tangent_bound_check
 
 BENCH_DISTANCES = np.array([3.54, 9.24e-2, 3.70e-3, 7.51e-6, 3.13e-11])
 
@@ -182,6 +179,20 @@ def test_curvature_halfspace_flat():
     assert curvature(hs, [3.0, 0.0, -1.0]).kappa == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_curvature_halfspace_flat_at_every_normal_scale():
+    for scale in (1e200, 1e-200):
+        hs = Halfspace([0.0, scale], 0.0)
+        assert curvature(hs, [0.3, 0.0]).kappa == 0.0
+        g, grad, _ = hs._boundary([0.3, 0.25])
+        assert g == 0.25 and np.array_equal(grad, [0.0, 1.0])
+    # the epigraph Y {y <= 0}: g is y itself, bit for bit
+    hs = Halfspace([0.0, 1.0], 0.0)
+    for z in ([0.3, 1e-7], [-2.0, -0.1], [1e150, -3e-300]):
+        g, grad, _ = hs._boundary(z)
+        assert g == z[1] and np.array_equal(grad, [0.0, 1.0])
+
+
 def test_curvature_maximizing_direction_is_tangent():
     E = Ellipsoid(np.diag([0.25, 1.0]))
     val = curvature(E, [2.0, 0.0])
@@ -216,7 +227,7 @@ def test_curvature_isometry_invariance():
     zbar = entry.problem.reference_solution
     ambient = curvature(entry.problem.X, zbar).kappa
     red = isometry_reduce(entry.problem)
-    reduced = curvature(red.problem.X, red.restrict(zbar)).kappa
+    reduced = curvature(red.X, entry.problem.common_hull.to_local(zbar)).kappa
     assert abs(ambient - reduced) <= 1e-8
     assert abs(ambient - 0.5) <= 1e-8
 

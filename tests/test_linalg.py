@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ccrm.linalg import (
-    SymEig,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_dim,
@@ -15,23 +14,23 @@ from helpers import random_symmetric
 
 
 def test_eigh_diagonal_is_sorted_permutation():
-    eig = symmetric_eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0])
+    w, V = symmetric_eigh(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(w, [1.0, 2.0, 3.0])
     # eigenvectors are signed coordinate axes
-    assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]])
+    assert np.allclose(np.abs(V), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_eigh_identity():
-    eig = symmetric_eigh(np.eye(4))
-    assert np.allclose(eig.eigenvalues, 1.0)
-    assert np.allclose(eig.eigenvectors @ eig.eigenvectors.T, np.eye(4))
+    w, V = symmetric_eigh(np.eye(4))
+    assert np.allclose(w, 1.0)
+    assert np.allclose(V @ V.T, np.eye(4))
 
 
 def test_eigh_residual_oracle_random():
     rng = np.random.default_rng(3)
     S = random_symmetric(rng, 6)
-    eig = symmetric_eigh(S)
-    for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T):
+    w, V = symmetric_eigh(S)
+    for lam, v in zip(w, V.T):
         assert np.linalg.norm(S @ v - lam * v) <= 1e-10
 
 
@@ -48,8 +47,7 @@ def test_eigh_invariants_bulk():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         S = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-        eig = symmetric_eigh(S)
-        V, w = eig.eigenvectors, eig.eigenvalues
+        w, V = symmetric_eigh(S)
         assert np.all(np.diff(w) >= 0.0)
         nrm = np.linalg.norm(S)
         assert np.linalg.norm(S - (V * w) @ V.T) <= 1e-10 * (1.0 + nrm)
@@ -152,17 +150,17 @@ def test_sym_vec_round_trip_is_bitwise_the_triu_reference():
 
 def test_eigh_exact_symmetry_decomposes_s_unchanged():
     S = random_symmetric(np.random.default_rng(23), 5)
-    eig = symmetric_eigh(S)
-    w, V = np.linalg.eigh(S)
-    assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, V)
+    w, V = symmetric_eigh(S)
+    w0, V0 = np.linalg.eigh(S)
+    assert np.array_equal(w, w0) and np.array_equal(V, V0)
 
 
 def test_eigh_symmetrizes_a_1e13_asymmetry():
     S = random_symmetric(np.random.default_rng(29), 5)
     S[0, 1] += 1e-13
-    eig = symmetric_eigh(S)
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, V)
+    w, V = symmetric_eigh(S)
+    w0, V0 = np.linalg.eigh(0.5 * (S + S.T))
+    assert np.array_equal(w, w0) and np.array_equal(V, V0)
 
 
 def test_eigh_rejects_a_1e10_asymmetry():

@@ -29,12 +29,12 @@ from ccrm.sets import (
     _as_point,
     _project_eigs,
     boundary_eval,
-    dykstra_project,
 )
 
 from helpers import (
     big_norm,
     cap_projection_kkt,
+    dykstra_project,
     numpy_project_eigs,
     oracle_zoo,
     ordered_box_enumeration,

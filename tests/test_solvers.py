@@ -432,16 +432,16 @@ def test_isometry_reduce_returns_native_oracles_where_it_can():
     # embedded oracle on the hull's frame is its inner oracle; a spectral
     # set with a trace has no such form and projects through the hull.
     discs = make_discs3d().problem
-    red = isometry_reduce(discs).problem
+    red = isometry_reduce(discs)
     for ambient, local in ((discs.X, red.X), (discs.Y, red.Y)):
         assert type(local) is Ball and local.subspace is None
         assert np.array_equal(local.center, discs.common_hull.to_local(ambient.in_plane_center))
         assert local.radius == ambient.in_plane_radius
     socp = make_socp().problem
-    red = isometry_reduce(socp).problem
+    red = isometry_reduce(socp)
     assert red.X is socp.X.inner and type(red.Y) is Ball and red.Y.subspace is None
     sdp = make_sdp_feasibility().problem
-    red = isometry_reduce(sdp).problem
+    red = isometry_reduce(sdp)
     assert isinstance(red.X, IsometricImage) and red.X.inner is sdp.X
     assert type(red.Y) is Ball and red.Y.dim == 5
 
@@ -464,13 +464,13 @@ def test_in_hull_coordinates_keeps_an_embedded_oracle_of_another_frame_wrapped()
 
 def test_isometry_reduce_disc_traces_agree():
     entry = make_discs3d()
-    red = isometry_reduce(entry.problem)
-    assert red.problem.dim == 2
+    red, hull = isometry_reduce(entry.problem), entry.problem.common_hull
+    assert red.dim == 2
     ambient = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0)
     z1 = ambient.iterates[1]
-    reduced = run(red.problem, SolverConfig(method="ccrm"), red.restrict(z1))
+    reduced = run(red, SolverConfig(method="ccrm"), hull.to_local(z1))
     for k in range(1, min(ambient.iterates.shape[0] - 1, reduced.iterates.shape[0])):
-        back = red.embed(reduced.iterates[k - 1])
+        back = hull.from_local(reduced.iterates[k - 1])
         assert np.linalg.norm(back - ambient.iterates[k]) <= 1e-10
 
 
@@ -478,16 +478,16 @@ def test_isometry_reduce_fixed_trace_dimension_count():
     entry = make_fixed_trace()
     red = isometry_reduce(entry.problem)
     n = 4
-    assert red.problem.dim == n * (n + 1) // 2 - 1
+    assert red.dim == n * (n + 1) // 2 - 1
 
 
 def test_isometry_round_trip_on_hull():
     entry = make_discs3d()
-    red = isometry_reduce(entry.problem)
+    hull = entry.problem.common_hull
     rng = np.random.default_rng(67)
     for _ in range(20):
         z = np.array([rng.normal(), rng.normal(), 0.0])
-        assert np.linalg.norm(red.embed(red.restrict(z)) - z) <= 1e-12
+        assert np.linalg.norm(hull.from_local(hull.to_local(z)) - z) <= 1e-12
 
 
 # --- scalar epigraph recurrence ----------------------------------------------

@@ -1,6 +1,7 @@
 """The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
 tools/compare_projections.py, the kinds tools/write_projections.py covers,
-and the per-call timers tools/time_circumcenter.py and tools/time_projections.py."""
+the reduced runs of tools/write_traces.py, and the per-call timers
+tools/time_circumcenter.py and tools/time_projections.py."""
 
 import inspect
 import json
@@ -207,3 +208,15 @@ def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
     assert {"socp", "sdp", "fixed_trace", "epigraph:a=2,b=1"} <= set(result["near"])
     assert set(result["near"]) == set(result["far"]) == set(result["failed"])
     assert all(count > 0 for count in result["near"].values())
+
+
+def test_trace_writer_runs_the_reduced_problem(tmp_path, monkeypatch, capsys):
+    write_traces = tool_module("write_traces")
+    monkeypatch.setattr(write_traces, "SELECTORS", ("discs3d",))
+    write_traces.main(str(tmp_path))
+    assert capsys.readouterr().out == f"16 traces written to {tmp_path}\n"
+    labels = ["z0"] + [f"seed{seed}" for seed in write_traces.SEEDS]
+    for label in labels:
+        lines = (tmp_path / f"discs3d_reduced_ccrm_{label}.csv").read_text().splitlines()
+        assert lines[0].endswith("termination=feasible")
+        assert lines[1] == "k,z0,z1,dist_X,dist_Y,dist_ref"

@@ -47,8 +47,8 @@ def main(out_dir):
         runs = [(f"{method}_{label}", method, entry.problem, z0)
                 for method in METHODS for label, z0 in starts.items()]
         if entry.problem.common_hull is not None:
-            red = isometry_reduce(entry.problem)
-            runs += [(f"reduced_ccrm_{label}", "ccrm", red.problem, red.restrict(z0))
+            red, hull = isometry_reduce(entry.problem), entry.problem.common_hull
+            runs += [(f"reduced_ccrm_{label}", "ccrm", red, hull.to_local(z0))
                      for label, z0 in starts.items()]
         for suffix, method, problem, z0 in runs:
             name = f"{selector.replace(':', '_').replace(',', '_')}_{suffix}.csv"
