@@ -288,10 +288,11 @@ def estimate_omega(
                 v = local(z)
                 pv = pair.inner.project(v)
                 px, x = embed(pv), embed(pair.project_given(v, pv))
-            di = _norm(x - z)
+            zl = z.tolist()
+            di = math.dist(x.tolist(), zl)
             if di <= OMEGA_EXCLUDE_TOL:
                 continue
-            ratio = max(_norm(px - z), problem.Y.distance(z)) / di
+            ratio = max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di
             best = min(best, ratio)
     if not np.isfinite(best):
         raise ValueError("all samples were inside the intersection; cannot estimate")
@@ -335,8 +336,8 @@ def quad_constant_check(
     if kappa_x is None or kappa_y is None or omega is None:
         raise ValueError("kappa_x, kappa_y, and omega must be provided or known")
 
-    project = intersection_oracle(problem).project
-    dists = np.array([_norm(project(z) - z) for z in trace.iterates])
+    distance = intersection_oracle(problem).distance
+    dists = np.array([distance(z) for z in trace.iterates])
     limit = trace.iterates[-1]
     report = rate_report(dists, scale=1.0 + float(np.linalg.norm(limit)))
     if report.classification != RATE_QUADRATIC:

@@ -47,17 +47,29 @@ NEWTON_MAX_ITER = 200
 CAP_TANGENT_RATIO = 1e6
 
 
-def _as_point(z, dim=None):
-    z = np.asarray(z, dtype=float)  # no copy for a float64 array
+_FLOAT = np.dtype(np.float64)
+
+
+def _point(z, dim=None):
+    """(z, x): z as a finite 1-d float64 array (not copied if it is one) of
+    dimension ``dim``, if given, and x its entries as a list of Python floats;
+    ValueError for another shape or dimension, NonFiniteError for inf or nan."""
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT:
+        z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {z.shape}")
     if dim is not None and z.shape[0] != dim:
         raise ValueError(f"dimension mismatch: point has {z.shape[0]}, set has {dim}")
+    x = z.tolist()
     # A Python float sum carries inf and nan through without a warning; a
     # finite point whose sum overflows falls through to the exact test.
-    if not math.isfinite(sum(z.tolist())) and not np.isfinite(z).all():
+    if not math.isfinite(sum(x)) and not np.isfinite(z).all():
         raise NonFiniteError("point has non-finite entries")
-    return z
+    return z, x
+
+
+def _as_point(z, dim=None):
+    return _point(z, dim)[0]
 
 
 def _check_finite(**params):
@@ -81,7 +93,8 @@ def _check_count(name, value) -> int:
 def _norm(d) -> float:
     """Euclidean norm of a finite 1-d float array: ``math.hypot`` of its
     entries, one C call within 1 ulp of the exact norm that does not
-    overflow for any vector whose norm is finite (Python >= 3.10)."""
+    overflow for any vector whose norm is finite (Python >= 3.10). ``math.dist``
+    of the lists of a and b is bit for bit ``_norm(a - b)``, with no temporary."""
     return math.hypot(*d.tolist())
 
 
@@ -192,7 +205,7 @@ class SetOracle:
         return 2.0 * self.project(z) - z
 
     def distance(self, z) -> float:
-        return _norm(self.project(z) - z)
+        return math.dist(self.project(z).tolist(), np.asarray(z, dtype=float).tolist())
 
     def contains(self, z, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(z) <= tol
@@ -288,12 +301,11 @@ def _unit_normal(normal, offset, kind):
     return normal, [a / h for a in s], c
 
 
-def _onto_level(z, u, c, halfspace):
-    """z moved along the unit normal u onto {<u, x> = c}, as one sequential
-    dot product on Python floats: at n <= 10 numpy's per-call overhead costs
-    more than the arithmetic. A halfspace {<u, x> <= c} returns a copy of a
-    z inside it."""
-    x = z.tolist()
+def _onto_level(z, x, u, c, halfspace):
+    """z, whose entries are the list x, moved along the unit normal u onto
+    {<u, y> = c} by one sequential dot product on Python floats: at n <= 10
+    numpy's per-call overhead costs more than the arithmetic. A halfspace
+    {<u, y> <= c} returns a copy of a z inside it."""
     excess = sum(map(operator.mul, u, x)) - c
     if halfspace and excess <= 0.0:
         return z.copy()
@@ -312,7 +324,7 @@ class Hyperplane(AffineSubspace):
         super().__init__(self.normal[None, :], [self.offset])
 
     def project(self, z) -> np.ndarray:
-        return _onto_level(_as_point(z, self.dim), self._unit, self._level, False)
+        return _onto_level(*_point(z, self.dim), self._unit, self._level, False)
 
 
 class Halfspace(SetOracle):
@@ -324,11 +336,11 @@ class Halfspace(SetOracle):
         super().__init__(self.normal.shape[0])
 
     def project(self, z) -> np.ndarray:
-        return _onto_level(_as_point(z, self.dim), self._unit, self._level, True)
+        return _onto_level(*_point(z, self.dim), self._unit, self._level, True)
 
     def _boundary(self, z):
         # In the unit normal's terms, so no normal scale over- or underflows.
-        g = sum(map(operator.mul, self._unit, _as_point(z, self.dim).tolist())) - self._level
+        g = sum(map(operator.mul, self._unit, _point(z, self.dim)[1])) - self._level
         return g, np.array(self._unit), np.zeros((self.dim, self.dim))
 
 
@@ -507,8 +519,7 @@ class HyperboloidSheet(SetOracle):
         self._e = self.axis.tolist()
 
     def _split(self, z):
-        v = _as_point(z, self.dim)
-        x = v.tolist()
+        v, x = _point(z, self.dim)
         t = sum(map(operator.mul, self._e, x))
         w = [a - t * b for a, b in zip(x, self._e)]
         return v, t, w, math.hypot(*w)
@@ -597,8 +608,7 @@ class PowerEpigraph(SetOracle):
         self.beta = float(beta)
 
     def project(self, z) -> np.ndarray:
-        z = _as_point(z, 2)
-        x0, y0 = z.tolist()
+        z, (x0, y0) = _point(z, 2)
         y0 += self.beta
         ax = abs(x0)
         try:
@@ -857,27 +867,28 @@ class Cap(_Pair, SetOracle):
 
     def project_dual(self, z, inner_z=None):
         """(P(z), s): the projection and its multiplier; ``inner_z`` is P_inner(z), if known."""
-        z = _as_point(z, self.dim)
-        inner, cut, ball, size, nz = self.inner, self.cut, self._ball, self._size, _norm(z)
-        c, r, a = (cut.center, cut.radius, None) if ball else (None, None, cut.normal)
+        z, zl = _point(z, self.dim)
+        inner, cut, ball, size, nz = self.inner, self.cut, self._ball, self._size, math.hypot(*zl)
+        c, r, a = (cut.center.tolist(), cut.radius, None) if ball else (None, None, cut.normal)
         x0 = inner.project(z) if inner_z is None else inner_z
-        f0 = _norm(x0 - c) - r if ball else float(a @ x0) - cut.offset
+        f0 = math.dist(x0.tolist(), c) - r if ball else float(a @ x0) - cut.offset
         if f0 <= 0.0 and not isinstance(cut, Hyperplane):
             return x0, 0.0
+        zc = z - cut.center if ball else None
         # The search variable v is 1 / (1 + s) for a ball, else s; v = start is s = 0.
-        start, d0 = (1.0 if ball else 0.0), _norm(z - x0)
+        start, d0 = (1.0 if ball else 0.0), math.dist(zl, x0.tolist())
         tol = 4.0 * EPS * (r + size + nz if ball else abs(cut.offset) + size * nz)
         close = 0.0 if ball else nz / size
 
         def residual(v):  # at s = 0, P_inner of z itself: c + (z - c) need not be z
             if v == start:
                 return f0, x0
-            x = inner.project(c + (z - c) / (1.0 + (1.0 / v - 1.0)) if ball else z - v * a)
-            return (_norm(x - c) - r if ball else float(a @ x) - cut.offset), x
+            x = inner.project(cut.center + zc / (1.0 + (1.0 / v - 1.0)) if ball else z - v * a)
+            return (math.dist(x.tolist(), c) - r if ball else float(a @ x) - cut.offset), x
 
         def tangent(v, x):  # |s| ||grad|| is ||z - x|| >= ||z - x0|| where the inner set is inactive
             pull = abs(1.0 / v - 1.0 if ball else v) * (r if ball else size)
-            return pull > CAP_TANGENT_RATIO * d0 and pull > CAP_TANGENT_RATIO * _norm(z - x)
+            return pull > CAP_TANGENT_RATIO * d0 and pull > CAP_TANGENT_RATIO * math.dist(zl, x.tolist())
 
         def settled(v, f, x, step):
             # f at the rounding of the shifted point and of its own evaluation

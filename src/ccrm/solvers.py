@@ -18,7 +18,7 @@ import numpy as np
 
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
-from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _norm, _power_normal_root
+from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _point, _power_normal_root
 from .sets import _row_norms, in_hull_coordinates, same_subspace
 
 TERMINATION_FEASIBLE = "feasible"
@@ -135,21 +135,26 @@ def _ccrm(problem, z, px, tol_feas):
 
     The homothety of ratio 2 about z_C maps P_X(z_C) and P_Y(z_C) to the
     two reflections, so the step is 2 circ{z_C, P_X(z_C), P_Y(z_C)} - z_C
-    and no reflection is formed. A z_C within ``tol_feas`` of both sets
-    can have projections so close to it that the circumcenter system is
-    inconsistent; z_C is then the step. Any other GeometryError
-    propagates.
+    and no reflection is formed; it is formed on Python floats, so a step
+    past the float range raises GeometryError without a warning. A z_C
+    within ``tol_feas`` of both sets can have projections so close to it
+    that the circumcenter system is inconsistent; z_C is then the step.
+    Any other GeometryError propagates.
     """
     yw = problem.Y.project(px)
     z_c = 0.5 * (yw + problem.X.project(yw))
     pxc, pyc = problem.X.project(z_c), problem.Y.project(z_c)
+    zc_list = z_c.tolist()
     try:
         result = circumcenter([z_c, pxc, pyc])
     except GeometryError:
-        if max(_norm(z_c - pxc), _norm(z_c - pyc)) > tol_feas:
+        if max(math.dist(zc_list, pxc.tolist()), math.dist(zc_list, pyc.tolist())) > tol_feas:
             raise
         return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE, None
-    return 2.0 * result.center - z_c, z_c, result.status, None
+    x = [2.0 * a - b for a, b in zip(result.center.tolist(), zc_list)]
+    if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+        raise GeometryError("the circumcenter lies beyond the float range")
+    return np.array(x), z_c, result.status, None
 
 
 def _crm(problem, z, px, tol_feas):
@@ -192,9 +197,9 @@ def map_step(problem: FeasibilityProblem, z) -> np.ndarray:
     return _step("map", problem, z)[0]
 
 
-def _residuals(problem, z, px, dist_y):
-    """X and Y residuals of z; dist_y is measured when the step gave None."""
-    dist_x = _norm(z - px)
+def _residuals(problem, z, x, px, dist_y):
+    """X and Y residuals of z, whose entries are x; dist_y is measured when the step gave None."""
+    dist_x = math.dist(x, px.tolist())
     if dist_y is None:
         dist_y = problem.Y.distance(z)
     if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
@@ -215,13 +220,15 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     floor (the step geometry collapses once projection corrections
     underflow) is stagnation rather than an error. Each of these keeps the
     iterates so far and its message as ``termination_detail``; one at z0
-    propagates.
+    propagates. Each iterate becomes a list of floats once, for its
+    residuals, step length and norm: ``math.dist`` and ``math.hypot`` on
+    lists, bit for bit the norms of numpy differences.
     """
     step = STEPS[config.method]
-    z = _as_point(z0, problem.dim).copy()
+    z, x = _point(z0, problem.dim)
     px = problem.X.project(z)
     iterates = [z.copy()]
-    dist_x, dist_y = _residuals(problem, z, px, None)
+    dist_x, dist_y = _residuals(problem, z, x, px, None)
     res_x, res_y = [dist_x], [dist_y]
     centers, statuses = [], []
 
@@ -233,7 +240,8 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
             try:
                 z_next, z_c, status, dist_y = step(problem, z, px, config.tol_feas)
                 px = problem.X.project(z_next)
-                dist_x, dist_y = _residuals(problem, z_next, px, dist_y)
+                x_next = z_next.tolist()
+                dist_x, dist_y = _residuals(problem, z_next, x_next, px, dist_y)
             except GeometryError as exc:
                 termination, detail = TERMINATION_STAGNATION, str(exc)
                 break
@@ -254,10 +262,10 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
             if max(dist_x, dist_y) <= config.tol_feas:
                 termination = TERMINATION_FEASIBLE
                 break
-            if _norm(z_next - z) <= STEP_TOL * (1.0 + _norm(z)):
+            if math.dist(x_next, x) <= STEP_TOL * (1.0 + math.hypot(*x)):
                 termination = TERMINATION_STAGNATION
                 break
-            z = z_next
+            z, x = z_next, x_next
 
     iterates = np.asarray(iterates)
     dist_ref = None

@@ -154,6 +154,19 @@ def test_run_stagnation_at_precision_floor():
     assert trace.iterates[-1][0] <= 1e-7
 
 
+@pytest.mark.filterwarnings("error")
+def test_ccrm_step_past_the_float_range_ends_as_stagnation():
+    # The projections' circumcenter (1.25e308, 6.25e304) is finite, the
+    # doubled step 2 c - z_C is not.
+    problem = FeasibilityProblem(Halfspace([0.0, 1.0], 0.0), Halfspace([-1e-3, -1.0], -2.5e305))
+    trace = run(problem, SolverConfig(method="ccrm"), [0.0, 1e300])
+    assert trace.termination == TERMINATION_STAGNATION
+    assert trace.termination_detail == "the circumcenter lies beyond the float range"
+    assert trace.n_steps == 0
+    with pytest.raises(GeometryError, match="beyond the float range"):
+        ccrm_step(problem, [0.0, 1e300])
+
+
 class ShiftedOracle(SetOracle):
     """``inner``'s projection moved by a fixed offset: a stand-in for an
     oracle whose output lies within rounding of the set."""

@@ -1,7 +1,8 @@
 """The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
 tools/compare_projections.py, the kinds tools/write_projections.py covers,
-the reduced runs of tools/write_traces.py, and the per-call timers
-tools/time_circumcenter.py and tools/time_projections.py."""
+the reduced runs of tools/write_traces.py, the per-call timers
+tools/time_circumcenter.py and tools/time_projections.py, and the per-step
+timer tools/time_steps.py."""
 
 import inspect
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from ccrm import catalog
 from ccrm.serialize import oracle_from_dict, oracle_to_dict
+from ccrm.solvers import SolverConfig, run
 
 from helpers import tool_module
 
@@ -196,6 +198,24 @@ def test_projection_timer_prints_one_json_line(capsys):
         s for s in timer.SELECTORS if s.startswith("epigraph:") and ",b=0," in s
     ]
     assert all(t > 0.0 for t in times if t is not None)
+
+
+def test_step_timer_prints_one_json_line(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    timer = tool_module("time_steps")
+    monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=3,b=1,y=line"))
+    timer.main(["--repeats", "1", "--budget-ms", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert result["unit"] == "us/step"
+    for method in ("ccrm", "crm", "map"):
+        assert list(result[method]) == list(result["steps"][method]) == list(timer.SELECTORS)
+        assert all(t > 0.0 for t in result[method].values())
+    entry = catalog.resolve("discs3d")
+    for method in ("ccrm", "crm", "map"):
+        trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+        assert result["steps"][method]["discs3d"] == trace.n_steps
 
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
