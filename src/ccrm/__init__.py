@@ -57,7 +57,6 @@ from .solvers import (
     SolverConfig,
     ccrm_step,
     crm_step,
-    epigraph_scalar_step,
     isometry_reduce,
     map_step,
     run,

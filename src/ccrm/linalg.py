@@ -81,14 +81,18 @@ def least_squares_min_norm(A, b) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _sym_layout(n: int):
-    """(rows, cols, scale) of the flattened layout of order n: the upper
+    """(gather, upper, scale) of the flattened layout of order n: the upper
     triangle in row-major order, scaled by 1 on the diagonal and sqrt(2)
-    off it. Read-only, as the arrays are shared between calls."""
+    off it. ``v.take(gather)`` is the (n, n) symmetric matrix of the
+    entries of v, and ``S.take(upper)`` the flattened upper triangle of S,
+    each one gather. Read-only, as the arrays are shared between calls."""
     rows, cols = np.triu_indices(n)
-    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    for a in (rows, cols, scale):
+    gather = np.empty((n, n), dtype=np.intp)
+    gather[rows, cols] = gather[cols, rows] = np.arange(rows.shape[0])
+    upper, scale = rows * n + cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for a in (gather, upper, scale):
         a.setflags(write=False)
-    return rows, cols, scale
+    return gather, upper, scale
 
 
 def sym_to_vec(S) -> np.ndarray:
@@ -102,8 +106,8 @@ def sym_to_vec(S) -> np.ndarray:
     n, m = S.shape
     if n != m:
         raise ValueError("matrix must be square")
-    rows, cols, scale = _sym_layout(n)
-    return S[rows, cols] * scale
+    _, upper, scale = _sym_layout(n)
+    return S.take(upper) * scale
 
 
 def vec_to_sym(v) -> np.ndarray:
@@ -115,10 +119,8 @@ def vec_to_sym(v) -> np.ndarray:
     n = (math.isqrt(8 * m + 1) - 1) // 2
     if n * (n + 1) // 2 != m:
         raise ValueError(f"length {m} is not a triangular number")
-    rows, cols, scale = _sym_layout(n)
-    S = np.empty((n, n))
-    S[rows, cols] = S[cols, rows] = v / scale
-    return S
+    gather, _, scale = _sym_layout(n)
+    return (v / scale).take(gather)
 
 
 def sym_dim(n: int) -> int:

@@ -1,7 +1,9 @@
 """Closed convex sets with exact projections and optional boundary calculus.
 
 Every oracle exposes ``project`` (exact, or within a stated tolerance for
-the iterative kinds), ``reflect``, membership helpers, and optionally a
+the iterative kinds; the base class validates the point once and hands it,
+with its entries as a list, to the class's kernel ``_project(z, x)``),
+``reflect``, membership helpers, and optionally a
 smooth boundary descriptor: ``_boundary(z)`` gives (g, grad g, Hess g)
 together, which :func:`boundary_eval` restricts to the set's affine hull.
 The descriptor feeds the curvature diagnostic; oracles without one simply
@@ -63,6 +65,15 @@ def _point(z, dim=None):
     x = z.tolist()
     # A Python float sum carries inf and nan through without a warning; a
     # finite point whose sum overflows falls through to the exact test.
+    if not math.isfinite(sum(x)) and not np.isfinite(z).all():
+        raise NonFiniteError("point has non-finite entries")
+    return z, x
+
+
+def _finite(z):
+    """:func:`_point`'s finiteness test alone (inlined there, which saves a
+    call per projection), for an affine image of a validated point."""
+    x = z.tolist()
     if not math.isfinite(sum(x)) and not np.isfinite(z).all():
         raise NonFiniteError("point has non-finite entries")
     return z, x
@@ -198,6 +209,12 @@ class SetOracle:
         self.dim = int(dim)
 
     def project(self, z) -> np.ndarray:
+        """P(z): z is validated once, by :func:`_point`, for ``_project``."""
+        z, x = _point(z, self.dim)
+        return self._project(z, x)
+
+    def _project(self, z, x) -> np.ndarray:
+        """P(z) of a finite float64 point z of the set's dimension, x its entries as a list."""
         raise NotImplementedError
 
     # ``project`` validates z, so these two do not validate it again.
@@ -254,20 +271,18 @@ class AffineSubspace(SetOracle):
                 raise ValueError("basis columns are not orthonormal")
             if A.shape[0] and np.linalg.norm(A @ basis) > 1e-10 * (1.0 + np.linalg.norm(A)):
                 raise ValueError("basis columns do not span null(A)")
-        self.basis = basis
+        self.basis, self._Bt = basis, basis.T  # a view, formed once
 
     @property
     def subspace_dim(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        return self.anchor + self.basis @ (self.basis.T @ (z - self.anchor))
+    def _project(self, z, x) -> np.ndarray:
+        return self.anchor + self.basis @ (self._Bt @ (z - self.anchor))
 
     def to_local(self, z) -> np.ndarray:
         """Isometric coordinates of a hull point: B^T (z - anchor)."""
-        z = _as_point(z, self.dim)
-        return self.basis.T @ (z - self.anchor)
+        return self._Bt @ (_as_point(z, self.dim) - self.anchor)
 
     def from_local(self, v) -> np.ndarray:
         v = _as_point(v, self.subspace_dim)
@@ -301,42 +316,44 @@ def _unit_normal(normal, offset, kind):
     return normal, [a / h for a in s], c
 
 
-def _onto_level(z, x, u, c, halfspace):
-    """z, whose entries are the list x, moved along the unit normal u onto
-    {<u, y> = c} by one sequential dot product on Python floats: at n <= 10
-    numpy's per-call overhead costs more than the arithmetic. A halfspace
-    {<u, y> <= c} returns a copy of a z inside it."""
-    excess = sum(map(operator.mul, u, x)) - c
-    if halfspace and excess <= 0.0:
-        return z.copy()
-    if not math.isfinite(excess):
-        raise NonFiniteError("the point's distance to the hyperplane overflows")
-    return np.array([a - excess * b for a, b in zip(x, u)])
+class _Level:
+    """The kernel of :class:`Hyperplane` and :class:`Halfspace`: z, whose
+    entries are the list x, moved along the unit normal u = ``_unit`` onto
+    {<u, y> = c}, c = ``_level``, by one sequential dot product on Python
+    floats: at n <= 10 numpy's per-call overhead costs more than the
+    arithmetic. A halfspace {<u, y> <= c} returns a copy of a z inside it."""
+
+    def _project(self, z, x) -> np.ndarray:
+        u = self._unit
+        excess = sum(map(operator.mul, u, x)) - self._level
+        if self._halfspace and excess <= 0.0:
+            return z.copy()
+        if not math.isfinite(excess):
+            raise NonFiniteError("the point's distance to the hyperplane overflows")
+        return np.array([a - excess * b for a, b in zip(x, u)])
 
 
-class Hyperplane(AffineSubspace):
-    """{z : <normal, z> = offset}, projected by :func:`_onto_level`; the
+class Hyperplane(_Level, AffineSubspace):
+    """{z : <normal, z> = offset}, projected by :class:`_Level`; the
     inherited ``anchor`` and ``basis`` serve ``to_local`` and ``from_local``."""
+
+    _halfspace = False
 
     def __init__(self, normal, offset):
         self.normal, self._unit, self._level = _unit_normal(normal, offset, "hyperplane")
         self.offset = float(offset)
         super().__init__(self.normal[None, :], [self.offset])
 
-    def project(self, z) -> np.ndarray:
-        return _onto_level(*_point(z, self.dim), self._unit, self._level, False)
 
+class Halfspace(_Level, SetOracle):
+    """{z : <normal, z> <= offset}, projected by :class:`_Level`."""
 
-class Halfspace(SetOracle):
-    """{z : <normal, z> <= offset}, projected by :func:`_onto_level`."""
+    _halfspace = True
 
     def __init__(self, normal, offset):
         self.normal, self._unit, self._level = _unit_normal(normal, offset, "halfspace")
         self.offset = float(offset)
         super().__init__(self.normal.shape[0])
-
-    def project(self, z) -> np.ndarray:
-        return _onto_level(*_point(z, self.dim), self._unit, self._level, True)
 
     def _boundary(self, z):
         # In the unit normal's terms, so no normal scale over- or underflows.
@@ -371,15 +388,15 @@ class Ball(SetOracle):
             if chord2 <= 0.0:
                 raise ValueError("empty set: the ball does not reach the subspace")
             self.in_plane_center, self.in_plane_radius = q, float(np.sqrt(chord2))
+        self._c = self.in_plane_center.tolist()  # for math.dist, bit for bit _norm(p - c)
 
-    def project(self, z) -> np.ndarray:
+    def _project(self, z, x) -> np.ndarray:
         L = self.subspace
-        p = _as_point(z, self.dim) if L is None else L.project(z)
-        d = p - self.in_plane_center
-        nd = _norm(d)
+        p = z if L is None else L._project(z, x)
+        nd = math.dist(x if L is None else p.tolist(), self._c)
         if nd <= self.in_plane_radius:
             return p.copy() if L is None else p
-        return self.in_plane_center + d * (self.in_plane_radius / nd)
+        return self.in_plane_center + (p - self.in_plane_center) * (self.in_plane_radius / nd)
 
     def _boundary(self, z):
         d = _as_point(z, self.dim) - self.in_plane_center
@@ -411,8 +428,7 @@ class Ellipsoid(SetOracle):
         self._d, self._U = d, U
         self._sqrt_d = np.sqrt(d)
 
-    def project(self, z) -> np.ndarray:
-        z = _as_point(z, self.dim)
+    def _project(self, z, x) -> np.ndarray:
         w = self._U.T @ (z - self.center)
         # sqrt(sum_i d_i w_i^2), past the square's overflow too.
         r = _norm(self._sqrt_d * w)
@@ -518,14 +534,13 @@ class HyperboloidSheet(SetOracle):
         self.axis, self.d = axis / na, float(d)
         self._e = self.axis.tolist()
 
-    def _split(self, z):
-        v, x = _point(z, self.dim)
+    def _split(self, x):
         t = sum(map(operator.mul, self._e, x))
         w = [a - t * b for a, b in zip(x, self._e)]
-        return v, t, w, math.hypot(*w)
+        return t, w, math.hypot(*w)
 
-    def project(self, z) -> np.ndarray:
-        v, t, w, r = self._split(z)
+    def _project(self, v, x) -> np.ndarray:
+        t, w, r = self._split(x)
         if t >= math.hypot(self.d, r):
             return v.copy()
         if r == 0.0:
@@ -535,7 +550,7 @@ class HyperboloidSheet(SetOracle):
         return np.array([h * a + k * b for a, b in zip(self._e, w)])
 
     def _boundary(self, z):
-        _, t, w, r = self._split(z)
+        t, w, r = self._split(_point(z, self.dim)[1])
         w, h = np.array(w), math.hypot(self.d, r)
         if self.d == 0.0 and h <= 1e-12 * (1.0 + abs(t)):
             raise RegularityError("second-order cone boundary is not a manifold at the apex")
@@ -560,31 +575,40 @@ def _power_normal_root(alpha, x0, y0):
     the epigraph {y >= x^alpha}; the root is bracketed in
     [max(y0, 0)^(1/alpha), x0], where the equation is monotone. Newton is
     started at min(x0, 1) and safeguarded by bisection; the root is
-    resolved to machine precision (well inside the 1e-14 contract).
+    resolved to machine precision (well inside the 1e-14 contract). A far
+    point, from which Newton overshoots and then descends by (2 alpha - 1) /
+    (2 alpha - 2) per step, spends that budget: the search restarts once in
+    its bracket from the smaller root of the far field's two leading terms,
+    and stops there also at f's rounding level.
     """
     lo = y0 ** (1.0 / alpha) if y0 > 0.0 else 0.0
     hi = x0
-
-    u = min(max(min(x0, 1.0), lo), hi)
-    for _ in range(NEWTON_MAX_ITER):
-        ua1 = u ** (alpha - 1.0)
-        ua = ua1 * u
-        f = (u - x0) + alpha * ua1 * (ua - y0)
-        df = 1.0
-        if u > 0.0:
-            df += alpha * (alpha - 1.0) * u ** (alpha - 2.0) * (ua - y0)
-        df += alpha * alpha * ua1 * ua1
-        if f > 0.0:
-            hi = u
-        else:
-            lo = u
-        nxt = u - f / df if df > 0.0 else 0.5 * (lo + hi)
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 2.0 * EPS * (1.0 + abs(u)):
-            return nxt
-        u = nxt
-    raise ConvergenceError("power-epigraph normal equation did not converge", residual=abs(f))
+    a1, a2, aa1, aa, tol = alpha - 1.0, alpha - 2.0, alpha * (alpha - 1.0), alpha * alpha, 2.0 * EPS
+    u, level = min(x0, 1.0), 0.0
+    while True:
+        u = min(max(u, lo), hi)
+        for _ in range(NEWTON_MAX_ITER):
+            ua1 = u**a1
+            ua = ua1 * u
+            d = ua - y0
+            f = (u - x0) + alpha * ua1 * d
+            if level and abs(f) <= level * (u + x0 + alpha * ua1 * (ua + abs(y0))):
+                return u
+            df = (1.0 + aa1 * u**a2 * d if u > 0.0 else 1.0) + aa * ua1 * ua1
+            if f > 0.0:
+                hi = u
+            else:
+                lo = u
+            nxt = u - f / df if df > 0.0 else 0.5 * (lo + hi)
+            if not lo <= nxt <= hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - u) <= tol * (1.0 + abs(u)):
+                return nxt
+            u = nxt
+        if level:
+            raise ConvergenceError("power-epigraph normal equation did not converge", residual=abs(f))
+        u = min((x0 / alpha) ** (1.0 / (2.0 * alpha - 1.0)), (x0 / (alpha * -y0)) ** (1.0 / a1) if y0 < 0.0 else hi)
+        level = 4.0 * EPS
 
 
 class PowerEpigraph(SetOracle):
@@ -607,8 +631,8 @@ class PowerEpigraph(SetOracle):
         self.alpha = float(alpha)
         self.beta = float(beta)
 
-    def project(self, z) -> np.ndarray:
-        z, (x0, y0) = _point(z, 2)
+    def _project(self, z, x) -> np.ndarray:
+        x0, y0 = x
         y0 += self.beta
         ax = abs(x0)
         try:
@@ -657,14 +681,16 @@ def _project_eigs(v, lo, hi, trace=None):
     """
     if trace is None:
         return np.clip(v, lo, hi)
-    n = v.shape[0]
+    v = v.tolist()
+    n = len(v)
     if hi == np.inf:
         rank = 0
     elif lo == -np.inf or hi == lo:
         rank = n - 1
     else:
         rank = min(max(int((trace - n * lo) / (hi - lo)), 0), n - 1)
-    u = (v - v[n - 1 - rank]).tolist()
+    ref = v[n - 1 - rank]
+    u = [x - ref for x in v]
     bps = sorted([x - b for b in (lo, hi) if math.isfinite(b) for x in u])
     sums = []
     for b in bps:  # the sums fall with b, rounded too: the first under the trace is sums[k]
@@ -678,11 +704,11 @@ def _project_eigs(v, lo, hi, trace=None):
     k = len(sums) - (sums[-1] < trace)  # sums[:k] >= trace > sums[k]
     b0 = bps[k - 1] if k else -np.inf
     b1 = bps[k] if k < len(bps) else np.inf
-    m = sum(x - hi <= b0 and x - lo >= b1 for x in u)
+    m = len([x for x in u if x - hi <= b0 and x - lo >= b1])
     near_b0 = k and (k == len(bps) or sums[k - 1] - trace <= trace - sums[k])
     b, s = (b0, sums[k - 1]) if near_b0 else (b1, sums[k])
     shift = (s - trace) / m if m else 0.0
-    return np.array([min(max((x - b) - shift, lo), hi) for x in u])
+    return np.array([lo if t < lo else hi if t > hi else t for t in [(x - b) - shift for x in u]])
 
 
 class SpectralSet(SetOracle):
@@ -715,21 +741,18 @@ class SpectralSet(SetOracle):
             if not n * lo <= trace <= n * hi:
                 raise ValueError("empty set: need n * lo <= trace <= n * hi")
         super().__init__(sym_dim(n))
-        self.n = n
+        self.n, self._layout = n, _sym_layout(n)
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
         if self.trace is not None:
             self.affine_hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
 
-    def project(self, z) -> np.ndarray:
-        rows, cols, scale = _sym_layout(self.n)
-        S = np.empty((self.n, self.n))
-        S[rows, cols] = S[cols, rows] = _as_point(z, self.dim) / scale
-        # S is finite and exactly symmetric (both triangles from one vector),
-        # as in _boundary, so neither needs symmetric_eigh's checks.
-        w, V = np.linalg.eigh(S)
-        w = _project_eigs(w, self.lo, self.hi, self.trace)
-        return ((V * w) @ V.T)[rows, cols] * scale
+    def _project(self, z, x) -> np.ndarray:
+        gather, upper, scale = self._layout
+        # The matrix is finite and exactly symmetric (both triangles gathered
+        # from one vector), as in _boundary, so neither needs symmetric_eigh's checks.
+        w, V = np.linalg.eigh((z / scale).take(gather))
+        return ((V * _project_eigs(w, self.lo, self.hi, self.trace)) @ V.T).take(upper) * scale
 
     def _boundary(self, z):
         # One eigendecomposition gives all three. The active end is lambda_min
@@ -765,14 +788,14 @@ class EmbeddedOracle(SetOracle):
         self.inner = inner
         self.subspace = self.affine_hull = subspace
 
-    def project(self, z) -> np.ndarray:
-        a, B = self.subspace.anchor, self.subspace.basis
-        return a + B @ self.inner.project(B.T @ (_as_point(z, self.dim) - a))
+    def _project(self, z, x) -> np.ndarray:
+        a, B, Bt = self.subspace.anchor, self.subspace.basis, self.subspace._Bt
+        return a + B @ self.inner._project(*_finite(Bt @ (z - a)))
 
     def _boundary(self, z):
-        a, B = self.subspace.anchor, self.subspace.basis
-        g, grad, hess = self.inner._boundary(B.T @ (_as_point(z, self.dim) - a))
-        return g, B @ grad, B @ hess @ B.T
+        a, B, Bt = self.subspace.anchor, self.subspace.basis, self.subspace._Bt
+        g, grad, hess = self.inner._boundary(Bt @ (_as_point(z, self.dim) - a))
+        return g, B @ grad, B @ hess @ Bt
 
 
 class IsometricImage(SetOracle):
@@ -790,14 +813,14 @@ class IsometricImage(SetOracle):
         self.inner = inner
         self.subspace = subspace
 
-    def project(self, v) -> np.ndarray:
-        a, B = self.subspace.anchor, self.subspace.basis
-        return B.T @ (self.inner.project(a + B @ _as_point(v, self.dim)) - a)
+    def _project(self, v, x) -> np.ndarray:
+        a, B, Bt = self.subspace.anchor, self.subspace.basis, self.subspace._Bt
+        return Bt @ (self.inner._project(*_finite(a + B @ v)) - a)
 
     def _boundary(self, v):
-        a, B = self.subspace.anchor, self.subspace.basis
+        a, B, Bt = self.subspace.anchor, self.subspace.basis, self.subspace._Bt
         g, grad, hess = self.inner._boundary(a + B @ _as_point(v, self.dim))
-        return g, B.T @ grad, B.T @ hess @ B
+        return g, Bt @ grad, Bt @ hess @ B
 
 
 def in_hull_coordinates(oracle: SetOracle, hull: AffineSubspace) -> SetOracle:
@@ -824,10 +847,14 @@ def in_hull_coordinates(oracle: SetOracle, hull: AffineSubspace) -> SetOracle:
 
 class _Pair:
     """A pair oracle, ``inner`` cut by ``cut``: ``project_given(z, inner_z)`` takes
-    ``inner_z`` = P_inner(z), or None; the boundary descriptor is ``inner``'s."""
+    ``inner_z`` = P_inner(z), or None; the boundary descriptor is ``inner``'s.
+    ``_given`` is its kernel on a validated point z of entries zl."""
 
-    def project(self, z) -> np.ndarray:
-        return self.project_given(z, None)
+    def _project(self, z, x) -> np.ndarray:
+        return self._given(z, x, None)
+
+    def project_given(self, z, inner_z) -> np.ndarray:
+        return self._given(*_point(z, self.dim), inner_z)
 
     def _boundary(self, z):
         return self.inner._boundary(z)
@@ -862,14 +889,16 @@ class Cap(_Pair, SetOracle):
         self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
         self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
-    def project_given(self, z, inner_z) -> np.ndarray:
-        return self.project_dual(z, inner_z)[0]
+    def _given(self, z, zl, inner_z) -> np.ndarray:
+        return self._dual(z, zl, inner_z)[0]
 
     def project_dual(self, z, inner_z=None):
         """(P(z), s): the projection and its multiplier; ``inner_z`` is P_inner(z), if known."""
-        z, zl = _point(z, self.dim)
+        return self._dual(*_point(z, self.dim), inner_z)
+
+    def _dual(self, z, zl, inner_z):
         inner, cut, ball, size, nz = self.inner, self.cut, self._ball, self._size, math.hypot(*zl)
-        c, r, a = (cut.center.tolist(), cut.radius, None) if ball else (None, None, cut.normal)
+        c, r, a = (cut._c, cut.radius, None) if ball else (None, None, cut.normal)
         x0 = inner.project(z) if inner_z is None else inner_z
         f0 = math.dist(x0.tolist(), c) - r if ball else float(a @ x0) - cut.offset
         if f0 <= 0.0 and not isinstance(cut, Hyperplane):
@@ -963,16 +992,15 @@ class BallLens(_Pair, SetOracle):
         u[k] += 1.0
         self._across = u / _norm(u)  # a unit vector orthogonal to the axis
 
-    def project_given(self, z, inner_z) -> np.ndarray:
-        z = _as_point(z, self.dim)
+    def _given(self, z, zl, inner_z) -> np.ndarray:
         if self._nested is not None:
-            return inner_z if inner_z is not None and self._nested is self.inner else self._nested.project(z)
+            return inner_z if inner_z is not None and self._nested is self.inner else self._nested._project(z, zl)
         inner, cut = self.inner, self.cut
-        x = inner.project(z) if inner_z is None else inner_z
-        if _norm(x - cut.center) <= cut.radius:
+        x = inner._project(z, zl) if inner_z is None else inner_z
+        if math.dist(x.tolist(), cut._c) <= cut.radius:
             return x
-        y = cut.project(z)
-        if _norm(y - inner.center) <= inner.radius:
+        y = cut._project(z, zl)
+        if math.dist(y.tolist(), inner._c) <= inner.radius:
             return y
         q = z - self._rim_center
         w = q - float(self._axis @ q) * self._axis
@@ -1011,13 +1039,12 @@ class EllipsoidLens(_Pair, SetOracle):
         return g, grad, 4.0 * EPS * (e.dim + _norm(grad) * (_norm(x) + _norm(e.center)))
 
     @np.errstate(over="ignore", invalid="ignore")  # a trial step far past the root
-    def project_given(self, z, inner_z) -> np.ndarray:
-        z = _as_point(z, self.dim)
-        x1 = self.inner.project(z) if inner_z is None else inner_z
+    def _given(self, z, zl, inner_z) -> np.ndarray:
+        x1 = self.inner._project(z, zl) if inner_z is None else inner_z
         g, _, tol = self._constraint(self.cut, x1)
         if g <= tol:
             return x1
-        x2 = self.cut.project(z)
+        x2 = self.cut._project(z, zl)
         g, _, tol = self._constraint(self.inner, x2)
         if g <= tol:
             return x2

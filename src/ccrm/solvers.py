@@ -18,7 +18,7 @@ import numpy as np
 
 from .circumcenter import circumcenter
 from .errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
-from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _point, _power_normal_root
+from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _point
 from .sets import _row_norms, in_hull_coordinates, same_subspace
 
 TERMINATION_FEASIBLE = "feasible"
@@ -308,44 +308,3 @@ def isometry_reduce(problem: FeasibilityProblem) -> FeasibilityProblem:
         known_constants=problem.known_constants,
     )
 
-
-@dataclass(frozen=True)
-class EpigraphScalarInternals:
-    u: float
-    v: float
-    a: float
-    h: float
-    p: float
-
-
-def epigraph_scalar_step(alpha: float, x: float):
-    """Analytic one-dimensional cCRM recurrence for the power epigraph.
-
-    For the pair {y >= |x|^alpha, y <= 0} started on the x-axis, the
-    iteration never leaves the axis, and the next abscissa follows from
-    the circumcenter equidistance relation
-    (x' - p)(p - a) = p^alpha (p^alpha - h), with u, v the two alternating
-    projection abscissae, (a, h) the centralized point, and p the abscissa
-    of its projection onto the epigraph. All scalar roots are resolved to
-    machine precision (within the 1e-14 contract).
-
-    Returns:
-        (x_next, internals) with the intermediate scalars.
-    """
-    if alpha <= 1.0:
-        raise ValueError("exponent must exceed 1")
-    if x <= 0.0:
-        raise ValueError("abscissa must be positive")
-    u = _power_normal_root(alpha, x, 0.0)
-    v = _power_normal_root(alpha, u, 0.0)
-    a = 0.5 * (u + v)
-    h = 0.5 * v**alpha
-    p = _power_normal_root(alpha, a, h)
-    if p == a:
-        raise GeometryError(
-            "scalar circumcenter is degenerate: projection corrections "
-            "underflow at this abscissa"
-        )
-    pa = p**alpha
-    x_next = p + pa * (pa - h) / (p - a)
-    return x_next, EpigraphScalarInternals(u=u, v=v, a=a, h=h, p=p)

@@ -26,6 +26,7 @@ from ccrm.sets import (
     _as_point,
     _check_count,
     _norm,
+    _power_normal_root,
     boundary_eval,
 )
 from ccrm import catalog
@@ -161,6 +162,48 @@ def sample_epigraph_lens(rng, alpha, beta):
     raise RuntimeError("epigraph lens sampling failed")
 
 
+@dataclass(frozen=True)
+class EpigraphScalarInternals:
+    u: float
+    v: float
+    a: float
+    h: float
+    p: float
+
+
+def epigraph_scalar_step(alpha: float, x: float):
+    """Analytic one-dimensional cCRM recurrence for the power epigraph.
+
+    For the pair {y >= |x|^alpha, y <= 0} started on the x-axis, the
+    iteration never leaves the axis, and the next abscissa follows from
+    the circumcenter equidistance relation
+    (x' - p)(p - a) = p^alpha (p^alpha - h), with u, v the two alternating
+    projection abscissae, (a, h) the centralized point, and p the abscissa
+    of its projection onto the epigraph. All scalar roots are resolved to
+    machine precision (within the 1e-14 contract).
+
+    Returns:
+        (x_next, internals) with the intermediate scalars.
+    """
+    if alpha <= 1.0:
+        raise ValueError("exponent must exceed 1")
+    if x <= 0.0:
+        raise ValueError("abscissa must be positive")
+    u = _power_normal_root(alpha, x, 0.0)
+    v = _power_normal_root(alpha, u, 0.0)
+    a = 0.5 * (u + v)
+    h = 0.5 * v**alpha
+    p = _power_normal_root(alpha, a, h)
+    if p == a:
+        raise GeometryError(
+            "scalar circumcenter is degenerate: projection corrections "
+            "underflow at this abscissa"
+        )
+    pa = p**alpha
+    x_next = p + pa * (pa - h) / (p - a)
+    return x_next, EpigraphScalarInternals(u=u, v=v, a=a, h=h, p=p)
+
+
 def projection_by_scan(points, z):
     """Nearest point of a sampled boundary/set cloud; independent oracle."""
     i = np.argmin(np.linalg.norm(points - z, axis=1))
@@ -253,6 +296,52 @@ def numpy_project_eigs(v, lo, hi, trace):
     else:
         b, s = b1, sums[k]
     return ((u - b) - ((s - trace) / m if m else 0.0)).clip(lo, hi)
+
+
+def scatter_project_eigs(v, lo, hi, trace):
+    """``ccrm.sets._project_eigs`` as first written: the shift by the
+    reference entry is one numpy subtraction, the rest the same scalar loop."""
+    if trace is None:
+        return np.clip(v, lo, hi)
+    n = v.shape[0]
+    if hi == np.inf:
+        rank = 0
+    elif lo == -np.inf or hi == lo:
+        rank = n - 1
+    else:
+        rank = min(max(int((trace - n * lo) / (hi - lo)), 0), n - 1)
+    u = (v - v[n - 1 - rank]).tolist()
+    bps = sorted([x - b for b in (lo, hi) if math.isfinite(b) for x in u])
+    sums = []
+    for b in bps:
+        s = 0.0
+        for x in u:
+            t = x - b
+            s += lo if t < lo else hi if t > hi else t
+        sums.append(s)
+        if s < trace:
+            break
+    k = len(sums) - (sums[-1] < trace)
+    b0 = bps[k - 1] if k else -np.inf
+    b1 = bps[k] if k < len(bps) else np.inf
+    m = sum(x - hi <= b0 and x - lo >= b1 for x in u)
+    near_b0 = k and (k == len(bps) or sums[k - 1] - trace <= trace - sums[k])
+    b, s = (b0, sums[k - 1]) if near_b0 else (b1, sums[k])
+    shift = (s - trace) / m if m else 0.0
+    return np.array([min(max((x - b) - shift, lo), hi) for x in u])
+
+
+def scatter_spectral_project(S, z):
+    """``SpectralSet.project`` as first written, the bitwise reference of its
+    kernel: the matrix built by two fancy-index scatters into ``np.empty``,
+    the projected one read back by a two-array gather of its upper triangle."""
+    rows, cols = np.triu_indices(S.n)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    M = np.empty((S.n, S.n))
+    M[rows, cols] = M[cols, rows] = _as_point(z, S.dim) / scale
+    w, V = np.linalg.eigh(M)
+    w = scatter_project_eigs(w, S.lo, S.hi, S.trace)
+    return ((V * w) @ V.T)[rows, cols] * scale
 
 
 def numpy_circumcenter(points):

@@ -34,12 +34,11 @@ from ccrm.sets import Ball, Ellipsoid
 from ccrm.solvers import (
     SolverConfig,
     ccrm_step,
-    epigraph_scalar_step,
     isometry_reduce,
     run,
 )
 
-from helpers import dykstra_project, oracle_zoo, sample_epigraph_lens, sample_lens_point
+from helpers import dykstra_project, epigraph_scalar_step, oracle_zoo, sample_epigraph_lens, sample_lens_point
 
 
 def _report(criterion, detail=""):

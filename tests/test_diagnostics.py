@@ -397,8 +397,10 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
         pair, local, embed = oracle, (lambda z: z), (lambda v: v)
         assert pair.inner is problem.X
     radii, per_radius = (1e-1, 1e-2, 1e-3, 1e-4), 5
-    x_project, calls, ambient = pair.inner.project, [], []
-    pair.inner.project = lambda z: calls.append(1) or x_project(z)
+    # The hook is X's kernel, which its own project calls, and so does a
+    # lens on the point it has validated.
+    x_project, calls, ambient = pair.inner._project, [], []
+    pair.inner._project = lambda z, x: calls.append(1) or x_project(z, x)
     if pair.inner is not problem.X:
         ambient_project = problem.X.project
         problem.X.project = lambda z: ambient.append(1) or ambient_project(z)

@@ -3,9 +3,14 @@
 cone at d = 0) and ``PowerEpigraph``, at magnitudes 1e-150 ... 1e150 of
 the points, the offsets and the sheet's axis and vertex height; an affine
 set's normal ranges over 1e-300 ... 1e300, where its squared norm under-
-or overflows. An epigraph projection may raise ``ConvergenceError`` (its
-Newton gives up on far points, from about 1e25 at alpha = 3, and powers
-of far points overflow); any other output must pass every check.
+or overflows. An epigraph projection may raise ``ConvergenceError`` (the
+powers of far points overflow, from |x| about 1e103 at alpha = 3); any
+other output must pass every check. The same checks cover the oracles of
+the hull path: ``SpectralSet`` (the zoo's three and the catalog's sdp and
+fixed_trace X, their bounds and trace scaled by 10^j), ``AffineSubspace``,
+a ``Ball`` of a subspace, ``EmbeddedOracle`` (a ball or a hyperboloid
+sheet in the subspace's coordinates) and ``IsometricImage`` (of a ball
+of the subspace), each also against an independent numpy membership test.
 
 Each drawn set and point pair is checked for membership, idempotence,
 nonexpansiveness and the variational inequality <z - Pz, y - Pz> <= 0 over
@@ -31,8 +36,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from ccrm import catalog  # noqa: E402
 from ccrm.errors import ConvergenceError  # noqa: E402
-from ccrm.sets import Halfspace, HyperboloidSheet, Hyperplane, PowerEpigraph, SetOracle  # noqa: E402
+from ccrm.linalg import vec_to_sym  # noqa: E402
+from ccrm.sets import (  # noqa: E402
+    AffineSubspace,
+    Ball,
+    EmbeddedOracle,
+    Halfspace,
+    HyperboloidSheet,
+    Hyperplane,
+    IsometricImage,
+    PowerEpigraph,
+    SetOracle,
+    SpectralSet,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -41,6 +59,9 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 # stops at its residual's rounding level, and so does the epigraph's.
 AFFINE_TOL = 1e-12
 SHEET_TOL = EPIGRAPH_TOL = 1e-9
+# An eigendecomposition and its reconstruction, or a least-squares anchor
+# and an orthonormal basis of a well-conditioned A, round a few times per entry.
+SPECTRAL_TOL = SUBSPACE_TOL = 1e-11
 
 exponents = st.integers(-150, 150)
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -198,3 +219,125 @@ def test_distance_is_the_norm_of_the_difference_bit_for_bit(pair):
     assert struct.pack("<d", math.dist(a.tolist(), b.tolist())) == expected
     assert struct.pack("<d", _Fixed(b).distance(a)) == expected
 
+
+
+# --- spectral sets and the hull-path oracles ----------------------------------
+
+# (n, lo, hi, trace) of the zoo's three spectral sets and the catalog's sdp
+# and fixed_trace X; each is drawn with its bounds and trace scaled by 10^j.
+SPECTRAL_SPECS = [(3, 0.0, math.inf, None), (3, -math.inf, 0.6, 1.0), (3, 0.0, math.inf, 1.0)] + [
+    (X.n, X.lo, X.hi, X.trace) for X in (catalog.resolve(s).problem.X for s in ("sdp", "fixed_trace"))
+]
+
+
+@st.composite
+def spectral_cases(draw):
+    """(X, z, w, M): a spectral set at scale 10^j and two points."""
+    n, lo, hi, trace = draw(st.sampled_from(SPECTRAL_SPECS))
+    s = 10.0 ** draw(exponents)
+    X = SpectralSet(n, lo * s, hi * s, None if trace is None else trace * s)
+    z = 10.0 ** draw(exponents) * draw(vectors(X.dim))
+    w = 10.0 ** draw(exponents) * draw(vectors(X.dim))
+    return X, z, w, max(s, _norm(z), _norm(w))
+
+
+@st.composite
+def subspace_cases(draw):
+    """(A, q, s, z, w): m < n rows A of singular values above 0.05, a point
+    q of scale s = 10^j, and two points around q."""
+    n = draw(st.integers(2, 6))
+    A = np.array([draw(vectors(n)) for _ in range(draw(st.integers(1, n - 1)))])
+    assume(np.linalg.svd(A, compute_uv=False)[-1] > 0.05)
+    s = 10.0 ** draw(exponents)
+    q = s * draw(vectors(n))
+    z = q + 10.0 ** draw(exponents) * draw(vectors(n))
+    w = q + 10.0 ** draw(exponents) * draw(vectors(n))
+    return A, q, s, z, w
+
+
+def _onto_rows(A, b, x):
+    """x moved onto {A y = b} by numpy's least squares, independently of the oracles."""
+    return x - np.linalg.lstsq(A, A @ x - b, rcond=None)[0]
+
+
+def _in_subspace(A, b, p, M, tol):
+    assert _norm(A @ (p / M) - b / M) <= tol * _norm(A.ravel())
+
+
+@SETTINGS
+@given(spectral_cases())
+def test_spectral_set_projection_properties(case):
+    X, z, w, M = case
+    pz = _check_projection(X, z, w, M, SPECTRAL_TOL, isometry=False)
+    eigs = np.linalg.eigvalsh(vec_to_sym(pz / M))
+    assert eigs[0] >= X.lo / M - SPECTRAL_TOL and eigs[-1] <= X.hi / M + SPECTRAL_TOL
+    if X.trace is not None:
+        assert abs(eigs.sum() - X.trace / M) <= X.n * SPECTRAL_TOL
+
+
+@SETTINGS
+@given(subspace_cases())
+def test_affine_subspace_projection_properties(case):
+    A, q, s, z, w = case
+    b = A @ q
+    S = AffineSubspace(A, b)
+    M = max(s, _norm(z), _norm(w), 1e-300)
+    pz = _check_projection(S, z, w, M, SUBSPACE_TOL, isometry=True)
+    _in_subspace(A, b, pz, M, SUBSPACE_TOL)
+    assert _norm(pz - _onto_rows(A, b, z)) <= SUBSPACE_TOL * M
+
+
+@SETTINGS
+@given(subspace_cases(), st.floats(0.1, 1.0), st.integers(0, 2**31))
+def test_ball_of_a_subspace_projection_properties(case, spare, seed):
+    A, q, s, z, w = case
+    b = A @ q
+    u = s * np.random.default_rng(seed).uniform(-1.0, 1.0, size=q.shape[0])
+    radius = _norm(u) + spare * s  # past the center's distance to the subspace
+    S = Ball(q + u, radius, AffineSubspace(A, b))
+    M = max(s, _norm(z), _norm(w), 1e-300)
+    pz = _check_projection(S, z, w, M, SUBSPACE_TOL, isometry=False)
+    _in_subspace(A, b, pz, M, SUBSPACE_TOL)
+    c = _onto_rows(A, b, q + u)
+    r = math.sqrt(radius**2 - _norm(q + u - c) ** 2)
+    assert _norm(pz - c) <= r + SUBSPACE_TOL * M
+
+
+@SETTINGS
+@given(subspace_cases(), st.booleans(), st.floats(0.1, 1.0), st.integers(0, 2**31))
+def test_embedded_oracle_projection_properties(case, sheet, size, seed):
+    A, q, s, z, w = case
+    b = A @ q
+    L = AffineSubspace(A, b)
+    c = s * np.random.default_rng(seed).uniform(-1.0, 1.0, size=L.subspace_dim)
+    inner = HyperboloidSheet(c, size * s) if sheet and _norm(c) > 0.0 else Ball(c, size * s)
+    S = EmbeddedOracle(inner, L)
+    M = max(s, _norm(z), _norm(w), 1e-300)
+    pz = _check_projection(S, z, w, M, SUBSPACE_TOL, isometry=False)
+    _in_subspace(A, b, pz, M, SUBSPACE_TOL)
+    v = L.basis.T @ (pz - L.anchor)
+    if type(inner) is Ball:
+        assert _norm(v - c) <= size * s + SUBSPACE_TOL * M
+    else:
+        e = c / _norm(c)
+        t = float(e @ v)
+        assert t >= math.hypot(size * s, _norm(v - t * e)) - SUBSPACE_TOL * M
+
+
+@SETTINGS
+@given(subspace_cases(), st.floats(0.1, 1.0), st.integers(0, 2**31))
+def test_isometric_image_projection_properties(case, spare, seed):
+    A, q, s, _, _ = case
+    b = A @ q
+    L = AffineSubspace(A, b)
+    rng = np.random.default_rng(seed)
+    u = s * rng.uniform(-1.0, 1.0, size=q.shape[0])
+    radius = _norm(u) + spare * s
+    S = IsometricImage(Ball(q + u, radius, L), L)
+    scales = 10.0 ** rng.integers(-150, 151, size=2)
+    z, w = (k * rng.uniform(-1.0, 1.0, size=S.dim) for k in scales)
+    M = max(s, _norm(z), _norm(w), 1e-300)
+    pz = _check_projection(S, z, w, M, SUBSPACE_TOL, isometry=False)
+    c = _onto_rows(A, b, q + u)
+    r = math.sqrt(radius**2 - _norm(q + u - c) ** 2)
+    assert _norm(L.anchor + L.basis @ pz - c) <= r + SUBSPACE_TOL * M

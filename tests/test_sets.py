@@ -40,6 +40,8 @@ from helpers import (
     ordered_box_enumeration,
     random_orthogonal,
     random_symmetric,
+    scatter_project_eigs,
+    scatter_spectral_project,
     spectral_box_enumeration,
 )
 
@@ -526,6 +528,39 @@ def test_epigraph_optimality_against_curve_scan():
     assert np.linalg.norm(p - cloud[i]) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "alpha, z",
+    [(3.0, [1e25, 0.0]), (2.0, [1e53, 0.0]), (1.5, [1e118, 0.0]), (1.5, [-5.076944775457359e86, -4.3638539562144405e82])],
+)
+def test_epigraph_projects_far_points_near_the_axis(alpha, z):
+    # From u = 1 Newton overshoots, then descends by only (2 alpha - 1) /
+    # (2 alpha - 2) per step: on the x-axis from these points on, it spent
+    # its whole budget. Below the axis (the last case) it also cycled
+    # between two floats 4 ulps apart, where the residual is rounding noise.
+    z = np.array(z)
+    (x0, y0), p = z.tolist(), PowerEpigraph(alpha).project(z)
+    x, y = p.tolist()
+    assert math.copysign(1.0, x) == math.copysign(1.0, x0) and y >= abs(x) ** alpha * (1.0 - 1e-14)
+
+    # The root of the normal equation by plain bisection, geometric while
+    # the bracket is wide, as an independent reference.
+    def normal(u):
+        return (u - abs(x0)) + alpha * u ** (alpha - 1.0) * (u**alpha - y0)
+
+    lo, hi = 0.0, abs(x0)
+    for _ in range(3000):
+        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+        if normal(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(abs(x) - hi) <= 1e-12 * hi
+    # <z - p, q - p> <= 0 over points q of the set: of the boundary around p, and above it.
+    r = z - p
+    for q in [np.array([s * x, abs(s * x) ** alpha]) for s in (0.0, 0.5, 0.9, 1.1, 2.0)] + [p + [0.0, abs(y)]]:
+        assert float(r @ (q - p)) <= 1e-9 * big_norm(r) * big_norm(q - p)
+
+
 @pytest.mark.parametrize("alpha, beta", [(2.0, 0.5), (3.0, 1.0)])
 @pytest.mark.parametrize("z", [[1e160, 0.0], [-1e160, 1e10]], ids=["right", "left"])
 def test_epigraph_projection_overflow_is_typed(alpha, beta, z):
@@ -647,6 +682,30 @@ def test_eigenvalue_projection_equals_the_numpy_restatement_bit_for_bit():
                     v = np.sort(v) * 10.0**k
                     got = _project_eigs(v, lo, hi, trace)
                     assert got.tobytes() == numpy_project_eigs(v, lo, hi, trace).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16])
+def test_spectral_projection_equals_the_scatter_formulation_bit_for_bit(n):
+    # The kernel gathers the matrix through a cached index map and reads the
+    # upper triangle back with one take; both move the same floats as the
+    # scatters and the two-array gather they replaced, and eigh sees the same
+    # matrix, so every output bit, and the sign of a zero, is unchanged.
+    rng = np.random.default_rng(31 + n)
+    sets = [
+        SpectralSet(n, lo=0.0),  # one infinite bound: np.clip
+        SpectralSet(n, hi=0.5),
+        SpectralSet(n, lo=-0.1, hi=0.6),
+        SpectralSet(n, lo=0.0, trace=1.0),
+        SpectralSet(n, hi=1.5 / n, trace=1.0),
+        SpectralSet(n, lo=-0.1, hi=1.5 / n, trace=1.0),
+    ]
+    for X in sets:
+        for k in range(-100, 101, 10):
+            for z in (rng.normal(size=X.dim), np.round(rng.normal(size=X.dim), 1)):
+                z = z * 10.0**k
+                assert X.project(z).tobytes() == scatter_spectral_project(X, z).tobytes()
+        w = np.sort(rng.normal(size=n))
+        assert _project_eigs(w, X.lo, X.hi, X.trace).tobytes() == scatter_project_eigs(w, X.lo, X.hi, X.trace).tobytes()
 
 
 def test_eigenvalue_projection_edge_cases():
@@ -790,7 +849,8 @@ def test_embedded_matches_direct_construction():
 
 @pytest.mark.parametrize("kind", ["embedded", "image"])
 def test_wrapper_projection_validates_each_point_once_per_layer(monkeypatch, kind):
-    # The wrapper and its inner set each validate once; the coordinate maps
+    # The wrapper validates once; the inner point, an affine image of a
+    # validated one, takes only the finiteness test, and the coordinate maps
     # add none (to_local and from_local validated twice more).
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [1.0], basis=np.eye(3)[:, :2])
     if kind == "embedded":
@@ -802,11 +862,12 @@ def test_wrapper_projection_validates_each_point_once_per_layer(monkeypatch, kin
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return _as_point(*args, **kwargs)
+        return point(*args, **kwargs)
 
-    monkeypatch.setattr(ccrm.sets, "_as_point", counting)
+    point = ccrm.sets._point
+    monkeypatch.setattr(ccrm.sets, "_point", counting)
     assert np.array_equal(oracle.project(z), want)
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_isometric_image_round_trip():

@@ -26,13 +26,12 @@ from ccrm.solvers import (
     SolverConfig,
     ccrm_step,
     crm_step,
-    epigraph_scalar_step,
     isometry_reduce,
     map_step,
     run,
 )
 
-from helpers import reflection_ccrm_step, sample_lens_point, tool_module
+from helpers import epigraph_scalar_step, reflection_ccrm_step, sample_lens_point, tool_module
 
 write_traces = tool_module("write_traces")
 

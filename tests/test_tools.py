@@ -2,15 +2,18 @@
 tools/compare_projections.py, the kinds tools/write_projections.py covers,
 the reduced runs of tools/write_traces.py, the per-call timers
 tools/time_circumcenter.py and tools/time_projections.py, and the per-step
-timer tools/time_steps.py."""
+timer tools/time_steps.py, each also beside a second checkout's package."""
 
 import inspect
 import json
 import os
 import re
+import sys
 
 import pytest
 
+import ccrm
+import ccrm.sets
 from ccrm import catalog
 from ccrm.serialize import oracle_from_dict, oracle_to_dict
 from ccrm.solvers import SolverConfig, run
@@ -183,7 +186,8 @@ def test_circumcenter_timer_prints_one_json_line(capsys):
     assert all(t > 0.0 for t in times)
 
 
-def test_projection_timer_prints_one_json_line(capsys):
+def test_projection_timer_prints_one_json_line(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     timer = tool_module("time_projections")
     timer.main(["--repeats", "1", "--passes", "1"])
     lines = capsys.readouterr().out.splitlines()
@@ -216,6 +220,43 @@ def test_step_timer_prints_one_json_line(capsys, monkeypatch):
     for method in ("ccrm", "crm", "map"):
         trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
         assert result["steps"][method]["discs3d"] == trace.n_steps
+
+
+@pytest.fixture
+def this_src(monkeypatch):
+    """This checkout's src, to load a second time under another package
+    name; the copy is unloaded afterwards."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    yield os.path.dirname(os.path.dirname(os.path.abspath(ccrm.__file__)))
+    for name in [n for n in sys.modules if n.split(".")[0] == "ccrm_against"]:
+        del sys.modules[name]
+
+
+def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):
+    # Every case runs both copies, and their iterates agree bit for bit.
+    timer = tool_module("time_steps")
+    monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=2,b=0,y=line"))
+    timer.main(["--repeats", "2", "--budget-ms", "0", "--against", this_src])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert sys.modules[timer.twin.AGAINST + ".sets"] is not ccrm.sets
+    for method in ("ccrm", "crm", "map"):
+        for key in ("against", "ratio", "bitwise"):
+            assert list(result[key][method]) == list(timer.SELECTORS)
+        assert all(t > 0.0 for t in result["against"][method].values())
+        assert all(r > 0.0 for r in result["ratio"][method].values())
+        assert all(result["bitwise"][method].values())
+
+
+def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):
+    timer = tool_module("time_projections")
+    monkeypatch.setattr(timer, "SELECTORS", ("sdp",))
+    timer.main(["--repeats", "1", "--passes", "1", "--against", this_src])
+    result = json.loads(capsys.readouterr().out)
+    for role in ("X", "Y", "intersection"):
+        assert result["bitwise"][role] == {"sdp": True}
+        assert result["against"][role]["sdp"] > 0.0 and result["ratio"][role]["sdp"] > 0.0
 
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):

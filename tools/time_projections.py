@@ -1,6 +1,6 @@
 """Time one ``project`` call, in microseconds, for each catalog problem's sets.
 
-Usage: PYTHONPATH=src python tools/time_projections.py [--repeats R] [--passes K]
+Usage: PYTHONPATH=src python tools/time_projections.py [--repeats R] [--passes K] [--against SRC]
 
 The cases are the X, Y and ``diagnostics.intersection_oracle`` of each
 catalog problem in ``SELECTORS`` (those of ``write_traces.py``). Each case
@@ -14,17 +14,25 @@ of 3 timings of K passes over its points. The output is one JSON line
 with each case's median over the repeats, keyed by oracle role and
 selector. Only the public API is used, so the script runs on older
 checkouts: run it on two of them to compare.
+
+``--against SRC`` names the ``src`` directory of a second checkout: both
+packages are loaded into this process (``twin.py``), a case keeps the
+points both project, and each repeat times the case on both in turn, the
+first one alternating. The line then also holds each case's median on
+SRC (``against``), this checkout's median over SRC's (``ratio``) and
+whether the two projections of every point are equal bit for bit
+(``bitwise``).
 """
 
 import argparse
 import json
-import statistics
 import time
 
 import numpy as np
 
+import ccrm
+import twin
 from ccrm import catalog
-from ccrm.diagnostics import intersection_oracle
 
 SELECTORS = (
     ["discs3d", "ellipses", "eq_ellipsoids", "socp", "sdp", "fixed_trace"]
@@ -42,6 +50,21 @@ def _projects(oracle, z):
     return True
 
 
+def _oracles(package):
+    """{(role, selector): oracle} of one package, with each selector's points."""
+    resolve, diagnostics = twin.submodule(package, "catalog").resolve, twin.submodule(package, "diagnostics")
+    rng = np.random.default_rng(5)
+    oracles, points = {}, {}
+    for selector in SELECTORS:
+        entry = resolve(selector)
+        problem = entry.problem
+        points[selector] = [entry.suggested_z0 + rng.normal(size=problem.dim) for _ in range(POINTS)]
+        for role, oracle in (("X", problem.X), ("Y", problem.Y),
+                             ("intersection", diagnostics.intersection_oracle(problem))):
+            oracles[(role, selector)] = oracle
+    return oracles, points
+
+
 def _per_call_us(project, points, passes):
     best = float("inf")
     for _ in range(3):
@@ -57,24 +80,28 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--passes", type=int, default=4)
+    parser.add_argument("--against", metavar="SRC", help="src directory of a second checkout to time beside this one")
     args = parser.parse_args(argv)
-    rng = np.random.default_rng(5)
-    cases = {}
-    for selector in SELECTORS:
-        entry = catalog.resolve(selector)
-        problem = entry.problem
-        points = [entry.suggested_z0 + rng.normal(size=problem.dim) for _ in range(POINTS)]
-        for role, oracle in (("X", problem.X), ("Y", problem.Y),
-                             ("intersection", intersection_oracle(problem))):
-            cases[(role, selector)] = (oracle.project, [z for z in points if _projects(oracle, z)])
-    samples = {case: [] for case in cases}
-    for _ in range(args.repeats):
-        for case, (project, points) in cases.items():
-            if points:
-                samples[case].append(_per_call_us(project, points, args.passes))
+    packages = [ccrm] + ([twin.load(args.against)] if args.against else [])
+    built = [_oracles(package) for package in packages]
+    sides, points = [oracles for oracles, _ in built], built[0][1]
+    kept = {case: [z for z in points[case[1]] if all(_projects(side[case], z) for side in sides)]
+            for case in sides[0]}
+
+    def time_case(i, case):
+        return _per_call_us(sides[i][case].project, kept[case], args.passes) if kept[case] else None
+
+    def bitwise(case):
+        return all(
+            sides[0][case].project(z).tobytes() == sides[1][case].project(z).tobytes() for z in kept[case]
+        ) if kept[case] else None
+
+    samples = twin.interleave(sides, args.repeats, time_case)
     result = {"unit": "us/call", "repeats": args.repeats, "passes": args.passes, "points": POINTS}
-    for (role, selector), times in samples.items():
-        result.setdefault(role, {})[selector] = round(statistics.median(times), 2) if times else None
+    for role, selector in kept:
+        result.setdefault(role, {})[selector] = twin.median(samples[0][(role, selector)])
+    if args.against:
+        twin.compare(result, samples, bitwise)
     print(json.dumps(result))
 
 

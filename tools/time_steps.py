@@ -1,6 +1,6 @@
 """Time one ``run()`` step, in microseconds, for each catalog problem and method.
 
-Usage: PYTHONPATH=src python tools/time_steps.py [--repeats R] [--budget-ms B]
+Usage: PYTHONPATH=src python tools/time_steps.py [--repeats R] [--budget-ms B] [--against SRC]
 
 The cases are each selector of ``write_traces.py`` with each method, run
 with the default ``SolverConfig`` from the problem's suggested start. A
@@ -13,24 +13,48 @@ one JSON line with each case's median over the repeats and its step
 count, keyed by method and selector; a run that raises or takes no step
 reads null. Only the public API is used, so the script runs on older
 checkouts: run it on two of them to compare.
+
+``--against SRC`` names the ``src`` directory of a second checkout. Its
+package is loaded into the same process (``twin.py``) and every case is
+timed on both packages in turn, the first one alternating between
+repeats. The line then also holds each case's median on SRC
+(``against``), this checkout's median over SRC's (``ratio``), and
+whether the two runs' iterates are equal bit for bit (``bitwise``; null
+where both runs raise or take no step).
 """
 
 import argparse
 import json
 import math
-import statistics
 import time
 
-from ccrm import catalog
-from ccrm.solvers import METHODS, SolverConfig, run
+import ccrm
+import twin
 from write_traces import SELECTORS
 
 
-def _steps(problem, config, z0):
-    try:
-        return run(problem, config, z0).n_steps
-    except (ArithmeticError, RuntimeError, ValueError):
-        return 0
+def _cases(package, budget_ms):
+    """{(method, selector): (call, calls, trace)} of one package; trace is
+    None where the run raises or takes no step."""
+    catalog, solvers = twin.submodule(package, "catalog"), twin.submodule(package, "solvers")
+    cases = {}
+    for selector in SELECTORS:
+        entry = catalog.resolve(selector)
+        for method in solvers.METHODS:
+
+            def call(problem=entry.problem, config=solvers.SolverConfig(method=method), z0=entry.suggested_z0,
+                     run=solvers.run):
+                return run(problem, config, z0)
+
+            start = time.perf_counter()
+            try:
+                trace = call()
+            except (ArithmeticError, RuntimeError, ValueError):
+                trace = None
+            once = time.perf_counter() - start
+            calls = max(1, int(1e-3 * budget_ms / once))
+            cases[(method, selector)] = (call, calls, trace if trace is not None and trace.n_steps else None)
+    return cases
 
 
 def _per_step_us(call, calls, steps):
@@ -43,34 +67,34 @@ def _per_step_us(call, calls, steps):
     return 1e6 * best / (calls * steps)
 
 
+def _bitwise(a, b):
+    if a is None and b is None:
+        return None
+    return a is not None and b is not None and a.iterates.shape == b.iterates.shape and (
+        a.iterates.tobytes() == b.iterates.tobytes()
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--budget-ms", type=float, default=5.0)
+    parser.add_argument("--against", metavar="SRC", help="src directory of a second checkout to time beside this one")
     args = parser.parse_args(argv)
-    cases = {}
-    for selector in SELECTORS:
-        entry = catalog.resolve(selector)
-        for method in METHODS:
-            config = SolverConfig(method=method)
-            start = time.perf_counter()
-            steps = _steps(entry.problem, config, entry.suggested_z0)
-            once = time.perf_counter() - start
-            calls = max(1, int(1e-3 * args.budget_ms / once))
+    packages = [ccrm] + ([twin.load(args.against)] if args.against else [])
+    sides = [_cases(package, args.budget_ms) for package in packages]
 
-            def call(problem=entry.problem, config=config, z0=entry.suggested_z0):
-                run(problem, config, z0)
+    def time_case(i, case):
+        call, calls, trace = sides[i][case]
+        return None if trace is None else _per_step_us(call, calls, trace.n_steps)
 
-            cases[(method, selector)] = (call, calls, steps)
-    samples = {case: [] for case in cases}
-    for _ in range(args.repeats):
-        for case, (call, calls, steps) in cases.items():
-            if steps:
-                samples[case].append(_per_step_us(call, calls, steps))
+    samples = twin.interleave(sides, args.repeats, time_case)
     result = {"unit": "us/step", "repeats": args.repeats, "budget_ms": args.budget_ms, "steps": {}}
-    for (method, selector), times in samples.items():
-        result["steps"].setdefault(method, {})[selector] = cases[(method, selector)][2] or None
-        result.setdefault(method, {})[selector] = round(statistics.median(times), 2) if times else None
+    for (method, selector), (_, _, trace) in sides[0].items():
+        result["steps"].setdefault(method, {})[selector] = trace.n_steps if trace is not None else None
+        result.setdefault(method, {})[selector] = twin.median(samples[0][(method, selector)])
+    if args.against:
+        twin.compare(result, samples, lambda case: _bitwise(sides[0][case][2], sides[1][case][2]))
     print(json.dumps(result))
 
 

@@ -1,0 +1,73 @@
+"""Import a second checkout's ``ccrm`` package beside the first, under
+another name, and time the two case by case.
+
+The per-call and per-step timers take ``--against SRC``, the ``src``
+directory of another checkout, and time both packages in one process,
+interleaved case by case: two processes differ in speed by up to 2x on
+a VM, one process does not. ``ccrm`` imports its own modules relatively,
+so a copy loaded as ``ccrm_against`` runs entirely on its own code.
+``interleave``, ``median`` and ``compare`` are the timers' shared loop
+and output.
+"""
+
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+
+AGAINST = "ccrm_against"
+
+
+def load(src, name=AGAINST):
+    """The package ``src/ccrm`` imported as ``name``, with its submodules as ``name.*``."""
+    init = os.path.join(os.path.abspath(src), "ccrm", "__init__.py")
+    if not os.path.isfile(init):
+        raise SystemExit(f"no ccrm package under {src}")
+    loaded = sys.modules.get(name)
+    if loaded is not None:
+        if loaded.__file__ != init:
+            raise SystemExit(f"{name} is already loaded from {loaded.__file__}")
+        return loaded
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[os.path.dirname(init)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def submodule(package, name):
+    """``package.name``, e.g. the catalog of either package."""
+    return importlib.import_module(f"{package.__name__}.{name}")
+
+
+def interleave(sides, repeats, time_case):
+    """samples[i][case]: ``time_case(i, case)`` over ``repeats``, each repeat
+    timing every case on every side in turn, the first side alternating;
+    a None time is not kept."""
+    samples = [{case: [] for case in sides[0]} for _ in sides]
+    for k in range(repeats):
+        for case in sides[0]:
+            for i in (range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))):
+                t = time_case(i, case)
+                if t is not None:
+                    samples[i][case].append(t)
+    return samples
+
+
+def median(times):
+    return round(statistics.median(times), 2) if times else None
+
+
+def compare(result, samples, bitwise):
+    """Add ``against``, ``ratio`` and ``bitwise`` to ``result``, keyed as its
+    medians are by each case (group, name); ``bitwise(case)`` tells whether
+    the two sides' outputs are equal bit for bit."""
+    for key in ("against", "ratio", "bitwise"):
+        result[key] = {}
+    for case in samples[0]:
+        group, name = case
+        mine, theirs = result[group][name], median(samples[1][case])
+        result["against"].setdefault(group, {})[name] = theirs
+        result["ratio"].setdefault(group, {})[name] = round(mine / theirs, 3) if mine and theirs else None
+        result["bitwise"].setdefault(group, {})[name] = bitwise(case)
