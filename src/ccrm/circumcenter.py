@@ -1,4 +1,4 @@
-"""Circumcenter of a finite point set with degeneracy handling.
+"""Circumcenter of three points with degeneracy handling.
 
 The circumcenter is the point of the affine hull of the inputs that is
 equidistant from all of them: with d_i = p_i - p_0, it solves
@@ -8,13 +8,10 @@ where R x = (|d_i|^2 / 2) is solved by forward substitution. The solve
 runs on the differences scaled by a power of two to unit size, so no
 input scale over- or underflows their squares.
 
-The solve is a scalar loop on Python floats after one conversion: the
-steps pass three points of dimension 2-10, where numpy's per-call
-overhead would cost more than the arithmetic. Every sum is taken in
-sequence. Three points, the only count the steps pass, take straight-line
-code with the loop's float operations in the loop's order, at about half
-the loop's cost and with its results bit for bit; every other count takes
-the loop.
+The cCRM and CRM steps pass three points of dimension 2-10, where numpy's
+per-call overhead would cost more than the arithmetic, so the solve is
+straight-line code on Python floats after one conversion, with every sum
+taken in sequence.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ NONDEGENERATE = "nondegenerate"
 REDUCED_RANK = "reduced_rank"
 COINCIDENT_ALL = "coincident_all"
 
-# Points closer than DEDUPE_RTOL times the set diameter are treated as one.
-DEDUPE_RTOL = 1e-12
 # Relative residual (against diameter^2) above which the reduced
 # equidistance system is declared inconsistent.
 CONSISTENCY_RTOL = 1e-7
@@ -52,25 +47,18 @@ class CircumResult:
     condition: float = 0.0
 
 
-def _dot(u, v) -> float:
-    return sum([a * b for a, b in zip(u, v)])
-
-
 def circumcenter(points) -> CircumResult:
-    """Circumcenter of one or more points, given as an (m, n) array or a
-    list of m points.
+    """Circumcenter of three points, given as a list of three 1-d float64
+    arrays (as the steps pass them, without being stacked) or as anything
+    ``np.asarray`` makes a (3, n) array, n >= 1.
 
-    Coincident points (within ``DEDUPE_RTOL`` of the diameter) are merged.
     A difference at most ``RANK_RTOL`` times the diameter from the span of
     the earlier ones adds no direction, and its equation must already
     hold. The result is the minimal-norm equidistant point of the hull.
-    Three points, as the steps pass them, take straight-line code with
-    the general loop's float operations in the loop's order, so center,
-    status and condition are the loop's bit for bit; a list of three 1-d
-    float64 arrays reaches it without being stacked.
 
     Raises:
-        ValueError: points that are not a non-empty finite (m, n) array.
+        ValueError: points that are not a finite (3, n) array, n >= 1
+            (``NonFiniteError`` for a non-finite entry).
         GeometryError: distinct points whose equidistance system is
             inconsistent (e.g. three distinct collinear points), or a
             center beyond the float range.
@@ -85,21 +73,16 @@ def circumcenter(points) -> CircumResult:
             and p0.size
         ):
             return _circumcenter3(p0.tolist(), p1.tolist(), p2.tolist())
-    pts = _as_points(points)
-    return _circumcenter3(*pts.tolist()) if len(pts) == 3 else _circumcenter_loop(pts)
-
-
-def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.size == 0:
-        raise ValueError(f"expected a non-empty (m, n) array, got shape {pts.shape}")
-    return pts
+    if pts.ndim != 2 or len(pts) != 3 or pts.size == 0:
+        raise ValueError(f"expected three points as a (3, n) array, got shape {pts.shape}")
+    return _circumcenter3(*pts.tolist())
 
 
 def _circumcenter3(p0, p1, p2) -> CircumResult:
-    """The loop below on three points (lists of floats), unrolled. The
-    difference row of p0 is zero and drops out: a non-finite entry of p0
-    shows in p1's row."""
+    """The solve on three points, lists of floats. Halved differences
+    cannot overflow, and any non-finite entry shows in them (a NaN in their
+    sum; p0's in every row); a power-of-two scale is exact."""
     n = len(p0)
     half = [0.5 * a - 0.5 * b for row in (p1, p2) for a, b in zip(row, p0)]
     top = max(map(abs, half))
@@ -115,11 +98,10 @@ def _circumcenter3(p0, p1, p2) -> CircumResult:
     diameter = math.sqrt(max(sq1, sq2, sq21))
     floor, slack = RANK_RTOL * diameter, CONSISTENCY_RTOL * diameter * diameter
 
-    # The loop's merges change nothing for three points, as a point within
-    # DEDUPE_RTOL of another stands below RANK_RTOL in any case. p1 gives a
-    # direction when its height |d1| clears RANK_RTOL; else its residual,
-    # at most floor**2, is far below slack. A p2 near p0 or p1 leaves a
-    # residual of about |d2| |d2 - d1|, again far below slack.
+    # p1 gives a direction when its height |d1| clears RANK_RTOL; else its
+    # residual, at most floor**2, is far below slack. A p2 near p0 or p1
+    # leaves a residual of about |d2| |d2 - d1|, again far below slack, so
+    # a near-duplicate point needs no merge.
     dirs = []
     height = math.sqrt(sq1)
     if height > floor:
@@ -137,7 +119,7 @@ def _circumcenter3(p0, p1, p2) -> CircumResult:
     elif abs(2.0 * known - sq2) > slack:
         raise _inconsistent(abs(2.0 * known - sq2), diameter)
 
-    # The loop's offset sum from 0.0, one term per direction
+    # c = p_0 + 2**(exp + 1) sum_k (x_k / |w_k|) w_k, summed from 0.0
     if len(dirs) == 2:
         (w1, h1, x1), (w2, h2, x2) = dirs
         s1, s2 = x1 / h1, x2 / h2
@@ -148,58 +130,6 @@ def _circumcenter3(p0, p1, p2) -> CircumResult:
         s1 = x1 / h1
         offset = [0.0 + s1 * a for a in w1]
         status, condition = REDUCED_RANK, x1 / h1  # x1 > 0
-    return CircumResult(_center(p0, offset, exp), status, condition)
-
-
-def _circumcenter_loop(points) -> CircumResult:
-    """Circumcenter of any number of points by the general loop."""
-    pts = _as_points(points)
-    rows = pts.tolist()
-    p0 = rows[0]
-    # Halved differences cannot overflow, and any non-finite entry shows
-    # in them (a NaN shows in their sum); a power-of-two scale is exact.
-    half = [0.5 * a - 0.5 * b for row in rows for a, b in zip(row, p0)]
-    top = max(map(abs, half))
-    if not math.isfinite(top) or math.isnan(sum(half)):
-        raise NonFiniteError("points have non-finite entries")
-    if top == 0.0:
-        return CircumResult(pts[0].copy(), COINCIDENT_ALL if len(rows) > 1 else NONDEGENERATE)
-    exp = math.frexp(top)[1]
-    flat, n = [math.ldexp(v, -exp) for v in half], len(p0)
-    d = [flat[k : k + n] for k in range(0, len(flat), n)]  # rows (p_i - p_0) / 2**(exp + 1)
-    # sq[i][j] = |p_i - p_j|^2 for j < i, in the scaled units
-    sq = [[sum([(a - b) * (a - b) for a, b in zip(u, v)]) for v in d[:i]] for i, u in enumerate(d)]
-    diameter = math.sqrt(max(map(max, sq[1:])))
-
-    # Greedy dedupe: keep the first representative of each cluster.
-    keep, merge = [0], (DEDUPE_RTOL * diameter) ** 2
-    for i in range(1, len(d)):
-        if all(sq[i][j] > merge for j in keep):
-            keep.append(i)
-
-    dirs = []  # (w_k, |w_k|, x_k): direction q_k = w_k / |w_k|, coefficient x_k
-    for i in keep[1:]:
-        w, known = d[i], 0.0  # known = sum_k R_ik x_k over the directions so far
-        for v, h, x in dirs:
-            r = _dot(v, w) / h
-            s = r / h
-            w = [a - s * b for a, b in zip(w, v)]
-            known += r * x
-        height = math.sqrt(_dot(w, w))
-        if height > RANK_RTOL * diameter:
-            dirs.append((w, height, (0.5 * sq[i][0] - known) / height))
-            continue
-        residual = abs(2.0 * known - sq[i][0])
-        if residual > CONSISTENCY_RTOL * diameter * diameter:
-            raise _inconsistent(residual, diameter)
-
-    # c = p_0 + 2**(exp + 1) sum_k (x_k / |w_k|) w_k; the radius is |x|
-    offset = [0.0] * n
-    for w, h, x in dirs:
-        s = x / h
-        offset = [o + s * a for o, a in zip(offset, w)]
-    status = NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK
-    condition = math.hypot(*[x for _, _, x in dirs]) / min([h for _, h, _ in dirs])
     return CircumResult(_center(p0, offset, exp), status, condition)
 
 

@@ -862,7 +862,9 @@ class _Pair:
 
 class Cap(_Pair, SetOracle):
     """``inner`` cut by a :class:`Hyperplane` {<a, x> = b}, a :class:`Halfspace`
-    {<a, x> <= b} or a whole-space :class:`Ball` B(c, r).
+    {<a, x> <= b} or a whole-space :class:`Ball` B(c, r). A hyperplane or
+    halfspace is read as the cut stores it, a the unit normal and b the
+    level, so no normal scale over- or underflows.
 
     The cut's one-parameter Lagrangian dual gives P(z) = P_inner(z - s a),
     or P_inner(c + (z - c) / (1 + s)), at the root of <a, x> - b, or
@@ -885,56 +887,63 @@ class Cap(_Pair, SetOracle):
             )
         super().__init__(inner.dim)
         self.inner, self.cut, self._ball = inner, cut, ball
-        v = cut.center if self._ball else cut.normal
-        self._size, self._a_sq = _norm(v), float(v @ v)  # ||c||, or ||a|| and a . a
+        if ball:
+            self._size = _norm(cut.center)  # ||c||
+        else:
+            self._unit, self._level = np.array(cut._unit), cut._level
         self.affine_hull = cut if isinstance(cut, Hyperplane) else inner.affine_hull
 
     def _given(self, z, zl, inner_z) -> np.ndarray:
         return self._dual(z, zl, inner_z)[0]
 
     def project_dual(self, z, inner_z=None):
-        """(P(z), s): the projection and its multiplier; ``inner_z`` is P_inner(z), if known."""
+        """(P(z), s): the projection and its multiplier, per unit normal for a
+        hyperplane or halfspace cut (P(z) = P_inner(z - s u), u the cut's
+        unit normal); ``inner_z`` is P_inner(z), if known."""
         return self._dual(*_point(z, self.dim), inner_z)
 
     def _dual(self, z, zl, inner_z):
-        inner, cut, ball, size, nz = self.inner, self.cut, self._ball, self._size, math.hypot(*zl)
-        c, r, a = (cut._c, cut.radius, None) if ball else (None, None, cut.normal)
+        inner, cut, ball, nz = self.inner, self.cut, self._ball, math.hypot(*zl)
+        if ball:
+            c, r, size = cut._c, cut.radius, self._size
+        else:
+            a, b = self._unit, self._level
         x0 = inner.project(z) if inner_z is None else inner_z
-        f0 = math.dist(x0.tolist(), c) - r if ball else float(a @ x0) - cut.offset
+        f0 = math.dist(x0.tolist(), c) - r if ball else float(a @ x0) - b
         if f0 <= 0.0 and not isinstance(cut, Hyperplane):
             return x0, 0.0
         zc = z - cut.center if ball else None
         # The search variable v is 1 / (1 + s) for a ball, else s; v = start is s = 0.
         start, d0 = (1.0 if ball else 0.0), math.dist(zl, x0.tolist())
-        tol = 4.0 * EPS * (r + size + nz if ball else abs(cut.offset) + size * nz)
-        close = 0.0 if ball else nz / size
+        tol = 4.0 * EPS * (r + size + nz if ball else abs(b) + nz)
+        close = 0.0 if ball else nz
 
         def residual(v):  # at s = 0, P_inner of z itself: c + (z - c) need not be z
             if v == start:
                 return f0, x0
             x = inner.project(cut.center + zc / (1.0 + (1.0 / v - 1.0)) if ball else z - v * a)
-            return (math.dist(x.tolist(), c) - r if ball else float(a @ x) - cut.offset), x
+            return (math.dist(x.tolist(), c) - r if ball else float(a @ x) - b), x
 
         def tangent(v, x):  # |s| ||grad|| is ||z - x|| >= ||z - x0|| where the inner set is inactive
-            pull = abs(1.0 / v - 1.0 if ball else v) * (r if ball else size)
+            pull = abs(1.0 / v - 1.0) * r if ball else abs(v)
             return pull > CAP_TANGENT_RATIO * d0 and pull > CAP_TANGENT_RATIO * math.dist(zl, x.tolist())
 
         def settled(v, f, x, step):
             # f at the rounding of the shifted point and of its own evaluation
             # at x (a ball's ||x|| <= f + r + ||c||); a step under the shifted
-            # point's (z - s a moves by ||a|| ds, c + (z - c) v by ||z - c|| dv);
+            # point's (z - s a moves by ds, c + (z - c) v by ||z - c|| dv);
             # or a tangent multiplier short of the root.
             if abs(f) <= tol and abs(f) <= 4.0 * EPS * (
-                2.0 * (r + size) + f if ball else abs(cut.offset) + size * _norm(x)
+                2.0 * (r + size) + f if ball else abs(b) + _norm(x)
             ):
                 return True
             return step <= 4.0 * EPS * (abs(v) + close) or (f > 0.0) == (f0 > 0.0) and tangent(v, x)
 
-        first = r / (r + f0) if ball else f0 / self._a_sq  # the root the cut alone has at P_inner(z)
+        first = r / (r + f0) if ball else f0  # the root the cut alone has at P_inner(z)
         v, f, x = _root(residual, start, 0.0 if ball else math.copysign(math.inf, f0), first, settled)
         if tangent(v, x):
             raise ConvergenceError("the cut is tangent to the set or misses it")
-        if abs(f) > 1e-9 * max(1.0, _norm(x)) * (1.0 if ball else size):
+        if abs(f) > 1e-9 * max(1.0, _norm(x)):
             raise ConvergenceError("cap dual root not resolved", residual=abs(f))
         return x, (1.0 / v - 1.0 if ball else v)
 

@@ -33,10 +33,11 @@ from ccrm import catalog
 from ccrm.circumcenter import (
     COINCIDENT_ALL,
     CONSISTENCY_RTOL,
-    DEDUPE_RTOL,
     NONDEGENERATE,
     REDUCED_RANK,
     CircumResult,
+    _center,
+    _inconsistent,
     circumcenter,
 )
 from ccrm.errors import ConvergenceError, GeometryError, NonFiniteError
@@ -344,12 +345,82 @@ def scatter_spectral_project(S, z):
     return ((V * w) @ V.T)[rows, cols] * scale
 
 
+# Points closer than DEDUPE_RTOL times the set diameter are treated as one.
+DEDUPE_RTOL = 1e-12
+
+
+def _dot(u, v) -> float:
+    return sum([a * b for a, b in zip(u, v)])
+
+
+def circumcenter_loop(points) -> CircumResult:
+    """Circumcenter of any number of points by the general loop, the
+    bitwise reference of ``ccrm.circumcenter.circumcenter`` on three.
+
+    The same halving, power-of-two scaling and modified Gram-Schmidt on
+    Python floats, summed in sequence, for m >= 1 points given as an
+    (m, n) array or a list of m points; points within ``DEDUPE_RTOL`` of
+    the diameter are merged first. One point is its own center
+    (``NONDEGENERATE``, condition 0).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError(f"expected a non-empty (m, n) array, got shape {pts.shape}")
+    rows = pts.tolist()
+    p0 = rows[0]
+    # Halved differences cannot overflow, and any non-finite entry shows
+    # in them (a NaN shows in their sum); a power-of-two scale is exact.
+    half = [0.5 * a - 0.5 * b for row in rows for a, b in zip(row, p0)]
+    top = max(map(abs, half))
+    if not math.isfinite(top) or math.isnan(sum(half)):
+        raise NonFiniteError("points have non-finite entries")
+    if top == 0.0:
+        return CircumResult(pts[0].copy(), COINCIDENT_ALL if len(rows) > 1 else NONDEGENERATE)
+    exp = math.frexp(top)[1]
+    flat, n = [math.ldexp(v, -exp) for v in half], len(p0)
+    d = [flat[k : k + n] for k in range(0, len(flat), n)]  # rows (p_i - p_0) / 2**(exp + 1)
+    # sq[i][j] = |p_i - p_j|^2 for j < i, in the scaled units
+    sq = [[sum([(a - b) * (a - b) for a, b in zip(u, v)]) for v in d[:i]] for i, u in enumerate(d)]
+    diameter = math.sqrt(max(map(max, sq[1:])))
+
+    # Greedy dedupe: keep the first representative of each cluster.
+    keep, merge = [0], (DEDUPE_RTOL * diameter) ** 2
+    for i in range(1, len(d)):
+        if all(sq[i][j] > merge for j in keep):
+            keep.append(i)
+
+    dirs = []  # (w_k, |w_k|, x_k): direction q_k = w_k / |w_k|, coefficient x_k
+    for i in keep[1:]:
+        w, known = d[i], 0.0  # known = sum_k R_ik x_k over the directions so far
+        for v, h, x in dirs:
+            r = _dot(v, w) / h
+            s = r / h
+            w = [a - s * b for a, b in zip(w, v)]
+            known += r * x
+        height = math.sqrt(_dot(w, w))
+        if height > RANK_RTOL * diameter:
+            dirs.append((w, height, (0.5 * sq[i][0] - known) / height))
+            continue
+        residual = abs(2.0 * known - sq[i][0])
+        if residual > CONSISTENCY_RTOL * diameter * diameter:
+            raise _inconsistent(residual, diameter)
+
+    # c = p_0 + 2**(exp + 1) sum_k (x_k / |w_k|) w_k; the radius is |x|
+    offset = [0.0] * n
+    for w, h, x in dirs:
+        s = x / h
+        offset = [o + s * a for o, a in zip(offset, w)]
+    status = NONDEGENERATE if len(dirs) == len(d) - 1 else REDUCED_RANK
+    condition = math.hypot(*[x for _, _, x in dirs]) / min([h for _, h, _ in dirs])
+    return CircumResult(_center(p0, offset, exp), status, condition)
+
+
 def numpy_circumcenter(points):
     """The circumcenter as whole-array numpy operations.
 
     The same halving, power-of-two scaling, dedupe and modified
-    Gram-Schmidt as ``ccrm.circumcenter.circumcenter``, with numpy's dot
-    products; the library's scalar loop sums in sequence, so the two
+    Gram-Schmidt as :func:`circumcenter_loop`, with numpy's dot
+    products; the scalar loop sums in sequence, so the two
     agree up to rounding. Returns a ``CircumResult`` without a condition.
     """
     pts = np.asarray(points, dtype=float)

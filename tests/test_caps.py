@@ -30,6 +30,7 @@ from ccrm.sets import (
     EmbeddedOracle,
     Halfspace,
     Hyperplane,
+    PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
     boundary_eval,
@@ -140,8 +141,8 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
             _assert_lens_kkt(cap, z, 1e-12 * scale)
             continue
         x, s = cap.project_dual(z)
-        if isinstance(cut, Hyperplane):
-            shifted = z - s * cut.normal
+        if isinstance(cut, Hyperplane):  # s is per the cut's stored unit normal
+            shifted = z - s * np.array(cut._unit)
         else:
             shifted = cut.center + (z - cut.center) / (1.0 + s)
         assert np.array_equal(x, cap.inner.project(shifted))
@@ -576,6 +577,18 @@ def test_halfspace_cap_is_the_lens_projection_at_every_scale(k):
     points = 10.0**k * np.random.default_rng(74 + k).normal(size=(50, 2))
     for z in np.vstack([points, [[3e15, 1e16]]]):
         assert np.linalg.norm(cap.project(z) - _lens_projection(z)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+@pytest.mark.parametrize("a", [1e-300, 1e-200, 1e200, 1e300])
+def test_cap_reads_its_cut_at_every_normal_scale(kind, a):
+    # The cap reads the cut's unit normal and level, so a normal past the
+    # square's overflow, or below its underflow, is the unit one's cut.
+    inner = PowerEpigraph(2.0, 0.5)
+    want = Cap(inner, kind([0.0, 1.0], 0.0)).project([1.0, 2.0])
+    got = Cap(inner, kind([0.0, a], 0.0)).project([1.0, 2.0])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_halfspace_cap_keeps_an_inner_projection_that_meets_the_cut():

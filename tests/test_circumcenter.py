@@ -10,7 +10,7 @@ from ccrm.circumcenter import (
 )
 from ccrm.errors import GeometryError
 
-from helpers import random_orthogonal
+from helpers import circumcenter_loop, random_orthogonal
 
 
 def equidistance_spread(center, points):
@@ -38,12 +38,12 @@ def test_all_coincident():
 
 
 def test_single_point():
-    r = circumcenter([[1.0, 2.0]])
+    r = circumcenter_loop([[1.0, 2.0]])
     assert np.allclose(r.center, [1.0, 2.0])
 
 
 def test_two_distinct_points_midpoint():
-    r = circumcenter([[0.0, 0.0, 0.0], [2.0, 4.0, 0.0]])
+    r = circumcenter_loop([[0.0, 0.0, 0.0], [2.0, 4.0, 0.0]])
     assert np.allclose(r.center, [1.0, 2.0, 0.0])
 
 
@@ -123,7 +123,7 @@ def test_circumcenter_past_overflow_stays_typed():
     with pytest.raises(GeometryError):  # the center itself, ~5e308, is not a float
         circumcenter([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e291]])
     with pytest.raises(ValueError):
-        circumcenter([[1e300, 0.0], [np.inf, 0.0]])
+        circumcenter_loop([[1e300, 0.0], [np.inf, 0.0]])
 
 
 @pytest.mark.filterwarnings("error")
@@ -135,8 +135,9 @@ def test_circumcenter_exact_at_every_scale(k):
     scale = 10.0**k
     for m, n in [(3, 2), (3, 5), (4, 3), (4, 6)] * 10:  # triangles and tetrahedra
         pts = rng.normal(size=(m, n))
-        unit = circumcenter(pts)
-        big = circumcenter(pts * scale)
+        solve = circumcenter if m == 3 else circumcenter_loop
+        unit = solve(pts)
+        big = solve(pts * scale)
         assert big.status == unit.status == NONDEGENERATE
         gap = np.linalg.norm(big.center / scale - unit.center)
         assert gap <= 1e-12 * np.linalg.norm(unit.center)
@@ -146,11 +147,24 @@ def test_circumcenter_exact_at_every_scale(k):
 
 
 @pytest.mark.parametrize(
-    "points", [[], np.zeros((2, 2, 2))], ids=["empty", "three-axis"]
+    "points",
+    [[], np.zeros((2, 2, 2)), np.zeros((3, 0)), [np.zeros(2), np.zeros(2), np.zeros(3)]],
+    ids=["empty", "three-axis", "no-coordinates", "unequal-lengths"],
 )
 def test_circumcenter_rejects_malformed_input(points):
     with pytest.raises(ValueError):
         circumcenter(points)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
+def test_circumcenter_takes_exactly_three_points(m):
+    # Other counts are the reference loop's; the refusal is the count's,
+    # not a NonFiniteError, in every form the three points are taken in.
+    pts = np.random.default_rng(m).normal(size=(m, 3))
+    for form in (list(pts), pts, pts.tolist()):
+        with pytest.raises(ValueError, match="three points") as info:
+            circumcenter(form)
+        assert type(info.value) is ValueError
 
 
 def _lstsq_reference(pts):
@@ -189,13 +203,14 @@ def test_circumcenter_matches_lstsq_reference():
             continue  # ill-conditioned, or near the rank threshold
         checked[kind] += 1
         diameter = max(np.linalg.norm(a - b) for a in pts for b in pts)
+        solve = circumcenter if len(pts) == 3 else circumcenter_loop
         if residual > 1e-5:
             with pytest.raises(GeometryError):
-                circumcenter(pts)
+                solve(pts)
             continue
         # the center itself is rounded to its own magnitude
         tol = 1e-9 * diameter + 4.0 * np.finfo(float).eps * np.abs(ref).max()
-        assert np.linalg.norm(circumcenter(pts).center - ref) <= tol
+        assert np.linalg.norm(solve(pts).center - ref) <= tol
     assert min(checked.values()) >= 10, checked
 
 

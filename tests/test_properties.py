@@ -10,7 +10,9 @@ the hull path: ``SpectralSet`` (the zoo's three and the catalog's sdp and
 fixed_trace X, their bounds and trace scaled by 10^j), ``AffineSubspace``,
 a ``Ball`` of a subspace, ``EmbeddedOracle`` (a ball or a hyperboloid
 sheet in the subspace's coordinates) and ``IsometricImage`` (of a ball
-of the subspace), each also against an independent numpy membership test.
+of the subspace), each also against an independent numpy membership test,
+and the whole-space ``Ball`` and ``Ellipsoid``, whose center, radius or
+semi-axes and points each take their own scale.
 
 Each drawn set and point pair is checked for membership, idempotence,
 nonexpansiveness and the variational inequality <z - Pz, y - Pz> <= 0 over
@@ -42,6 +44,7 @@ from ccrm.linalg import vec_to_sym  # noqa: E402
 from ccrm.sets import (  # noqa: E402
     AffineSubspace,
     Ball,
+    Ellipsoid,
     EmbeddedOracle,
     Halfspace,
     HyperboloidSheet,
@@ -55,13 +58,17 @@ from ccrm.sets import (  # noqa: E402
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 # Bounds on each check, relative to M (to M^2 for the variational inequality):
-# the affine kernels round a few times per coordinate, the sheet's Newton
-# stops at its residual's rounding level, and so does the epigraph's.
-AFFINE_TOL = 1e-12
+# the affine kernels and the ball's clamp round a few times per coordinate,
+# the sheet's Newton stops at its residual's rounding level, and so does the
+# epigraph's.
+AFFINE_TOL = BALL_TOL = 1e-12
 SHEET_TOL = EPIGRAPH_TOL = 1e-9
 # An eigendecomposition and its reconstruction, or a least-squares anchor
 # and an orthonormal basis of a well-conditioned A, round a few times per entry.
 SPECTRAL_TOL = SUBSPACE_TOL = 1e-11
+# The ellipsoid's dual Newton, in Q's eigenbasis, stops once
+# (x - c)^T Q (x - c) - 1 is within 1e-12, then steps inside.
+ELLIPSOID_TOL = 1e-11
 
 exponents = st.integers(-150, 150)
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -197,6 +204,70 @@ def test_power_epigraph_projection_properties(case):
         return
     x, y = pz.tolist()
     assert abs(x) ** alpha - beta - y <= EPIGRAPH_TOL * M
+
+
+@st.composite
+def ball_cases(draw):
+    """(center, radius, z, w): a whole-space ball and two points, the
+    center, the radius and each point at its own scale 10^j."""
+    n = draw(st.integers(1, 6))
+    center = 10.0 ** draw(exponents) * draw(vectors(n))
+    radius = draw(st.floats(0.1, 1.0)) * 10.0 ** draw(exponents)
+    z = 10.0 ** draw(exponents) * draw(vectors(n))
+    w = 10.0 ** draw(exponents) * draw(vectors(n))
+    return center, radius, z, w
+
+
+@st.composite
+def ellipsoid_cases(draw):
+    """(B, s, center, z, w): the ellipsoid {(x - c)^T (B / s^2) (x - c) <= 1}
+    of semi-axes s times those of B (eigenvalues 0.5 ... n + 0.5), and two
+    points, s, the center and each point at its own scale 10^j."""
+    n = draw(st.integers(1, 6))
+    G = np.array([draw(vectors(n)) for _ in range(n)])
+    B = G @ G.T / n + 0.5 * np.eye(n)
+    s = 10.0 ** draw(exponents)
+    center = 10.0 ** draw(exponents) * draw(vectors(n))
+    z = 10.0 ** draw(exponents) * draw(vectors(n))
+    w = 10.0 ** draw(exponents) * draw(vectors(n))
+    return B, s, center, z, w
+
+
+@SETTINGS
+@given(ball_cases())
+def test_ball_projection_properties(case):
+    center, radius, z, w = case
+    S = Ball(center, radius)
+    M = max(_norm(center), radius, _norm(z), _norm(w))
+    pz = _check_projection(S, z, w, M, BALL_TOL, isometry=False)
+    assert _norm(pz - center) <= radius + BALL_TOL * M
+    if _norm(z - center) <= radius * (1.0 - BALL_TOL):  # well inside: P is the identity
+        assert np.array_equal(pz, z)
+
+
+@SETTINGS
+@given(ellipsoid_cases())
+def test_ellipsoid_projection_properties(case):
+    B, s, center, z, w = case
+    S = Ellipsoid(B / s**2, center=center)
+    M = max(s, _norm(center), _norm(z), _norm(w))
+    pz = _check_projection(S, z, w, M, ELLIPSOID_TOL, isometry=False)
+    # y = (Pz - c) / s has B-norm at most 1, up to a move of ELLIPSOID_TOL M
+    # in Pz, which changes it by at most sqrt(max eig B) times that over s.
+    y = (pz - center) / s
+    eigs = np.linalg.eigvalsh(B)
+    slack = ELLIPSOID_TOL * math.sqrt(eigs[-1]) * (M / s)
+    norm_y = math.sqrt(float(y @ B @ y))
+    assert norm_y <= 1.0 + slack
+    # z outside: Pz on the boundary, z - Pz along the outer normal B y
+    # (where the ellipsoid is not lost in the rounding of Pz, slack < 0.1)
+    if not np.array_equal(pz, z) and slack < 0.1:
+        assert norm_y >= 1.0 - slack
+        g = B @ y / _norm(B @ y)  # turned by at most 2 (max eig / min eig) slack by that move
+        d = (z - pz) / M
+        along = float(d @ g)
+        assert along >= -ELLIPSOID_TOL - 2.0 * eigs[-1] / eigs[0] * slack
+        assert _norm(d - along * g) <= ELLIPSOID_TOL + 2.0 * eigs[-1] / eigs[0] * slack
 
 
 class _Fixed(SetOracle):

@@ -603,15 +603,20 @@ def test_ccrm_step_matches_the_reflection_form(selector):
 @pytest.mark.parametrize("method", ["ccrm", "crm"])
 @pytest.mark.parametrize("selector", ["discs3d", "socp", "epigraph:a=2,b=0"])
 def test_one_circumcenter_call_per_recorded_status(method, selector, monkeypatch):
-    # perfbench counts circumcenter calls and statuses through this name
+    # perfbench counts circumcenter calls and statuses through this name;
+    # every call passes three 1-d float64 arrays of the problem's dimension,
+    # the only form circumcenter takes without stacking them
     calls = []
+    entry = catalog.resolve(selector)
 
     def counted(points):
+        assert type(points) is list and len(points) == 3
+        for p in points:
+            assert type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (entry.problem.dim,)
         calls.append(len(points))
         return circumcenter(points)
 
     monkeypatch.setattr(ccrm.solvers, "circumcenter", counted)
-    entry = catalog.resolve(selector)
     trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
     assert trace.termination == TERMINATION_FEASIBLE
     assert calls == [3] * len(trace.circum_statuses) and calls
