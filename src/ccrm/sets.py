@@ -617,8 +617,9 @@ class PowerEpigraph(SetOracle):
     For beta > 0 the projection reuses the beta = 0 solver on shifted
     coordinates. The boundary is C^1 everywhere; its second derivative
     alpha (alpha-1) |x|^(alpha-2) blows up at x = 0 when alpha < 2, so the
-    Hessian refuses there. A point whose powers overflow a float raises
-    ``ConvergenceError``.
+    Hessian refuses there. A point whose |x|^alpha overflows a float lies
+    outside; where Newton's powers overflow too, ``ConvergenceError`` is
+    raised.
     """
 
     def __init__(self, alpha, beta=0.0):
@@ -636,7 +637,11 @@ class PowerEpigraph(SetOracle):
         y0 += self.beta
         ax = abs(x0)
         try:
-            if y0 >= ax**self.alpha:
+            power = ax**self.alpha
+        except OverflowError:  # past the float range, so above any y0: the point is outside
+            power = math.inf
+        try:
+            if y0 >= power:
                 return z.copy()
             if ax == 0.0:
                 return np.array([0.0, -self.beta])

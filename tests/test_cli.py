@@ -295,9 +295,10 @@ def test_convergence_error_outside_run_exits_2(tmp_path, capsys):
 
 
 def test_solve_power_epigraph_overflow_exits_2(tmp_path, capsys):
+    # At alpha = 3 Newton's first step from this start overflows a float.
     problem = {
         "version": "1",
-        "X": {"kind": "power_epigraph", "alpha": 2.0, "beta": 0.5},
+        "X": {"kind": "power_epigraph", "alpha": 3.0, "beta": 0.5},
         "Y": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
         "z0": [1e160, 0.0],
     }

@@ -3,8 +3,8 @@
 cone at d = 0) and ``PowerEpigraph``, at magnitudes 1e-150 ... 1e150 of
 the points, the offsets and the sheet's axis and vertex height; an affine
 set's normal ranges over 1e-300 ... 1e300, where its squared norm under-
-or overflows. An epigraph projection may raise ``ConvergenceError`` (the
-powers of far points overflow, from |x| about 1e103 at alpha = 3); any
+or overflows. An epigraph projection may raise ``ConvergenceError`` (where
+Newton's powers overflow, from |x| about 2e155 at alpha = 3); any
 other output must pass every check. The same checks cover the oracles of
 the hull path: ``SpectralSet`` (the zoo's three and the catalog's sdp and
 fixed_trace X, their bounds and trace scaled by 10^j), ``AffineSubspace``,

@@ -561,13 +561,41 @@ def test_epigraph_projects_far_points_near_the_axis(alpha, z):
         assert float(r @ (q - p)) <= 1e-9 * big_norm(r) * big_norm(q - p)
 
 
+def _assert_projects_onto_the_boundary(oracle, z):
+    p = oracle.project(z)
+    assert np.all(np.isfinite(p))
+    assert p[1] == pytest.approx(abs(p[0]) ** oracle.alpha - oracle.beta, rel=1e-15)
+    assert np.array_equal(oracle.project(p), p)
+
+
 @pytest.mark.parametrize("alpha, beta", [(2.0, 0.5), (3.0, 1.0)])
 @pytest.mark.parametrize("z", [[1e160, 0.0], [-1e160, 1e10]], ids=["right", "left"])
 def test_epigraph_projection_overflow_is_typed(alpha, beta, z):
-    # |x|^alpha overflows a float; the failure must be the package's own
-    # ConvergenceError, which run() and the CLI handle, not OverflowError.
-    with pytest.raises(ConvergenceError, match="overflows"):
-        PowerEpigraph(alpha, beta).project(z)
+    # |x|^alpha overflows a float, so the point lies outside the set. Newton
+    # projects it, unless its own powers overflow too (alpha = 3 on the
+    # x-axis); that failure must be the package's own ConvergenceError,
+    # which run() and the CLI handle, not OverflowError.
+    oracle = PowerEpigraph(alpha, beta)
+    if alpha == 3.0 and z[1] == 0.0:
+        with pytest.raises(ConvergenceError, match="overflows"):
+            oracle.project(z)
+    else:
+        _assert_projects_onto_the_boundary(oracle, z)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_epigraph_projects_the_x_axis_up_to_newtons_overflow(alpha):
+    # The inside test's |x|^alpha overflows from 1e103 (alpha = 3), 1e155
+    # (alpha = 2) and 1e206 (alpha = 1.5) on; Newton then projects every
+    # scanned point, except at alpha = 3 from 2.1e155 on, where its first
+    # step overflows as well.
+    oracle, raised = PowerEpigraph(alpha), []
+    for e in range(100, 301):
+        try:
+            _assert_projects_onto_the_boundary(oracle, [10.0**e, 0.0])
+        except ConvergenceError:
+            raised.append(e)
+    assert raised == (list(range(156, 301)) if alpha == 3.0 else [])
 
 
 # --- psd cone and spectral box --------------------------------------------

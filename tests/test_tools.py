@@ -1,8 +1,10 @@
-"""The identity gates: tools/compare_traces.py, tools/compare_omegas.py and
-tools/compare_projections.py, the kinds tools/write_projections.py covers,
-the reduced runs of tools/write_traces.py, the per-call timers
+"""The identity gates: tools/compare_traces.py and tools/compare_lines.py
+(on omega and projection files), the kinds tools/write_projections.py
+covers, the reduced runs of tools/write_traces.py, the per-call timers
 tools/time_circumcenter.py and tools/time_projections.py, and the per-step
-timer tools/time_steps.py, each also beside a second checkout's package."""
+timer tools/time_steps.py, each also beside a second checkout's package.
+The timers' repeats, passes and budget, and the cap counter's point
+counts, are module constants that the tests set lower."""
 
 import inspect
 import json
@@ -21,8 +23,7 @@ from ccrm.solvers import SolverConfig, run
 from helpers import tool_module
 
 compare_traces = tool_module("compare_traces").main
-compare_omegas = tool_module("compare_omegas").main
-compare_projections = tool_module("compare_projections").main
+compare_lines = tool_module("compare_lines").main
 
 TRACE = [
     "# method=ccrm termination=feasible",
@@ -94,13 +95,13 @@ def test_compare_traces_rejects_a_missing_file(tmp_path):
 
 def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
     a = _lines_file(tmp_path, "a.txt", OMEGAS)
-    assert compare_omegas([a, _lines_file(tmp_path, "b.txt", OMEGAS)]) == 0
+    assert compare_lines([a, _lines_file(tmp_path, "b.txt", OMEGAS)]) == 0
     # the same error type with another message, and a value within rtol
     near = _lines_file(
         tmp_path, "near.txt", ["discs3d seed0 0.5968757820269", "socp seed0 error: ConvergenceError: other"]
     )
-    assert compare_omegas([a, near, "--rtol", "1e-10"]) == 0
-    assert compare_omegas([a, near]) == 1
+    assert compare_lines([a, near, "--rtol", "1e-10"]) == 0
+    assert compare_lines([a, near]) == 1
 
 
 @pytest.mark.parametrize(
@@ -111,17 +112,20 @@ def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
         ["discs3d seed0 0.6", OMEGAS[1]],
         [OMEGAS[0], "socp seed0 error: ValueError: no"],
         [OMEGAS[0], "socp seed0 0.25"],
+        # the relative gap of inf or nan to a finite omega is no number, which must not pass
+        ["discs3d seed0 inf", OMEGAS[1]],
+        ["discs3d seed0 nan", OMEGAS[1]],
     ],
-    ids=["key", "line-count", "gap", "error-type", "error-to-value"],
+    ids=["key", "line-count", "gap", "error-type", "error-to-value", "non-finite-inf", "non-finite-nan"],
 )
 def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
     a = _lines_file(tmp_path, "a.txt", OMEGAS)
-    assert compare_omegas([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+    assert compare_lines([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
 
 
 def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
     a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
-    assert compare_projections([a, _lines_file(tmp_path, "b.txt", PROJECTIONS)]) == 0
+    assert compare_lines([a, _lines_file(tmp_path, "b.txt", PROJECTIONS)]) == 0
     # the same error types with other messages, and numbers within rtol of
     # each line's largest magnitude (1000 and 2)
     near = [
@@ -131,8 +135,8 @@ def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
         "file cap error: ValueError: other",
     ]
     near = _lines_file(tmp_path, "near.txt", near)
-    assert compare_projections([a, near, "--rtol", "1e-12"]) == 0
-    assert compare_projections([a, near]) == 1
+    assert compare_lines([a, near, "--rtol", "1e-12"]) == 0
+    assert compare_lines([a, near]) == 1
 
 
 @pytest.mark.parametrize(
@@ -158,7 +162,7 @@ def test_compare_projections_rejects_a_broken_rule(tmp_path, row, line):
     else:
         lines[row] = line
     a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
-    assert compare_projections([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-12"]) == 1
+    assert compare_lines([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-12"]) == 1
 
 
 def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
@@ -174,8 +178,19 @@ def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
     assert set(write_projections.DESCRIPTORS) | catalog_kinds == read
 
 
-def test_circumcenter_timer_prints_one_json_line(capsys):
-    tool_module("time_circumcenter").main(["--repeats", "1", "--passes", "1"])
+@pytest.fixture
+def twin(monkeypatch):
+    """tools/twin.py, with one repeat of one pass per case."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    import twin
+
+    monkeypatch.setattr(twin, "REPEATS", 1)
+    monkeypatch.setattr(twin, "PASSES", 1)
+    return twin
+
+
+def test_circumcenter_timer_prints_one_json_line(capsys, twin):
+    tool_module("time_circumcenter").main()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
@@ -186,10 +201,9 @@ def test_circumcenter_timer_prints_one_json_line(capsys):
     assert all(t > 0.0 for t in times)
 
 
-def test_projection_timer_prints_one_json_line(capsys, monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+def test_projection_timer_prints_one_json_line(capsys, twin):
     timer = tool_module("time_projections")
-    timer.main(["--repeats", "1", "--passes", "1"])
+    timer.main([])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
@@ -204,11 +218,11 @@ def test_projection_timer_prints_one_json_line(capsys, monkeypatch):
     assert all(t > 0.0 for t in times if t is not None)
 
 
-def test_step_timer_prints_one_json_line(capsys, monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
     timer = tool_module("time_steps")
     monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=3,b=1,y=line"))
-    timer.main(["--repeats", "1", "--budget-ms", "0"])
+    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
+    timer.main([])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
@@ -223,20 +237,21 @@ def test_step_timer_prints_one_json_line(capsys, monkeypatch):
 
 
 @pytest.fixture
-def this_src(monkeypatch):
+def this_src(twin):
     """This checkout's src, to load a second time under another package
     name; the copy is unloaded afterwards."""
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     yield os.path.dirname(os.path.dirname(os.path.abspath(ccrm.__file__)))
     for name in [n for n in sys.modules if n.split(".")[0] == "ccrm_against"]:
         del sys.modules[name]
 
 
-def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):
+def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, twin, this_src):
     # Every case runs both copies, and their iterates agree bit for bit.
     timer = tool_module("time_steps")
     monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=2,b=0,y=line"))
-    timer.main(["--repeats", "2", "--budget-ms", "0", "--against", this_src])
+    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
+    monkeypatch.setattr(twin, "REPEATS", 2)
+    timer.main(["--against", this_src])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
@@ -252,7 +267,7 @@ def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch,
 def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):
     timer = tool_module("time_projections")
     monkeypatch.setattr(timer, "SELECTORS", ("sdp",))
-    timer.main(["--repeats", "1", "--passes", "1", "--against", this_src])
+    timer.main(["--against", this_src])
     result = json.loads(capsys.readouterr().out)
     for role in ("X", "Y", "intersection"):
         assert result["bitwise"][role] == {"sdp": True}
@@ -261,7 +276,10 @@ def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkey
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-    tool_module("count_cap_projections").main(["--near", "4", "--far", "2"])
+    counter = tool_module("count_cap_projections")
+    monkeypatch.setattr(counter, "NEAR", 4)
+    monkeypatch.setattr(counter, "FAR", 2)
+    counter.main()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])

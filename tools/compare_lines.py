@@ -1,15 +1,18 @@
-"""Compare two projection files written by ``write_projections.py``.
+"""Compare two files written by ``write_omegas.py`` or by ``write_projections.py``.
 
-Usage: python tools/compare_projections.py FILE_A FILE_B [--rtol 1e-12]
+Usage: python tools/compare_lines.py FILE_A FILE_B [--rtol 1e-12]
 
-A change that may move the oracles only at the rounding level must keep
-every line's oracle, point and call, in the same order. A line that holds
-an ``error:`` must hold one of the same error type on both sides (the
-message may change). A line that holds a result must keep its layout of
-lists and tuples, and its numbers may differ by at most ``--rtol`` times
-the largest finite magnitude on that line, over both sides. Prints each
-line that differs and the largest relative difference, and exits 1 when
-any line breaks one of these rules.
+A change that may move the diagnostics or the oracles only at the
+rounding level must keep every line's key (selector and seed, or oracle,
+point and call), in the same order. A line is its key, then its value:
+an ``error:``, a list or tuple, or a bare number (an omega line). A line
+that holds an error must hold one of the same error type on both sides
+(the message may change). A line that holds a result must keep its
+layout of lists and tuples, and its numbers may differ by at most
+``--rtol`` times the largest finite magnitude on that line, over both
+sides; a non-finite number matches only itself. Prints each line that
+differs and the largest relative difference, and exits 1 when any line
+breaks one of these rules.
 """
 
 import argparse
@@ -17,9 +20,8 @@ import math
 import re
 import sys
 
-# A line is its key, then its value: an error, a list or a tuple.
-LINE = re.compile(r"(.*?) (error: .*|[\[(].*)")
 NUMBER = re.compile(r"-?(?:inf|nan|\d[\d.]*(?:e[-+]?\d+)?)")
+LINE = re.compile(rf"(.*?) (error: .*|[\[(].*|{NUMBER.pattern})")
 
 
 def parse_line(line):

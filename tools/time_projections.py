@@ -1,6 +1,6 @@
 """Time one ``project`` call, in microseconds, for each catalog problem's sets.
 
-Usage: PYTHONPATH=src python tools/time_projections.py [--repeats R] [--passes K] [--against SRC]
+Usage: PYTHONPATH=src python tools/time_projections.py [--against SRC]
 
 The cases are the X, Y and ``diagnostics.intersection_oracle`` of each
 catalog problem in ``SELECTORS`` (those of ``write_traces.py``). Each case
@@ -9,8 +9,9 @@ suggested start, z0 + N(0, 1) per coordinate, so some points lie in the
 set and some do not, as they do for a solver. A case keeps only the points
 it projects without an error (a tangent pair's intersection refuses
 them all) and reads null when none is left. The cases are interleaved
-in one process: each of R repeats times every case in turn, as the best
-of 3 timings of K passes over its points. The output is one JSON line
+in one process: each of ``twin.REPEATS`` repeats times every case in
+turn, as the best of 3 timings of ``twin.PASSES`` passes over its
+points. The output is one JSON line
 with each case's median over the repeats, keyed by oracle role and
 selector. Only the public API is used, so the script runs on older
 checkouts: run it on two of them to compare.
@@ -26,19 +27,13 @@ whether the two projections of every point are equal bit for bit
 
 import argparse
 import json
-import time
 
 import numpy as np
 
 import ccrm
 import twin
-from ccrm import catalog
+from write_traces import SELECTORS
 
-SELECTORS = (
-    ["discs3d", "ellipses", "eq_ellipsoids", "socp", "sdp", "fixed_trace"]
-    + [f"epigraph:a={a},b={b},y={y}" for a, b in ((2, 0), (3, 1))
-       for y in catalog.EPIGRAPH_VARIANTS]
-)
 POINTS = 50
 
 
@@ -65,21 +60,8 @@ def _oracles(package):
     return oracles, points
 
 
-def _per_call_us(project, points, passes):
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(passes):
-            for z in points:
-                project(z)
-        best = min(best, time.perf_counter() - start)
-    return 1e6 * best / (passes * len(points))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=11)
-    parser.add_argument("--passes", type=int, default=4)
     parser.add_argument("--against", metavar="SRC", help="src directory of a second checkout to time beside this one")
     args = parser.parse_args(argv)
     packages = [ccrm] + ([twin.load(args.against)] if args.against else [])
@@ -89,15 +71,15 @@ def main(argv=None):
             for case in sides[0]}
 
     def time_case(i, case):
-        return _per_call_us(sides[i][case].project, kept[case], args.passes) if kept[case] else None
+        return twin.best_us(sides[i][case].project, kept[case], twin.PASSES) if kept[case] else None
 
     def bitwise(case):
         return all(
             sides[0][case].project(z).tobytes() == sides[1][case].project(z).tobytes() for z in kept[case]
         ) if kept[case] else None
 
-    samples = twin.interleave(sides, args.repeats, time_case)
-    result = {"unit": "us/call", "repeats": args.repeats, "passes": args.passes, "points": POINTS}
+    samples = twin.interleave(sides, time_case)
+    result = {"unit": "us/call", "repeats": twin.REPEATS, "passes": twin.PASSES, "points": POINTS}
     for role, selector in kept:
         result.setdefault(role, {})[selector] = twin.median(samples[0][(role, selector)])
     if args.against:

@@ -6,17 +6,23 @@ directory of another checkout, and time both packages in one process,
 interleaved case by case: two processes differ in speed by up to 2x on
 a VM, one process does not. ``ccrm`` imports its own modules relatively,
 so a copy loaded as ``ccrm_against`` runs entirely on its own code.
-``interleave``, ``median`` and ``compare`` are the timers' shared loop
-and output.
+``best_us``, ``interleave``, ``median`` and ``compare`` are the timers'
+shared timing, loop and output.
 """
 
 import importlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
+import time
 
 AGAINST = "ccrm_against"
+# Each case's time is a median over REPEATS; a per-call timer times PASSES
+# passes over a case's inputs.
+REPEATS = 11
+PASSES = 4
 
 
 def load(src, name=AGAINST):
@@ -41,12 +47,24 @@ def submodule(package, name):
     return importlib.import_module(f"{package.__name__}.{name}")
 
 
-def interleave(sides, repeats, time_case):
-    """samples[i][case]: ``time_case(i, case)`` over ``repeats``, each repeat
+def best_us(call, inputs, passes):
+    """Microseconds per ``call(x)``: the best of 3 timings of ``passes`` passes over ``inputs``."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(passes):
+            for x in inputs:
+                call(x)
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / (passes * len(inputs))
+
+
+def interleave(sides, time_case):
+    """samples[i][case]: ``time_case(i, case)`` over ``REPEATS``, each repeat
     timing every case on every side in turn, the first side alternating;
     a None time is not kept."""
     samples = [{case: [] for case in sides[0]} for _ in sides]
-    for k in range(repeats):
+    for k in range(REPEATS):
         for case in sides[0]:
             for i in (range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))):
                 t = time_case(i, case)
