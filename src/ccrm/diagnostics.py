@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RegularityError, UnsupportedOperation
-from .linalg import EPS, orthonormal_nullspace
+from .linalg import EPS, _eigh, orthonormal_nullspace
 from .sets import Ball, BallLens, Cap, Ellipsoid, EllipsoidLens, EmbeddedOracle, Halfspace, Hyperplane
 from .sets import IsometricImage, _as_point, _check_count, _norm, _row_norms, boundary_eval
 from .sets import in_hull_coordinates
@@ -195,7 +195,7 @@ def curvature(oracle, z_bar) -> CurvatureValue:
     if tangent.shape[1] == 0:
         return CurvatureValue(0.0, None)
     reduced = tangent.T @ hess @ tangent
-    w, V = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    w, V = _eigh(0.5 * (reduced + reduced.T))
     idx = int(np.argmax(np.abs(w)))
     kappa = abs(float(w[idx])) / grad_norm
     direction = tangent @ V[:, idx]

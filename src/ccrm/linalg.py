@@ -12,6 +12,9 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+from .errors import ConvergenceError
 
 # Singular values / pivots below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-10
@@ -27,6 +30,15 @@ def _as_matrix(A):
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
+
+
+def _eigh(S):
+    """``np.linalg.eigh(S)`` of a finite symmetric float64 matrix, bit for bit, by its LAPACK
+    gufunc without numpy's per-call wrapper; LAPACK's failure (all nan) raises ``ConvergenceError``."""
+    w, V = _umath_linalg.eigh_lo(S)
+    if w.size and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise ConvergenceError("symmetric eigensolver did not converge")
+    return w, V
 
 
 def symmetric_eigh(S):
@@ -49,8 +61,7 @@ def symmetric_eigh(S):
         if np.linalg.norm(S - S.T) > 1e-12 * (1.0 + np.linalg.norm(S)):
             raise ValueError("matrix is not symmetric to 1e-12 relative")
         S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    return w, V
+    return _eigh(S)
 
 
 def orthonormal_nullspace(A) -> np.ndarray:

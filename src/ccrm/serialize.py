@@ -47,7 +47,11 @@ def _subspace_to_dict(subspace: AffineSubspace):
 
 
 def _subspace_from_dict(data) -> AffineSubspace:
-    return AffineSubspace(data["A"], data["b"], basis=data.get("basis"))
+    # One nonzero row with the basis a Hyperplane builds loads as that Hyperplane.
+    subspace = AffineSubspace(data["A"], data["b"], basis=data.get("basis"))
+    A, b = subspace.A, subspace.b
+    plane = Hyperplane(A[0], b[0]) if len(A) == 1 and A.any() else subspace
+    return plane if np.array_equal(plane.basis, subspace.basis) else subspace
 
 
 def oracle_to_dict(oracle) -> dict:
@@ -68,7 +72,7 @@ def oracle_to_dict(oracle) -> dict:
     if isinstance(oracle, SecondOrderCone):
         return {"kind": "second_order_cone", "dim": oracle.dim}
     if isinstance(oracle, HyperboloidSheet):
-        return {"kind": "hyperboloid_sheet", "axis": _floats(oracle.axis), "d": oracle.d}
+        return {"kind": "hyperboloid_sheet", "axis": _floats(oracle.given_axis), "d": oracle.d}
     if isinstance(oracle, PowerEpigraph):
         return {"kind": "power_epigraph", "alpha": oracle.alpha, "beta": oracle.beta}
     if isinstance(oracle, SpectralSet):

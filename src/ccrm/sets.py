@@ -14,6 +14,7 @@ All oracles are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, NonFiniteError, RegularityError, UnsupportedOperation
 from .linalg import (
     EPS,
+    _eigh,
     _sym_layout,
     least_squares_min_norm,
     orthonormal_nullspace,
@@ -532,7 +534,7 @@ class HyperboloidSheet(SetOracle):
             raise ValueError("vertex height d must be nonnegative")
         super().__init__(axis.shape[0])
         self.axis, self.d = axis / na, float(d)
-        self._e = self.axis.tolist()
+        self._e, self.given_axis = self.axis.tolist(), axis  # given_axis rebuilds the sheet bit for bit
 
     def _split(self, x):
         t = sum(map(operator.mul, self._e, x))
@@ -607,7 +609,9 @@ def _power_normal_root(alpha, x0, y0):
             u = nxt
         if level:
             raise ConvergenceError("power-epigraph normal equation did not converge", residual=abs(f))
-        u = min((x0 / alpha) ** (1.0 / (2.0 * alpha - 1.0)), (x0 / (alpha * -y0)) ** (1.0 / a1) if y0 < 0.0 else hi)
+        u = (x0 / alpha) ** (1.0 / (2.0 * alpha - 1.0))
+        with contextlib.suppress(OverflowError):  # the second root overflows, so the first is the smaller
+            u = min(u, (x0 / (alpha * -y0)) ** (1.0 / a1) if y0 < 0.0 else hi)
         level = 4.0 * EPS
 
 
@@ -750,19 +754,19 @@ class SpectralSet(SetOracle):
         self.lo, self.hi = lo, hi
         self.trace = None if trace is None else float(trace)
         if self.trace is not None:
-            self.affine_hull = AffineSubspace(sym_to_vec(np.eye(self.n))[None, :], [self.trace])
+            self.affine_hull = Hyperplane(sym_to_vec(np.eye(self.n)), self.trace)
 
     def _project(self, z, x) -> np.ndarray:
         gather, upper, scale = self._layout
         # The matrix is finite and exactly symmetric (both triangles gathered
         # from one vector), as in _boundary, so neither needs symmetric_eigh's checks.
-        w, V = np.linalg.eigh((z / scale).take(gather))
+        w, V = _eigh((z / scale).take(gather))
         return ((V * _project_eigs(w, self.lo, self.hi, self.trace)) @ V.T).take(upper) * scale
 
     def _boundary(self, z):
         # One eigendecomposition gives all three. The active end is lambda_min
         # (k = 0, s = -1) against lo or lambda_max (k = -1, s = +1) against hi.
-        w, V = np.linalg.eigh(vec_to_sym(_as_point(z, self.dim)))
+        w, V = _eigh(vec_to_sym(_as_point(z, self.dim)))
         low = self.hi == np.inf or (self.lo > -np.inf and self.lo - w[0] >= w[-1] - self.hi)
         k, s = (0, -1.0) if low else (-1, 1.0)
         if self.n > 1 and s * (w[k] - w[k - int(s)]) <= EIG_GAP_TOL * (1.0 + abs(w[k])):

@@ -1,7 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 
+from ccrm import linalg
+from ccrm.errors import ConvergenceError
 from ccrm.linalg import (
+    _eigh,
     least_squares_min_norm,
     orthonormal_nullspace,
     sym_dim,
@@ -9,8 +14,9 @@ from ccrm.linalg import (
     symmetric_eigh,
     vec_to_sym,
 )
+from ccrm.sets import SpectralSet
 
-from helpers import random_symmetric
+from helpers import random_orthogonal, random_symmetric
 
 
 def test_eigh_diagonal_is_sorted_permutation():
@@ -161,6 +167,35 @@ def test_eigh_symmetrizes_a_1e13_asymmetry():
     w, V = symmetric_eigh(S)
     w0, V0 = np.linalg.eigh(0.5 * (S + S.T))
     assert np.array_equal(w, w0) and np.array_equal(V, V0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eigh_kernel_is_numpys_bit_for_bit(n):
+    # LAPACK's gufunc called directly returns what np.linalg.eigh returns,
+    # on general spectra, repeated eigenvalues and both ends of the range.
+    rng = np.random.default_rng(100 + n)
+    Q = random_orthogonal(rng, n)
+    repeated = (Q * np.repeat(rng.normal(size=n), 2)[:n]) @ Q.T  # eigenvalues in pairs
+    cases = [random_symmetric(rng, n), 0.5 * (repeated + repeated.T), np.eye(n), np.diag(np.arange(n) // 2)]
+    for S in cases:
+        for scale in (1e-150, 1.0, 1e150):
+            w, V = _eigh(S * scale)
+            w0, V0 = np.linalg.eigh(S * scale)
+            assert np.array_equal(w, w0) and np.array_equal(V, V0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_eigensolve_raises_convergence_error(bad, monkeypatch):
+    # numpy's wrapper raised LinAlgError; the kernel's failure is the package's own error.
+    def failing(S):
+        w = np.zeros(len(S))
+        w[-1] = bad
+        return w, np.full(S.shape, bad)
+
+    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=failing))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        SpectralSet(3, lo=0.0).project(np.ones(6))
 
 
 def test_eigh_rejects_a_1e10_asymmetry():

@@ -16,7 +16,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
-from ccrm.sets import Cap, EllipsoidLens, IsometricImage
+from ccrm.sets import AffineSubspace, Cap, EllipsoidLens, Hyperplane, IsometricImage
 from ccrm.solvers import SolverConfig, run
 
 from helpers import cap_socp, oracle_zoo
@@ -57,7 +57,21 @@ def test_problem_round_trip_matrix_kinds():
         t1 = run(problem, SolverConfig(method="ccrm", tol_feas=1e-10), z0)
         t2 = run(entry.problem, SolverConfig(method="ccrm", tol_feas=1e-10), entry.suggested_z0)
         assert t1.termination == t2.termination == "feasible"
-        assert np.allclose(t1.final, t2.final, atol=1e-12)
+        assert np.array_equal(t1.iterates, t2.iterates)
+
+
+def test_one_row_subspace_loads_as_the_hyperplane_it_is():
+    # Loaded in basis form, the socp, sdp and fixed_trace hulls projected by
+    # another formula than the catalog's Hyperplane, and the iterates moved.
+    for name in ("socp", "sdp", "fixed_trace"):
+        entry = resolve(name)
+        data = json.loads(json.dumps(problem_to_dict(entry.problem)))
+        assert type(problem_from_dict(data)[0].Y.subspace) is Hyperplane
+    # discs3d's plane pins another frame; a zero row is the whole space
+    discs = json.loads(json.dumps(problem_to_dict(resolve("discs3d").problem)))
+    assert type(problem_from_dict(discs)[0].X.subspace) is AffineSubspace
+    whole = {"kind": "affine_subspace", "A": [[0.0, 0.0, 0.0]], "b": [0.0]}
+    assert oracle_from_dict(whole).subspace_dim == 3
 
 
 def test_cap_round_trip():

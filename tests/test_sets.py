@@ -598,6 +598,15 @@ def test_epigraph_projects_the_x_axis_up_to_newtons_overflow(alpha):
     assert raised == (list(range(156, 301)) if alpha == 3.0 else [])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [[1e250, -1.0], [1e250, -1e-4], [1e160, -1.0]])
+def test_epigraph_projects_far_points_below_the_x_axis(z):
+    # Newton's restart guess (x0 / (alpha |y0|))^(1 / (alpha - 1)) overflows
+    # here, and the projection raised; the restart now takes the far field's
+    # other root, (x0 / alpha)^(1 / (2 alpha - 1)), the smaller one.
+    _assert_projects_onto_the_boundary(PowerEpigraph(1.5), z)
+
+
 # --- psd cone and spectral box --------------------------------------------
 
 def test_psd_clips_negative_eigenvalue():
@@ -1151,13 +1160,13 @@ def test_boundary_derivatives_match_finite_differences():
 def test_spectral_boundary_eval_takes_one_eigendecomposition(monkeypatch):
     # g, grad g and Hess g each took their own (three per call).
     calls = []
-    eigh = np.linalg.eigh
+    eigh = ccrm.sets._eigh
 
     def counting(S):
         calls.append(S)
         return eigh(S)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(ccrm.sets, "_eigh", counting)
     z = sym_to_vec(np.diag([0.0, 0.4, 1.0]))
     boundary_eval(SpectralSet(3, lo=0.0), z)
     assert len(calls) == 1
