@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import sym_to_vec
 from .sets import (
-    AffineSubspace,
     Ball,
     Ellipsoid,
     EmbeddedOracle,
@@ -55,7 +54,7 @@ class CatalogEntry:
 def _plane_z3():
     """The coordinate plane {z_3 = 0} in R^3 with the canonical (x, y) frame."""
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    return AffineSubspace([[0.0, 0.0, 1.0]], [0.0], basis=basis)
+    return Hyperplane([0.0, 0.0, 1.0], 0.0, basis=basis)
 
 
 def make_discs3d() -> CatalogEntry:

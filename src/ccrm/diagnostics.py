@@ -185,7 +185,7 @@ def curvature(oracle, z_bar) -> CurvatureValue:
     hull = oracle.affine_hull
     _require_on_hull(hull, z_bar, "the set's affine hull")
     g, grad, hess = boundary_eval(oracle, z_bar)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(grad @ grad)  # np.linalg.norm(grad)'s formula
     if grad_norm <= 1e-10:
         raise RegularityError("boundary gradient vanishes; curvature undefined here")
     if abs(g) > 1e-6 * (1.0 + grad_norm):
@@ -196,7 +196,7 @@ def curvature(oracle, z_bar) -> CurvatureValue:
         return CurvatureValue(0.0, None)
     reduced = tangent.T @ hess @ tangent
     w, V = _eigh(0.5 * (reduced + reduced.T))
-    idx = int(np.argmax(np.abs(w)))
+    idx = int(abs(w).argmax())
     kappa = abs(float(w[idx])) / grad_norm
     direction = tangent @ V[:, idx]
     if hull is not None:
@@ -269,26 +269,26 @@ def estimate_omega(
     samples_per_radius = _check_count("samples_per_radius", samples_per_radius)
     z_bar = np.asarray(z_bar, dtype=float)
     _require_on_hull(problem.common_hull, z_bar, "the problem's common hull")
-    pair, local, embed = None, (lambda z: z), (lambda v: v)
+    pair = frame = None
     if projector is None:
         pair = intersection_oracle(problem)
         if isinstance(pair, EmbeddedOracle):
-            pair, a, B = pair.inner, pair.subspace.anchor, pair.subspace.basis
-            local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
-    rng = np.random.default_rng(seed)
+            pair, frame = pair.inner, pair.subspace
+            a, B, Bt = frame.anchor, frame.basis, frame._Bt
+    # One draw for all radii, row by row the numbers of one draw per radius.
+    directions = np.random.default_rng(seed).normal(size=(len(radii), samples_per_radius, z_bar.shape[0]))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
     best = np.inf
-    for rho in radii:
-        directions = rng.normal(size=(samples_per_radius, z_bar.shape[0]))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        for s in directions:
-            z = z_bar + rho * s
-            if pair is None:
-                px, x = problem.X.project(z), projector(z)
+    for rho, block in zip(radii, directions):
+        Z = z_bar + rho * block
+        for z, zl in zip(Z, Z.tolist()):
+            if frame is None:  # an ambient pair's inner set is X
+                px = problem.X.project(z)
+                x = projector(z) if pair is None else pair.project_given(z, px)
             else:
-                v = local(z)
+                v = Bt @ (z - a)
                 pv = pair.inner.project(v)
-                px, x = embed(pv), embed(pair.project_given(v, pv))
-            zl = z.tolist()
+                px, x = a + B @ pv, a + B @ pair.project_given(v, pv)
             di = math.dist(x.tolist(), zl)
             if di <= OMEGA_EXCLUDE_TOL:
                 continue

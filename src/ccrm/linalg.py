@@ -1,9 +1,9 @@
 """Minimal dense linear algebra used throughout the package.
 
-The symmetric eigensolver is LAPACK's (``numpy.linalg.eigh``) behind the
-package's input checks and ascending-order convention. Null spaces and
-minimal-norm least squares are backed by numpy's SVD-based routines
-behind the same tolerance conventions.
+Eigensolves, null spaces and minimal-norm least squares call the LAPACK
+gufuncs of ``numpy.linalg.eigh``, ``svd`` and ``lstsq`` without those
+wrappers' per-call checks: numpy's results bit for bit, and LAPACK's
+failure (a non-finite result of finite input) raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,10 @@ def orthonormal_nullspace(A) -> np.ndarray:
     m, n = A.shape
     if m == 0 or A.size == 0:
         return np.eye(n)
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    _, s, Vt = _umath_linalg.svd_f(A)  # np.linalg.svd(A)'s gufunc
+    if not math.isfinite(s[0]):
+        raise ConvergenceError("SVD did not converge")
+    rank = int((s > RANK_RTOL * s[0]).sum()) if s[0] > 0 else 0
     return Vt[rank:].T.copy()
 
 
@@ -86,7 +88,11 @@ def least_squares_min_norm(A, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    x, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL)
+    if not A.shape[0]:
+        return np.zeros(A.shape[1])  # LAPACK leaves x unset; numpy zeroes it
+    x = _umath_linalg.lstsq(A, b[:, None], RANK_RTOL)[0][:, 0]  # np.linalg.lstsq's gufunc
+    if not np.isfinite(x).all():
+        raise ConvergenceError("least squares did not converge")
     return x
 
 

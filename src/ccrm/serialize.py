@@ -3,9 +3,10 @@
 The problem file format (version "1") describes the two sets as tagged
 JSON descriptors plus an optional reference point and start. A file
 written here also records the sets' common hull; on load a declared hull
-must be that hull. Traces serialize to CSV (one row per iterate, full
-precision, bit-exact round trip) or to JSON with solver internals
-included.
+must be that hull. A hyperplane is written with its basis, and it and any
+nonzero one-row subspace load as a ``Hyperplane`` in the stored frame.
+Traces serialize to CSV (one row per iterate, full precision, bit-exact
+round trip) or to JSON with solver internals included.
 """
 
 from __future__ import annotations
@@ -47,17 +48,18 @@ def _subspace_to_dict(subspace: AffineSubspace):
 
 
 def _subspace_from_dict(data) -> AffineSubspace:
-    # One nonzero row with the basis a Hyperplane builds loads as that Hyperplane.
-    subspace = AffineSubspace(data["A"], data["b"], basis=data.get("basis"))
-    A, b = subspace.A, subspace.b
-    plane = Hyperplane(A[0], b[0]) if len(A) == 1 and A.any() else subspace
-    return plane if np.array_equal(plane.basis, subspace.basis) else subspace
+    A = np.atleast_2d(np.asarray(data["A"], dtype=float))
+    b = np.atleast_1d(np.asarray(data["b"], dtype=float))
+    if A.shape[0] == b.shape[0] == 1 and A.any():
+        return Hyperplane(A[0], b[0], basis=data.get("basis"))
+    return AffineSubspace(A, b, basis=data.get("basis"))
 
 
 def oracle_to_dict(oracle) -> dict:
     """Tagged JSON descriptor of a set oracle."""
     if isinstance(oracle, Hyperplane):
-        return {"kind": "hyperplane", "normal": _floats(oracle.normal), "offset": oracle.offset}
+        plane = {"normal": _floats(oracle.normal), "offset": oracle.offset, "basis": _floats(oracle.basis)}
+        return {"kind": "hyperplane", **plane}
     if isinstance(oracle, AffineSubspace):
         return {"kind": "affine_subspace", **_subspace_to_dict(oracle)}
     if isinstance(oracle, Halfspace):
@@ -101,7 +103,7 @@ def oracle_from_dict(data) -> object:
         if kind == "halfspace":
             return Halfspace(data["normal"], data["offset"])
         if kind == "hyperplane":
-            return Hyperplane(data["normal"], data["offset"])
+            return Hyperplane(data["normal"], data["offset"], basis=data.get("basis"))
         if kind == "affine_subspace":
             return _subspace_from_dict(data)
         if kind == "ball":

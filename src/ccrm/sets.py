@@ -282,6 +282,9 @@ class AffineSubspace(SetOracle):
     def _project(self, z, x) -> np.ndarray:
         return self.anchor + self.basis @ (self._Bt @ (z - self.anchor))
 
+    def _project_list(self, z, x) -> list:  # P(z) as a list, for a Ball's clamp
+        return self._project(z, x).tolist()
+
     def to_local(self, z) -> np.ndarray:
         """Isometric coordinates of a hull point: B^T (z - anchor)."""
         return self._Bt @ (_as_point(z, self.dim) - self.anchor)
@@ -323,28 +326,33 @@ class _Level:
     entries are the list x, moved along the unit normal u = ``_unit`` onto
     {<u, y> = c}, c = ``_level``, by one sequential dot product on Python
     floats: at n <= 10 numpy's per-call overhead costs more than the
-    arithmetic. A halfspace {<u, y> <= c} returns a copy of a z inside it."""
+    arithmetic; ``_project_list`` is that list. A halfspace {<u, y> <= c}
+    returns a copy of a z inside it (the list x itself)."""
 
     def _project(self, z, x) -> np.ndarray:
+        p = self._project_list(z, x)
+        return z.copy() if p is x else np.array(p)
+
+    def _project_list(self, z, x) -> list:
         u = self._unit
         excess = sum(map(operator.mul, u, x)) - self._level
         if self._halfspace and excess <= 0.0:
-            return z.copy()
+            return x
         if not math.isfinite(excess):
             raise NonFiniteError("the point's distance to the hyperplane overflows")
-        return np.array([a - excess * b for a, b in zip(x, u)])
+        return [a - excess * b for a, b in zip(x, u)]
 
 
 class Hyperplane(_Level, AffineSubspace):
-    """{z : <normal, z> = offset}, projected by :class:`_Level`; the
-    inherited ``anchor`` and ``basis`` serve ``to_local`` and ``from_local``."""
+    """{z : <normal, z> = offset}, projected by :class:`_Level`; the inherited
+    ``anchor`` and ``basis``, a given ``basis`` if any, serve ``to_local`` and ``from_local``."""
 
     _halfspace = False
 
-    def __init__(self, normal, offset):
+    def __init__(self, normal, offset, basis=None):
         self.normal, self._unit, self._level = _unit_normal(normal, offset, "hyperplane")
         self.offset = float(offset)
-        super().__init__(self.normal[None, :], [self.offset])
+        super().__init__(self.normal[None, :], [self.offset], basis=basis)
 
 
 class Halfspace(_Level, SetOracle):
@@ -369,10 +377,10 @@ class Ball(SetOracle):
     Within a subspace the set is a ball of L, centered at the projected
     center with the chordal radius (``in_plane_center``, ``in_plane_radius``;
     without one these are ``center`` and ``radius``); projection goes to L
-    first, then clamps radially inside it. The descriptor is
-    g = ||z - c||^2 - r^2 in those in-plane terms. On flattened
-    symmetric-matrix coordinates this realizes Frobenius-norm balls within
-    linear matrix constraints.
+    first (L's ``_project_list``), then clamps radially inside it on Python
+    floats. The descriptor is g = ||z - c||^2 - r^2 in those in-plane terms.
+    On flattened symmetric-matrix coordinates this realizes Frobenius-norm
+    balls within linear matrix constraints.
     """
 
     def __init__(self, center, radius, subspace: AffineSubspace | None = None):
@@ -393,12 +401,12 @@ class Ball(SetOracle):
         self._c = self.in_plane_center.tolist()  # for math.dist, bit for bit _norm(p - c)
 
     def _project(self, z, x) -> np.ndarray:
-        L = self.subspace
-        p = z if L is None else L._project(z, x)
-        nd = math.dist(x if L is None else p.tolist(), self._c)
+        p = x if self.subspace is None else self.subspace._project_list(z, x)
+        nd = math.dist(p, self._c)
         if nd <= self.in_plane_radius:
-            return p.copy() if L is None else p
-        return self.in_plane_center + (p - self.in_plane_center) * (self.in_plane_radius / nd)
+            return np.array(p)
+        t = self.in_plane_radius / nd
+        return np.array([c + (a - c) * t for a, c in zip(p, self._c)])
 
     def _boundary(self, z):
         d = _as_point(z, self.dim) - self.in_plane_center
@@ -1111,7 +1119,7 @@ def boundary_eval(oracle: SetOracle, z):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g, grad, hess = oracle._boundary(z)
-    if not (np.isfinite(g) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+    if not (math.isfinite(g) and np.isfinite(grad).all() and np.isfinite(hess).all()):
         raise RegularityError("boundary descriptor is not finite at this point")
     hull = oracle.affine_hull
     if hull is None:

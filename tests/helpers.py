@@ -42,7 +42,7 @@ from ccrm.circumcenter import (
 )
 from ccrm.errors import ConvergenceError, GeometryError, NonFiniteError
 from ccrm.catalog import make_eq_constrained_ellipsoids, make_socp
-from ccrm.diagnostics import CHECK_MARGIN, curvature
+from ccrm.diagnostics import CHECK_MARGIN, OMEGA_EXCLUDE_TOL, curvature, intersection_oracle
 from ccrm.linalg import RANK_RTOL, sym_to_vec
 from ccrm.solvers import FeasibilityProblem, SolveTrace
 
@@ -623,3 +623,39 @@ def fejer_bound_check(
         passed=worst_violation <= FEJER_SLACK,
         n_checked=checked,
     )
+
+
+def per_radius_estimate_omega(problem, z_bar, radii=(1e-1, 1e-2, 1e-3, 1e-4), samples_per_radius=200, seed=0):
+    """``estimate_omega``'s sampler in its former form, the reference of its
+    one-draw form: a draw and a normalization per radius, and each sample
+    moved to and from the pair's hull coordinates by lambdas. Returns inf
+    when every sample lies in X & Y."""
+    pair, local, embed = intersection_oracle(problem), (lambda z: z), (lambda v: v)
+    if isinstance(pair, EmbeddedOracle):
+        pair, a, B = pair.inner, pair.subspace.anchor, pair.subspace.basis
+        local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for rho in radii:
+        directions = rng.normal(size=(samples_per_radius, z_bar.shape[0]))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        for s in directions:
+            z = z_bar + rho * s
+            v = local(z)
+            pv = pair.inner.project(v)
+            px, x = embed(pv), embed(pair.project_given(v, pv))
+            zl = z.tolist()
+            di = math.dist(x.tolist(), zl)
+            if di > OMEGA_EXCLUDE_TOL:
+                best = min(best, max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di)
+    return float(best)
+
+
+def numpy_ball_project(ball, z):
+    """``Ball.project`` in its former numpy form: the subspace's array
+    projection, then the radial clamp as array arithmetic."""
+    z = np.asarray(z, dtype=float)
+    p = z.copy() if ball.subspace is None else ball.subspace.project(z)
+    c, r = ball.in_plane_center, ball.in_plane_radius
+    nd = math.dist(p.tolist(), c.tolist())
+    return p if nd <= r else c + (p - c) * (r / nd)

@@ -12,6 +12,7 @@ from ccrm.catalog import (
     make_fixed_trace,
     make_sdp_feasibility,
     make_socp,
+    resolve,
 )
 from ccrm.diagnostics import (
     RATE_LINEAR,
@@ -38,7 +39,8 @@ from ccrm.sets import (
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
 
-from helpers import dykstra_project, fejer_bound_check, general_sdp, tangent_bound_check
+from helpers import dykstra_project, fejer_bound_check, general_sdp, per_radius_estimate_omega
+from helpers import tangent_bound_check, tool_module
 
 BENCH_DISTANCES = np.array([3.54, 9.24e-2, 3.70e-3, 7.51e-6, 3.13e-11])
 
@@ -421,6 +423,23 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
                 kept += 1
     assert omega == best
     assert kept > 0 and reused == len(calls) - kept
+
+
+@pytest.mark.parametrize("selector", tool_module("write_traces").SELECTORS)
+def test_estimate_omega_is_the_per_radius_sampler_bit_for_bit(selector):
+    # One draw for all radii and one sample block per radius give the
+    # omega of a draw per radius, at every catalog problem's cCRM limit.
+    entry = resolve(selector)
+    z_bar = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    for seed in range(4):
+        try:
+            expected = per_radius_estimate_omega(entry.problem, z_bar, samples_per_radius=25, seed=seed)
+        except ConvergenceError:  # the epigraph of x^2 and its tangent cut
+            with pytest.raises(ConvergenceError):
+                estimate_omega(entry.problem, z_bar, samples_per_radius=25, seed=seed)
+            continue
+        omega = estimate_omega(entry.problem, z_bar, samples_per_radius=25, seed=seed)
+        assert omega.hex() == expected.hex()
 
 
 def test_estimate_omega_raises_fast_on_a_tangent_intersection():

@@ -198,6 +198,45 @@ def test_a_non_finite_eigensolve_raises_convergence_error(bad, monkeypatch):
         SpectralSet(3, lo=0.0).project(np.ones(6))
 
 
+def _rank_cases(rng):
+    """Matrices of every rank from 0 to full, in wide, square and tall shapes."""
+    for m, n in ((1, 3), (2, 5), (3, 3), (4, 2), (6, 4)):
+        for rank in range(min(m, n) + 1):
+            yield rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+
+
+@pytest.mark.filterwarnings("error")
+def test_svd_and_lstsq_kernels_are_numpys_bit_for_bit():
+    # LAPACK's gufuncs called directly return what np.linalg.svd and
+    # np.linalg.lstsq return, at ranks 0 to full and at both ends of the range.
+    rng = np.random.default_rng(7)
+    for A0 in _rank_cases(rng):
+        b0 = rng.normal(size=A0.shape[0])
+        for scale in (1e-150, 1.0, 1e150):
+            A, b = A0 * scale, b0 * scale
+            _, s, Vt = np.linalg.svd(A)
+            rank = int(np.sum(s > linalg.RANK_RTOL * s[0])) if s[0] > 0 else 0
+            assert orthonormal_nullspace(A).tobytes() == Vt[rank:].T.tobytes()
+            x = np.linalg.lstsq(A, b, rcond=linalg.RANK_RTOL)[0]
+            assert least_squares_min_norm(A, b).tobytes() == x.tobytes()
+    assert least_squares_min_norm(np.zeros((0, 3)), np.zeros(0)).tobytes() == np.zeros(3).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["svd_f", "lstsq"])
+def test_a_non_finite_svd_or_lstsq_raises_convergence_error(kernel, monkeypatch):
+    # numpy's wrappers raised LinAlgError on LAPACK's failure, whose results are all nan.
+    def failing(A, *rest):
+        m, n = A.shape
+        if kernel == "svd_f":
+            return np.full((m, m), np.nan), np.full(min(m, n), np.nan), np.full((n, n), np.nan)
+        return np.full((n, 1), np.nan), np.full(1, np.nan), 0, np.full(min(m, n), np.nan)
+
+    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(**{kernel: failing}))
+    call = orthonormal_nullspace if kernel == "svd_f" else (lambda A: least_squares_min_norm(A, np.ones(1)))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        call(np.array([[1.0, 2.0, 3.0]]))
+
+
 def test_eigh_rejects_a_1e10_asymmetry():
     S = random_symmetric(np.random.default_rng(31), 5)
     S[0, 1] += 1e-10

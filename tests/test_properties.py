@@ -8,11 +8,12 @@ Newton's powers overflow, from |x| about 2e155 at alpha = 3); any
 other output must pass every check. The same checks cover the oracles of
 the hull path: ``SpectralSet`` (the zoo's three and the catalog's sdp and
 fixed_trace X, their bounds and trace scaled by 10^j), ``AffineSubspace``,
-a ``Ball`` of a subspace, ``EmbeddedOracle`` (a ball or a hyperboloid
+a ``Ball`` of a subspace or of a ``Hyperplane`` (whose clamp runs on
+Python floats), ``EmbeddedOracle`` (a ball or a hyperboloid
 sheet in the subspace's coordinates) and ``IsometricImage`` (of a ball
 of the subspace), each also against an independent numpy membership test,
-and the whole-space ``Ball`` and ``Ellipsoid``, whose center, radius or
-semi-axes and points each take their own scale.
+and the whole-space ``Ball``, ``BallLens`` and ``Ellipsoid``, whose
+center, radius or semi-axes and points each take their own scale.
 
 Each drawn set and point pair is checked for membership, idempotence,
 nonexpansiveness and the variational inequality <z - Pz, y - Pz> <= 0 over
@@ -44,6 +45,7 @@ from ccrm.linalg import vec_to_sym  # noqa: E402
 from ccrm.sets import (  # noqa: E402
     AffineSubspace,
     Ball,
+    BallLens,
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
@@ -268,6 +270,52 @@ def test_ellipsoid_projection_properties(case):
         along = float(d @ g)
         assert along >= -ELLIPSOID_TOL - 2.0 * eigs[-1] / eigs[0] * slack
         assert _norm(d - along * g) <= ELLIPSOID_TOL + 2.0 * eigs[-1] / eigs[0] * slack
+
+
+@SETTINGS
+@given(affine_cases(), exponents, st.floats(0.1, 1.0), st.integers(0, 2**31))
+def test_ball_of_a_hyperplane_projection_properties(case, j, spare, seed):
+    # The clamp on Python floats from the hyperplane's projection as a list;
+    # the ball's center lies s = 10^j off q, the hyperplane's point, or
+    # 1e-8 ||q|| off it, above the rounding of its projection onto the hyperplane.
+    a, q, z, w, i = case
+    s = max(10.0**j, 1e-8 * _norm(q))
+    u = s * np.random.default_rng(seed).uniform(-1.0, 1.0, size=q.shape[0])
+    radius = _norm(u) + spare * s  # past the center's distance to the hyperplane
+    S = Ball(q + u, radius, Hyperplane(10.0**i * a, _offset(a, q, i)))
+    M = max(s, _norm(q), _norm(z), _norm(w))
+    pz = _check_projection(S, z, w, M, BALL_TOL, isometry=False)
+    na = _norm(a)
+    assert abs(float(a @ (pz - q))) <= BALL_TOL * M * na
+    off = float(a @ u) / na  # the center's signed distance to the hyperplane
+    assert _norm(pz - (q + u - off * a / na)) <= math.sqrt(radius**2 - off**2) + BALL_TOL * M
+
+
+@st.composite
+def lens_cases(draw):
+    """(c1, r1, c2, r2, z, w): two whole-space balls of dimension 2-6 whose
+    centers lie a fraction f < 0.99 of r1 + r2 apart, at one scale 10^j,
+    and two points, each at its own scale."""
+    n = draw(st.integers(2, 6))
+    s = 10.0 ** draw(exponents)
+    r1, r2 = (s * draw(st.floats(0.1, 1.0)) for _ in range(2))
+    e = draw(vectors(n))
+    assume(_norm(e) > 1e-3)
+    c1 = s * draw(vectors(n))
+    c2 = c1 + draw(st.floats(0.0, 0.99)) * (r1 + r2) * e / _norm(e)
+    z = 10.0 ** draw(exponents) * draw(vectors(n))
+    w = 10.0 ** draw(exponents) * draw(vectors(n))
+    return c1, r1, c2, r2, z, w
+
+
+@SETTINGS
+@given(lens_cases())
+def test_ball_lens_projection_properties(case):
+    c1, r1, c2, r2, z, w = case
+    S = BallLens(Ball(c1, r1), Ball(c2, r2))
+    M = max(_norm(c1), _norm(c2), r1, r2, _norm(z), _norm(w))
+    pz = _check_projection(S, z, w, M, BALL_TOL, isometry=False)
+    assert _norm(pz - c1) <= r1 + BALL_TOL * M and _norm(pz - c2) <= r2 + BALL_TOL * M
 
 
 class _Fixed(SetOracle):

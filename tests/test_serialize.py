@@ -5,6 +5,7 @@ import pytest
 
 from ccrm.catalog import make_discs3d, make_fixed_trace, make_sdp_feasibility, make_socp, resolve
 from ccrm.cli import main
+from ccrm.diagnostics import estimate_omega
 from ccrm.serialize import (
     load_problem_file,
     oracle_from_dict,
@@ -16,7 +17,7 @@ from ccrm.serialize import (
     trace_to_csv,
     trace_to_json,
 )
-from ccrm.sets import AffineSubspace, Cap, EllipsoidLens, Hyperplane, IsometricImage
+from ccrm.sets import Cap, EllipsoidLens, Hyperplane, IsometricImage
 from ccrm.solvers import SolverConfig, run
 
 from helpers import cap_socp, oracle_zoo
@@ -67,11 +68,44 @@ def test_one_row_subspace_loads_as_the_hyperplane_it_is():
         entry = resolve(name)
         data = json.loads(json.dumps(problem_to_dict(entry.problem)))
         assert type(problem_from_dict(data)[0].Y.subspace) is Hyperplane
-    # discs3d's plane pins another frame; a zero row is the whole space
+    # discs3d's plane is a Hyperplane in its pinned frame; a zero row is the whole space
     discs = json.loads(json.dumps(problem_to_dict(resolve("discs3d").problem)))
-    assert type(problem_from_dict(discs)[0].X.subspace) is AffineSubspace
+    plane, pinned = problem_from_dict(discs)[0].X.subspace, resolve("discs3d").problem.X.subspace
+    assert type(plane) is type(pinned) is Hyperplane
+    assert np.array_equal(plane.basis, pinned.basis)
     whole = {"kind": "affine_subspace", "A": [[0.0, 0.0, 0.0]], "b": [0.0]}
     assert oracle_from_dict(whole).subspace_dim == 3
+
+
+def test_saved_discs3d_solves_and_diagnoses_as_the_catalog_bit_for_bit():
+    # The plane loads as a Hyperplane in the stored frame, so the discs
+    # project by the catalog's kernels and omega samples the same hull coordinates.
+    entry = resolve("discs3d")
+    data = json.loads(json.dumps(problem_to_dict(entry.problem, z0=entry.suggested_z0)))
+    problem, z0 = problem_from_dict(data)
+    for method in ("ccrm", "crm", "map"):
+        t1 = run(problem, SolverConfig(method=method), z0)
+        t2 = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
+        assert t1.termination == t2.termination
+        assert t1.iterates.tobytes() == t2.iterates.tobytes()
+    z_bar = entry.problem.reference_solution
+    for seed in range(3):
+        omega = estimate_omega(problem, z_bar, samples_per_radius=20, seed=seed)
+        assert omega.hex() == estimate_omega(entry.problem, z_bar, samples_per_radius=20, seed=seed).hex()
+
+
+def test_a_hyperplane_basis_must_span_the_hyperplane():
+    plane = Hyperplane([0.0, 0.0, 1.0], 2.0, basis=[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    data = json.loads(json.dumps(oracle_to_dict(plane)))
+    assert np.array_equal(oracle_from_dict(data).basis, plane.basis)
+    tilted = [[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]  # orthonormal, off the plane
+    with pytest.raises(ValueError, match="do not span"):
+        Hyperplane([0.0, 0.0, 1.0], 2.0, basis=tilted)
+    for bad, message in ((tilted, "do not span"), ([[1.0], [0.0], [0.0]], "basis must be 3 x 2")):
+        with pytest.raises(ValueError, match=message):
+            oracle_from_dict({**data, "basis": bad})
+        with pytest.raises(ValueError, match=message):
+            oracle_from_dict({"kind": "affine_subspace", "A": [[0.0, 0.0, 1.0]], "b": [2.0], "basis": bad})
 
 
 def test_cap_round_trip():

@@ -35,6 +35,7 @@ from helpers import (
     big_norm,
     cap_projection_kkt,
     dykstra_project,
+    numpy_ball_project,
     numpy_project_eigs,
     oracle_zoo,
     ordered_box_enumeration,
@@ -864,6 +865,28 @@ def test_ball_without_subspace_is_its_own_in_plane_ball():
     z = np.array([0.6, -0.4, 1.1])
     p = ball.project(z)
     assert np.array_equal(p, z) and p is not z
+
+
+@pytest.mark.parametrize("kind", ["whole_space", "hyperplane", "two_rows"])
+def test_ball_clamp_on_floats_is_the_numpy_form_bit_for_bit(kind):
+    # The clamp c + (p - c) r / ||p - c|| on Python floats, from the
+    # subspace's projection as a list, against the former array arithmetic,
+    # inside and outside the ball and at scales 1e-150 ... 1e150.
+    rng = np.random.default_rng(61)
+    n = 5
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        q0 = scale * rng.normal(size=n)
+        normal, A = scale * rng.normal(size=n), rng.normal(size=(2, n))
+        subspace = {
+            "whole_space": None,
+            "hyperplane": Hyperplane(normal, float(normal @ q0)),
+            "two_rows": AffineSubspace(A, A @ q0),
+        }[kind]
+        center = q0 + scale * rng.normal(size=n)
+        q = center if subspace is None else subspace.project(center)
+        ball = Ball(center, math.dist(center.tolist(), q.tolist()) + scale, subspace)
+        for z in center + scale * rng.normal(size=(40, n)) * rng.uniform(0.01, 3.0, size=(40, 1)):
+            assert ball.project(z).tobytes() == numpy_ball_project(ball, z).tobytes()
 
 
 def test_ball_in_affine_empty_rejected():

@@ -8,6 +8,7 @@ counts, are module constants that the tests set lower."""
 
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -121,6 +122,26 @@ def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
 def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
     a = _lines_file(tmp_path, "a.txt", OMEGAS)
     assert compare_lines([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+
+
+def test_omega_writer_writes_curvature_lines_that_compare(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    write_omegas = tool_module("write_omegas")
+    monkeypatch.setattr(write_omegas, "SELECTORS", ("discs3d", "epigraph:a=2,b=0,y=line"))
+    out = tmp_path / "omegas.txt"
+    write_omegas.main(str(out))
+    assert capsys.readouterr().out == f"12 lines written to {out}\n"
+    lines = out.read_text().splitlines()
+    parse_line = tool_module("compare_lines").parse_line
+    key, error, layout, numbers = parse_line(lines[0])
+    assert (key, error, layout) == ("discs3d kappa_X", None, "(#, [#, #, #])")
+    assert numbers[0] == 0.5 and abs(math.hypot(*numbers[1:]) - 1.0) <= 1e-15
+    assert parse_line(lines[1])[0] == "discs3d kappa_Y"
+    assert [line.split()[1] for line in lines[2:6]] == ["seed0", "seed1", "seed2", "seed3"]
+    assert lines[7].startswith("epigraph:a=2,b=0,y=line kappa_Y error: UnsupportedOperation: ")
+    assert compare_lines([str(out), str(out)]) == 0
+    moved = [lines[0].replace("(0.5,", "(0.5000001,")] + lines[1:]
+    assert compare_lines([str(out), _lines_file(tmp_path, "moved.txt", moved), "--rtol", "1e-9"]) == 1
 
 
 def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
