@@ -3,7 +3,7 @@
 Every oracle exposes ``project`` (exact, or within a stated tolerance for
 the iterative kinds; the base class validates the point once and hands it,
 with its entries as a list, to the class's kernel ``_project(z, x)``),
-``reflect``, membership helpers, and optionally a
+``reflect``, ``distance``, and optionally a
 smooth boundary descriptor: ``_boundary(z)`` gives (g, grad g, Hess g)
 together, which :func:`boundary_eval` restricts to the set's affine hull.
 The descriptor feeds the curvature diagnostic; oracles without one simply
@@ -32,8 +32,6 @@ from .linalg import (
     symmetric_eigh,
     vec_to_sym,
 )
-
-MEMBERSHIP_TOL = 1e-10
 
 # Bound on the duality residual |f(lam)| of the ellipsoid projection's Newton.
 ELLIPSOID_TOL = 1e-12
@@ -226,9 +224,6 @@ class SetOracle:
     def distance(self, z) -> float:
         return math.dist(self.project(z).tolist(), np.asarray(z, dtype=float).tolist())
 
-    def contains(self, z, tol=MEMBERSHIP_TOL) -> bool:
-        return self.distance(z) <= tol
-
     # Smooth-boundary descriptor (g, grad g, Hess g) at z, in ambient
     # coordinates. Subclasses with smooth relative boundaries override it.
     def _boundary(self, z):
@@ -395,9 +390,17 @@ class Ball(SetOracle):
         if subspace is not None:
             q = subspace.project(center)
             chord2 = radius**2 - float(np.sum((center - q) ** 2))
-            if chord2 <= 0.0:
-                raise ValueError("empty set: the ball does not reach the subspace")
-            self.in_plane_center, self.in_plane_radius = q, float(np.sqrt(chord2))
+            if chord2 > 0.0:
+                chord = float(np.sqrt(chord2))
+            else:
+                # The squares underflow, or center - q is within its rounding (that
+                # of q, a few ulps of ||center||) of the radius: the chord in
+                # factors, clamped at 0 there.
+                off = math.dist(center.tolist(), q.tolist())
+                if off > self.radius + 8.0 * EPS * _norm(center):
+                    raise ValueError("empty set: the ball does not reach the subspace")
+                chord = math.sqrt(max(self.radius - off, 0.0)) * math.sqrt(self.radius + off)
+            self.in_plane_center, self.in_plane_radius = q, chord
         self._c = self.in_plane_center.tolist()  # for math.dist, bit for bit _norm(p - c)
 
     def _project(self, z, x) -> np.ndarray:
@@ -912,12 +915,6 @@ class Cap(_Pair, SetOracle):
 
     def _given(self, z, zl, inner_z) -> np.ndarray:
         return self._dual(z, zl, inner_z)[0]
-
-    def project_dual(self, z, inner_z=None):
-        """(P(z), s): the projection and its multiplier, per unit normal for a
-        hyperplane or halfspace cut (P(z) = P_inner(z - s u), u the cut's
-        unit normal); ``inner_z`` is P_inner(z), if known."""
-        return self._dual(*_point(z, self.dim), inner_z)
 
     def _dual(self, z, zl, inner_z):
         inner, cut, ball, nz = self.inner, self.cut, self._ball, math.hypot(*zl)

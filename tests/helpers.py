@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,10 +51,15 @@ from ccrm.solvers import FeasibilityProblem, SolveTrace
 FEJER_SLACK = 1e-9
 
 
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
+
+
 def tool_module(name):
-    """Import ``tools/<name>.py`` as a module."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
+    """Import ``tools/<name>.py`` as a module, with ``tools`` on the path for
+    the sibling imports its scripts make (``twin``, ``corpus``)."""
+    if TOOLS not in sys.path:
+        sys.path.append(TOOLS)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -33,11 +33,18 @@ from ccrm.sets import (
     PowerEpigraph,
     SecondOrderCone,
     SpectralSet,
+    _point,
     boundary_eval,
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, run
 
 from helpers import cap_eq_ellipsoids, cap_socp, dykstra_project, general_sdp, tangent_bound_check
+
+
+def _dual(cap, z, inner_z=None):
+    """(P(z), s): the cap's projection and its multiplier, per unit normal for a
+    hyperplane or halfspace cut, from the kernel ``project`` runs."""
+    return cap._dual(*_point(z, cap.dim), inner_z)
 
 
 def _catalog(make):
@@ -140,7 +147,7 @@ def test_cap_kkt_certificate_at_far_points(name, build, which):
         if isinstance(cap, (BallLens, EllipsoidLens)):
             _assert_lens_kkt(cap, z, 1e-12 * scale)
             continue
-        x, s = cap.project_dual(z)
+        x, s = _dual(cap, z)
         if isinstance(cut, Hyperplane):  # s is per the cut's stored unit normal
             shifted = z - s * np.array(cut._unit)
         else:
@@ -221,7 +228,7 @@ def test_cap_rejects_other_cuts():
 def test_cap_point_inside_is_fixed():
     cap = Cap(Ball([0.0, 0.0, 0.0], 1.0), Hyperplane([0.0, 0.0, 1.0], 0.5))
     z = np.array([0.1, -0.2, 0.5])
-    x, s = cap.project_dual(z)
+    x, s = _dual(cap, z)
     assert np.array_equal(x, z) and s == 0.0
 
 
@@ -594,12 +601,12 @@ def test_cap_reads_its_cut_at_every_normal_scale(kind, a):
 
 def test_halfspace_cap_keeps_an_inner_projection_that_meets_the_cut():
     cap = Cap(Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.2))
-    x, s = cap.project_dual(np.array([-3.0, 0.5]))
+    x, s = _dual(cap, np.array([-3.0, 0.5]))
     assert s == 0.0 and np.array_equal(x, Ball([0.0, 0.0], 1.0).project([-3.0, 0.5]))
 
 
 def test_cap_takes_the_inner_projection_it_is_given():
-    # project_dual(z, inner_z=P_inner(z)) is project_dual(z), bitwise, and
+    # the dual given P_inner(z) is the dual without it, bitwise, and
     # makes one inner projection fewer. socp's cap is in its hull's coordinates.
     entry = make_socp()
     oracle, hull = intersection_oracle(entry.problem), entry.problem.common_hull
@@ -612,11 +619,11 @@ def test_cap_takes_the_inner_projection_it_is_given():
     cap.inner.project = lambda z: calls.append(1) or inner_project(z)
     for z in _around(limit, np.random.default_rng(75), (1e-1, 1e-3), 8):
         del calls[:]
-        x, s = cap.project_dual(z)
+        x, s = _dual(cap, z)
         plain = len(calls)
         px = inner_project(z)
         del calls[:]
-        x_given, s_given = cap.project_dual(z, inner_z=px)
+        x_given, s_given = _dual(cap, z, px)
         assert np.array_equal(x, x_given) and s == s_given
         assert len(calls) == plain - 1
 

@@ -464,7 +464,7 @@ def test_resolver_errors():
         resolve("epigraph")  # exponent required
 
 
-# Each selector form in use (the catalog names, tools/write_traces.py's
+# Each selector form in use (the catalog names, tools/corpus.py's
 # y= form, perfbench's float and %g forms, the docs' examples), with the
 # direct call it must equal.
 SELECTOR_CALLS = {
@@ -502,7 +502,7 @@ def test_resolve_builds_what_the_direct_call_builds(selector):
 
 
 def test_selector_calls_cover_the_selectors_in_use():
-    assert set(tool_module("write_traces").SELECTORS) <= set(SELECTOR_CALLS)
+    assert set(tool_module("corpus").SELECTORS) <= set(SELECTOR_CALLS)
     assert {s.partition(":")[0] for s in SELECTOR_CALLS} == set(problem_names())
 
 

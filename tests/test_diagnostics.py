@@ -425,7 +425,7 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
     assert kept > 0 and reused == len(calls) - kept
 
 
-@pytest.mark.parametrize("selector", tool_module("write_traces").SELECTORS)
+@pytest.mark.parametrize("selector", tool_module("corpus").SELECTORS)
 def test_estimate_omega_is_the_per_radius_sampler_bit_for_bit(selector):
     # One draw for all radii and one sample block per radius give the
     # omega of a draw per radius, at every catalog problem's cCRM limit.

@@ -276,10 +276,10 @@ def test_ellipsoid_projection_properties(case):
 @given(affine_cases(), exponents, st.floats(0.1, 1.0), st.integers(0, 2**31))
 def test_ball_of_a_hyperplane_projection_properties(case, j, spare, seed):
     # The clamp on Python floats from the hyperplane's projection as a list;
-    # the ball's center lies s = 10^j off q, the hyperplane's point, or
-    # 1e-8 ||q|| off it, above the rounding of its projection onto the hyperplane.
+    # the ball's center lies s = 10^j off q, the hyperplane's point, down
+    # to within the rounding of its projection onto the hyperplane.
     a, q, z, w, i = case
-    s = max(10.0**j, 1e-8 * _norm(q))
+    s = 10.0**j
     u = s * np.random.default_rng(seed).uniform(-1.0, 1.0, size=q.shape[0])
     radius = _norm(u) + spare * s  # past the center's distance to the hyperplane
     S = Ball(q + u, radius, Hyperplane(10.0**i * a, _offset(a, q, i)))

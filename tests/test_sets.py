@@ -77,8 +77,8 @@ def test_reflect_inside_is_identity():
 
 def test_membership_iff_fixed_point():
     ball = Ball([0.0, 0.0], 1.0)
-    assert ball.contains([0.5, 0.5])
-    assert not ball.contains([1.2, 0.0])
+    assert ball.distance([0.5, 0.5]) <= 1e-10
+    assert not ball.distance([1.2, 0.0]) <= 1e-10
 
 
 # --- affine subspaces -----------------------------------------------------
@@ -136,7 +136,7 @@ def test_affine_sets_project_at_every_normal_scale(scale):
     assert np.allclose(Halfspace([scale, scale], 0.0).project(z), [-0.5, 0.5], rtol=0, atol=1e-15)
     assert np.allclose(Hyperplane([scale, scale], 0.0).project(z), [-0.5, 0.5], rtol=0, atol=1e-15)
     assert np.allclose(Hyperplane([scale, scale], scale).project(z), [0.0, 1.0], rtol=0, atol=1e-15)
-    assert Halfspace([scale, -scale], 0.0).contains(z)
+    assert Halfspace([scale, -scale], 0.0).distance(z) <= 1e-10
     H = Hyperplane([scale, 2.0 * scale], scale)
     assert H.normal.tolist() == [scale, 2.0 * scale] and H.offset == scale
 
@@ -812,7 +812,7 @@ def test_spectral_set_validation():
         SpectralSet(3, lo=0.0, trace=-1.0)
     assert SpectralSet(3, lo=0.0).affine_hull is None
     hull = SpectralSet(3, lo=0.0, trace=2.0).affine_hull
-    assert hull.subspace_dim == 5 and hull.contains(sym_to_vec(np.eye(3) * (2.0 / 3.0)))
+    assert hull.subspace_dim == 5 and hull.distance(sym_to_vec(np.eye(3) * (2.0 / 3.0))) <= 1e-10
 
 
 @pytest.mark.filterwarnings("error")
@@ -893,6 +893,40 @@ def test_ball_in_affine_empty_rejected():
     plane = AffineSubspace([[0.0, 0.0, 1.0]], [0.0])
     with pytest.raises(ValueError):
         Ball([0.0, 0.0, 3.0], 2.0, plane)
+
+
+def _ball_within_rounding():
+    # The center lies one ulp of 0.375 (5.6e-17) off {x_0 = 0.375}, a ball
+    # meant as 0.375 + 2.7e-18 with radius 2.44e-17: center - P(center)
+    # carries the rounding of P(center), a few ulps of ||center||.
+    plane = Hyperplane([2.97, 0.0, 0.0, 0.0], 2.97 * 0.375)
+    return Ball([np.nextafter(0.375, 1.0), 1e-17, -1e-17, 1e-17], 2.44e-17, plane), plane
+
+
+def test_ball_reaching_its_subspace_within_rounding_is_built():
+    ball, plane = _ball_within_rounding()
+    assert ball.in_plane_radius == 0.0
+    assert ball.in_plane_center.tolist() == plane.project(ball.center).tolist()
+
+
+def test_ball_clearly_off_its_subspace_is_rejected():
+    plane = Hyperplane([2.97, 0.0, 0.0, 0.0], 2.97 * 0.375)
+    with pytest.raises(ValueError, match="does not reach"):
+        Ball([0.375 + 1e-14, 1e-17, -1e-17, 1e-17], 2.44e-17, plane)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+def test_ball_of_a_subspace_keeps_its_chord_where_the_squares_underflow(scale):
+    # r^2 - |c - q|^2 underflows to 0, where the ball plainly reaches the plane.
+    ball = Ball([0.0, 0.0, scale], 2.0 * scale, Hyperplane([0.0, 0.0, 1.0], 0.0))
+    assert abs(ball.in_plane_radius - math.sqrt(3.0) * scale) <= 1e-15 * scale
+
+
+def test_clamped_ball_projects_every_point_to_its_in_plane_center():
+    ball, _ = _ball_within_rounding()
+    rng = np.random.default_rng(36)
+    for z in [ball.center, ball.in_plane_center, *(10.0 ** rng.uniform(-20, 3) * rng.normal(size=(20, 4)))]:
+        assert ball.project(z).tolist() == ball.in_plane_center.tolist()
 
 
 # --- embedded / image wrappers ---------------------------------------------
@@ -1353,7 +1387,7 @@ def test_oracle_zoo_covers_every_set_class():
 def test_every_project_takes_exactly_one_point():
     # Wrappers around project, such as the benchmark's per-class spans,
     # call it as project(self, z); a set that needs more takes it
-    # through another method (Cap.project_dual, BallLens.project_given).
+    # through another method (BallLens.project_given).
     for cls in vars(ccrm.sets).values():
         if isinstance(cls, type) and issubclass(cls, ccrm.sets.SetOracle):
             params = list(inspect.signature(cls.project).parameters.values())

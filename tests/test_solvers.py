@@ -33,7 +33,7 @@ from ccrm.solvers import (
 
 from helpers import epigraph_scalar_step, reflection_ccrm_step, sample_lens_point, tool_module
 
-write_traces = tool_module("write_traces")
+corpus = tool_module("corpus")
 
 
 def complementary_halfplanes():
@@ -354,13 +354,13 @@ def test_run_trace_residuals_consistent():
             assert np.all(trace.residuals_y[1:] == 0.0)
 
 
-@pytest.mark.parametrize("selector", write_traces.SELECTORS)
+@pytest.mark.parametrize("selector", corpus.SELECTORS)
 def test_map_iterates_lie_in_y(selector):
     # A MAP iterate's Y residual is recorded as 0 without a projection; the
     # projection that the trace no longer makes must find it within
     # rounding of Y at every iterate from every start of the trace corpus.
     entry = catalog.resolve(selector)
-    for z0 in write_traces.starts_of(entry).values():
+    for z0 in corpus.starts_of(entry).values():
         trace = run(entry.problem, SolverConfig(method="map"), z0)
         assert trace.n_steps > 0
         assert np.all(trace.residuals_y[1:] == 0.0)
@@ -590,10 +590,10 @@ def test_doubled_circumcenter_of_projections_is_the_reflections_circumcenter(sca
             circumcenter(triple)
 
 
-@pytest.mark.parametrize("selector", write_traces.SELECTORS)
+@pytest.mark.parametrize("selector", corpus.SELECTORS)
 def test_ccrm_step_matches_the_reflection_form(selector):
     entry = catalog.resolve(selector)
-    for z0 in write_traces.starts_of(entry).values():
+    for z0 in corpus.starts_of(entry).values():
         z_next, z_c = ccrm_step(entry.problem, z0)
         ref_next, ref_c = reflection_ccrm_step(entry.problem, z0)
         assert np.array_equal(z_c, ref_c)

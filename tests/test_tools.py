@@ -1,16 +1,20 @@
-"""The identity gates: tools/compare_traces.py and tools/compare_lines.py
-(on omega and projection files), the kinds tools/write_projections.py
-covers, the reduced runs of tools/write_traces.py, the per-call timers
-tools/time_circumcenter.py and tools/time_projections.py, and the per-step
-timer tools/time_steps.py, each also beside a second checkout's package.
-The timers' repeats, passes and budget, and the cap counter's point
-counts, are module constants that the tests set lower."""
+"""The identity corpus, tools/corpus.py: its comparison rules on
+hand-made corpora, what it writes (the ω and κ lines, the kinds its
+projections cover, the reduced runs), its diff of this checkout against
+itself and its script entry point; the per-call timers
+tools/time_circumcenter.py and tools/time_projections.py, the per-step
+timer tools/time_steps.py, each also beside a second checkout's package,
+and the cap counter. The timers' repeats, passes and budget, the cap
+counter's point counts and the corpus's selectors are module constants
+that the tests set lower."""
 
 import inspect
 import json
 import math
 import os
 import re
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -23,8 +27,7 @@ from ccrm.solvers import SolverConfig, run
 
 from helpers import tool_module
 
-compare_traces = tool_module("compare_traces").main
-compare_lines = tool_module("compare_lines").main
+corpus = tool_module("corpus")
 
 TRACE = [
     "# method=ccrm termination=feasible",
@@ -40,19 +43,19 @@ PROJECTIONS = [
     "socp intersection 0 project error: ConvergenceError: no",
     "file cap error: ValueError: no",
 ]
+TABLE2 = ["beta,alpha,variant,method,classification,constant,order", "0.0,2.0,line,map,linear,0.5,1.0"]
+# Two problems, one whose curvature of Y raises (a tangent epigraph's line).
+SMALL = ("discs3d", "epigraph:a=2,b=0,y=line")
 
 
-def _corpus(root, name, traces):
+def _corpus(root, name, traces=TRACES, omegas=OMEGAS, projections=PROJECTIONS, table2=TABLE2):
+    """A corpus directory with the given parts; table2.txt holds the CSV's lines too."""
     path = root / name
-    path.mkdir()
-    for file, lines in traces.items():
+    (path / "traces").mkdir(parents=True)
+    files = {f"traces/{file}": lines for file, lines in traces.items()}
+    files |= {"omegas.txt": omegas, "projections.txt": projections, "table2.txt": table2, "table2.csv": table2}
+    for file, lines in files.items():
         (path / file).write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def _lines_file(root, name, lines):
-    path = root / name
-    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -64,12 +67,25 @@ def _changed(row, cell, value):
     return lines
 
 
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The corpus this checkout writes for ``SMALL``."""
+    root = tmp_path_factory.mktemp("corpus")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "SELECTORS", SMALL)
+        corpus.write(ccrm, root)
+    return root
+
+
 def test_compare_traces_accepts_identical_and_tolerated_corpora(tmp_path):
-    a = _corpus(tmp_path, "a", TRACES)
-    assert compare_traces([a, _corpus(tmp_path, "b", TRACES)]) == 0
-    near = _corpus(tmp_path, "near", {**TRACES, "discs3d_ccrm_z0.csv": _changed(2, 1, "1.5000000000001")})
-    assert compare_traces([a, near, "--atol", "1e-12"]) == 0
-    assert compare_traces([a, near]) == 1
+    a = _corpus(tmp_path, "a")
+    assert corpus.compare(a, _corpus(tmp_path, "b")) == 0
+    near = _corpus(tmp_path, "near", traces={**TRACES, "discs3d_ccrm_z0.csv": _changed(2, 1, "1.5000000000001")})
+    assert corpus.compare(a, near, atol=1e-12) == 0
+    assert corpus.compare(a, near) == 1
+    # an error trace matches an error of the same type with another message
+    other = _corpus(tmp_path, "other", traces={**TRACES, "sdp_map_z0.csv": ["error: ConvergenceError: other"]})
+    assert corpus.compare(a, other) == 0
 
 
 @pytest.mark.parametrize(
@@ -83,26 +99,26 @@ def test_compare_traces_accepts_identical_and_tolerated_corpora(tmp_path):
     ids=["header", "row-count", "gap", "error-type"],
 )
 def test_compare_traces_rejects_a_broken_rule(tmp_path, file, lines):
-    a = _corpus(tmp_path, "a", TRACES)
-    b = _corpus(tmp_path, "b", {**TRACES, file: lines})
-    assert compare_traces([a, b, "--atol", "1e-12"]) == 1
+    a = _corpus(tmp_path, "a")
+    b = _corpus(tmp_path, "b", traces={**TRACES, file: lines})
+    assert corpus.compare(a, b, atol=1e-12) == 1
 
 
 def test_compare_traces_rejects_a_missing_file(tmp_path):
-    a = _corpus(tmp_path, "a", TRACES)
-    b = _corpus(tmp_path, "b", {"discs3d_ccrm_z0.csv": TRACE})
-    assert compare_traces([a, b]) == 1
+    a = _corpus(tmp_path, "a")
+    b = _corpus(tmp_path, "b", traces={"discs3d_ccrm_z0.csv": TRACE})
+    assert corpus.compare(a, b) == 1
 
 
 def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
-    a = _lines_file(tmp_path, "a.txt", OMEGAS)
-    assert compare_lines([a, _lines_file(tmp_path, "b.txt", OMEGAS)]) == 0
+    a = _corpus(tmp_path, "a")
+    assert corpus.compare(a, _corpus(tmp_path, "b")) == 0
     # the same error type with another message, and a value within rtol
-    near = _lines_file(
-        tmp_path, "near.txt", ["discs3d seed0 0.5968757820269", "socp seed0 error: ConvergenceError: other"]
+    near = _corpus(
+        tmp_path, "near", omegas=["discs3d seed0 0.5968757820269", "socp seed0 error: ConvergenceError: other"]
     )
-    assert compare_lines([a, near, "--rtol", "1e-10"]) == 0
-    assert compare_lines([a, near]) == 1
+    assert corpus.compare(a, near, rtol=1e-10) == 0
+    assert corpus.compare(a, near) == 1
 
 
 @pytest.mark.parametrize(
@@ -120,33 +136,30 @@ def test_compare_omegas_accepts_identical_and_tolerated_files(tmp_path):
     ids=["key", "line-count", "gap", "error-type", "error-to-value", "non-finite-inf", "non-finite-nan"],
 )
 def test_compare_omegas_rejects_a_broken_rule(tmp_path, lines):
-    a = _lines_file(tmp_path, "a.txt", OMEGAS)
-    assert compare_lines([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-10"]) == 1
+    a = _corpus(tmp_path, "a")
+    assert corpus.compare(a, _corpus(tmp_path, "b", omegas=lines), rtol=1e-10) == 1
 
 
-def test_omega_writer_writes_curvature_lines_that_compare(tmp_path, monkeypatch, capsys):
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-    write_omegas = tool_module("write_omegas")
-    monkeypatch.setattr(write_omegas, "SELECTORS", ("discs3d", "epigraph:a=2,b=0,y=line"))
-    out = tmp_path / "omegas.txt"
-    write_omegas.main(str(out))
-    assert capsys.readouterr().out == f"12 lines written to {out}\n"
-    lines = out.read_text().splitlines()
-    parse_line = tool_module("compare_lines").parse_line
-    key, error, layout, numbers = parse_line(lines[0])
+def test_omega_writer_writes_curvature_lines_that_compare(tmp_path, written):
+    lines = (written / "omegas.txt").read_text().splitlines()
+    assert len(lines) == 12
+    key, value = corpus.LINE.fullmatch(lines[0]).groups()
+    error, layout, numbers = corpus.parse_value(value)
     assert (key, error, layout) == ("discs3d kappa_X", None, "(#, [#, #, #])")
     assert numbers[0] == 0.5 and abs(math.hypot(*numbers[1:]) - 1.0) <= 1e-15
-    assert parse_line(lines[1])[0] == "discs3d kappa_Y"
+    assert lines[1].startswith("discs3d kappa_Y ")
     assert [line.split()[1] for line in lines[2:6]] == ["seed0", "seed1", "seed2", "seed3"]
     assert lines[7].startswith("epigraph:a=2,b=0,y=line kappa_Y error: UnsupportedOperation: ")
-    assert compare_lines([str(out), str(out)]) == 0
-    moved = [lines[0].replace("(0.5,", "(0.5000001,")] + lines[1:]
-    assert compare_lines([str(out), _lines_file(tmp_path, "moved.txt", moved), "--rtol", "1e-9"]) == 1
+    assert corpus.compare(written, written) == 0
+    moved = tmp_path / "moved"
+    shutil.copytree(written, moved)
+    (moved / "omegas.txt").write_text("\n".join([lines[0].replace("(0.5,", "(0.5000001,")] + lines[1:]) + "\n")
+    assert corpus.compare(written, moved, rtol=1e-9) == 1
 
 
 def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
-    a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
-    assert compare_lines([a, _lines_file(tmp_path, "b.txt", PROJECTIONS)]) == 0
+    a = _corpus(tmp_path, "a")
+    assert corpus.compare(a, _corpus(tmp_path, "b")) == 0
     # the same error types with other messages, and numbers within rtol of
     # each line's largest magnitude (1000 and 2)
     near = [
@@ -155,9 +168,9 @@ def test_compare_projections_accepts_identical_and_tolerated_files(tmp_path):
         "socp intersection 0 project error: ConvergenceError: other",
         "file cap error: ValueError: other",
     ]
-    near = _lines_file(tmp_path, "near.txt", near)
-    assert compare_lines([a, near, "--rtol", "1e-12"]) == 0
-    assert compare_lines([a, near]) == 1
+    near = _corpus(tmp_path, "near", projections=near)
+    assert corpus.compare(a, near, rtol=1e-12) == 0
+    assert corpus.compare(a, near) == 1
 
 
 @pytest.mark.parametrize(
@@ -182,27 +195,54 @@ def test_compare_projections_rejects_a_broken_rule(tmp_path, row, line):
         del lines[row]
     else:
         lines[row] = line
-    a = _lines_file(tmp_path, "a.txt", PROJECTIONS)
-    assert compare_lines([a, _lines_file(tmp_path, "b.txt", lines), "--rtol", "1e-12"]) == 1
+    a = _corpus(tmp_path, "a")
+    assert corpus.compare(a, _corpus(tmp_path, "b", projections=lines), rtol=1e-12) == 1
 
 
-def test_projection_corpus_covers_every_problem_file_kind(monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-    write_projections = tool_module("write_projections")
+def test_projection_corpus_covers_every_problem_file_kind():
     read = set(re.findall(r'kind == "(\w+)"', inspect.getsource(oracle_from_dict)))
     assert {"ball", "ball_lens", "cap", "spectral_set"} <= read
-    assert all(data["kind"] == kind for kind, data in write_projections.DESCRIPTORS.items())
+    assert all(data["kind"] == kind for kind, data in corpus.DESCRIPTORS.items())
     catalog_kinds = set()
-    for selector in write_projections.SELECTORS:
+    for selector in corpus.SELECTORS:
         problem = catalog.resolve(selector).problem
         catalog_kinds |= {oracle_to_dict(problem.X)["kind"], oracle_to_dict(problem.Y)["kind"]}
-    assert set(write_projections.DESCRIPTORS) | catalog_kinds == read
+    assert set(corpus.DESCRIPTORS) | catalog_kinds == read
+
+
+def test_trace_writer_runs_the_reduced_problem(written):
+    # discs3d: 4 starts under 3 methods, and the reduced cCRM run from each
+    assert len([p for p in (written / "traces").iterdir() if p.name.startswith("discs3d_")]) == 16
+    for label in ["z0"] + [f"seed{seed}" for seed in corpus.SEEDS]:
+        lines = (written / "traces" / f"discs3d_reduced_ccrm_{label}.csv").read_text().splitlines()
+        assert lines[0].endswith("termination=feasible")
+        assert lines[1] == "k,z0,z1,dist_X,dist_Y,dist_ref"
+
+
+@pytest.mark.parametrize(
+    "part, path, old, new",
+    [
+        ("traces", "traces/discs3d_ccrm_z0.csv", "\n0,", "\n1,"),
+        ("omegas", "omegas.txt", "kappa_Y error: UnsupportedOperation:", "kappa_Y error: ValueError:"),
+        ("table2", "table2.csv", "beta", "betA"),
+    ],
+    ids=["trace-cell", "error-type", "table2-byte"],
+)
+def test_corpus_diff_names_the_part_that_differs(tmp_path, capsys, written, part, path, old, new):
+    changed = tmp_path / "changed"
+    shutil.copytree(written, changed)
+    text = (changed / path).read_text()
+    assert old in text
+    (changed / path).write_text(text.replace(old, new, 1))
+    assert corpus.compare(written, changed, atol=1e-12, rtol=1e-12) == 1
+    summary = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()[:4]}
+    assert list(summary) == ["traces", "omegas", "projections", "table2"]
+    assert [name for name, line in summary.items() if line.endswith(" FAIL")] == [part]
 
 
 @pytest.fixture
 def twin(monkeypatch):
     """tools/twin.py, with one repeat of one pass per case."""
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     import twin
 
     monkeypatch.setattr(twin, "REPEATS", 1)
@@ -296,7 +336,6 @@ def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkey
 
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     counter = tool_module("count_cap_projections")
     monkeypatch.setattr(counter, "NEAR", 4)
     monkeypatch.setattr(counter, "FAR", 2)
@@ -310,13 +349,21 @@ def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
     assert all(count > 0 for count in result["near"].values())
 
 
-def test_trace_writer_runs_the_reduced_problem(tmp_path, monkeypatch, capsys):
-    write_traces = tool_module("write_traces")
-    monkeypatch.setattr(write_traces, "SELECTORS", ("discs3d",))
-    write_traces.main(str(tmp_path))
-    assert capsys.readouterr().out == f"16 traces written to {tmp_path}\n"
-    labels = ["z0"] + [f"seed{seed}" for seed in write_traces.SEEDS]
-    for label in labels:
-        lines = (tmp_path / f"discs3d_reduced_ccrm_{label}.csv").read_text().splitlines()
-        assert lines[0].endswith("termination=feasible")
-        assert lines[1] == "k,z0,z1,dist_X,dist_Y,dist_ref"
+def test_corpus_diff_against_this_checkout_reports_every_part_identical(capsys, monkeypatch, twin, this_src):
+    monkeypatch.setattr(corpus, "SELECTORS", ("discs3d",))
+    assert corpus.main(["diff", "--against", this_src]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["traces", "omegas", "projections", "table2"]
+    for line in lines:
+        count = re.fullmatch(r"\w+: (\d+) of (\d+) identical, largest diff 0\.000e\+00 OK", line).groups()
+        assert count[0] == count[1] != "0"
+    assert sys.modules[twin.AGAINST + ".sets"] is not ccrm.sets
+
+
+@pytest.mark.parametrize("command", ["write", "diff"])
+def test_corpus_script_help_runs_from_the_repo_root(command):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    done = subprocess.run([sys.executable, "tools/corpus.py", command, "--help"], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("usage: corpus.py " + command)

@@ -2,16 +2,14 @@
 
 Usage: PYTHONPATH=src python tools/count_cap_projections.py
 
-For every selector of ``write_traces.py``, and ``epigraph:a=2,b=1`` (the
-epigraph of the benchmark's ``diagnose``), whose ``intersection_oracle`` is
-a ``Cap`` (embedded in the common hull or not), it runs cCRM from
-``suggested_z0`` and projects ``NEAR`` points near the limit (distance
-10^U(-6, -1)) and ``FAR`` points (distance 10^U(0, 4)), in seeded random
-directions from ``default_rng(5)``, counting the calls into the cap's
-inner set. The output is one JSON line: the counts per selector for the
-near and far calls, and the calls that raised. The counts are the
-machine-independent cost of the cap's dual search; run it on two
-checkouts to compare them.
+For each problem in ``corpus.SELECTORS``, and ``epigraph:a=2,b=1`` (the
+benchmark's ``diagnose`` epigraph), whose ``intersection_oracle`` is a
+``Cap`` (in the common hull or not), it runs cCRM from ``suggested_z0`` and
+projects ``NEAR`` points at distance 10^U(-6, -1) from the limit and ``FAR``
+points at 10^U(0, 4), in directions from ``default_rng(5)``, counting the
+calls into the cap's inner set. The output is one JSON line of the counts
+per selector, near and far, and the calls that raised: the
+machine-independent cost of the cap's dual search.
 """
 
 import json
@@ -22,7 +20,7 @@ from ccrm import catalog
 from ccrm.diagnostics import intersection_oracle
 from ccrm.sets import Cap, EmbeddedOracle
 from ccrm.solvers import SolverConfig, run
-from write_traces import SELECTORS
+from corpus import SELECTORS
 
 # Points projected per cap, near the limit and far from it.
 NEAR, FAR = 800, 200

@@ -2,18 +2,14 @@
 
 Usage: PYTHONPATH=src python tools/time_circumcenter.py
 
-The cases are three points passed as a list of three 1-d float64 arrays,
-the way the cCRM and CRM steps pass them, at n = 2, 3, 4, 6, 10 and 16
-(``three``); the same points through the general m-point loop
-(``loop_three``); and four points at n = 4 through that loop (``four``).
-The loop is ``circumcenter_loop`` of ``tests/helpers.py``, the tests'
-bitwise reference for ``circumcenter``, which takes three points only.
-Each case cycles over 50 point sets drawn from ``default_rng(5)``. The
-cases are interleaved in one process (``twin.interleave`` on one side):
-each of ``twin.REPEATS`` repeats times every case in turn, as the best of
-3 timings of ``twin.PASSES`` passes over its sets. The output is one JSON
-line with each case's median over the repeats. Run it on two checkouts
-to compare them.
+The cases are three points, a list of three 1-d float64 arrays as the
+cCRM and CRM steps pass them, at n = 2, 3, 4, 6, 10 and 16 (``three``);
+the same points through ``circumcenter_loop`` of ``tests/helpers.py``, the
+tests' general m-point reference (``loop_three``); and four points at n = 4
+through that loop (``four``), each over 50 point sets from
+``default_rng(5)``. Each of ``twin.REPEATS`` repeats times every case in
+turn (``twin.interleave``), as the best of 3 timings of ``twin.PASSES``
+passes. The output is one JSON line of each case's median.
 """
 
 import json

@@ -3,26 +3,20 @@
 Usage: PYTHONPATH=src python tools/time_projections.py [--against SRC]
 
 The cases are the X, Y and ``diagnostics.intersection_oracle`` of each
-catalog problem in ``SELECTORS`` (those of ``write_traces.py``). Each case
-cycles over 50 points drawn from ``default_rng(5)`` around the problem's
-suggested start, z0 + N(0, 1) per coordinate, so some points lie in the
-set and some do not, as they do for a solver. A case keeps only the points
-it projects without an error (a tangent pair's intersection refuses
-them all) and reads null when none is left. The cases are interleaved
-in one process: each of ``twin.REPEATS`` repeats times every case in
-turn, as the best of 3 timings of ``twin.PASSES`` passes over its
-points. The output is one JSON line
-with each case's median over the repeats, keyed by oracle role and
-selector. Only the public API is used, so the script runs on older
-checkouts: run it on two of them to compare.
+problem in ``corpus.SELECTORS``, each cycling over 50 points z0 + N(0, 1)
+from ``default_rng(5)`` around the problem's suggested start, inside and
+outside the set as a solver's are. A case keeps the points it projects
+without an error and reads null when none is left (a tangent pair's
+intersection). Each of ``twin.REPEATS`` repeats times every case in turn,
+as the best of 3 timings of ``twin.PASSES`` passes over its points. The
+output is one JSON line of each case's median, keyed by role and selector.
+Only the public API is used, so the script runs on older checkouts.
 
-``--against SRC`` names the ``src`` directory of a second checkout: both
-packages are loaded into this process (``twin.py``), a case keeps the
-points both project, and each repeat times the case on both in turn, the
-first one alternating. The line then also holds each case's median on
-SRC (``against``), this checkout's median over SRC's (``ratio``) and
-whether the two projections of every point are equal bit for bit
-(``bitwise``).
+``--against SRC`` loads the ``src`` of a second checkout beside this one
+(``twin.py``); a case keeps the points both project and each repeat times
+it on both, the first alternating. The line then also holds each case's
+median on SRC (``against``), this checkout's over SRC's (``ratio``) and
+whether the two projections of every point agree bit for bit (``bitwise``).
 """
 
 import argparse
@@ -32,7 +26,7 @@ import numpy as np
 
 import ccrm
 import twin
-from write_traces import SELECTORS
+from corpus import SELECTORS
 
 POINTS = 50
 

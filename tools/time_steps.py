@@ -2,26 +2,21 @@
 
 Usage: PYTHONPATH=src python tools/time_steps.py [--against SRC]
 
-The cases are each selector of ``write_traces.py`` with each method, run
-with the default ``SolverConfig`` from the problem's suggested start. A
-case's time is the wall time of one ``run`` call over its step count, so
-it includes the start's projection and the trace's assembly. The cases
-are interleaved in one process: each of ``twin.REPEATS`` repeats times
-every case in turn, as the best of 3 timings of as many calls as fill
-``BUDGET_MS`` milliseconds (at least one, counted from one call before
-the repeats). The output is
-one JSON line with each case's median over the repeats and its step
-count, keyed by method and selector; a run that raises or takes no step
-reads null. Only the public API is used, so the script runs on older
-checkouts: run it on two of them to compare.
+The cases are each problem in ``corpus.SELECTORS`` under each method,
+run with the default ``SolverConfig`` from the suggested start. A case's
+time is one ``run`` call's wall time over its step count, the start's
+projection and the trace's assembly included. Each of ``twin.REPEATS``
+repeats times every case in turn, as the best of 3 timings of as many
+calls as fill ``BUDGET_MS`` milliseconds (at least one). The output is one
+JSON line of each case's median and step count, keyed by method and
+selector; a run that raises or takes no step reads null. Only the public
+API is used, so the script runs on older checkouts.
 
-``--against SRC`` names the ``src`` directory of a second checkout. Its
-package is loaded into the same process (``twin.py``) and every case is
-timed on both packages in turn, the first one alternating between
-repeats. The line then also holds each case's median on SRC
-(``against``), this checkout's median over SRC's (``ratio``), and
-whether the two runs' iterates are equal bit for bit (``bitwise``; null
-where both runs raise or take no step).
+``--against SRC`` loads the ``src`` of a second checkout beside this one
+(``twin.py``) and times every case on both, the first alternating. The
+line then also holds each case's median on SRC (``against``), this
+checkout's over SRC's (``ratio``) and whether the two runs' iterates agree
+bit for bit (``bitwise``; null where both raise or take no step).
 """
 
 import argparse
@@ -31,7 +26,7 @@ import time
 
 import ccrm
 import twin
-from write_traces import SELECTORS
+from corpus import SELECTORS
 
 BUDGET_MS = 5.0
 

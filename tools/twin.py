@@ -1,13 +1,12 @@
 """Import a second checkout's ``ccrm`` package beside the first, under
 another name, and time the two case by case.
 
-The per-call and per-step timers take ``--against SRC``, the ``src``
-directory of another checkout, and time both packages in one process,
-interleaved case by case: two processes differ in speed by up to 2x on
-a VM, one process does not. ``ccrm`` imports its own modules relatively,
-so a copy loaded as ``ccrm_against`` runs entirely on its own code.
-``best_us``, ``interleave``, ``median`` and ``compare`` are the timers'
-shared timing, loop and output.
+``corpus.py diff`` and the per-call and per-step timers take ``--against
+SRC``, the ``src`` of another checkout, and run both packages in one
+process; two processes differ in speed by up to 2x on a VM, one does not.
+``ccrm`` imports its own modules relatively, so a copy loaded as
+``ccrm_against`` runs on its own code. ``best_us``, ``interleave``,
+``median`` and ``compare`` are the timers' shared timing, loop and output.
 """
 
 import importlib
