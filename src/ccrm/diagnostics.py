@@ -251,49 +251,56 @@ def estimate_omega(
 ) -> float:
     """Empirical local error-bound constant near z_bar.
 
-    Samples points uniformly on spheres of the given radii around z_bar
-    and returns the minimum of max(dist(z, X), dist(z, Y)) / dist(z, X&Y)
-    over samples whose intersection distance exceeds ``OMEGA_EXCLUDE_TOL``.
-    Deterministic under the seed. Each sample projects onto X once: that
-    gives dist(z, X) and, through ``project_given``, the projection onto
-    :func:`intersection_oracle`'s pair (in the common hull's coordinates v =
-    B^T (z - a), if it works there), unless a ``projector`` onto X & Y is
-    given. Raises ValueError unless ``radii`` is a non-empty sequence of
-    finite radii > 0 and ``samples_per_radius`` an integer >= 1, when every
-    sample lies in X & Y, or when z_bar is off the problem's common hull
-    beyond rounding, where the samples would measure the hull.
+    Samples points uniformly on spheres of the given radii around z_bar,
+    within the problem's common hull if there is one (the paper's relative
+    setting: a direction off the hull adds its square to every squared
+    distance and pulls the ratio toward 1), and returns the minimum of
+    max(dist(z, X), dist(z, Y)) / dist(z, X&Y) over samples whose
+    intersection distance exceeds ``OMEGA_EXCLUDE_TOL``; over finitely many
+    samples this is an upper estimate of the local constant. Deterministic
+    under the seed. Each sample projects onto X once: that gives dist(z, X)
+    and, through ``project_given``, the projection onto
+    :func:`intersection_oracle`'s pair, unless a ``projector`` onto X & Y
+    is given. A pair that works in the hull's coordinates measures both
+    there, at v with z = a + B v; dist(z, Y) is Y's own, at z. Raises
+    ValueError unless ``radii`` is a non-empty sequence of finite radii > 0
+    and ``samples_per_radius`` an integer >= 1, when every sample lies in
+    X & Y, or when z_bar is off the problem's common hull beyond rounding,
+    where the samples would measure the hull.
     """
     radii = tuple(radii)
     if not radii or not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0.0 for r in radii):
         raise ValueError(f"radii must be a non-empty sequence of finite numbers > 0, got {radii}")
     samples_per_radius = _check_count("samples_per_radius", samples_per_radius)
     z_bar = np.asarray(z_bar, dtype=float)
-    _require_on_hull(problem.common_hull, z_bar, "the problem's common hull")
-    pair = frame = None
-    if projector is None:
-        pair = intersection_oracle(problem)
-        if isinstance(pair, EmbeddedOracle):
-            pair, frame = pair.inner, pair.subspace
-            a, B, Bt = frame.anchor, frame.basis, frame._Bt
-    # One draw for all radii, row by row the numbers of one draw per radius.
-    directions = np.random.default_rng(seed).normal(size=(len(radii), samples_per_radius, z_bar.shape[0]))
+    hull = problem.common_hull
+    _require_on_hull(hull, z_bar, "the problem's common hull")
+    pair = None if projector is not None else intersection_oracle(problem)
+    local = isinstance(pair, EmbeddedOracle)  # on the hull's own frame
+    if local:
+        pair = pair.inner
+    # One draw for all radii, row by row the numbers of one draw per radius,
+    # in the hull's coordinates v if there is a hull.
+    center = z_bar if hull is None else hull.to_local(z_bar)
+    directions = np.random.default_rng(seed).normal(size=(len(radii), samples_per_radius, center.shape[0]))
     directions /= np.linalg.norm(directions, axis=2, keepdims=True)
     best = np.inf
     for rho, block in zip(radii, directions):
-        Z = z_bar + rho * block
-        for z, zl in zip(Z, Z.tolist()):
-            if frame is None:  # an ambient pair's inner set is X
+        V = center + rho * block
+        Z = V if hull is None else hull.anchor + V @ hull._Bt
+        if local:
+            for z, v, vl in zip(Z, V, V.tolist()):
+                pv = pair.inner.project(v)
+                di = math.dist(pair.project_given(v, pv).tolist(), vl)
+                if di > OMEGA_EXCLUDE_TOL:
+                    best = min(best, max(math.dist(pv.tolist(), vl), problem.Y.distance(z)) / di)
+        else:  # an ambient pair's inner set is X
+            for z, zl in zip(Z, Z.tolist()):
                 px = problem.X.project(z)
                 x = projector(z) if pair is None else pair.project_given(z, px)
-            else:
-                v = Bt @ (z - a)
-                pv = pair.inner.project(v)
-                px, x = a + B @ pv, a + B @ pair.project_given(v, pv)
-            di = math.dist(x.tolist(), zl)
-            if di <= OMEGA_EXCLUDE_TOL:
-                continue
-            ratio = max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di
-            best = min(best, ratio)
+                di = math.dist(x.tolist(), zl)
+                if di > OMEGA_EXCLUDE_TOL:
+                    best = min(best, max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di)
     if not np.isfinite(best):
         raise ValueError("all samples were inside the intersection; cannot estimate")
     return float(best)

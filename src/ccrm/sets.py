@@ -389,14 +389,16 @@ class Ball(SetOracle):
         self.in_plane_center, self.in_plane_radius = center, self.radius
         if subspace is not None:
             q = subspace.project(center)
-            chord2 = radius**2 - float(np.sum((center - q) ** 2))
+            off = math.dist(center.tolist(), q.tolist())
+            # Every square in the normal float range: r^2 - ||center - q||^2.
+            normal = 2.0**-511 <= self.radius and max(self.radius, off) <= 2.0**511
+            chord2 = radius**2 - float(np.sum((center - q) ** 2)) if normal else 0.0
             if chord2 > 0.0:
                 chord = float(np.sqrt(chord2))
             else:
-                # The squares underflow, or center - q is within its rounding (that
-                # of q, a few ulps of ||center||) of the radius: the chord in
-                # factors, clamped at 0 there.
-                off = math.dist(center.tolist(), q.tolist())
+                # A square leaves the normal range, or center - q is within its
+                # rounding (that of q, a few ulps of ||center||) of the radius:
+                # the chord in factors, clamped at 0 there.
                 if off > self.radius + 8.0 * EPS * _norm(center):
                     raise ValueError("empty set: the ball does not reach the subspace")
                 chord = math.sqrt(max(self.radius - off, 0.0)) * math.sqrt(self.radius + off)
@@ -413,7 +415,11 @@ class Ball(SetOracle):
 
     def _boundary(self, z):
         d = _as_point(z, self.dim) - self.in_plane_center
-        return float(d @ d) - self.in_plane_radius**2, 2.0 * d, 2.0 * np.eye(self.dim)
+        try:
+            r2 = self.in_plane_radius**2
+        except OverflowError:  # inf, which boundary_eval refuses as non-finite
+            r2 = math.inf
+        return float(d @ d) - r2, 2.0 * d, 2.0 * np.eye(self.dim)
 
 
 class Ellipsoid(SetOracle):

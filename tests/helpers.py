@@ -632,29 +632,52 @@ def fejer_bound_check(
 
 
 def per_radius_estimate_omega(problem, z_bar, radii=(1e-1, 1e-2, 1e-3, 1e-4), samples_per_radius=200, seed=0):
-    """``estimate_omega``'s sampler in its former form, the reference of its
-    one-draw form: a draw and a normalization per radius, and each sample
-    moved to and from the pair's hull coordinates by lambdas. Returns inf
-    when every sample lies in X & Y."""
-    pair, local, embed = intersection_oracle(problem), (lambda z: z), (lambda v: v)
-    if isinstance(pair, EmbeddedOracle):
-        pair, a, B = pair.inner, pair.subspace.anchor, pair.subspace.basis
-        local, embed = (lambda z: B.T @ (z - a)), (lambda v: a + B @ v)
-    rng = np.random.default_rng(seed)
+    """``estimate_omega``'s sampler in a per-radius form, the reference of its
+    one-draw form: a draw in the common hull's dimension and a normalization
+    per radius, each radius's samples moved to and from the hull's
+    coordinates by lambdas, and each sample measured in those coordinates
+    when the pair works there. Returns inf when every sample lies in X & Y."""
+    hull, pair = problem.common_hull, intersection_oracle(problem)
+    local, embed = (lambda z: z), (lambda V: V)
+    if hull is not None:
+        local, embed = hull.to_local, (lambda V: hull.anchor + V @ hull.basis.T)
+    in_hull = isinstance(pair, EmbeddedOracle)
+    if in_hull:
+        pair = pair.inner
+    rng, center = np.random.default_rng(seed), local(z_bar)
     best = np.inf
     for rho in radii:
-        directions = rng.normal(size=(samples_per_radius, z_bar.shape[0]))
+        directions = rng.normal(size=(samples_per_radius, center.shape[0]))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        for s in directions:
-            z = z_bar + rho * s
-            v = local(z)
-            pv = pair.inner.project(v)
-            px, x = embed(pv), embed(pair.project_given(v, pv))
-            zl = z.tolist()
-            di = math.dist(x.tolist(), zl)
+        V = center + rho * directions
+        for z, v in zip(embed(V), V):
+            w = v if in_hull else z
+            pw = pair.inner.project(w)
+            wl = w.tolist()
+            di = math.dist(pair.project_given(w, pw).tolist(), wl)
             if di > OMEGA_EXCLUDE_TOL:
-                best = min(best, max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di)
+                best = min(best, max(math.dist(pw.tolist(), wl), problem.Y.distance(z)) / di)
     return float(best)
+
+
+def discs3d_lens(z):
+    """P onto discs3d's X & Y in closed form, independent of the library: in
+    the plane {z_3 = 0}, the point itself, the nearest point of one radius-2
+    disc when that lies in the other, or else the nearer corner (sqrt(15)/2,
+    +-1/2), where both circles meet."""
+    p = np.asarray(z, dtype=float)[:2]
+    centers = (np.zeros(2), np.array([math.sqrt(15.0), 0.0]))
+    outside = [c for c in centers if math.dist(p, c) > 2.0]
+    q = p if not outside else None
+    for c in outside:
+        other = centers[1] if c is centers[0] else centers[0]
+        near = c + (p - c) * (2.0 / math.dist(p, c))
+        if math.dist(near, other) <= 2.0 * (1.0 + 1e-14):
+            q = near
+            break
+    if q is None:
+        q = min(([math.sqrt(15.0) / 2.0, s] for s in (0.5, -0.5)), key=lambda corner: math.dist(p, corner))
+    return np.array([q[0], q[1], 0.0])
 
 
 def numpy_ball_project(ball, z):

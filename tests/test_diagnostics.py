@@ -39,7 +39,7 @@ from ccrm.sets import (
 )
 from ccrm.solvers import FeasibilityProblem, SolverConfig, isometry_reduce, run
 
-from helpers import dykstra_project, fejer_bound_check, general_sdp, per_radius_estimate_omega
+from helpers import discs3d_lens, dykstra_project, fejer_bound_check, general_sdp, per_radius_estimate_omega
 from helpers import tangent_bound_check, tool_module
 
 BENCH_DISTANCES = np.array([3.54, 9.24e-2, 3.70e-3, 7.51e-6, 3.13e-11])
@@ -382,21 +382,22 @@ def test_estimate_omega_disc_problem_in_unit_interval():
 )
 def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
     # One X projection per sample serves dist(z, X) and the pair's s = 0
-    # residual; omega equals max_distance / dist(z, X & Y) bitwise. discs3d
-    # and socp solve X & Y in the hull's coordinates: there the projection
-    # is of v = B^T (z - a) onto X's own oracle in those coordinates,
-    # dist(z, X) comes from a + B P_X(v), and problem.X is never called.
+    # residual; omega equals max_distance / dist(z, X & Y) bitwise. The
+    # samples are drawn in the common hull. discs3d and socp solve X & Y in
+    # the hull's coordinates, and measure there: the projection is of
+    # v = B^T (z - a) onto X's own oracle in those coordinates, dist(z, X)
+    # is ||P_X(v) - v||, and problem.X is never called.
     entry = make()
     problem = entry.problem
     z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
     oracle = intersection_oracle(problem)
     monkeypatch.setattr(ccrm.diagnostics, "intersection_oracle", lambda p: oracle)
+    hull = problem.common_hull
     if isinstance(oracle, EmbeddedOracle):
-        hull = oracle.subspace
-        assert hull is problem.common_hull and make in (make_discs3d, make_socp)
-        pair, local, embed = oracle.inner, hull.to_local, hull.from_local
+        assert oracle.subspace is hull and make in (make_discs3d, make_socp)
+        pair, in_hull = oracle.inner, True
     else:
-        pair, local, embed = oracle, (lambda z: z), (lambda v: v)
+        pair, in_hull = oracle, False
         assert pair.inner is problem.X
     radii, per_radius = (1e-1, 1e-2, 1e-3, 1e-4), 5
     # The hook is X's kernel, which its own project calls, and so does a
@@ -412,17 +413,76 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
     del calls[:]
     rng, best, kept = np.random.default_rng(3), np.inf, 0
     for rho in radii:
-        directions = rng.normal(size=(per_radius, problem.dim))
+        directions = rng.normal(size=(per_radius, hull.subspace_dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        for s in directions:
-            z = z_bar + rho * s
-            di = oracle.distance(z)
+        V = hull.to_local(z_bar) + rho * directions
+        for z, v in zip(hull.anchor + V @ hull.basis.T, V):
+            w = v if in_hull else z
+            di = pair.distance(w)
             if di > 1e-12:
-                dist_x = _norm(embed(pair.inner.project(local(z))) - z)
+                dist_x = _norm(pair.inner.project(w) - w)
                 best = min(best, max(dist_x, problem.Y.distance(z)) / di)
                 kept += 1
     assert omega == best
     assert kept > 0 and reused == len(calls) - kept
+
+
+def test_estimate_omega_samples_in_the_common_hull(monkeypatch):
+    # Every sample z where Y's residual is read (each one outside X & Y)
+    # lies in aff(X) = aff(Y).
+    for make in (make_discs3d, make_socp, make_sdp_feasibility, make_fixed_trace):
+        entry = make()
+        problem = entry.problem
+        z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+        hull, samples = problem.common_hull, []
+        y_distance = problem.Y.distance
+        monkeypatch.setattr(problem.Y, "distance", lambda z: samples.append(z) or y_distance(z))
+        estimate_omega(problem, z_bar, samples_per_radius=10, seed=1)
+        assert 0 < len(samples) <= 40
+        assert all(hull.distance(z) <= 1e-12 * (1.0 + _norm(z)) for z in samples)
+
+
+def test_estimate_omega_projector_path_matches_the_hull_path():
+    # discs3d's closed-form lens, as a projector, measures ambiently on the
+    # same in-hull samples that the default path measures in the hull's
+    # coordinates.
+    entry = make_discs3d()
+    z_bar = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    for seed in range(8):
+        omega = estimate_omega(entry.problem, z_bar, samples_per_radius=4, seed=seed)
+        lens = estimate_omega(entry.problem, z_bar, samples_per_radius=4, seed=seed, projector=discs3d_lens)
+        assert abs(lens - omega) <= 1e-12 * omega
+
+
+def _hull_unit_normal(oracle, z, hull):
+    """The unit normal of ``oracle``'s boundary descriptor at z, projected
+    onto the linear part of ``hull`` (None: the whole space)."""
+    _, grad, _ = oracle._boundary(z)
+    if hull is not None:
+        grad = hull.basis @ (hull.basis.T @ grad)
+    return grad / np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize(
+    "selector, omega_lin",
+    [("discs3d", 0.2500), ("socp", 0.3418), ("sdp", 0.1378), ("fixed_trace", 0.0508),
+     ("epigraph:a=2,b=1", 0.5257)],
+)
+def test_estimate_omega_is_near_the_linearized_constant(selector, omega_lin):
+    # At the cCRM limit both boundaries are active; along the bisector of
+    # their unit normals n_X, n_Y, projected into the common hull, the ratio
+    # tends to sqrt((1 + <n_X, n_Y>) / 2). The in-hull sampler stays above
+    # it and within 2% of it; the ambient one read +15% (discs3d) to +66%
+    # (fixed_trace).
+    entry = resolve(selector)
+    problem = entry.problem
+    z_bar = run(problem, SolverConfig(method="ccrm", tol_feas=1e-15), entry.suggested_z0).final
+    hull = problem.common_hull
+    n_x, n_y = (_hull_unit_normal(oracle, z_bar, hull) for oracle in (problem.X, problem.Y))
+    linearized = np.sqrt((1.0 + n_x @ n_y) / 2.0)
+    assert abs(linearized - omega_lin) <= 5e-5
+    omega = estimate_omega(problem, z_bar, samples_per_radius=800, seed=0)
+    assert linearized - 1e-12 <= omega <= 1.02 * linearized
 
 
 @pytest.mark.parametrize("selector", tool_module("corpus").SELECTORS)

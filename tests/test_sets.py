@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import time
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -920,6 +921,29 @@ def test_ball_of_a_subspace_keeps_its_chord_where_the_squares_underflow(scale):
     # r^2 - |c - q|^2 underflows to 0, where the ball plainly reaches the plane.
     ball = Ball([0.0, 0.0, scale], 2.0 * scale, Hyperplane([0.0, 0.0, 1.0], 0.0))
     assert abs(ball.in_plane_radius - math.sqrt(3.0) * scale) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_ball_of_a_subspace_at_extreme_scales(scale):
+    # r^2 - |c - q|^2 is subnormal at 1e-160, where the chord read 5.6e-6
+    # too small, and overflowed at 1e160 (an untyped OverflowError): the
+    # chord is taken in factors wherever a square leaves the normal range,
+    # with no numpy warning, and the ball projects at its own scale.
+    plane = Hyperplane([0.0, 0.0, 1.0], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = Ball([0.0, 0.0, scale], 2.0 * scale, plane)
+        with pytest.raises(ValueError, match="does not reach"):
+            Ball([0.0, 0.0, 3.0 * scale], 2.0 * scale, plane)
+        p = ball.project([5.0 * scale, scale, 7.0 * scale])
+    assert abs(ball.in_plane_radius - math.sqrt(3.0) * scale) <= 1e-15 * scale
+    assert p[2] == 0.0 and abs(math.hypot(*p.tolist()) - ball.in_plane_radius) <= 1e-15 * scale
+    # The descriptor's r^2 overflows from about 1.3e154 on: a typed refusal.
+    if scale > 1e154:
+        with pytest.raises(RegularityError, match="not finite"):
+            boundary_eval(ball, p)
+    else:
+        assert math.isfinite(boundary_eval(ball, p)[0])
 
 
 def test_clamped_ball_projects_every_point_to_its_in_plane_center():

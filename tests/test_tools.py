@@ -269,13 +269,15 @@ def test_projection_timer_prints_one_json_line(capsys, twin):
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["unit"] == "us/call"
-    for role in ("X", "Y", "intersection"):
+    roles = ("X", "Y", "intersection", "estimate_omega")
+    for role in roles:
         assert list(result[role]) == list(timer.SELECTORS)
-    times = [t for role in ("X", "Y", "intersection") for t in result[role].values()]
-    # Only a tangent pair's intersection refuses every point: epigraph with b = 0.
-    assert [s for s, t in result["intersection"].items() if t is None] == [
-        s for s in timer.SELECTORS if s.startswith("epigraph:") and ",b=0," in s
-    ]
+    times = [t for role in roles for t in result[role].values()]
+    # Only a tangent pair's intersection refuses every point, and its
+    # estimate_omega every seed: epigraph with b = 0.
+    tangent = [s for s in timer.SELECTORS if s.startswith("epigraph:") and ",b=0," in s]
+    for role in ("intersection", "estimate_omega"):
+        assert [s for s, t in result[role].items() if t is None] == tangent
     assert all(t > 0.0 for t in times if t is not None)
 
 
@@ -330,7 +332,7 @@ def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkey
     monkeypatch.setattr(timer, "SELECTORS", ("sdp",))
     timer.main(["--against", this_src])
     result = json.loads(capsys.readouterr().out)
-    for role in ("X", "Y", "intersection"):
+    for role in ("X", "Y", "intersection", "estimate_omega"):
         assert result["bitwise"][role] == {"sdp": True}
         assert result["against"][role]["sdp"] > 0.0 and result["ratio"][role]["sdp"] > 0.0
 

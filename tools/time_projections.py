@@ -1,22 +1,26 @@
-"""Time one ``project`` call, in microseconds, for each catalog problem's sets.
+"""Time one ``project`` call, in microseconds, for each catalog problem's sets,
+and one ``estimate_omega`` call at each problem's cCRM limit.
 
 Usage: PYTHONPATH=src python tools/time_projections.py [--against SRC]
 
-The cases are the X, Y and ``diagnostics.intersection_oracle`` of each
-problem in ``corpus.SELECTORS``, each cycling over 50 points z0 + N(0, 1)
-from ``default_rng(5)`` around the problem's suggested start, inside and
-outside the set as a solver's are. A case keeps the points it projects
-without an error and reads null when none is left (a tangent pair's
-intersection). Each of ``twin.REPEATS`` repeats times every case in turn,
-as the best of 3 timings of ``twin.PASSES`` passes over its points. The
-output is one JSON line of each case's median, keyed by role and selector.
-Only the public API is used, so the script runs on older checkouts.
+The ``project`` cases are the X, Y and ``diagnostics.intersection_oracle``
+of each problem in ``corpus.SELECTORS``, each cycling over 50 points z0 +
+N(0, 1) from ``default_rng(5)`` around the problem's suggested start,
+inside and outside the set as a solver's are. The ``estimate_omega`` case
+of a problem cycles over seeds 0-7 at 4 samples per radius, as perfbench's
+``diagnose`` does, at the limit of a cCRM run from the suggested start. A
+case keeps the inputs it runs without an error and reads null when none is
+left (a tangent pair's intersection). Each of ``twin.REPEATS`` repeats
+times every case in turn, as the best of 3 timings of ``twin.PASSES``
+passes over its inputs. The output is one JSON line of each case's
+median, keyed by role and selector. Only the public API is used, so the
+script runs on older checkouts.
 
 ``--against SRC`` loads the ``src`` of a second checkout beside this one
-(``twin.py``); a case keeps the points both project and each repeat times
-it on both, the first alternating. The line then also holds each case's
+(``twin.py``); a case keeps the inputs both run and each repeat times it
+on both, the first alternating. The line then also holds each case's
 median on SRC (``against``), this checkout's over SRC's (``ratio``) and
-whether the two projections of every point agree bit for bit (``bitwise``).
+whether the two outputs of every input agree bit for bit (``bitwise``).
 """
 
 import argparse
@@ -29,29 +33,35 @@ import twin
 from corpus import SELECTORS
 
 POINTS = 50
+OMEGA_SEEDS = range(8)
+OMEGA_SAMPLES_PER_RADIUS = 4
 
 
-def _projects(oracle, z):
+def _runs(call, x):
     try:
-        oracle.project(z)
+        call(x)
     except (ArithmeticError, RuntimeError, ValueError):
         return False
     return True
 
 
-def _oracles(package):
-    """{(role, selector): oracle} of one package, with each selector's points."""
-    resolve, diagnostics = twin.submodule(package, "catalog").resolve, twin.submodule(package, "diagnostics")
+def _cases(package):
+    """{(role, selector): call} of one package, and {(role, selector): inputs}."""
+    catalog, diagnostics, solvers = (twin.submodule(package, m) for m in ("catalog", "diagnostics", "solvers"))
     rng = np.random.default_rng(5)
-    oracles, points = {}, {}
+    calls, inputs = {}, {}
     for selector in SELECTORS:
-        entry = resolve(selector)
+        entry = catalog.resolve(selector)
         problem = entry.problem
-        points[selector] = [entry.suggested_z0 + rng.normal(size=problem.dim) for _ in range(POINTS)]
+        points = [entry.suggested_z0 + rng.normal(size=problem.dim) for _ in range(POINTS)]
         for role, oracle in (("X", problem.X), ("Y", problem.Y),
                              ("intersection", diagnostics.intersection_oracle(problem))):
-            oracles[(role, selector)] = oracle
-    return oracles, points
+            calls[(role, selector)], inputs[(role, selector)] = oracle.project, points
+        z_bar = solvers.run(problem, solvers.SolverConfig(method="ccrm"), entry.suggested_z0).final
+        calls[("estimate_omega", selector)] = lambda seed, problem=problem, z_bar=z_bar: diagnostics.estimate_omega(
+            problem, z_bar, samples_per_radius=OMEGA_SAMPLES_PER_RADIUS, seed=seed)
+        inputs[("estimate_omega", selector)] = list(OMEGA_SEEDS)
+    return calls, inputs
 
 
 def main(argv=None):
@@ -59,17 +69,16 @@ def main(argv=None):
     parser.add_argument("--against", metavar="SRC", help="src directory of a second checkout to time beside this one")
     args = parser.parse_args(argv)
     packages = [ccrm] + ([twin.load(args.against)] if args.against else [])
-    built = [_oracles(package) for package in packages]
-    sides, points = [oracles for oracles, _ in built], built[0][1]
-    kept = {case: [z for z in points[case[1]] if all(_projects(side[case], z) for side in sides)]
-            for case in sides[0]}
+    built = [_cases(package) for package in packages]
+    sides, inputs = [calls for calls, _ in built], built[0][1]
+    kept = {case: [x for x in inputs[case] if all(_runs(side[case], x) for side in sides)] for case in sides[0]}
 
     def time_case(i, case):
-        return twin.best_us(sides[i][case].project, kept[case], twin.PASSES) if kept[case] else None
+        return twin.best_us(sides[i][case], kept[case], twin.PASSES) if kept[case] else None
 
     def bitwise(case):
         return all(
-            sides[0][case].project(z).tobytes() == sides[1][case].project(z).tobytes() for z in kept[case]
+            np.asarray(sides[0][case](x)).tobytes() == np.asarray(sides[1][case](x)).tobytes() for x in kept[case]
         ) if kept[case] else None
 
     samples = twin.interleave(sides, time_case)
