@@ -9,9 +9,10 @@ runs on the differences scaled by a power of two to unit size, so no
 input scale over- or underflows their squares.
 
 The cCRM and CRM steps pass three points of dimension 2-10, where numpy's
-per-call overhead would cost more than the arithmetic, so the solve is
-straight-line code on Python floats after one conversion, with every sum
-taken in sequence.
+per-call overhead would cost more than the arithmetic, so the solve,
+:func:`_circumcenter3`, is straight-line code on lists of Python floats,
+with every sum taken in sequence. The steps form their points as such
+lists and call it directly; :func:`circumcenter` converts its input once.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ COINCIDENT_ALL = "coincident_all"
 # equidistance system is declared inconsistent.
 CONSISTENCY_RTOL = 1e-7
 
-_FLOAT = np.dtype(np.float64)
-
 
 @dataclass(frozen=True)
 class CircumResult:
@@ -48,9 +47,8 @@ class CircumResult:
 
 
 def circumcenter(points) -> CircumResult:
-    """Circumcenter of three points, given as a list of three 1-d float64
-    arrays (as the steps pass them, without being stacked) or as anything
-    ``np.asarray`` makes a (3, n) array, n >= 1.
+    """Circumcenter of three points, given as anything ``np.asarray`` makes
+    a (3, n) float64 array, n >= 1; the center is always float64.
 
     A difference at most ``RANK_RTOL`` times the diameter from the span of
     the earlier ones adds no direction, and its equation must already
@@ -63,16 +61,6 @@ def circumcenter(points) -> CircumResult:
             inconsistent (e.g. three distinct collinear points), or a
             center beyond the float range.
     """
-    if type(points) is list and len(points) == 3:
-        p0, p1, p2 = points
-        if (
-            type(p0) is type(p1) is type(p2) is np.ndarray
-            and p0.dtype is p1.dtype is p2.dtype is _FLOAT
-            and p0.ndim == 1
-            and p0.shape == p1.shape == p2.shape
-            and p0.size
-        ):
-            return _circumcenter3(p0.tolist(), p1.tolist(), p2.tolist())
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) != 3 or pts.size == 0:
         raise ValueError(f"expected three points as a (3, n) array, got shape {pts.shape}")

@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circumcenter import circumcenter
+# The steps pass their three lists of floats straight to the solve, under
+# the name through which perfbench counts circumcenter calls.
+from .circumcenter import _circumcenter3 as circumcenter
 from .errors import ConvergenceError, GeometryError, NonFiniteError, UnsupportedOperation
 from .sets import AffineSubspace, SetOracle, _as_point, _check_count, _point
 from .sets import _row_norms, in_hull_coordinates, same_subspace
@@ -127,10 +129,14 @@ class SolveTrace:
         return self.iterates[-1]
 
 
-# Each step maps (problem, z, px = P_X(z), tol_feas) to (z_next, z_C or
-# None, circumcenter status or None, the Y residual of z_next that the
-# step guarantees, or None when the driver must measure it).
-def _ccrm(problem, z, px, tol_feas):
+# Each step maps (problem, x, px, p, tol_feas), x the entries of the
+# iterate z and p those of px = P_X(z) as lists of floats, to (z_next,
+# x_next its entries, z_C or None, circumcenter status or None, the Y
+# residual of z_next that the step guarantees, or None when the driver
+# must measure it). Points are combined entry by entry on Python floats,
+# the IEEE operations of numpy's elementwise arithmetic, and projected
+# as arrays.
+def _ccrm(problem, x, px, p, tol_feas):
     """cCRM: the circumcenter of {z_C, R_X(z_C), R_Y(z_C)}.
 
     The homothety of ratio 2 about z_C maps P_X(z_C) and P_Y(z_C) to the
@@ -142,31 +148,33 @@ def _ccrm(problem, z, px, tol_feas):
     Any other GeometryError propagates.
     """
     yw = problem.Y.project(px)
-    z_c = 0.5 * (yw + problem.X.project(yw))
-    pxc, pyc = problem.X.project(z_c), problem.Y.project(z_c)
-    zc_list = z_c.tolist()
+    zc = [0.5 * (a + b) for a, b in zip(yw.tolist(), problem.X.project(yw).tolist())]
+    z_c = np.array(zc)
+    pxc, pyc = problem.X.project(z_c).tolist(), problem.Y.project(z_c).tolist()
     try:
-        result = circumcenter([z_c, pxc, pyc])
+        result = circumcenter(zc, pxc, pyc)
     except GeometryError:
-        if max(math.dist(zc_list, pxc.tolist()), math.dist(zc_list, pyc.tolist())) > tol_feas:
+        if max(math.dist(zc, pxc), math.dist(zc, pyc)) > tol_feas:
             raise
-        return z_c, z_c, STATUS_CENTRALIZED_FEASIBLE, None
-    x = [2.0 * a - b for a, b in zip(result.center.tolist(), zc_list)]
-    if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+        return z_c, zc, z_c, STATUS_CENTRALIZED_FEASIBLE, None
+    x_next = [2.0 * a - b for a, b in zip(result.center.tolist(), zc)]
+    if not math.isfinite(sum(x_next)) and not all(map(math.isfinite, x_next)):
         raise GeometryError("the circumcenter lies beyond the float range")
-    return np.array(x), z_c, result.status, None
+    return np.array(x_next), x_next, z_c, result.status, None
 
 
-def _crm(problem, z, px, tol_feas):
+def _crm(problem, x, px, p, tol_feas):
     """CRM: the circumcenter of {z, R_X(z), R_Y(R_X(z))}."""
-    rx = 2.0 * px - z
-    result = circumcenter([z, rx, problem.Y.reflect(rx)])
-    return result.center, None, result.status, None
+    rx = [2.0 * a - b for a, b in zip(p, x)]
+    ry = [2.0 * a - b for a, b in zip(problem.Y.project(np.array(rx)).tolist(), rx)]
+    result = circumcenter(x, rx, ry)
+    return result.center, result.center.tolist(), None, result.status, None
 
 
-def _map(problem, z, px, tol_feas):
+def _map(problem, x, px, p, tol_feas):
     """MAP: P_Y(P_X(z)), which lies in Y, so its Y residual is 0."""
-    return problem.Y.project(px), None, None, 0.0
+    z_next = problem.Y.project(px)
+    return z_next, z_next.tolist(), None, None, 0.0
 
 
 STEPS = {"ccrm": _ccrm, "map": _map, "crm": _crm}
@@ -174,8 +182,9 @@ METHODS = tuple(STEPS)
 
 
 def _step(method, problem, z):
-    z = _as_point(z, problem.dim)
-    return STEPS[method](problem, z, problem.X.project(z), 0.0)
+    z, x = _point(z, problem.dim)
+    px = problem.X.project(z)
+    return STEPS[method](problem, x, px, px.tolist(), 0.0)
 
 
 def ccrm_step(problem: FeasibilityProblem, z):
@@ -184,7 +193,8 @@ def ccrm_step(problem: FeasibilityProblem, z):
     z_next = circ{z_C, R_X(z_C), R_Y(z_C)}, computed as the doubled
     circumcenter of the projections, 2 circ{z_C, P_X(z_C), P_Y(z_C)} - z_C.
     """
-    return _step("ccrm", problem, z)[:2]
+    z_next, _, z_c, *_ = _step("ccrm", problem, z)
+    return z_next, z_c
 
 
 def crm_step(problem: FeasibilityProblem, z) -> np.ndarray:
@@ -195,16 +205,6 @@ def crm_step(problem: FeasibilityProblem, z) -> np.ndarray:
 def map_step(problem: FeasibilityProblem, z) -> np.ndarray:
     """One step of alternating projections: P_Y(P_X(z))."""
     return _step("map", problem, z)[0]
-
-
-def _residuals(problem, z, x, px, dist_y):
-    """X and Y residuals of z, whose entries are x; dist_y is measured when the step gave None."""
-    dist_x = math.dist(x, px.tolist())
-    if dist_y is None:
-        dist_y = problem.Y.distance(z)
-    if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
-        raise NonFiniteError("a residual is non-finite")
-    return dist_x, dist_y
 
 
 def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
@@ -220,15 +220,19 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     floor (the step geometry collapses once projection corrections
     underflow) is stagnation rather than an error. Each of these keeps the
     iterates so far and its message as ``termination_detail``; one at z0
-    propagates. Each iterate becomes a list of floats once, for its
-    residuals, step length and norm: ``math.dist`` and ``math.hypot`` on
-    lists, bit for bit the norms of numpy differences.
+    propagates. Each iterate and its P_X(z) become lists of floats once,
+    for the next step and for the residuals, step length and norm:
+    ``math.dist`` and ``math.hypot`` on lists, bit for bit the norms of
+    numpy differences.
     """
     step = STEPS[config.method]
     z, x = _point(z0, problem.dim)
     px = problem.X.project(z)
+    p = px.tolist()
     iterates = [z.copy()]
-    dist_x, dist_y = _residuals(problem, z, x, px, None)
+    dist_x, dist_y = math.dist(x, p), math.dist(problem.Y.project(z).tolist(), x)
+    if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
+        raise NonFiniteError("a residual is non-finite")
     res_x, res_y = [dist_x], [dist_y]
     centers, statuses = [], []
 
@@ -238,10 +242,14 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
     else:
         for _ in range(config.max_iter):
             try:
-                z_next, z_c, status, dist_y = step(problem, z, px, config.tol_feas)
+                z_next, x_next, z_c, status, dist_y = step(problem, x, px, p, config.tol_feas)
                 px = problem.X.project(z_next)
-                x_next = z_next.tolist()
-                dist_x, dist_y = _residuals(problem, z_next, x_next, px, dist_y)
+                p = px.tolist()
+                dist_x = math.dist(x_next, p)
+                if dist_y is None:
+                    dist_y = math.dist(problem.Y.project(z_next).tolist(), x_next)
+                if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
+                    raise NonFiniteError("a residual is non-finite")
             except GeometryError as exc:
                 termination, detail = TERMINATION_STAGNATION, str(exc)
                 break
@@ -265,7 +273,7 @@ def run(problem: FeasibilityProblem, config: SolverConfig, z0) -> SolveTrace:
             if math.dist(x_next, x) <= STEP_TOL * (1.0 + math.hypot(*x)):
                 termination = TERMINATION_STAGNATION
                 break
-            z, x = z_next, x_next
+            x = x_next
 
     iterates = np.asarray(iterates)
     dist_ref = None

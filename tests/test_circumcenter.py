@@ -156,6 +156,31 @@ def test_circumcenter_rejects_malformed_input(points):
         circumcenter(points)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1, 1]] * 3,
+        [[True, False]] * 3,
+        [[2**53 + 1, 3]] * 3,
+        [[0, 0], [2, 0], [0, 2]],
+        [[2**53 + 1, 0], [2**53 + 5, 1], [2**53 - 3, 7]],
+        [[0.5, True], [0.5, 1.0], [0.5, 1]],
+        [[0.0, "2"], [2.0, 0.0], [0.0, 0.0]],
+    ],
+    ids=["coincident-ints", "coincident-bools", "coincident-past-2**53", "int-triangle",
+         "triangle-past-2**53", "mixed-floats-and-ints", "string-entry"],
+)
+def test_circumcenter_of_nested_lists_is_that_of_their_float_array(points):
+    # Nested lists give the center of their float64 array, bit for bit and
+    # as float64: a list path that skipped the conversion would return the
+    # coincident ints themselves, an int64 center.
+    expected = circumcenter(np.asarray(points, dtype=float))
+    result = circumcenter(points)
+    assert result.center.dtype == np.float64
+    assert result.center.tobytes() == expected.center.tobytes()
+    assert result.status == expected.status
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 5])
 def test_circumcenter_takes_exactly_three_points(m):
     # Other counts are the reference loop's; the refusal is the count's,

@@ -292,11 +292,22 @@ def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
     assert result["unit"] == "us/step"
     for method in ("ccrm", "crm", "map"):
         assert list(result[method]) == list(result["steps"][method]) == list(timer.SELECTORS)
+        assert list(result["projections"][method]) == list(timer.SELECTORS)
         assert all(t > 0.0 for t in result[method].values())
     entry = catalog.resolve("discs3d")
+    # The start's X and Y projections, then the step's own and the new
+    # iterate's residuals (MAP's iterate is P_Y's output: no Y residual).
+    per_step = {"ccrm": 6, "crm": 3, "map": 2}
     for method in ("ccrm", "crm", "map"):
         trace = run(entry.problem, SolverConfig(method=method), entry.suggested_z0)
         assert result["steps"][method]["discs3d"] == trace.n_steps
+        projections = 2 + per_step[method] * trace.n_steps
+        assert result["projections"][method]["discs3d"] == round(projections / trace.n_steps, 3)
+    # The counting wrappers come off again, so the timed runs are bare.
+    trace, projections = timer._counted(entry.problem, lambda z: run(entry.problem, SolverConfig(), z),
+                                        entry.suggested_z0)
+    assert projections == 2 + per_step["ccrm"] * trace.n_steps
+    assert "project" not in vars(entry.problem.X) and "project" not in vars(entry.problem.Y)
 
 
 @pytest.fixture
@@ -320,11 +331,36 @@ def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch,
     result = json.loads(lines[0])
     assert sys.modules[timer.twin.AGAINST + ".sets"] is not ccrm.sets
     for method in ("ccrm", "crm", "map"):
-        for key in ("against", "ratio", "bitwise"):
+        for key in ("against", "ratio", "bitwise", "against_projections"):
             assert list(result[key][method]) == list(timer.SELECTORS)
         assert all(t > 0.0 for t in result["against"][method].values())
         assert all(r > 0.0 for r in result["ratio"][method].values())
         assert all(result["bitwise"][method].values())
+    assert result["against_projections"] == result["projections"]
+    assert result["projections_differ"] == []
+
+
+def test_step_timer_flags_a_projection_count_that_differs(capsys, monkeypatch, twin, this_src):
+    # The second checkout's MAP step runs twice: the same iterates, one more
+    # Y projection per step.
+    timer = tool_module("time_steps")
+    monkeypatch.setattr(timer, "SELECTORS", ("discs3d",))
+    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
+    steps = twin.submodule(twin.load(this_src), "solvers").STEPS
+    map_step = steps["map"]
+
+    def map_twice(*args):
+        map_step(*args)
+        return map_step(*args)
+
+    monkeypatch.setitem(steps, "map", map_twice)
+    timer.main(["--against", this_src])
+    result = json.loads(capsys.readouterr().out)
+    assert result["projections_differ"] == ["map discs3d"]
+    assert result["bitwise"]["map"]["discs3d"]
+    n = result["steps"]["map"]["discs3d"]
+    assert result["against_projections"]["map"]["discs3d"] == round((2 + 3 * n) / n, 3)
+    assert result["projections"]["map"]["discs3d"] == round((2 + 2 * n) / n, 3)
 
 
 def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):

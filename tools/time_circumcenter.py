@@ -2,8 +2,9 @@
 
 Usage: PYTHONPATH=src python tools/time_circumcenter.py
 
-The cases are three points, a list of three 1-d float64 arrays as the
-cCRM and CRM steps pass them, at n = 2, 3, 4, 6, 10 and 16 (``three``);
+The cases are three points, three lists of floats as the cCRM and CRM
+steps pass them to ``solvers.circumcenter``, the solve without
+``circumcenter``'s conversion, at n = 2, 3, 4, 6, 10 and 16 (``three``);
 the same points through ``circumcenter_loop`` of ``tests/helpers.py``, the
 tests' general m-point reference (``loop_three``); and four points at n = 4
 through that loop (``four``), each over 50 point sets from
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 import twin
-from ccrm.circumcenter import circumcenter
+from ccrm import solvers
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 from helpers import circumcenter_loop  # noqa: E402
@@ -28,12 +29,16 @@ DIMS = (2, 3, 4, 6, 10, 16)
 SETS = 50
 
 
+def _step_call(points):
+    return solvers.circumcenter(*points)
+
+
 def main():
     rng = np.random.default_rng(5)
     cases = {}
     for n in DIMS:
-        sets = [list(rng.normal(size=(3, n))) for _ in range(SETS)]
-        cases[("three", n)] = (circumcenter, sets)
+        sets = [rng.normal(size=(3, n)).tolist() for _ in range(SETS)]
+        cases[("three", n)] = (_step_call, sets)
         cases[("loop_three", n)] = (circumcenter_loop, sets)
     cases[("four", 4)] = (circumcenter_loop, [list(rng.normal(size=(4, 4))) for _ in range(SETS)])
     samples = twin.interleave([cases], lambda _, case: twin.best_us(*cases[case], twin.PASSES))[0]
