@@ -20,7 +20,7 @@ from .errors import RegularityError, UnsupportedOperation
 from .linalg import EPS, _eigh, orthonormal_nullspace
 from .sets import Ball, BallLens, Cap, Ellipsoid, EllipsoidLens, EmbeddedOracle, Halfspace, Hyperplane
 from .sets import IsometricImage, _as_point, _check_count, _norm, _row_norms, boundary_eval
-from .sets import in_hull_coordinates
+from .sets import WRONG_OUTPUT_TOL, in_hull_coordinates
 from .solvers import FeasibilityProblem, SolveTrace
 
 RATE_LINEAR = "linear"
@@ -156,7 +156,7 @@ def _require_on_hull(hull, z, name):
     """Raise ValueError when z is off ``hull`` (None: the whole space) beyond rounding."""
     if hull is not None:
         off = hull.distance(z)
-        if off > 1e-9 * (1.0 + _norm(_as_point(z))):
+        if off > WRONG_OUTPUT_TOL * (1.0 + _norm(_as_point(z))):
             raise ValueError(f"point is not on {name} (distance {off:.3e})")
 
 
@@ -258,10 +258,17 @@ def estimate_omega(
     max(dist(z, X), dist(z, Y)) / dist(z, X&Y) over samples whose
     intersection distance exceeds ``OMEGA_EXCLUDE_TOL``; over finitely many
     samples this is an upper estimate of the local constant. Deterministic
-    under the seed. Each sample projects onto X once: that gives dist(z, X)
-    and, through ``project_given``, the projection onto
-    :func:`intersection_oracle`'s pair, unless a ``projector`` onto X & Y
-    is given. A pair that works in the hull's coordinates measures both
+    under the seed. z_bar is projected onto X & Y first, to q, by
+    :func:`intersection_oracle`'s pair unless a ``projector`` is given.
+    Each sample z projects onto X once, which gives dist(z, X) and the
+    bound L = dist(z, X) / (||z - q|| + 2 tau max(1, ||z||)) on its ratio,
+    tau = ``WRONG_OUTPUT_TOL`` the error past which q or a projection is
+    wrong. Samples are measured in ascending L up to the first L at or
+    above the minimum so far: the projection onto X & Y (the pair's from
+    the X projection), then dist(z, Y) only if dist(z, X) / dist(z, X&Y) is
+    below that minimum. The result is the minimum over every sample bit
+    for bit, but an error a skipped sample's projection would raise is not
+    raised. A pair that works in the hull's coordinates measures z and q
     there, at v with z = a + B v; dist(z, Y) is Y's own, at z. Raises
     ValueError unless ``radii`` is a non-empty sequence of finite radii > 0
     and ``samples_per_radius`` an integer >= 1, when every sample lies in
@@ -277,30 +284,33 @@ def estimate_omega(
     _require_on_hull(hull, z_bar, "the problem's common hull")
     pair = None if projector is not None else intersection_oracle(problem)
     local = isinstance(pair, EmbeddedOracle)  # on the hull's own frame
+    center = z_bar if hull is None else hull.to_local(z_bar)
     if local:
         pair = pair.inner
+        q = pair.project_given(center, pair.inner.project(center))
+    else:
+        q = projector(z_bar) if pair is None else pair.project(z_bar)
     # One draw for all radii, row by row the numbers of one draw per radius,
     # in the hull's coordinates v if there is a hull.
-    center = z_bar if hull is None else hull.to_local(z_bar)
     directions = np.random.default_rng(seed).normal(size=(len(radii), samples_per_radius, center.shape[0]))
     directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-    best = np.inf
+    ql, samples = q.tolist(), []
     for rho, block in zip(radii, directions):
         V = center + rho * block
         Z = V if hull is None else hull.anchor + V @ hull._Bt
-        if local:
-            for z, v, vl in zip(Z, V, V.tolist()):
-                pv = pair.inner.project(v)
-                di = math.dist(pair.project_given(v, pv).tolist(), vl)
-                if di > OMEGA_EXCLUDE_TOL:
-                    best = min(best, max(math.dist(pv.tolist(), vl), problem.Y.distance(z)) / di)
-        else:  # an ambient pair's inner set is X
-            for z, zl in zip(Z, Z.tolist()):
-                px = problem.X.project(z)
-                x = projector(z) if pair is None else pair.project_given(z, px)
-                di = math.dist(x.tolist(), zl)
-                if di > OMEGA_EXCLUDE_TOL:
-                    best = min(best, max(math.dist(px.tolist(), zl), problem.Y.distance(z)) / di)
+        W = V if local else Z
+        for z, w, wl in zip(Z, W, W.tolist()):
+            pw = pair.inner.project(w) if local else problem.X.project(z)  # an ambient pair's inner set is X
+            dx = math.dist(pw.tolist(), wl)
+            margin = 2.0 * WRONG_OUTPUT_TOL * max(1.0, math.hypot(*wl))
+            samples.append((dx / (math.dist(wl, ql) + margin), dx, z, w, wl, pw))
+    best = np.inf
+    for bound, dx, z, w, wl, pw in sorted(samples, key=lambda sample: sample[0]):
+        if bound >= best:
+            break
+        di = math.dist((projector(z) if pair is None else pair.project_given(w, pw)).tolist(), wl)
+        if di > OMEGA_EXCLUDE_TOL and dx / di < best:
+            best = min(best, max(dx, problem.Y.distance(z)) / di)
     if not np.isfinite(best):
         raise ValueError("all samples were inside the intersection; cannot estimate")
     return float(best)

@@ -48,6 +48,10 @@ NEWTON_MAX_ITER = 200
 # means a tangent or missing cut (an intersection angle under about 1e-6).
 CAP_TANGENT_RATIO = 1e6
 
+# Off its own constraint by this times the point's scale, an input or an
+# output is wrong, not rounded.
+WRONG_OUTPUT_TOL = 1e-9
+
 
 _FLOAT = np.dtype(np.float64)
 
@@ -253,7 +257,7 @@ class AffineSubspace(SetOracle):
         else:
             self.anchor = least_squares_min_norm(A, b)
             residual = _norm(A @ self.anchor - b)
-            if residual > 1e-9 * (1.0 + _norm(b)):
+            if residual > WRONG_OUTPUT_TOL * (1.0 + _norm(b)):
                 raise ValueError(f"system A z = b is inconsistent (residual {residual:.3e})")
         if basis is None:
             basis = orthonormal_nullspace(A)
@@ -899,10 +903,10 @@ class Cap(_Pair, SetOracle):
     or in 1 / (1 + s) for a ball (where the ball alone is linear), from the
     cut's own root at P_inner(z). A multiplier past ``CAP_TANGENT_RATIO``
     times the displacement short of the root (a tangent or missing cut),
-    an output over 1e-9 max(1, ||x||) off its cut (where z - s a cancels
-    far out) or a failed search raises ``ConvergenceError``. The boundary
-    descriptor is the inner set's; the affine hull is the hyperplane, or
-    the inner set's hull.
+    an output over ``WRONG_OUTPUT_TOL`` max(1, ||x||) off its cut (where
+    z - s a cancels far out) or a failed search raises ``ConvergenceError``.
+    The boundary descriptor is the inner set's; the affine hull is the
+    hyperplane, or the inner set's hull.
     """
 
     def __init__(self, inner: SetOracle, cut):
@@ -963,7 +967,7 @@ class Cap(_Pair, SetOracle):
         v, f, x = _root(residual, start, 0.0 if ball else math.copysign(math.inf, f0), first, settled)
         if tangent(v, x):
             raise ConvergenceError("the cut is tangent to the set or misses it")
-        if abs(f) > 1e-9 * max(1.0, _norm(x)):
+        if abs(f) > WRONG_OUTPUT_TOL * max(1.0, _norm(x)):
             raise ConvergenceError("cap dual root not resolved", residual=abs(f))
         return x, (1.0 / v - 1.0 if ball else v)
 

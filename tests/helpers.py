@@ -631,13 +631,17 @@ def fejer_bound_check(
     )
 
 
-def per_radius_estimate_omega(problem, z_bar, radii=(1e-1, 1e-2, 1e-3, 1e-4), samples_per_radius=200, seed=0):
-    """``estimate_omega``'s sampler in a per-radius form, the reference of its
-    one-draw form: a draw in the common hull's dimension and a normalization
-    per radius, each radius's samples moved to and from the hull's
-    coordinates by lambdas, and each sample measured in those coordinates
-    when the pair works there. Returns inf when every sample lies in X & Y."""
-    hull, pair = problem.common_hull, intersection_oracle(problem)
+def per_radius_estimate_omega(
+    problem, z_bar, radii=(1e-1, 1e-2, 1e-3, 1e-4), samples_per_radius=200, seed=0, projector=None
+):
+    """``estimate_omega``'s sampler in a per-radius form with no pruning, the
+    reference of its one-draw, best-first form: a draw in the common hull's
+    dimension and a normalization per radius, each radius's samples moved to
+    and from the hull's coordinates by lambdas, and every sample measured, in
+    those coordinates when the pair works there, or ambiently through
+    ``projector`` onto X & Y when one is given. Returns inf when every sample
+    lies in X & Y."""
+    hull, pair = problem.common_hull, None if projector is not None else intersection_oracle(problem)
     local, embed = (lambda z: z), (lambda V: V)
     if hull is not None:
         local, embed = hull.to_local, (lambda V: hull.anchor + V @ hull.basis.T)
@@ -652,9 +656,10 @@ def per_radius_estimate_omega(problem, z_bar, radii=(1e-1, 1e-2, 1e-3, 1e-4), sa
         V = center + rho * directions
         for z, v in zip(embed(V), V):
             w = v if in_hull else z
-            pw = pair.inner.project(w)
+            pw = pair.inner.project(w) if in_hull else problem.X.project(w)
             wl = w.tolist()
-            di = math.dist(pair.project_given(w, pw).tolist(), wl)
+            x = projector(w) if pair is None else pair.project_given(w, pw)
+            di = math.dist(x.tolist(), wl)
             if di > OMEGA_EXCLUDE_TOL:
                 best = min(best, max(math.dist(pw.tolist(), wl), problem.Y.distance(z)) / di)
     return float(best)

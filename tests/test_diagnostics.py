@@ -34,6 +34,7 @@ from ccrm.sets import (
     Ellipsoid,
     EmbeddedOracle,
     Halfspace,
+    WRONG_OUTPUT_TOL,
     SecondOrderCone,
     _norm,
 )
@@ -381,12 +382,16 @@ def test_estimate_omega_disc_problem_in_unit_interval():
     ids=["discs3d", "socp", "sdp", "fixed_trace"],
 )
 def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
-    # One X projection per sample serves dist(z, X) and the pair's s = 0
-    # residual; omega equals max_distance / dist(z, X & Y) bitwise. The
-    # samples are drawn in the common hull. discs3d and socp solve X & Y in
-    # the hull's coordinates, and measure there: the projection is of
-    # v = B^T (z - a) onto X's own oracle in those coordinates, dist(z, X)
-    # is ||P_X(v) - v||, and problem.X is never called.
+    # X's kernel runs once on every sample and once on the centre, whose
+    # pair projection q anchors the bound L = d_X / (||w - q|| + margin) on
+    # each ratio. One X projection per sample serves dist(z, X) and the
+    # pair's s = 0 residual. The pair then runs on the samples of least L,
+    # each at most once, up to the first L at or above the running minimum;
+    # Y is read only on those. omega equals the unpruned minimum bitwise.
+    # discs3d and socp solve X & Y in the hull's coordinates, and measure
+    # there: X's projection is of v = B^T (z - a) onto X's own oracle in
+    # those coordinates, dist(z, X) is ||P_X(v) - v||, and problem.X is
+    # never called.
     entry = make()
     problem = entry.problem
     z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
@@ -400,18 +405,7 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
         pair, in_hull = oracle, False
         assert pair.inner is problem.X
     radii, per_radius = (1e-1, 1e-2, 1e-3, 1e-4), 5
-    # The hook is X's kernel, which its own project calls, and so does a
-    # lens on the point it has validated.
-    x_project, calls, ambient = pair.inner._project, [], []
-    pair.inner._project = lambda z, x: calls.append(1) or x_project(z, x)
-    if pair.inner is not problem.X:
-        ambient_project = problem.X.project
-        problem.X.project = lambda z: ambient.append(1) or ambient_project(z)
-    omega = estimate_omega(problem, z_bar, radii=radii, samples_per_radius=per_radius, seed=3)
-    reused = len(calls)
-    assert ambient == []
-    del calls[:]
-    rng, best, kept = np.random.default_rng(3), np.inf, 0
+    rng, best, samples = np.random.default_rng(3), np.inf, []
     for rho in radii:
         directions = rng.normal(size=(per_radius, hull.subspace_dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -422,9 +416,54 @@ def test_estimate_omega_reuses_each_samples_x_projection(make, monkeypatch):
             if di > 1e-12:
                 dist_x = _norm(pair.inner.project(w) - w)
                 best = min(best, max(dist_x, problem.Y.distance(z)) / di)
-                kept += 1
+            samples.append((z, w))
+    center = hull.to_local(z_bar) if in_hull else z_bar
+    q = pair.project(center)
+    margin = 2.0 * WRONG_OUTPUT_TOL
+    bounds = [_norm(pair.inner.project(w) - w) / (_norm(w - q) + margin * max(1.0, _norm(w))) for _, w in samples]
+    order = sorted(range(len(samples)), key=bounds.__getitem__)
+    # The hook is X's kernel, which its own project calls, and so does a
+    # cap's dual on shifted points; a lens calls it on the point it has
+    # validated. The pair's hook is its own kernel.
+    x_project, x_inputs, pair_inputs, y_inputs, ambient = pair.inner._project, [], [], [], []
+    pair_given = pair._given
+    pair.inner._project = lambda z, x: x_inputs.append(z.tobytes()) or x_project(z, x)
+    pair._given = lambda z, zl, inner_z: pair_inputs.append(z.tobytes()) or pair_given(z, zl, inner_z)
+    y_distance = problem.Y.distance
+    problem.Y.distance = lambda z: y_inputs.append(z.tobytes()) or y_distance(z)
+    if pair.inner is not problem.X:
+        ambient_project = problem.X.project
+        problem.X.project = lambda z: ambient.append(1) or ambient_project(z)
+    omega = estimate_omega(problem, z_bar, radii=radii, samples_per_radius=per_radius, seed=3)
     assert omega == best
-    assert kept > 0 and reused == len(calls) - kept
+    assert ambient == []
+    keys = [w.tobytes() for _, w in samples]
+    assert x_inputs.count(center.tobytes()) == 1
+    assert all(x_inputs.count(key) == 1 for key in keys)
+    assert pair_inputs[0] == center.tobytes()
+    evaluated = pair_inputs[1:]
+    assert len(set(evaluated)) == len(evaluated) <= len(samples)
+    assert set(evaluated) == {keys[i] for i in order[:len(evaluated)]}
+    assert {keys[i] for i in order if bounds[i] < omega} <= set(evaluated)
+    evaluated_z = {samples[keys.index(key)][0].tobytes() for key in evaluated}
+    assert 0 < len(y_inputs) <= len(evaluated) and set(y_inputs) <= evaluated_z
+
+
+@pytest.mark.parametrize("selector", ["discs3d", "socp", "sdp", "fixed_trace"])
+def test_estimate_omega_skips_the_pair_on_samples_that_cannot_lower_omega(selector, monkeypatch):
+    # At the default 200 samples on each of 4 radii, the unpruned sampler
+    # ran the pair 800 times; the bound skips 30-47% of them (470, 556,
+    # 463 and 422 runs, the centre's included).
+    entry = resolve(selector)
+    problem = entry.problem
+    z_bar = run(problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    oracle = intersection_oracle(problem)
+    monkeypatch.setattr(ccrm.diagnostics, "intersection_oracle", lambda p: oracle)
+    pair = oracle.inner if isinstance(oracle, EmbeddedOracle) else oracle
+    pair_given, runs = pair._given, []
+    pair._given = lambda z, zl, inner_z: runs.append(1) or pair_given(z, zl, inner_z)
+    estimate_omega(problem, z_bar, seed=0)
+    assert 1 < len(runs) < 800
 
 
 def test_estimate_omega_samples_in_the_common_hull(monkeypatch):

@@ -22,6 +22,11 @@ points y of the set, each scaled by the magnitude M of the data, and for
 The checks compute with numpy on the unscaled data, independently of the
 oracles' kernels. Examples are derandomized, so a run is reproducible.
 
+``estimate_omega``, which evaluates only the samples whose certified lower
+bound can still lower its minimum, is checked to be bit for bit the
+unpruned sampler's minimum, or to raise its error type, over seeds, sample
+counts 1-40, radius subsets and centres at or near a cCRM limit.
+
 The distance of two points, ``math.dist`` of their lists, is checked to
 be bit for bit ``_norm`` of their numpy difference, directly and through
 ``SetOracle.distance``, at dimensions 1-12 and magnitudes 1e-300 ...
@@ -29,6 +34,7 @@ be bit for bit ``_norm`` of their numpy difference, directly and through
 overflows is inf on both sides) or inf or nan.
 """
 
+import functools
 import math
 import struct
 import sys
@@ -40,6 +46,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ccrm import catalog  # noqa: E402
+from ccrm.diagnostics import estimate_omega  # noqa: E402
 from ccrm.errors import ConvergenceError  # noqa: E402
 from ccrm.linalg import vec_to_sym  # noqa: E402
 from ccrm.sets import (  # noqa: E402
@@ -56,6 +63,9 @@ from ccrm.sets import (  # noqa: E402
     SetOracle,
     SpectralSet,
 )
+from ccrm.solvers import SolverConfig, run  # noqa: E402
+
+from helpers import discs3d_lens, per_radius_estimate_omega  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -460,3 +470,46 @@ def test_isometric_image_projection_properties(case, spare, seed):
     c = _onto_rows(A, b, q + u)
     r = math.sqrt(radius**2 - _norm(q + u - c) ** 2)
     assert _norm(L.anchor + L.basis @ pz - c) <= r + SUBSPACE_TOL * M
+
+
+OMEGA_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
+OMEGA_CASES = [("discs3d", None), ("socp", None), ("epigraph:a=2,b=1", None), ("discs3d", discs3d_lens)]
+
+
+@functools.lru_cache(maxsize=None)
+def _ccrm_limit(selector):
+    entry = catalog.resolve(selector)
+    return entry.problem, run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+
+
+@SETTINGS
+@given(
+    st.sampled_from(OMEGA_CASES),
+    st.integers(0, 2**31),
+    st.integers(1, 40),
+    st.lists(st.sampled_from(OMEGA_RADII), min_size=1, max_size=4, unique=True),
+    st.just(0.0) | st.floats(0.0, 1e-3),
+)
+def test_estimate_omega_is_the_unpruned_minimum_bit_for_bit(case, seed, per_radius, radii, offset):
+    # z_bar moved by up to 1e-3 within the common hull, so that its
+    # projection q onto X & Y, the anchor of every sample's bound, is not
+    # z_bar itself.
+    (selector, projector), radii = case, tuple(radii)
+    problem, limit = _ccrm_limit(selector)
+    u = np.random.default_rng(seed).normal(size=limit.shape[0])
+    hull = problem.common_hull
+    if hull is not None:
+        u = hull.basis @ (hull.basis.T @ u)
+    z_bar = limit + offset * u / _norm(u)
+    kwargs = dict(radii=radii, samples_per_radius=per_radius, seed=seed, projector=projector)
+    try:
+        expected = per_radius_estimate_omega(problem, z_bar, **kwargs)
+    except (ArithmeticError, RuntimeError, ValueError) as error:
+        with pytest.raises(type(error)):
+            estimate_omega(problem, z_bar, **kwargs)
+        return
+    if math.isinf(expected):
+        with pytest.raises(ValueError, match="all samples"):
+            estimate_omega(problem, z_bar, **kwargs)
+        return
+    assert estimate_omega(problem, z_bar, **kwargs).hex() == expected.hex()

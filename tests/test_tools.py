@@ -22,6 +22,7 @@ import pytest
 import ccrm
 import ccrm.sets
 from ccrm import catalog
+from ccrm.diagnostics import estimate_omega
 from ccrm.serialize import oracle_from_dict, oracle_to_dict
 from ccrm.solvers import SolverConfig, run
 
@@ -262,7 +263,7 @@ def test_circumcenter_timer_prints_one_json_line(capsys, twin):
     assert all(t > 0.0 for t in times)
 
 
-def test_projection_timer_prints_one_json_line(capsys, twin):
+def test_projection_timer_prints_one_json_line(capsys, monkeypatch, twin):
     timer = tool_module("time_projections")
     timer.main([])
     lines = capsys.readouterr().out.splitlines()
@@ -279,6 +280,18 @@ def test_projection_timer_prints_one_json_line(capsys, twin):
     for role in ("intersection", "estimate_omega"):
         assert [s for s, t in result[role].items() if t is None] == tangent
     assert all(t > 0.0 for t in times if t is not None)
+    assert list(result["projections"]) == list(timer.SELECTORS)
+    assert [s for s, n in result["projections"].items() if n is None] == tangent
+    # discs3d measures X in the hull's coordinates: its count is Y's
+    # projections, one for each sample whose Y distance is read.
+    entry = catalog.resolve("discs3d")
+    z_bar = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+    calls = []
+    for oracle in (entry.problem.X, entry.problem.Y):
+        monkeypatch.setattr(oracle, "project", lambda z, _project=oracle.project: calls.append(1) or _project(z))
+    for seed in timer.OMEGA_SEEDS:
+        estimate_omega(entry.problem, z_bar, samples_per_radius=timer.OMEGA_SAMPLES_PER_RADIUS, seed=seed)
+    assert result["projections"]["discs3d"] == round(len(calls) / len(timer.OMEGA_SEEDS), 3) > 0.0
 
 
 def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
@@ -304,8 +317,8 @@ def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
         projections = 2 + per_step[method] * trace.n_steps
         assert result["projections"][method]["discs3d"] == round(projections / trace.n_steps, 3)
     # The counting wrappers come off again, so the timed runs are bare.
-    trace, projections = timer._counted(entry.problem, lambda z: run(entry.problem, SolverConfig(), z),
-                                        entry.suggested_z0)
+    trace, projections = twin.counted(entry.problem, lambda z: run(entry.problem, SolverConfig(), z),
+                                      entry.suggested_z0)
     assert projections == 2 + per_step["ccrm"] * trace.n_steps
     assert "project" not in vars(entry.problem.X) and "project" not in vars(entry.problem.Y)
 
@@ -371,6 +384,7 @@ def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkey
     for role in ("X", "Y", "intersection", "estimate_omega"):
         assert result["bitwise"][role] == {"sdp": True}
         assert result["against"][role]["sdp"] > 0.0 and result["ratio"][role]["sdp"] > 0.0
+    assert result["against_projections"] == result["projections"] and result["projections"]["sdp"] > 0.0
 
 
 def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):

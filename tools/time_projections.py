@@ -13,14 +13,18 @@ case keeps the inputs it runs without an error and reads null when none is
 left (a tangent pair's intersection). Each of ``twin.REPEATS`` repeats
 times every case in turn, as the best of 3 timings of ``twin.PASSES``
 passes over its inputs. The output is one JSON line of each case's
-median, keyed by role and selector. Only the public API is used, so the
+median, keyed by role and selector, and of each ``estimate_omega`` case's
+X and Y ``project`` calls per call over the seeds it keeps
+(``projections``, by selector), counted in untimed calls as perfbench
+counts them (``twin.counted``). Only the public API is used, so the
 script runs on older checkouts.
 
 ``--against SRC`` loads the ``src`` of a second checkout beside this one
 (``twin.py``); a case keeps the inputs both run and each repeat times it
 on both, the first alternating. The line then also holds each case's
 median on SRC (``against``), this checkout's over SRC's (``ratio``) and
-whether the two outputs of every input agree bit for bit (``bitwise``).
+whether the two outputs of every input agree bit for bit (``bitwise``),
+with SRC's projection counts (``against_projections``).
 """
 
 import argparse
@@ -46,10 +50,11 @@ def _runs(call, x):
 
 
 def _cases(package):
-    """{(role, selector): call} of one package, and {(role, selector): inputs}."""
+    """{(role, selector): call} of one package, {(role, selector): inputs}
+    and the problem of each ``estimate_omega`` case."""
     catalog, diagnostics, solvers = (twin.submodule(package, m) for m in ("catalog", "diagnostics", "solvers"))
     rng = np.random.default_rng(5)
-    calls, inputs = {}, {}
+    calls, inputs, problems = {}, {}, {}
     for selector in SELECTORS:
         entry = catalog.resolve(selector)
         problem = entry.problem
@@ -61,7 +66,8 @@ def _cases(package):
         calls[("estimate_omega", selector)] = lambda seed, problem=problem, z_bar=z_bar: diagnostics.estimate_omega(
             problem, z_bar, samples_per_radius=OMEGA_SAMPLES_PER_RADIUS, seed=seed)
         inputs[("estimate_omega", selector)] = list(OMEGA_SEEDS)
-    return calls, inputs
+        problems[("estimate_omega", selector)] = problem
+    return calls, inputs, problems
 
 
 def main(argv=None):
@@ -70,8 +76,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     packages = [ccrm] + ([twin.load(args.against)] if args.against else [])
     built = [_cases(package) for package in packages]
-    sides, inputs = [calls for calls, _ in built], built[0][1]
+    sides, inputs = [calls for calls, _, _ in built], built[0][1]
     kept = {case: [x for x in inputs[case] if all(_runs(side[case], x) for side in sides)] for case in sides[0]}
+
+    def projections(i):
+        counts = {}
+        for case, problem in built[i][2].items():
+            total = sum(twin.counted(problem, sides[i][case], x)[1] for x in kept[case])
+            counts[case[1]] = round(total / len(kept[case]), 3) if kept[case] else None
+        return counts
+
+    counts = [projections(i) for i in range(len(sides))]
 
     def time_case(i, case):
         return twin.best_us(sides[i][case], kept[case], twin.PASSES) if kept[case] else None
@@ -85,8 +100,10 @@ def main(argv=None):
     result = {"unit": "us/call", "repeats": twin.REPEATS, "passes": twin.PASSES, "points": POINTS}
     for role, selector in kept:
         result.setdefault(role, {})[selector] = twin.median(samples[0][(role, selector)])
+    result["projections"] = counts[0]
     if args.against:
         twin.compare(result, samples, bitwise)
+        result["against_projections"] = counts[1]
     print(json.dumps(result))
 
 

@@ -12,9 +12,8 @@ JSON line of each case's median, step count and projections per step,
 keyed by method and selector; a run that raises or takes no step reads
 null. A case's projections are the X and Y ``project`` calls of its
 first, untimed run over its step count, the start's included, counted as
-perfbench counts them: by a wrapper on each of the two oracle instances,
-removed before the timed runs. Only the public API is used, so the
-script runs on older checkouts.
+perfbench counts them (``twin.counted``), before the timed runs. Only the
+public API is used, so the script runs on older checkouts.
 
 ``--against SRC`` loads the ``src`` of a second checkout beside this one
 (``twin.py``) and times every case on both, the first alternating. The
@@ -37,25 +36,6 @@ from corpus import SELECTORS
 BUDGET_MS = 5.0
 
 
-def _counted(problem, call, z0):
-    """(trace, projections): ``call(z0)``, None where it raises, and the X
-    and Y ``project`` calls it made, counted by instance-level wrappers."""
-    count = [0]
-    for oracle in (problem.X, problem.Y):
-        def project(z, _project=oracle.project):
-            count[0] += 1
-            return _project(z)
-
-        oracle.project = project
-    try:
-        return call(z0), count[0]
-    except (ArithmeticError, RuntimeError, ValueError):
-        return None, count[0]
-    finally:
-        for oracle in (problem.X, problem.Y):
-            del oracle.project
-
-
 def _cases(package):
     """{(method, selector): (call, z0, calls, trace, projections)} of one
     package, where ``call(z0)`` runs the case; trace and projections are
@@ -67,7 +47,7 @@ def _cases(package):
         for method in solvers.METHODS:
             call = functools.partial(solvers.run, entry.problem, solvers.SolverConfig(method=method))
             start = time.perf_counter()
-            trace, projections = _counted(entry.problem, call, entry.suggested_z0)
+            trace, projections = twin.counted(entry.problem, call, entry.suggested_z0)
             calls = max(1, int(1e-3 * BUDGET_MS / (time.perf_counter() - start)))
             if trace is None or not trace.n_steps:
                 trace = projections = None

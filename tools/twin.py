@@ -6,7 +6,8 @@ SRC``, the ``src`` of another checkout, and run both packages in one
 process; two processes differ in speed by up to 2x on a VM, one does not.
 ``ccrm`` imports its own modules relatively, so a copy loaded as
 ``ccrm_against`` runs on its own code. ``best_us``, ``interleave``,
-``median`` and ``compare`` are the timers' shared timing, loop and output.
+``median`` and ``compare`` are the timers' shared timing, loop and output;
+``counted`` is their projection count.
 """
 
 import importlib
@@ -88,3 +89,23 @@ def compare(result, samples, bitwise):
         result["against"].setdefault(group, {})[name] = theirs
         result["ratio"].setdefault(group, {})[name] = round(mine / theirs, 3) if mine and theirs else None
         result["bitwise"].setdefault(group, {})[name] = bitwise(case)
+
+
+def counted(problem, call, x):
+    """(result, projections): ``call(x)``, None where it raises, and the X and
+    Y ``project`` calls it made, counted as perfbench counts them: by a
+    wrapper on each of the two oracle instances, removed afterwards."""
+    count = [0]
+    for oracle in (problem.X, problem.Y):
+        def project(z, _project=oracle.project):
+            count[0] += 1
+            return _project(z)
+
+        oracle.project = project
+    try:
+        return call(x), count[0]
+    except (ArithmeticError, RuntimeError, ValueError):
+        return None, count[0]
+    finally:
+        for oracle in (problem.X, problem.Y):
+            del oracle.project
