@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -49,6 +50,8 @@ def _parse_z0(text, dim):
     values = [float(v) for v in text.split(",")]
     if len(values) != dim:
         raise ValueError(f"z0 has {len(values)} coordinates; the problem needs {dim}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"the point {text!r} has a non-finite coordinate")
     return np.asarray(values)
 
 
@@ -192,6 +195,8 @@ def cmd_table2(args):
 
 
 def cmd_diagnose(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     problem, _ = _resolve_problem(args.problem)
     if args.point != "reference":
         point = _parse_z0(args.point, problem.dim)

@@ -472,3 +472,22 @@ def test_diagnose_tangent_or_disjoint_whole_space_balls_file_is_a_convergence_er
 
 def test_diagnose_requires_point_without_reference():
     assert main(["diagnose", "--problem", "ellipses"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diagnose", "--point", "nan,0,0"], "error: the point 'nan,0,0' has a non-finite coordinate"),
+        (["diagnose", "--point", "inf,0,0"], "error: the point 'inf,0,0' has a non-finite coordinate"),
+        (["diagnose", "--seed", "-1"], "error: --seed must be non-negative, got -1"),
+        (["solve", "--z0", "0,inf,0"], "error: the point '0,inf,0' has a non-finite coordinate"),
+    ],
+    ids=["nan-point", "inf-point", "negative-seed", "inf-z0"],
+)
+def test_non_finite_point_or_negative_seed_exits_1_and_writes_no_file(tmp_path, capsys, argv, message):
+    # diagnose exited 0 with a report holding NaN or Infinity (not JSON),
+    # or with an omega_error for the seed.
+    out = tmp_path / "out.json"
+    assert main([*argv, "--problem", "discs3d", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()

@@ -1,12 +1,10 @@
 """The identity corpus, tools/corpus.py: its comparison rules on
 hand-made corpora, what it writes (the ω and κ lines, the kinds its
 projections cover, the reduced runs), its diff of this checkout against
-itself and its script entry point; the per-call timers
-tools/time_circumcenter.py and tools/time_projections.py, the per-step
-timer tools/time_steps.py, each also beside a second checkout's package,
-and the cap counter. The timers' repeats, passes and budget, the cap
-counter's point counts and the corpus's selectors are module constants
-that the tests set lower."""
+itself and its script entry point; the layer timer tools/timers.py, each
+layer alone and beside a second checkout's package, with its projection
+counts. The timer's repeats, budget and cap point counts and the corpus's
+selectors are module constants that the tests set lower."""
 
 import inspect
 import json
@@ -243,45 +241,59 @@ def test_corpus_diff_names_the_part_that_differs(tmp_path, capsys, written, part
 
 @pytest.fixture
 def twin(monkeypatch):
-    """tools/twin.py, with one repeat of one pass per case."""
+    """tools/twin.py, with one repeat per case."""
     import twin
 
     monkeypatch.setattr(twin, "REPEATS", 1)
-    monkeypatch.setattr(twin, "PASSES", 1)
     return twin
 
 
-def test_circumcenter_timer_prints_one_json_line(capsys, twin):
-    tool_module("time_circumcenter").main()
+@pytest.fixture
+def timers(monkeypatch, twin):
+    """tools/timers.py, with one pass per case and 4 near and 2 far points per cap."""
+    timers = tool_module("timers")
+    monkeypatch.setattr(timers, "BUDGET_MS", 0.0)
+    monkeypatch.setattr(timers, "NEAR", 4)
+    monkeypatch.setattr(timers, "FAR", 2)
+    return timers
+
+
+def _layer(timers, capsys, *argv):
+    """The one JSON line that ``timers.py`` prints for ``argv``."""
+    timers.main(list(argv))
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    result = json.loads(lines[0])
+    return json.loads(lines[0])
+
+
+def test_circumcenter_timer_prints_one_json_line(capsys, timers):
+    result = _layer(timers, capsys, "circumcenter")
+    assert result["unit"] == "us/call"
     dims = [f"n={n}" for n in (2, 3, 4, 6, 10, 16)]
     assert list(result["three"]) == list(result["loop_three"]) == dims
     assert list(result["four"]) == ["n=4"]
     times = [*result["three"].values(), *result["loop_three"].values(), *result["four"].values()]
     assert all(t > 0.0 for t in times)
+    assert "projections" not in result
 
 
-def test_projection_timer_prints_one_json_line(capsys, monkeypatch, twin):
-    timer = tool_module("time_projections")
-    timer.main([])
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    result = json.loads(lines[0])
+def test_projection_timer_prints_one_json_line(capsys, monkeypatch, timers):
+    result = _layer(timers, capsys, "project")
     assert result["unit"] == "us/call"
     roles = ("X", "Y", "intersection", "estimate_omega")
     for role in roles:
-        assert list(result[role]) == list(timer.SELECTORS)
+        assert list(result[role]) == list(timers.SELECTORS)
     times = [t for role in roles for t in result[role].values()]
     # Only a tangent pair's intersection refuses every point, and its
     # estimate_omega every seed: epigraph with b = 0.
-    tangent = [s for s in timer.SELECTORS if s.startswith("epigraph:") and ",b=0," in s]
+    tangent = [s for s in timers.SELECTORS if s.startswith("epigraph:") and ",b=0," in s]
     for role in ("intersection", "estimate_omega"):
         assert [s for s, t in result[role].items() if t is None] == tangent
     assert all(t > 0.0 for t in times if t is not None)
-    assert list(result["projections"]) == list(timer.SELECTORS)
-    assert [s for s, n in result["projections"].items() if n is None] == tangent
+    counts = result["projections"]
+    assert list(counts) == ["estimate_omega", "cap_near", "cap_far", "cap_failed"]
+    assert list(counts["estimate_omega"]) == list(timers.SELECTORS)
+    assert [s for s, n in counts["estimate_omega"].items() if n is None] == tangent
     # discs3d measures X in the hull's coordinates: its count is Y's
     # projections, one for each sample whose Y distance is read.
     entry = catalog.resolve("discs3d")
@@ -289,23 +301,24 @@ def test_projection_timer_prints_one_json_line(capsys, monkeypatch, twin):
     calls = []
     for oracle in (entry.problem.X, entry.problem.Y):
         monkeypatch.setattr(oracle, "project", lambda z, _project=oracle.project: calls.append(1) or _project(z))
-    for seed in timer.OMEGA_SEEDS:
-        estimate_omega(entry.problem, z_bar, samples_per_radius=timer.OMEGA_SAMPLES_PER_RADIUS, seed=seed)
-    assert result["projections"]["discs3d"] == round(len(calls) / len(timer.OMEGA_SEEDS), 3) > 0.0
+    for seed in timers.OMEGA_SEEDS:
+        estimate_omega(entry.problem, z_bar, samples_per_radius=timers.OMEGA_SAMPLES_PER_RADIUS, seed=seed)
+    assert counts["estimate_omega"]["discs3d"] == round(len(calls) / len(timers.OMEGA_SEEDS), 3) > 0.0
+    # The caps, and the diagnose epigraph's: every call into a tangent
+    # pair's cap raises, and none of the others does.
+    assert {"socp", "sdp", "fixed_trace", timers.DIAGNOSE_EPIGRAPH} <= set(counts["cap_near"])
+    assert set(counts["cap_near"]) == set(counts["cap_far"]) == set(counts["cap_failed"])
+    assert all(n > 0 for n in [*counts["cap_near"].values(), *counts["cap_far"].values()])
+    assert {s: n for s, n in counts["cap_failed"].items() if n} == dict.fromkeys(tangent, 6)
 
 
-def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
-    timer = tool_module("time_steps")
-    monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=3,b=1,y=line"))
-    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
-    timer.main([])
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    result = json.loads(lines[0])
+def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin, timers):
+    monkeypatch.setattr(timers, "SELECTORS", ("discs3d", "epigraph:a=3,b=1,y=line"))
+    result = _layer(timers, capsys, "step")
     assert result["unit"] == "us/step"
     for method in ("ccrm", "crm", "map"):
-        assert list(result[method]) == list(result["steps"][method]) == list(timer.SELECTORS)
-        assert list(result["projections"][method]) == list(timer.SELECTORS)
+        assert list(result[method]) == list(result["steps"][method]) == list(timers.SELECTORS)
+        assert list(result["projections"][method]) == list(timers.SELECTORS)
         assert all(t > 0.0 for t in result[method].values())
     entry = catalog.resolve("discs3d")
     # The start's X and Y projections, then the step's own and the new
@@ -317,8 +330,8 @@ def test_step_timer_prints_one_json_line(capsys, monkeypatch, twin):
         projections = 2 + per_step[method] * trace.n_steps
         assert result["projections"][method]["discs3d"] == round(projections / trace.n_steps, 3)
     # The counting wrappers come off again, so the timed runs are bare.
-    trace, projections = twin.counted(entry.problem, lambda z: run(entry.problem, SolverConfig(), z),
-                                      entry.suggested_z0)
+    oracles = (entry.problem.X, entry.problem.Y)
+    trace, projections = twin.counted(oracles, lambda z: run(entry.problem, SolverConfig(), z), entry.suggested_z0)
     assert projections == 2 + per_step["ccrm"] * trace.n_steps
     assert "project" not in vars(entry.problem.X) and "project" not in vars(entry.problem.Y)
 
@@ -332,33 +345,63 @@ def this_src(twin):
         del sys.modules[name]
 
 
-def test_step_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, twin, this_src):
-    # Every case runs both copies, and their iterates agree bit for bit.
-    timer = tool_module("time_steps")
-    monkeypatch.setattr(timer, "SELECTORS", ("discs3d", "epigraph:a=2,b=0,y=line"))
-    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
+@pytest.mark.parametrize("layer", ["circumcenter", "project", "step"])
+def test_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, twin, timers, this_src, layer):
+    # Every case runs both copies, their outputs agree bit for bit, and so
+    # do their projection counts.
+    monkeypatch.setattr(timers, "SELECTORS", ("discs3d", "sdp"))
     monkeypatch.setattr(twin, "REPEATS", 2)
-    timer.main(["--against", this_src])
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    result = json.loads(lines[0])
-    assert sys.modules[timer.twin.AGAINST + ".sets"] is not ccrm.sets
-    for method in ("ccrm", "crm", "map"):
-        for key in ("against", "ratio", "bitwise", "against_projections"):
-            assert list(result[key][method]) == list(timer.SELECTORS)
-        assert all(t > 0.0 for t in result["against"][method].values())
-        assert all(r > 0.0 for r in result["ratio"][method].values())
-        assert all(result["bitwise"][method].values())
-    assert result["against_projections"] == result["projections"]
+    result = _layer(timers, capsys, layer, "--against", this_src)
+    assert sys.modules[twin.AGAINST + ".sets"] is not ccrm.sets
+    groups = [group for group in result["bitwise"]]
+    assert groups and all(list(result[key]) == groups for key in ("against", "ratio"))
+    for group in groups:
+        assert all(result["bitwise"][group].values())
+        assert all(t > 0.0 for t in result["against"][group].values())
+        assert all(r > 0.0 for r in result["ratio"][group].values())
+    if layer == "circumcenter":
+        assert "projections" not in result and "against_projections" not in result
+    else:
+        assert result["against_projections"] == result["projections"]
+        assert result["projections_differ"] == []
+
+
+def test_timer_keeps_the_inputs_both_checkouts_run_and_flags_unequal_outputs(capsys, monkeypatch, twin, timers,
+                                                                             this_src):
+    # The second checkout's estimate_omega raises at seed 3 and moves its
+    # result by an ulp at seed 5.
+    monkeypatch.setattr(timers, "SELECTORS", ("discs3d",))
+    diagnostics = twin.submodule(twin.load(this_src), "diagnostics")
+    omega_there = diagnostics.estimate_omega
+
+    def omega_changed(*args, seed, **kwargs):
+        if seed == 3:
+            raise RuntimeError("no")
+        omega = omega_there(*args, seed=seed, **kwargs)
+        return math.nextafter(omega, 2.0) if seed == 5 else omega
+
+    monkeypatch.setattr(diagnostics, "estimate_omega", omega_changed)
+    result = _layer(timers, capsys, "project", "--against", this_src)
+    assert result["bitwise"]["estimate_omega"] == {"discs3d": False}
+    assert result["bitwise"]["X"] == {"discs3d": True}
+    # Both sides count the seven seeds that both run.
+    entry = catalog.resolve("discs3d")
+    z_bar = run(entry.problem, SolverConfig(method="ccrm"), entry.suggested_z0).final
+
+    def omega(seed):
+        return estimate_omega(entry.problem, z_bar, samples_per_radius=timers.OMEGA_SAMPLES_PER_RADIUS, seed=seed)
+
+    seeds = [seed for seed in timers.OMEGA_SEEDS if seed != 3]
+    total = sum(twin.counted((entry.problem.X, entry.problem.Y), omega, seed)[1] for seed in seeds)
+    counts = (result["projections"], result["against_projections"])
+    assert counts[0]["estimate_omega"]["discs3d"] == counts[1]["estimate_omega"]["discs3d"] == round(total / 7, 3)
     assert result["projections_differ"] == []
 
 
-def test_step_timer_flags_a_projection_count_that_differs(capsys, monkeypatch, twin, this_src):
+def test_step_timer_flags_a_projection_count_that_differs(capsys, monkeypatch, twin, timers, this_src):
     # The second checkout's MAP step runs twice: the same iterates, one more
     # Y projection per step.
-    timer = tool_module("time_steps")
-    monkeypatch.setattr(timer, "SELECTORS", ("discs3d",))
-    monkeypatch.setattr(timer, "BUDGET_MS", 0.0)
+    monkeypatch.setattr(timers, "SELECTORS", ("discs3d",))
     steps = twin.submodule(twin.load(this_src), "solvers").STEPS
     map_step = steps["map"]
 
@@ -367,38 +410,12 @@ def test_step_timer_flags_a_projection_count_that_differs(capsys, monkeypatch, t
         return map_step(*args)
 
     monkeypatch.setitem(steps, "map", map_twice)
-    timer.main(["--against", this_src])
-    result = json.loads(capsys.readouterr().out)
+    result = _layer(timers, capsys, "step", "--against", this_src)
     assert result["projections_differ"] == ["map discs3d"]
     assert result["bitwise"]["map"]["discs3d"]
     n = result["steps"]["map"]["discs3d"]
     assert result["against_projections"]["map"]["discs3d"] == round((2 + 3 * n) / n, 3)
     assert result["projections"]["map"]["discs3d"] == round((2 + 2 * n) / n, 3)
-
-
-def test_projection_timer_times_a_second_checkout_beside_this_one(capsys, monkeypatch, this_src):
-    timer = tool_module("time_projections")
-    monkeypatch.setattr(timer, "SELECTORS", ("sdp",))
-    timer.main(["--against", this_src])
-    result = json.loads(capsys.readouterr().out)
-    for role in ("X", "Y", "intersection", "estimate_omega"):
-        assert result["bitwise"][role] == {"sdp": True}
-        assert result["against"][role]["sdp"] > 0.0 and result["ratio"][role]["sdp"] > 0.0
-    assert result["against_projections"] == result["projections"] and result["projections"]["sdp"] > 0.0
-
-
-def test_cap_projection_counter_prints_one_json_line(capsys, monkeypatch):
-    counter = tool_module("count_cap_projections")
-    monkeypatch.setattr(counter, "NEAR", 4)
-    monkeypatch.setattr(counter, "FAR", 2)
-    counter.main()
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    result = json.loads(lines[0])
-    assert set(result) == {"near", "far", "failed"}
-    assert {"socp", "sdp", "fixed_trace", "epigraph:a=2,b=1"} <= set(result["near"])
-    assert set(result["near"]) == set(result["far"]) == set(result["failed"])
-    assert all(count > 0 for count in result["near"].values())
 
 
 def test_corpus_diff_against_this_checkout_reports_every_part_identical(capsys, monkeypatch, twin, this_src):
@@ -412,10 +429,12 @@ def test_corpus_diff_against_this_checkout_reports_every_part_identical(capsys, 
     assert sys.modules[twin.AGAINST + ".sets"] is not ccrm.sets
 
 
-@pytest.mark.parametrize("command", ["write", "diff"])
-def test_corpus_script_help_runs_from_the_repo_root(command):
+@pytest.mark.parametrize("script, command", [("corpus", "write"), ("corpus", "diff"), ("timers", "circumcenter"),
+                                             ("timers", "project"), ("timers", "step")],
+                         ids=["write", "diff", "circumcenter", "project", "step"])
+def test_corpus_script_help_runs_from_the_repo_root(script, command):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-    done = subprocess.run([sys.executable, "tools/corpus.py", command, "--help"], cwd=root, env=env,
+    done = subprocess.run([sys.executable, f"tools/{script}.py", command, "--help"], cwd=root, env=env,
                           capture_output=True, text=True)
-    assert done.returncode == 0 and done.stdout.startswith("usage: corpus.py " + command)
+    assert done.returncode == 0 and done.stdout.startswith(f"usage: {script}.py {command}")

@@ -1,13 +1,12 @@
 """Import a second checkout's ``ccrm`` package beside the first, under
 another name, and time the two case by case.
 
-``corpus.py diff`` and the per-call and per-step timers take ``--against
-SRC``, the ``src`` of another checkout, and run both packages in one
-process; two processes differ in speed by up to 2x on a VM, one does not.
-``ccrm`` imports its own modules relatively, so a copy loaded as
-``ccrm_against`` runs on its own code. ``best_us``, ``interleave``,
-``median`` and ``compare`` are the timers' shared timing, loop and output;
-``counted`` is their projection count.
+``corpus.py diff`` and ``timers.py`` take ``--against SRC``, the ``src``
+of another checkout, and run both packages in one process; two processes
+differ in speed by up to 2x on a VM, one does not. ``ccrm`` imports its
+own modules relatively, so a copy loaded as ``ccrm_against`` runs on its
+own code. ``best_us``, ``interleave``, ``median`` and ``compare`` are the
+timers' timing, loop and output; ``counted`` is their projection count.
 """
 
 import importlib
@@ -19,10 +18,8 @@ import sys
 import time
 
 AGAINST = "ccrm_against"
-# Each case's time is a median over REPEATS; a per-call timer times PASSES
-# passes over a case's inputs.
+# Each case's time is a median over REPEATS.
 REPEATS = 11
-PASSES = 4
 
 
 def load(src, name=AGAINST):
@@ -91,12 +88,12 @@ def compare(result, samples, bitwise):
         result["bitwise"].setdefault(group, {})[name] = bitwise(case)
 
 
-def counted(problem, call, x):
-    """(result, projections): ``call(x)``, None where it raises, and the X and
-    Y ``project`` calls it made, counted as perfbench counts them: by a
-    wrapper on each of the two oracle instances, removed afterwards."""
+def counted(oracles, call, x):
+    """(result, projections): ``call(x)``, None where it raises, and the
+    ``project`` calls it made on ``oracles``, counted as perfbench counts
+    a problem's X and Y: by a wrapper on each instance, removed afterwards."""
     count = [0]
-    for oracle in (problem.X, problem.Y):
+    for oracle in oracles:
         def project(z, _project=oracle.project):
             count[0] += 1
             return _project(z)
@@ -107,5 +104,5 @@ def counted(problem, call, x):
     except (ArithmeticError, RuntimeError, ValueError):
         return None, count[0]
     finally:
-        for oracle in (problem.X, problem.Y):
+        for oracle in oracles:
             del oracle.project
